@@ -22,9 +22,9 @@ from .geometry import (Region, RelaySystem, sample_boundary, saturate_level,
 from .periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                        continue_levels, find_periodic, orbit_hausdorff,
                        shooting_residual, verify_periodic)
-from .relay import (Branching, FirstHit, NthHit, RandomHit, Trajectory,
-                    accessible_set, check_connected, omega_limit_estimate,
-                    simulate, strict_mode_check)
+from .relay import (FirstHit, NthHit, RandomHit, Trajectory, accessible_set,
+                    check_connected, omega_limit_estimate, simulate,
+                    strict_mode_check)
 from .cli import load_config
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "CrossingEvent", "CrossingTree", "find_crossings", "forward_tree",
     "backward_tree", "forward_leaf_parity", "backward_leaf_parity",
     "degree_check", "winding_degree",
-    "FirstHit", "NthHit", "RandomHit", "Branching", "Trajectory", "simulate",
+    "FirstHit", "NthHit", "RandomHit", "Trajectory", "simulate",
     "accessible_set", "omega_limit_estimate", "check_connected",
     "strict_mode_check",
     "SwitchingVector", "PeriodicOrbit", "SolveOptions", "shooting_residual",

@@ -25,7 +25,6 @@ __all__ = [
     "flow_jacobian",
     "flow_map_with_jacobian",
     "flow_map_points",
-    "dense_eval",
 ]
 
 TIME_CAP_FACTOR = 10.0  # |t| may not exceed this multiple of the flow horizon
@@ -51,13 +50,7 @@ class VectorField:
         self.label = label
         self._fns = [c._scalar() for c in components]
         self._afns = [c._array() for c in components]
-        # symbolic partials compile to a fast Jacobian; variable exponents
-        # fall back to dual-number propagation
-        partials = [c.partials() for c in components]
-        if all(p is not None for p in partials):
-            self._jac_fns = [[q._scalar() for q in p] for p in partials]
-        else:
-            self._jac_fns = None
+        self._jac_fns = [c._scalar(grad=True) for c in components]
 
     def __call__(self, x) -> np.ndarray:
         xs = [float(v) for v in x]
@@ -76,13 +69,11 @@ class VectorField:
 
     def jacobian(self, x) -> np.ndarray:
         """Space derivative DV(x) as an (n, n) matrix, exact."""
-        if self._jac_fns is not None:
-            xs = [float(v) for v in x]
-            try:
-                return np.array([[fn(*xs) for fn in row] for row in self._jac_fns])
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvalError(f"field Jacobian failed: {exc}") from exc
-        return np.stack([c.gradient(np.asarray(x, float)) for c in self.components])
+        xs = [float(v) for v in x]
+        try:
+            return np.array([fn(*xs) for fn in self._jac_fns])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalError(f"field Jacobian failed: {exc}") from exc
 
 
 @dataclass
@@ -250,8 +241,3 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
         return sol.y[:, -1].reshape(npts, n)
     out = sol.sol(np.asarray(t_eval, float))
     return out.T.reshape(len(t_eval), npts, n)
-
-
-def dense_eval(arc: FlowArc, tau: float) -> np.ndarray:
-    """Interpolated state at tau inside the arc's span."""
-    return arc(tau)

@@ -12,8 +12,9 @@ Grammar (whitespace-insensitive)::
 
 An :class:`Expression` is immutable after :func:`parse`; evaluation and
 differentiation are pure, so one instance may be shared across workers.
-Derivatives are exact, produced by forward-mode dual-number propagation
-over the AST (no finite differences).
+Derivatives are exact: :func:`derive` applies the forward-mode chain rule
+to the AST once, and the n partials compile into one gradient function,
+like the value (no finite differences).
 """
 from __future__ import annotations
 
@@ -39,9 +40,6 @@ __all__ = [
     "Div",
     "Pow",
     "parse",
-    "evaluate",
-    "gradient",
-    "to_string",
     "FUNCTIONS",
 ]
 
@@ -293,135 +291,36 @@ def _emit(node: Node, fn_prefix: str) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
+# log appears only in derived trees (variable exponents), never in parsed ones
 _SCALAR_NS = {
     "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
-    "_sqrt": math.sqrt, "_tanh": math.tanh, "_pow": math.pow,
+    "_sqrt": math.sqrt, "_tanh": math.tanh, "_pow": math.pow, "_log": math.log,
 }
 _ARRAY_NS = {
     "_asin": np.sin, "_acos": np.cos, "_aexp": np.exp,
-    "_asqrt": np.sqrt, "_atanh": np.tanh, "_apow": np.power,
+    "_asqrt": np.sqrt, "_atanh": np.tanh, "_apow": np.power, "_alog": np.log,
 }
 
 
-def _compile(node: Node, n: int, prefix: str, ns: dict) -> Callable:
+def _compile(body: Node | tuple[Node, ...], n: int, prefix: str,
+             ns: dict) -> Callable:
+    """Compile one tree to a function of x1..xn, or a tuple of trees to a
+    function returning the tuple of their values."""
     args = ", ".join(f"x{i}" for i in range(1, n + 1))
-    src = f"def _fn({args}):\n    return {_emit(node, prefix)}\n"
+    if isinstance(body, Node):
+        ret = _emit(body, prefix)
+    else:
+        ret = "(" + "".join(f"{_emit(b, prefix)}, " for b in body) + ")"
+    src = f"def _fn({args}):\n    return {ret}\n"
     scope = dict(ns)
     exec(compile(src, "<flowrelay-expr>", "exec"), scope)
     return scope["_fn"]
 
 
 # ---------------------------------------------------------------------------
-# Forward-mode dual numbers (value + gradient), batched over points
+# Symbolic partials (the forward-mode chain rule materialized as ASTs, then
+# compiled like any expression)
 # ---------------------------------------------------------------------------
-
-def _const_value(node: Node) -> float | None:
-    """Value of a variable-free subtree, or None if it contains a variable."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return None
-    if isinstance(node, Neg):
-        v = _const_value(node.arg)
-        return None if v is None else -v
-    if isinstance(node, Fun):
-        v = _const_value(node.arg)
-        if v is None:
-            return None
-        return float(getattr(math, node.name)(v))
-    if isinstance(node, (Add, Sub, Mul, Div, Pow)):
-        a = _const_value(node.left if not isinstance(node, Pow) else node.base)
-        b = _const_value(node.right if not isinstance(node, Pow) else node.exponent)
-        if a is None or b is None:
-            return None
-        if isinstance(node, Add):
-            return a + b
-        if isinstance(node, Sub):
-            return a - b
-        if isinstance(node, Mul):
-            return a * b
-        if isinstance(node, Div):
-            if b == 0:
-                raise EvalError("division by zero in constant subexpression")
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"constant power undefined: {a}^{b}") from exc
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _dual_eval(node: Node, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (value (N,), gradient (N, n)) of the subtree over a batch of points."""
-    npts, n = pts.shape
-    if isinstance(node, Num):
-        return np.full(npts, node.value), np.zeros((npts, n))
-    if isinstance(node, Var):
-        g = np.zeros((npts, n))
-        g[:, node.index - 1] = 1.0
-        return pts[:, node.index - 1].copy(), g
-    if isinstance(node, Neg):
-        v, g = _dual_eval(node.arg, pts)
-        return -v, -g
-    if isinstance(node, Fun):
-        v, g = _dual_eval(node.arg, pts)
-        if node.name == "sin":
-            return np.sin(v), np.cos(v)[:, None] * g
-        if node.name == "cos":
-            return np.cos(v), -np.sin(v)[:, None] * g
-        if node.name == "exp":
-            ev = np.exp(v)
-            return ev, ev[:, None] * g
-        if node.name == "sqrt":
-            sv = np.sqrt(v)
-            return sv, g / (2.0 * sv)[:, None]
-        if node.name == "tanh":
-            tv = np.tanh(v)
-            return tv, (1.0 - tv * tv)[:, None] * g
-        raise TypeError(f"unknown function {node.name!r}")
-    if isinstance(node, Add):
-        va, ga = _dual_eval(node.left, pts)
-        vb, gb = _dual_eval(node.right, pts)
-        return va + vb, ga + gb
-    if isinstance(node, Sub):
-        va, ga = _dual_eval(node.left, pts)
-        vb, gb = _dual_eval(node.right, pts)
-        return va - vb, ga - gb
-    if isinstance(node, Mul):
-        va, ga = _dual_eval(node.left, pts)
-        vb, gb = _dual_eval(node.right, pts)
-        return va * vb, va[:, None] * gb + vb[:, None] * ga
-    if isinstance(node, Div):
-        va, ga = _dual_eval(node.left, pts)
-        vb, gb = _dual_eval(node.right, pts)
-        v = va / vb
-        return v, (ga - v[:, None] * gb) / vb[:, None]
-    if isinstance(node, Pow):
-        vb_const = _const_value(node.exponent)
-        va, ga = _dual_eval(node.base, pts)
-        if vb_const is not None:
-            c = vb_const
-            v = np.power(va, c)
-            if c == 0.0:
-                return v, np.zeros_like(ga)
-            dv = c * np.power(va, c - 1.0)
-            return v, dv[:, None] * ga
-        vb, gb = _dual_eval(node.exponent, pts)
-        # genuinely variable exponent: positive base required
-        v = np.power(va, vb)
-        dv = v[:, None] * (gb * np.log(va)[:, None] + vb[:, None] * ga / va[:, None])
-        return v, dv
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# Symbolic partials (same forward-mode chain rule, materialized as ASTs;
-# used to compile fast field Jacobians for the variational equations)
-# ---------------------------------------------------------------------------
-
-class _NonconstantExponent(Exception):
-    pass
-
 
 def _n_add(a: Node, b: Node) -> Node:
     if a == Num(0.0):
@@ -463,19 +362,19 @@ def _n_div(a: Node, b: Node) -> Node:
     return Div(a, b)
 
 
-def _n_pow(a: Node, c: float) -> Node:
-    if c == 1.0:
+def _n_pow(a: Node, c: Node) -> Node:
+    if c == Num(1.0):
         return a
-    if c == 0.0:
+    if c == Num(0.0):
         return Num(1.0)
-    return Pow(a, Num(c))
+    return Pow(a, c)
 
 
 def derive(node: Node, index: int) -> Node:
     """Exact partial derivative of the subtree with respect to x<index>.
 
-    Only constant exponents are supported here (variable exponents fall
-    back to runtime dual propagation in callers).
+    The result may contain ``log`` (from a variable exponent), which the
+    grammar does not accept: derived trees are compiled, never parsed.
     """
     if isinstance(node, Num):
         return Num(0.0)
@@ -514,28 +413,24 @@ def derive(node: Node, index: int) -> Node:
                      _n_mul(node.left, derive(node.right, index)))
         return _n_div(num, _n_mul(node.right, node.right))
     if isinstance(node, Pow):
-        c = _const_value(node.exponent)
-        if c is None:
-            raise _NonconstantExponent(to_string_node(node))
-        d = derive(node.base, index)
-        if d == Num(0.0) or c == 0.0:
-            return Num(0.0)
-        return _n_mul(_n_mul(Num(c), _n_pow(node.base, c - 1.0)), d)
+        # d(a^c) = c*a^(c-1)*a' + a^c*log(a)*c'
+        a, c = node.base, node.exponent
+        d = _n_mul(_n_mul(c, _n_pow(a, _n_sub(c, Num(1.0)))), derive(a, index))
+        dc = derive(c, index)
+        if dc == Num(0.0):
+            return d
+        return _n_add(d, _n_mul(_n_mul(node, Fun("log", a)), dc))
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def to_string_node(node: Node) -> str:
-    return _fmt(node, 0)
-
-
 # ---------------------------------------------------------------------------
-# Public Expression type and module-level operations
+# Public Expression type and parse
 # ---------------------------------------------------------------------------
 
 class Expression:
     """An immutable parsed expression over variables x1..xn."""
 
-    __slots__ = ("root", "n", "_scalar_fn", "_array_fn")
+    __slots__ = ("root", "n", "_fns")
 
     def __init__(self, root: Node, n: int):
         if n < 1:
@@ -543,8 +438,7 @@ class Expression:
         _check_tree(root, n)
         self.root = root
         self.n = n
-        self._scalar_fn = None
-        self._array_fn = None
+        self._fns: dict = {}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Expression)
@@ -554,28 +448,40 @@ class Expression:
         return hash((self.root, self.n))
 
     def __repr__(self) -> str:
-        return f"Expression({to_string_node(self.root)!r}, n={self.n})"
+        return f"Expression({_fmt(self.root, 0)!r}, n={self.n})"
 
     def __str__(self) -> str:
-        return to_string_node(self.root)
+        return _fmt(self.root, 0)
 
     # -- evaluation ---------------------------------------------------------
 
-    def _scalar(self) -> Callable:
-        if self._scalar_fn is None:
-            self._scalar_fn = _compile(self.root, self.n, "_", _SCALAR_NS)
-        return self._scalar_fn
+    def _compiled(self, prefix: str, ns: dict, grad: bool) -> Callable:
+        fn = self._fns.get((prefix, grad))
+        if fn is None:
+            body = (tuple(derive(self.root, j) for j in range(1, self.n + 1))
+                    if grad else self.root)
+            fn = self._fns[prefix, grad] = _compile(body, self.n, prefix, ns)
+        return fn
 
-    def _array(self) -> Callable:
-        if self._array_fn is None:
-            self._array_fn = _compile(self.root, self.n, "_a", _ARRAY_NS)
-        return self._array_fn
+    def _scalar(self, grad: bool = False) -> Callable:
+        """Compiled math function of floats: the value, or with ``grad`` the
+        tuple of the n partials."""
+        return self._compiled("_", _SCALAR_NS, grad)
 
-    def evaluate(self, x) -> float | np.ndarray:
-        """Evaluate at a point (n,) -> float, or a batch (..., n) -> (...,) array."""
+    def _array(self, grad: bool = False) -> Callable:
+        """Like :meth:`_scalar` over numpy columns; constant parts come back
+        as plain floats."""
+        return self._compiled("_a", _ARRAY_NS, grad)
+
+    def _check_point(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
         if arr.shape[-1:] != (self.n,):
             raise ValueError(f"point has dimension {arr.shape[-1:]}, expected {self.n}")
+        return arr
+
+    def evaluate(self, x) -> float | np.ndarray:
+        """Evaluate at a point (n,) -> float, or a batch (..., n) -> (...,) array."""
+        arr = self._check_point(x)
         if arr.ndim == 1:
             try:
                 out = self._scalar()(*arr.tolist())
@@ -595,28 +501,23 @@ class Expression:
         return out
 
     def gradient(self, x) -> np.ndarray:
-        """Exact gradient at a point (n,) -> (n,), or a batch (N, n) -> (N, n)."""
-        arr = np.asarray(x, dtype=float)
-        if arr.shape[-1:] != (self.n,):
-            raise ValueError(f"point has dimension {arr.shape[-1:]}, expected {self.n}")
-        single = arr.ndim == 1
-        pts = arr[None, :] if single else arr.reshape(-1, self.n)
+        """Exact gradient at a point (n,) -> (n,), or a batch (..., n) -> (..., n)."""
+        arr = self._check_point(x)
+        if arr.ndim == 1:
+            try:
+                g = self._scalar(grad=True)(*arr.tolist())
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise EvalError(f"gradient failed: {exc}") from exc
+            if not all(map(math.isfinite, g)):
+                raise EvalError("non-finite gradient")
+            return np.array(g, dtype=float)
+        cols = [arr[..., j] for j in range(self.n)]
         with np.errstate(all="ignore"):
-            _, g = _dual_eval(self.root, pts)
+            parts = self._array(grad=True)(*cols)
+        g = np.stack([np.broadcast_to(d, arr.shape[:-1]) for d in parts], axis=-1)
         if not np.all(np.isfinite(g)):
             raise EvalError("non-finite gradient")
-        if single:
-            return g[0]
-        return g.reshape(arr.shape)
-
-    def partials(self) -> list["Expression"] | None:
-        """Symbolic partial-derivative expressions, or None if a variable
-        exponent makes the symbolic route unavailable."""
-        try:
-            return [Expression(derive(self.root, j), self.n)
-                    for j in range(1, self.n + 1)]
-        except _NonconstantExponent:
-            return None
+        return g
 
 
 def _check_tree(node: Node, n: int) -> None:
@@ -651,14 +552,3 @@ def parse(text: str, n: int) -> Expression:
         raise ParseError("empty expression", 0, expected="an expression")
     return Expression(_Parser(text, n).parse(), n)
 
-
-def evaluate(e: Expression, x) -> float | np.ndarray:
-    return e.evaluate(x)
-
-
-def gradient(e: Expression, x) -> np.ndarray:
-    return e.gradient(x)
-
-
-def to_string(e: Expression) -> str:
-    return str(e)

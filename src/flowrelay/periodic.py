@@ -18,8 +18,8 @@ from scipy.spatial import cKDTree
 from .dynamics import (TIME_CAP_FACTOR, flow_map, flow_map_with_jacobian,
                        integrate)
 from .errors import (ContinuationStalled, DegenerateCrossing,
-                     DegenerateJacobian, NoConvergence, NotInWindow,
-                     ProjectionDiverged, ReplayMismatch)
+                     DegenerateJacobian, FlowRelayError, NoConvergence,
+                     NotInWindow, ProjectionDiverged, ReplayMismatch)
 from .events import (DEFAULT_EVENTS, EventSettings, _expand_tree,
                      find_crossings)
 from .geometry import Region, RelaySystem, sample_boundary
@@ -200,6 +200,10 @@ class SolveOptions:
     events: EventSettings = DEFAULT_EVENTS
 
 
+# failures a seed or a continuation step may hit; anything else is a bug
+_SOLVE_ERRORS = (FlowRelayError, np.linalg.LinAlgError)
+
+
 @dataclass
 class _NewtonResult:
     sv: SwitchingVector
@@ -210,12 +214,17 @@ class _NewtonResult:
     iterations: int
 
 
-def _clamp_durations(t: np.ndarray, system: RelaySystem,
-                     opts: SolveOptions) -> np.ndarray:
+def _clamp_bounds(system: RelaySystem,
+                  opts: SolveOptions) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([opts.clamp_margin_rel * f.horizon for f in system.flows])
     hi = np.array([opts.window_factor * f.horizon - m
                    for f, m in zip(system.flows, lo)])
-    return np.clip(t, lo, hi)
+    return lo, hi
+
+
+def _clamp_durations(t: np.ndarray, system: RelaySystem,
+                     opts: SolveOptions) -> np.ndarray:
+    return np.clip(t, *_clamp_bounds(system, opts))
 
 
 def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
@@ -238,7 +247,7 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
             z_try[n:] = _clamp_durations(z_try[n:], system, opts)
             try:
                 r_try = shooting_residual(system, levels, split(z_try))
-            except Exception:
+            except _SOLVE_ERRORS:
                 alpha *= opts.armijo_factor
                 continue
             if 0.5 * float(r_try @ r_try) <= phi + opts.armijo_slope * alpha * slope:
@@ -271,14 +280,11 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
             if accepted is not None:
                 break
         if accepted is None:
-            degenerate = degenerate or bool(np.linalg.cond(jac) > opts.cond_limit)
             break
         z, r = accepted
         rnorm = float(np.linalg.norm(r))
     converged = rnorm <= opts.residual_tol
-    lo = np.array([opts.clamp_margin_rel * f.horizon for f in system.flows])
-    hi = np.array([opts.window_factor * f.horizon - m
-                   for f, m in zip(system.flows, lo)])
+    lo, hi = _clamp_bounds(system, opts)
     on_clamp = bool(np.any(z[n:] <= lo * 1.5) or np.any(z[n:] >= hi - 0.5 * lo))
     return _NewtonResult(split(z), rnorm, converged, on_clamp, degenerate,
                          iterations)
@@ -503,7 +509,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
     for sv in seed_list:
         try:
             res = _newton(system, lv, sv, opts)
-        except Exception:
+        except _SOLVE_ERRORS:
             continue
         if res.converged and not res.on_clamp:
             candidates.append(_package(system, lv, res.sv, res.residual_norm,
@@ -521,7 +527,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
                         path = continue_levels(system, res2.sv, lv_try, lv,
                                                opts=opts)
                         candidates.append(path.orbit)
-                except Exception:
+                except _SOLVE_ERRORS:
                     pass
 
     if not candidates:
@@ -588,7 +594,7 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
                                       _clamp_durations(z_pred[n:], system, opts))
             res = _newton(system, lv_next, pred,
                           replace(opts, max_iter=min(opts.max_iter, 20)))
-        except Exception:
+        except _SOLVE_ERRORS:
             res = None
         if res is not None and res.converged and not res.on_clamp:
             s += h

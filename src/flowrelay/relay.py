@@ -23,7 +23,6 @@ __all__ = [
     "FirstHit",
     "NthHit",
     "RandomHit",
-    "Branching",
     "SwitchPolicy",
     "Segment",
     "SwitchEvent",
@@ -57,16 +56,7 @@ class RandomHit:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class Branching:
-    breadth: int = 64
-
-    def __post_init__(self):
-        if self.breadth < 1:
-            raise ValueError("Branching needs breadth >= 1")
-
-
-SwitchPolicy = Union[FirstHit, NthHit, RandomHit, Branching]
+SwitchPolicy = Union[FirstHit, NthHit, RandomHit]
 
 
 @dataclass
@@ -139,11 +129,9 @@ def _pick(policy: SwitchPolicy, events: list[CrossingEvent],
         return 0, events[0]
     if isinstance(policy, NthHit):
         return policy.n - 1, events[policy.n - 1]
-    if isinstance(policy, RandomHit):
-        rng = seeded_rng(policy.seed, "switch", str(switch_count))
-        idx = int(rng.integers(0, len(events)))
-        return idx, events[idx]
-    raise ValueError("Branching selects no single crossing; use accessible_set")
+    rng = seeded_rng(policy.seed, "switch", str(switch_count))  # RandomHit
+    idx = int(rng.integers(0, len(events)))
+    return idx, events[idx]
 
 
 def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,

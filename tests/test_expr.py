@@ -154,11 +154,23 @@ def test_gradient_linearity():
 
 
 def test_gradient_batch_matches_single():
-    e = expr.parse("exp(-(x1^2 + x2^2))*x1", 2)
-    pts = np.random.default_rng(4).uniform(-1.5, 1.5, (20, 2))
+    rng = np.random.default_rng(4)
+    cases = GRADIENT_CORPUS + [("exp(-(x1^2 + x2^2))*x1", 2, (-1.5, 1.5)),
+                               ("x1^x2", 2, (0.5, 2.0))]
+    for text, n, (lo, hi) in cases:
+        e = expr.parse(text, n)
+        pts = rng.uniform(lo, hi, (20, n))
+        batch = e.gradient(pts)
+        assert batch.shape == (20, n)
+        for x, g in zip(pts, batch):
+            assert np.allclose(g, e.gradient(x), atol=1e-14)
+    # any leading batch shape, and constant partials broadcast to it
+    e = expr.parse("x1^2 + 3*x2 - x3", 3)
+    pts = rng.uniform(-1.0, 1.0, (2, 3, 3))
     batch = e.gradient(pts)
-    for x, g in zip(pts, batch):
-        assert np.allclose(g, e.gradient(x), atol=1e-14)
+    assert batch.shape == (2, 3, 3)
+    for x, g in zip(pts.reshape(-1, 3), batch.reshape(-1, 3)):
+        assert np.array_equal(g, e.gradient(x))
 
 
 def test_determinism_bit_identical():
@@ -168,23 +180,24 @@ def test_determinism_bit_identical():
     assert np.array_equal(e.gradient(x), e.gradient(x.copy()))
 
 
-def test_symbolic_partials_match_dual_gradient():
-    rng = np.random.default_rng(5)
-    for text, n, (lo, hi) in GRADIENT_CORPUS:
-        e = expr.parse(text, n)
-        parts = e.partials()
-        assert parts is not None
-        for _ in range(2):
-            x = rng.uniform(lo, hi, n)
-            sym = np.array([p.evaluate(x) for p in parts])
-            assert np.allclose(sym, e.gradient(x), rtol=1e-12, atol=1e-12)
-
-
-def test_variable_exponent_has_no_symbolic_partials():
+def test_variable_exponent_gradient_exact():
     e = expr.parse("x1^x2", 2)
-    assert e.partials() is None
-    g = e.gradient([2.0, 3.0])  # dual route still exact
+    g = e.gradient([2.0, 3.0])
     assert np.allclose(g, [3 * 4.0, 8.0 * math.log(2.0)])
+
+
+def test_log_stays_outside_the_grammar():
+    # derived trees use log internally; parsed text may not
+    with pytest.raises(ParseError):
+        expr.parse("log(x1)", 1)
+
+
+def test_gradient_singularity_raises_on_both_paths():
+    e = expr.parse("sqrt(x1)", 1)
+    with pytest.raises(EvalError):
+        e.gradient([0.0])
+    with pytest.raises(EvalError):
+        e.gradient(np.array([[1.0], [0.0]]))
 
 
 def test_negative_literal_prints_and_reparses():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flowrelay import expr
+from flowrelay import expr, periodic
 from flowrelay.dynamics import flow_map
 from flowrelay.errors import (ContinuationStalled, NoConvergence, NotInWindow,
                               ProjectionDiverged, ReplayMismatch)
@@ -192,6 +192,18 @@ def test_find_periodic_rotor_explicit_seeds(rotor_m):
 def test_find_periodic_empty_explicit_seeds(rotor_m):
     with pytest.raises(NoConvergence):
         find_periodic(rotor_m, seeds=[])
+
+
+def test_find_periodic_lets_programming_errors_through(rotor_m, monkeypatch):
+    # only solver failures may retire a seed; a bug must not read as
+    # "no convergence"
+    def broken(*args):
+        raise TypeError("bug in the residual")
+
+    monkeypatch.setattr(periodic, "shooting_residual", broken)
+    with pytest.raises(TypeError):
+        find_periodic(rotor_m, seeds=[rotor_closed_form_sv()],
+                      opts=SolveOptions(level_retry=False))
 
 
 def test_find_periodic_systemb_small(systemb_m):

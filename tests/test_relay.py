@@ -8,7 +8,7 @@ import pytest
 
 from flowrelay.dynamics import flow_map
 from flowrelay.errors import NoCrossingWithinHorizon
-from flowrelay.relay import (Branching, FirstHit, NthHit, PointCloud,
+from flowrelay.relay import (FirstHit, NthHit, PointCloud,
                              RandomHit, accessible_set, check_connected,
                              omega_limit_estimate, simulate)
 
@@ -91,12 +91,6 @@ def test_nth_hit_picks_later_crossing(rotor_m):
     second = simulate(rotor_m, x0, 0, policy=NthHit(2), max_switches=1)
     assert second.switches[0].time > first.switches[0].time
     assert second.switches[0].crossing_index == 1
-
-
-def test_branching_policy_rejected_in_simulate(rotor_m):
-    with pytest.raises(ValueError):
-        simulate(rotor_m, rotor_periodic_start(1.0), 0, policy=Branching(),
-                 max_switches=1)
 
 
 def test_simulate_requires_stop_rule(rotor_m):
