@@ -286,9 +286,13 @@ def _cmd_crossings(args, system, levels, outdir: Path) -> int:
 def _cmd_find_periodic(args, system, levels, outdir: Path) -> int:
     opts = per.SolveOptions(max_seeds=args.seeds, seed=args.seed)
     metrics: dict = {}
-    if args.continue_from is not None:
-        lv_from = _parse_vector(args.continue_from, "--continue-from",
-                                system.p + 1)
+    lv_from = None if args.continue_from is None else _parse_vector(
+        args.continue_from, "--continue-from", system.p + 1)
+    for key, lv in (("--lambda", levels), ("--continue-from", lv_from)):
+        if lv is not None and lv[0] != lv[-1]:
+            raise ConfigError(key, "periodic orbits need equal first and "
+                                   f"closing level offsets, got {lv[0]} and {lv[-1]}")
+    if lv_from is not None:
         found = per.find_periodic(system, lv_from, opts=opts)
         path = per.continue_levels(system, found[0].sv, lv_from, levels,
                                    opts=opts)

@@ -1,9 +1,10 @@
 """Flow integration: flow maps, dense trajectories, variational Jacobians.
 
 One adaptive embedded Runge-Kutta pair (DOP853 by default, RK45 selectable)
-with a free dense-output interpolant; no stiff path. Backward time is
-realized by integrating the sign-flipped field forward, so crossing search
-and tree recursion share a single code path.
+behind one solve_ivp call; the dense-output interpolant is built only for
+arcs and sampled batches, not for endpoint maps. No stiff path. Backward
+time is realized by integrating the sign-flipped field forward, so crossing
+search and tree recursion share a single code path.
 """
 from __future__ import annotations
 
@@ -86,7 +87,6 @@ class Flow:
     atol: float = 1e-12
     max_step: float = np.inf
     method: str = "DOP853"
-    dense: bool = True
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -116,18 +116,12 @@ class FlowArc:
     def end(self) -> np.ndarray:
         return self.states[:, -1].copy()
 
-    def _interpolant(self):
-        if self._sol.sol is None:
-            raise IntegrationError(
-                "flow was integrated without dense output (Flow.dense=False)")
-        return self._sol.sol
-
     def __call__(self, tau: float) -> np.ndarray:
         if tau < 0.0 or tau > self.duration:
             raise OutOfSpan(f"tau={tau} outside [0, {self.duration}]")
         if tau == 0.0:
             return self.x0.copy()
-        return np.asarray(self._interpolant()(tau), float)
+        return np.asarray(self._sol.sol(tau), float)
 
     def sample(self, taus) -> np.ndarray:
         """Dense states at many parameters, shape (len(taus), n)."""
@@ -136,7 +130,7 @@ class FlowArc:
             return np.empty((0, self.flow.field.n))
         if taus.min() < 0.0 or taus.max() > self.duration:
             raise OutOfSpan("sample parameters outside the integrated span")
-        return np.asarray(self._interpolant()(taus), float).T
+        return np.asarray(self._sol.sol(taus), float).T
 
 
 def _check_cap(flow: Flow, t: float) -> None:
@@ -146,25 +140,36 @@ def _check_cap(flow: Flow, t: float) -> None:
             f"({TIME_CAP_FACTOR * flow.horizon})")
 
 
-def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> FlowArc:
-    """Integrate the flow from x0 over [0, duration] (field negated if backward)."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    _check_cap(flow, duration)
-    x0 = np.asarray(x0, float)
+def _solve(flow: Flow, rhs, duration: float, y0: np.ndarray, dense: bool):
+    """The one solve_ivp call: integrate y' = rhs(y) over [0, duration],
+    raising IntegrationError on solver failure or a non-finite end state."""
+    sol = solve_ivp(rhs, (0.0, duration), y0, method=flow.method,
+                    dense_output=dense, rtol=flow.rtol, atol=flow.atol,
+                    max_step=flow.max_step)
+    if not sol.success:
+        raise IntegrationError(f"integration failed: {sol.message}")
+    if not np.all(np.isfinite(sol.y[:, -1])):
+        raise IntegrationError("non-finite state at the end of integration")
+    return sol
+
+
+def _field_rhs(flow: Flow, backward: bool):
     fld = flow.field
     sign = -1.0 if backward else 1.0
 
     def rhs(_t, y):
         return sign * fld(y)
 
-    sol = solve_ivp(rhs, (0.0, duration), x0, method=flow.method,
-                    dense_output=flow.dense, rtol=flow.rtol, atol=flow.atol,
-                    max_step=flow.max_step)
-    if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationError("non-finite state at the end of integration")
+    return rhs
+
+
+def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> FlowArc:
+    """Integrate the flow from x0 over [0, duration] (field negated if backward)."""
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    _check_cap(flow, duration)
+    x0 = np.asarray(x0, float)
+    sol = _solve(flow, _field_rhs(flow, backward), duration, x0, dense=True)
     return FlowArc(flow, x0, duration, backward, sol)
 
 
@@ -174,7 +179,8 @@ def flow_map(flow: Flow, t: float, x) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     _check_cap(flow, t)
-    return integrate(flow, abs(t), x, backward=t < 0.0).end
+    sol = _solve(flow, _field_rhs(flow, t < 0.0), abs(t), x, dense=False)
+    return sol.y[:, -1].copy()
 
 
 def _variational(flow: Flow, duration: float, x0, backward: bool):
@@ -190,11 +196,7 @@ def _variational(flow: Flow, duration: float, x0, backward: bool):
         return np.concatenate([dx, dm.ravel()])
 
     y0 = np.concatenate([np.asarray(x0, float), np.eye(n).ravel()])
-    sol = solve_ivp(rhs, (0.0, duration), y0, method=flow.method,
-                    rtol=flow.rtol, atol=flow.atol, max_step=flow.max_step)
-    if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationError(f"variational integration failed: {sol.message}")
-    yf = sol.y[:, -1]
+    yf = _solve(flow, rhs, duration, y0, dense=False).y[:, -1]
     return yf[:n].copy(), yf[n:].reshape(n, n).copy()
 
 
@@ -232,11 +234,7 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     def rhs(_t, y):
         return sign * fld.value_batch(y.reshape(npts, n)).ravel()
 
-    sol = solve_ivp(rhs, (0.0, abs(t)), pts.ravel(), method=flow.method,
-                    dense_output=t_eval is not None,
-                    rtol=flow.rtol, atol=flow.atol, max_step=flow.max_step)
-    if not sol.success or not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationError(f"batched integration failed: {sol.message}")
+    sol = _solve(flow, rhs, abs(t), pts.ravel(), dense=t_eval is not None)
     if t_eval is None:
         return sol.y[:, -1].reshape(npts, n)
     out = sol.sol(np.asarray(t_eval, float))

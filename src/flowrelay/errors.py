@@ -72,7 +72,8 @@ class NoConvergence(FlowRelayError):
 
 
 class DegenerateJacobian(FlowRelayError):
-    """The shooting Jacobian was numerically singular and retries failed."""
+    """No seed converged and some seed met a numerically singular shooting
+    Jacobian (condition number above SolveOptions.cond_limit)."""
 
 
 class ContinuationStalled(FlowRelayError):

@@ -1,12 +1,12 @@
-"""Periodic switching orbits: shooting residual, damped Newton, continuation.
+"""Periodic switching orbits: shooting residual, Levenberg-Marquardt, continuation.
 
 A candidate orbit is a switching vector (start point x, durations t_1..t_p)
 whose chain x_{i+1} = F_{i+1}(t_{i+1}, x_i) visits each boundary in turn.
 Closure is solved as a square (n+p) root-finding problem: p level equations
-plus the n-vector x_p - x_0. With equal first and closing level offsets a
-zero residual is exactly a p-periodic switching trajectory; with unequal
-offsets the solver returns the projection-closed orbit (the chain closes on
-the starting level).
+plus the n-vector x_p - x_0, so a zero residual is exactly a p-periodic
+switching trajectory. That needs equal first and closing level offsets
+(the orbit leaves and re-enters boundary 0 at one level); the solvers
+reject unequal ones with ValueError.
 """
 from __future__ import annotations
 
@@ -180,7 +180,7 @@ def residual_jacobian(system: RelaySystem, levels, sv: SwitchingVector) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Damped Newton on the square system
+# Levenberg-Marquardt on the square system
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -189,14 +189,10 @@ class SolveOptions:
     window_factor: float = 2.0   # durations may range in (0, factor * horizon)
     residual_tol: float = 1e-9
     max_iter: int = 40
-    armijo_factor: float = 0.5
-    armijo_slope: float = 1e-4
     clamp_margin_rel: float = 1e-6
     dedup_tol: float = 1e-4
     cond_limit: float = 1e12
     seed: int = 0
-    level_retry: bool = True     # perturb level offsets when the Jacobian degenerates
-    retry_offset: float = 1e-3
     events: EventSettings = DEFAULT_EVENTS
 
 
@@ -211,7 +207,6 @@ class _NewtonResult:
     converged: bool
     on_clamp: bool
     degenerate: bool
-    iterations: int
 
 
 def _clamp_bounds(system: RelaySystem,
@@ -229,6 +224,15 @@ def _clamp_durations(t: np.ndarray, system: RelaySystem,
 
 def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
             opts: SolveOptions) -> _NewtonResult:
+    """Levenberg-Marquardt with one adaptive damping parameter mu.
+
+    Each trial solves [J; sqrt(mu*s) I] dz = [-r; 0] in the least-squares
+    sense, s = trace(J^T J)/(n+p), so mu = 0 is the minimum-norm
+    Gauss-Newton step. A trial is accepted only if it lowers |r|; acceptance
+    divides mu by 10 (to 0 below 1e-8), rejection multiplies it by 10
+    (from 1e-8). The seed is given up once mu passes 1, which bounds the
+    work to max_iter Jacobians and 2*max_iter + 11 residuals.
+    """
     n, p = system.n, system.p
     z = np.concatenate([sv.x, _clamp_durations(sv.t, system, opts)])
     degenerate = False
@@ -236,58 +240,35 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     def split(vec: np.ndarray) -> SwitchingVector:
         return SwitchingVector.of(vec[:n], vec[n:])
 
-    def try_step(step: np.ndarray, r_cur: np.ndarray, jac: np.ndarray):
-        slope = float(r_cur @ (jac @ step))
-        if slope >= 0.0:
-            return None
-        phi = 0.5 * float(r_cur @ r_cur)
-        alpha = 1.0
-        while alpha >= 2.0 ** -12:
-            z_try = z + alpha * step
-            z_try[n:] = _clamp_durations(z_try[n:], system, opts)
-            try:
-                r_try = shooting_residual(system, levels, split(z_try))
-            except _SOLVE_ERRORS:
-                alpha *= opts.armijo_factor
-                continue
-            if 0.5 * float(r_try @ r_try) <= phi + opts.armijo_slope * alpha * slope:
-                return z_try, r_try
-            alpha *= opts.armijo_factor
-        return None
-
     r = shooting_residual(system, levels, split(z))
     rnorm = float(np.linalg.norm(r))
-    iterations = 0
+    mu = 0.0
     for _ in range(opts.max_iter):
-        if rnorm <= opts.residual_tol:
+        if rnorm <= opts.residual_tol or mu > 1.0:
             break
-        iterations += 1
         jac = residual_jacobian(system, levels, split(z))
         if np.linalg.cond(jac) > opts.cond_limit:
             degenerate = True
-        # plain Gauss-Newton step, then Levenberg-regularized retries when a
-        # near-singular direction makes the line search fail
-        jtj = jac.T @ jac
-        scale = float(np.trace(jtj)) / jtj.shape[0]
-        accepted = None
-        for mu in (0.0, 1e-8, 1e-4, 1e-2, 1.0):
-            if mu == 0.0:
-                step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-            else:
-                step = np.linalg.solve(jtj + mu * scale * np.eye(n + p),
-                                       -(jac.T @ r))
-            accepted = try_step(step, r, jac)
-            if accepted is not None:
+        scale = float(np.trace(jac.T @ jac)) / (n + p)
+        rhs = np.concatenate([-r, np.zeros(n + p)])
+        while mu <= 1.0:
+            aug = np.vstack([jac, np.sqrt(mu * scale) * np.eye(n + p)])
+            z_try = z + np.linalg.lstsq(aug, rhs, rcond=None)[0]
+            z_try[n:] = _clamp_durations(z_try[n:], system, opts)
+            try:
+                r_try = shooting_residual(system, levels, split(z_try))
+                rnorm_try = float(np.linalg.norm(r_try))
+            except _SOLVE_ERRORS:
+                rnorm_try = np.inf
+            if rnorm_try < rnorm:
+                z, r, rnorm = z_try, r_try, rnorm_try
+                mu = mu / 10.0 if mu > 1e-8 else 0.0
                 break
-        if accepted is None:
-            break
-        z, r = accepted
-        rnorm = float(np.linalg.norm(r))
+            mu = max(10.0 * mu, 1e-8)
     converged = rnorm <= opts.residual_tol
     lo, hi = _clamp_bounds(system, opts)
     on_clamp = bool(np.any(z[n:] <= lo * 1.5) or np.any(z[n:] >= hi - 0.5 * lo))
-    return _NewtonResult(split(z), rnorm, converged, on_clamp, degenerate,
-                         iterations)
+    return _NewtonResult(split(z), rnorm, converged, on_clamp, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +453,13 @@ def _auto_seeds(system: RelaySystem, levels: np.ndarray,
     return seeds[:opts.max_seeds]
 
 
+def _require_closing_level(lv: np.ndarray) -> None:
+    if lv[0] != lv[-1]:
+        raise ValueError(
+            f"first and closing level offsets differ ({lv[0]} != {lv[-1]}); "
+            "a periodic orbit needs them equal")
+
+
 def _dedup(system: RelaySystem, orbits: list[PeriodicOrbit],
            tol: float) -> list[PeriodicOrbit]:
     kept: list[PeriodicOrbit] = []
@@ -483,18 +471,20 @@ def _dedup(system: RelaySystem, orbits: list[PeriodicOrbit],
 
 def find_periodic(system: RelaySystem, levels=None, seeds="auto",
                   opts: SolveOptions | None = None) -> list[PeriodicOrbit]:
-    """Find periodic switching orbits by damped Newton from many seeds.
+    """Find periodic switching orbits by Levenberg-Marquardt from many seeds.
 
     Seeds are either explicit switching vectors or ("auto") the leaves of
     chain expansions grown from boundary samples. Converged candidates that
     sit on the duration clamp are rejected; survivors are deduplicated by
-    orbit Hausdorff distance and independently verified. Raises
-    NoConvergence when no seed produces an orbit, or DegenerateJacobian when
-    the only failures were singular Jacobians (after level-perturbation
-    retries).
+    orbit Hausdorff distance and independently verified. Raises ValueError
+    when the first and closing level offsets differ, DegenerateJacobian when
+    no seed converged and some seed met a Jacobian with condition number
+    above cond_limit, and NoConvergence when no seed produces an orbit
+    otherwise.
     """
     opts = opts or SolveOptions()
     lv = system.levels() if levels is None else np.asarray(levels, float)
+    _require_closing_level(lv)
     if isinstance(seeds, str) and seeds == "auto":
         seed_list = _auto_seeds(system, lv, opts)
     else:
@@ -505,7 +495,6 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
 
     candidates: list[PeriodicOrbit] = []
     saw_degenerate = False
-    rng = seeded_rng(opts.seed, "level-retry")
     for sv in seed_list:
         try:
             res = _newton(system, lv, sv, opts)
@@ -514,21 +503,8 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
         if res.converged and not res.on_clamp:
             candidates.append(_package(system, lv, res.sv, res.residual_norm,
                                        opts.window_factor))
-            continue
-        if res.degenerate:
+        elif res.degenerate:
             saw_degenerate = True
-            if opts.level_retry:
-                # solve at a perturbed level vector, then continue back
-                lv_try = lv + rng.uniform(-opts.retry_offset, opts.retry_offset,
-                                          len(lv))
-                try:
-                    res2 = _newton(system, lv_try, sv, opts)
-                    if res2.converged and not res2.on_clamp:
-                        path = continue_levels(system, res2.sv, lv_try, lv,
-                                               opts=opts)
-                        candidates.append(path.orbit)
-                except _SOLVE_ERRORS:
-                    pass
 
     if not candidates:
         if saw_degenerate:
@@ -561,13 +537,16 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
                     opts: SolveOptions | None = None) -> ContinuationPath:
     """Track a converged orbit as the level offsets move along a segment.
 
-    Linear predictor (tangent solve of the shooting system) plus Newton
-    corrector; the step halves on corrector failure down to 1/1024 of the
-    segment, at which point ContinuationStalled carries the partial path.
+    Linear predictor (tangent solve of the shooting system) plus
+    Levenberg-Marquardt corrector; the step halves on corrector failure down
+    to 1/1024 of the segment, at which point ContinuationStalled carries the
+    partial path. Raises ValueError when levels_to has unequal first and
+    closing offsets.
     """
     opts = opts or SolveOptions()
     lv_a = np.asarray(levels_from, float)
     lv_b = np.asarray(levels_to, float)
+    _require_closing_level(lv_b)
     n, p = system.n, system.p
     path: list[tuple[np.ndarray, SwitchingVector]] = [(lv_a.copy(), sv)]
     if np.array_equal(lv_a, lv_b):

@@ -157,6 +157,15 @@ def test_find_periodic_command(tmp_path):
     assert orbits[0]["verification"]["closure"] < 1e-6
 
 
+def test_find_periodic_unequal_closing_level_is_config_error(tmp_path, capsys):
+    for flags in (["--lambda", "0,0,0.01"],
+                  ["--continue-from", "0.01,0,0"]):
+        rc = main(["find-periodic", "--config", str(SYSTEMB_CONFIG),
+                   "--seeds", "4", "--out", str(tmp_path)] + flags)
+        assert rc == 1
+        assert f"config error: {flags[0]}" in capsys.readouterr().err
+
+
 def test_numeric_failure_exit_code(tmp_path):
     # a start point whose mode-0 flow never reaches boundary 1
     rc = main(["simulate", "--config", str(ROTOR_CONFIG), "--x0", "2.5,0",

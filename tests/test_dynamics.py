@@ -170,9 +170,15 @@ def test_variable_exponent_field_jacobian_matches_finite_differences():
         assert np.abs(J[:, j] - col).max() < 1e-5
 
 
-def test_dense_flag_disables_interpolation():
-    fl = Flow(rotation_field(), horizon=math.pi, dense=False)
-    arc = integrate(fl, 1.0, np.array([1.0, 0.0]))
-    assert np.all(np.isfinite(arc.end))
-    with pytest.raises(IntegrationError):
-        arc(0.5)
+def test_flow_map_matches_integrate_endpoint():
+    # flow_map skips dense output; the accepted steps, and so the endpoint,
+    # must be those of the dense arc
+    f = VectorField([expr.parse("x2", 2), expr.parse("-sin(x1)", 2)])
+    fl = Flow(f, horizon=7.0)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        x = rng.uniform(-2.0, 2.0, 2)
+        t = float(rng.uniform(0.1, 7.0))
+        for sign in (1.0, -1.0):
+            arc = integrate(fl, t, x, backward=sign < 0)
+            assert np.array_equal(flow_map(fl, sign * t, x), arc.end)

@@ -202,8 +202,51 @@ def test_find_periodic_lets_programming_errors_through(rotor_m, monkeypatch):
 
     monkeypatch.setattr(periodic, "shooting_residual", broken)
     with pytest.raises(TypeError):
-        find_periodic(rotor_m, seeds=[rotor_closed_form_sv()],
-                      opts=SolveOptions(level_retry=False))
+        find_periodic(rotor_m, seeds=[rotor_closed_form_sv()])
+
+
+def test_find_periodic_converges_systemb_seed_at_angle_pi(systemb_m):
+    # the boundary-0 point at angle pi, on the far side of the disk from the
+    # orbit's start: the seed's first chain leaf must still reach the root
+    pt = np.array([0.5, 0.0])
+    leaf = forward_tree(systemb_m, None, pt).leaves[0]
+    orbits = find_periodic(systemb_m, seeds=[SwitchingVector.of(pt, leaf.times)])
+    assert orbits[0].residual_norm < 1e-8
+
+
+def test_hopeless_seed_work_is_bounded(rotor_m, monkeypatch):
+    calls = {"residual": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(periodic, "shooting_residual",
+                        counted("residual", periodic.shooting_residual))
+    monkeypatch.setattr(periodic, "residual_jacobian",
+                        counted("jacobian", periodic.residual_jacobian))
+    opts = SolveOptions()
+    with pytest.raises(NoConvergence):
+        find_periodic(rotor_m, seeds=[SwitchingVector.of([0, 0.05], (0.01, 6.2))],
+                      opts=opts)
+    assert calls["jacobian"] <= opts.max_iter
+    assert calls["residual"] <= 2 * opts.max_iter + 11
+
+
+@pytest.mark.parametrize("levels", [[0.0, 0.0, 0.01], [0.01, 0.0, 0.0]])
+def test_unequal_closing_level_rejected_before_solving(rotor_m, monkeypatch,
+                                                       levels):
+    def unreachable(*args):
+        raise AssertionError("Newton ran")
+
+    monkeypatch.setattr(periodic, "_newton", unreachable)
+    sv = rotor_closed_form_sv()
+    with pytest.raises(ValueError, match="closing level"):
+        find_periodic(rotor_m, levels, seeds=[sv])
+    with pytest.raises(ValueError, match="closing level"):
+        continue_levels(rotor_m, sv, rotor_m.levels(), levels)
 
 
 def test_find_periodic_systemb_small(systemb_m):
