@@ -5,6 +5,9 @@ behind one solve_ivp call; the dense-output interpolant is built only for
 arcs and sampled batches, not for endpoint maps. No stiff path. Backward
 time is realized by integrating the sign-flipped field forward, so crossing
 search and tree recursion share a single code path.
+
+Each VectorField is compiled once into fused kernels (value, Jacobian,
+variational right-hand side) that the solver calls on the state directly.
 """
 from __future__ import annotations
 
@@ -29,12 +32,35 @@ __all__ = [
 ]
 
 TIME_CAP_FACTOR = 10.0  # |t| may not exceed this multiple of the flow horizon
+_EVAL_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _variational_body(roots: tuple[ex.Node, ...],
+                      jac: tuple[ex.Node, ...]) -> tuple[ex.Node, ...]:
+    """(V(x), DV(x)·M) as trees over the n + n² entries of (x, M), M
+    row-major in x<n+1>..x<n+n²>; each product sums over k in order."""
+    n = len(roots)
+    dm = []
+    for i in range(n):
+        for j in range(n):
+            acc: ex.Node = ex.Num(0.0)
+            for k in range(n):
+                acc = ex._n_add(acc, ex._n_mul(jac[i * n + k],
+                                               ex.Var(n + k * n + j + 1)))
+            dm.append(acc)
+    return roots + tuple(dm)
 
 
 class VectorField:
     """An autonomous field on R^n given by n component expressions.
 
-    Immutable after construction; evaluation is pure and thread-safe.
+    Compiled at construction into functions of floats that each return one
+    tuple: the value (n entries), the Jacobian (n², row-major) and the
+    variational right-hand side (n + n² entries); the value and the
+    variational right-hand side also negated for backward time, and the
+    value also over numpy columns. They evaluate the same trees as
+    Expression.evaluate/gradient. Immutable after construction; evaluation
+    is pure and thread-safe.
     """
 
     def __init__(self, components: Sequence[ex.Expression], label: int = 0):
@@ -49,31 +75,41 @@ class VectorField:
         self.components = components
         self.n = n
         self.label = label
-        self._fns = [c._scalar() for c in components]
-        self._afns = [c._array() for c in components]
-        self._jac_fns = [c._scalar(grad=True) for c in components]
+        roots = tuple(c.root for c in components)
+        jac = tuple(ex.derive(r, k) for r in roots for k in range(1, n + 1))
+        var = _variational_body(roots, jac)
+
+        def kernels(body, nargs):
+            neg = tuple(ex.Neg(b) for b in body)
+            return (ex._compile(body, nargs, "_", ex._SCALAR_NS),
+                    ex._compile(neg, nargs, "_", ex._SCALAR_NS))
+
+        self._value, self._value_back = kernels(roots, n)
+        self._var, self._var_back = kernels(var, n + n * n)
+        self._jac = ex._compile(jac, n, "_", ex._SCALAR_NS)
+        self._value_cols = ex._compile(roots, n, "_a", ex._ARRAY_NS)
 
     def __call__(self, x) -> np.ndarray:
         xs = [float(v) for v in x]
         try:
-            return np.array([fn(*xs) for fn in self._fns])
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            return np.array(self._value(*xs))
+        except _EVAL_FAILURES as exc:
             raise EvalError(f"field evaluation failed: {exc}") from exc
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at a batch of points (N, n) -> (N, n)."""
         cols = [pts[:, j] for j in range(self.n)]
         with np.errstate(all="ignore"):
-            out = np.stack([np.broadcast_to(fn(*cols), pts.shape[0])
-                            for fn in self._afns], axis=1)
+            out = np.stack([np.broadcast_to(c, pts.shape[0])
+                            for c in self._value_cols(*cols)], axis=1)
         return out.astype(float)
 
     def jacobian(self, x) -> np.ndarray:
         """Space derivative DV(x) as an (n, n) matrix, exact."""
         xs = [float(v) for v in x]
         try:
-            return np.array([fn(*xs) for fn in self._jac_fns])
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            return np.array(self._jac(*xs)).reshape(self.n, self.n)
+        except _EVAL_FAILURES as exc:
             raise EvalError(f"field Jacobian failed: {exc}") from exc
 
 
@@ -153,14 +189,22 @@ def _solve(flow: Flow, rhs, duration: float, y0: np.ndarray, dense: bool):
     return sol
 
 
-def _field_rhs(flow: Flow, backward: bool):
-    fld = flow.field
-    sign = -1.0 if backward else 1.0
+def _kernel_rhs(kernel, what: str):
+    """Wrap a fused kernel as a solve_ivp right-hand side of the state y."""
 
     def rhs(_t, y):
-        return sign * fld(y)
+        try:
+            return kernel(*y.tolist())
+        except _EVAL_FAILURES as exc:
+            raise EvalError(f"{what} failed: {exc}") from exc
 
     return rhs
+
+
+def _field_rhs(flow: Flow, backward: bool):
+    fld = flow.field
+    return _kernel_rhs(fld._value_back if backward else fld._value,
+                       "field evaluation")
 
 
 def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> FlowArc:
@@ -184,17 +228,10 @@ def flow_map(flow: Flow, t: float, x) -> np.ndarray:
 
 
 def _variational(flow: Flow, duration: float, x0, backward: bool):
-    n = flow.field.n
     fld = flow.field
-    sign = -1.0 if backward else 1.0
-
-    def rhs(_t, y):
-        x = y[:n]
-        m = y[n:].reshape(n, n)
-        dx = sign * fld(x)
-        dm = sign * fld.jacobian(x) @ m
-        return np.concatenate([dx, dm.ravel()])
-
+    n = fld.n
+    rhs = _kernel_rhs(fld._var_back if backward else fld._var,
+                      "variational right-hand side")
     y0 = np.concatenate([np.asarray(x0, float), np.eye(n).ravel()])
     yf = _solve(flow, rhs, duration, y0, dense=False).y[:, -1]
     return yf[:n].copy(), yf[n:].reshape(n, n).copy()
@@ -221,9 +258,14 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
 
     Error control is applied to the joint norm, which is adequate for the
     margin checks this backs (not for tight per-point tolerances). Returns
-    the endpoint batch (N, n), or (len(t_eval), N, n) when t_eval is given.
+    the endpoint batch (N, n), or (len(t_eval), N, n) when t_eval is given;
+    t_eval is in elapsed time and must lie in [0, |t|] (else OutOfSpan).
     """
-    if t == 0.0 and t_eval is None:
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, float)
+        if t_eval.size and (t_eval.min() < 0.0 or t_eval.max() > abs(t)):
+            raise OutOfSpan(f"t_eval outside the integrated span [0, {abs(t)}]")
+    elif t == 0.0:
         return np.array(points, float, copy=True)
     _check_cap(flow, t)
     pts = np.asarray(points, float)
@@ -237,5 +279,4 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     sol = _solve(flow, rhs, abs(t), pts.ravel(), dense=t_eval is not None)
     if t_eval is None:
         return sol.y[:, -1].reshape(npts, n)
-    out = sol.sol(np.asarray(t_eval, float))
-    return out.T.reshape(len(t_eval), npts, n)
+    return sol.sol(t_eval).T.reshape(len(t_eval), npts, n)

@@ -234,7 +234,8 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
     - entry   (k=1..p): flow k carries boundary k-1 into the interior of
       region k at its horizon;
     - absorb (if beta set): flow beta keeps all of region beta-1 inside
-      region beta for every time in [horizon, t_max];
+      region beta for every time in [horizon, t_max] (t_max defaults to
+      twice the horizon; one below the horizon raises ValueError);
     - regular (j=0..p): gradient norms on sampled boundaries stay above
       the regularity floor.
 
@@ -244,6 +245,11 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
     lv = system.levels() if levels is None else np.asarray(levels, float)
     if lv.shape != (system.p + 1,):
         raise ValueError(f"levels must have length p+1 = {system.p + 1}")
+    if system.beta is not None and t_max is not None:
+        horizon = system.flows[system.beta - 1].horizon
+        if t_max < horizon:
+            raise ValueError(f"t_max={t_max} is below the absorbing flow's "
+                             f"horizon {horizon}")
     conditions: list[ConditionResult] = []
 
     boundary: dict[int, BoundarySamples] = {}

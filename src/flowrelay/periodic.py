@@ -368,14 +368,21 @@ def orbit_points(system: RelaySystem, sv: SwitchingVector,
     return np.vstack(pts)
 
 
+_HAUSDORFF_PER_LEG = 256  # samples per leg when comparing two orbits
+
+
 def orbit_hausdorff(system: RelaySystem, a: SwitchingVector | PeriodicOrbit,
                     b: SwitchingVector | PeriodicOrbit,
-                    per_leg: int = 256) -> float:
+                    per_leg: int = _HAUSDORFF_PER_LEG) -> float:
     """Symmetric Hausdorff distance between two orbits' sampled curves."""
     sa = a.sv if isinstance(a, PeriodicOrbit) else a
     sb = b.sv if isinstance(b, PeriodicOrbit) else b
-    pa = orbit_points(system, sa, per_leg)
-    pb = orbit_points(system, sb, per_leg)
+    return _hausdorff(orbit_points(system, sa, per_leg),
+                      orbit_points(system, sb, per_leg))
+
+
+def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two point sets."""
     da = cKDTree(pb).query(pa)[0].max()
     db = cKDTree(pa).query(pb)[0].max()
     return float(max(da, db))
@@ -460,13 +467,19 @@ def _require_closing_level(lv: np.ndarray) -> None:
             "a periodic orbit needs them equal")
 
 
-def _dedup(system: RelaySystem, orbits: list[PeriodicOrbit],
-           tol: float) -> list[PeriodicOrbit]:
-    kept: list[PeriodicOrbit] = []
-    for orb in orbits:
-        if all(orbit_hausdorff(system, orb, other) >= tol for other in kept):
-            kept.append(orb)
-    return kept
+def _dedup(system: RelaySystem, cands: list[_NewtonResult],
+           tol: float) -> list[_NewtonResult]:
+    """Keep each candidate whose orbit is at least tol (Hausdorff) from every
+    orbit kept before it. With two or more candidates each one takes part in
+    a comparison, so each orbit is sampled once, up front."""
+    if len(cands) < 2:
+        return cands
+    kept: list[tuple[_NewtonResult, np.ndarray]] = []
+    for c in cands:
+        pts = orbit_points(system, c.sv, _HAUSDORFF_PER_LEG)
+        if all(_hausdorff(pts, q) >= tol for _, q in kept):
+            kept.append((c, pts))
+    return [c for c, _ in kept]
 
 
 def find_periodic(system: RelaySystem, levels=None, seeds="auto",
@@ -493,7 +506,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
     if not seed_list:
         raise NoConvergence("no seeds to start from")
 
-    candidates: list[PeriodicOrbit] = []
+    candidates: list[_NewtonResult] = []
     saw_degenerate = False
     for sv in seed_list:
         try:
@@ -501,8 +514,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
         except _SOLVE_ERRORS:
             continue
         if res.converged and not res.on_clamp:
-            candidates.append(_package(system, lv, res.sv, res.residual_norm,
-                                       opts.window_factor))
+            candidates.append(res)
         elif res.degenerate:
             saw_degenerate = True
 
@@ -512,10 +524,10 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
                 "shooting Jacobian degenerate on every surviving seed")
         raise NoConvergence(f"no orbit from {len(seed_list)} seed(s)")
 
-    candidates.sort(key=lambda o: (o.sv.durations, o.sv.start))
-    kept = _dedup(system, candidates, opts.dedup_tol)
+    candidates.sort(key=lambda r: (r.sv.durations, r.sv.start))
     verified: list[PeriodicOrbit] = []
-    for orb in kept:
+    for res in _dedup(system, candidates, opts.dedup_tol):
+        orb = _package(system, lv, res.sv, res.residual_norm, opts.window_factor)
         try:
             orb.verification = verify_periodic(system, orb, opts.events)
         except (ReplayMismatch, DegenerateCrossing):

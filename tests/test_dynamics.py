@@ -13,7 +13,7 @@ from flowrelay.dynamics import (Flow, VectorField, flow_jacobian, flow_map,
                                 integrate)
 from flowrelay.errors import EvalError, IntegrationError, OutOfSpan
 
-from conftest import rotation_field
+from conftest import GRADIENT_CORPUS, rotation_field
 
 A_SINK = np.array([[-0.5, -1.0], [1.0, -0.5]])
 C_SINK = np.array([-1.0, 0.0])
@@ -147,6 +147,82 @@ def test_flow_map_points_matches_pointwise():
     batch = flow_map_points(fl, 2.0, pts)
     for x, y in zip(pts, batch):
         assert np.abs(flow_map(fl, 2.0, x) - y).max() < 1e-8
+
+
+def test_flow_map_points_rejects_t_eval_outside_span():
+    fl = sink_flow()
+    pts = np.array([[1.5, 0.0], [0.0, 1.0]])
+    inside = flow_map_points(fl, -2.0, pts, t_eval=[0.0, 1.0, 2.0])
+    assert inside.shape == (3, 2, 2)
+    assert np.abs(inside[-1] - flow_map_points(fl, -2.0, pts)).max() < 1e-8
+    for t, t_eval in ((2.0, [1.0, 2.5]), (-2.0, [-0.5, 1.0]), (1.0, [0.0, 1.0 + 1e-9])):
+        with pytest.raises(OutOfSpan):
+            flow_map_points(fl, t, pts, t_eval=t_eval)
+
+
+def _kernel_fields():
+    """Fields over the gradient corpus (each expression in some field, in
+    windows of n of the same dimension), plus a variable exponent and a
+    constant component; with the box each is sampled in."""
+    by_dim: dict[int, list[str]] = {}
+    for text, n, _ in GRADIENT_CORPUS:
+        by_dim.setdefault(n, []).append(text)
+    fields = []
+    for n, texts in by_dim.items():
+        for k in range(len(texts)):
+            comps = [texts[(k + i) % len(texts)] for i in range(n)]
+            fields.append((comps, n, (-1.0, 1.0)))
+    fields.append((["x2^x1", "x1 - x2"], 2, (0.5, 2.0)))
+    fields.append((["2.5", "x1*x2"], 2, (-1.0, 1.0)))
+    return fields
+
+
+def test_field_kernels_match_component_expressions():
+    rng = np.random.default_rng(11)
+    for comps, n, (lo, hi) in _kernel_fields():
+        exprs = [expr.parse(c, n) for c in comps]
+        f = VectorField(exprs)
+        for _ in range(5):
+            x = rng.uniform(lo, hi, n)
+            assert np.array_equal(f(x), np.array([e.evaluate(x) for e in exprs]))
+            assert np.array_equal(f.jacobian(x), np.stack([e.gradient(x) for e in exprs]))
+            batch = rng.uniform(lo, hi, (4, n))
+            assert np.array_equal(f.value_batch(batch),
+                                  np.stack([e.evaluate(batch) for e in exprs], axis=1))
+
+
+def test_variational_kernel_is_value_and_jacobian_product():
+    f = VectorField([expr.parse("sin(x1)*x2 + x1^2*x3", 3),
+                     expr.parse("exp(-x1*x2) - x3^3", 3),
+                     expr.parse("tanh(x1 + x2)*cos(x3)", 3)])
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        x = rng.uniform(-1.0, 1.0, 3)
+        m = rng.standard_normal((3, 3))
+        jac = f.jacobian(x).tolist()
+        # DV(x) @ M, summed over k in index order
+        dm = [[0.0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    dm[i][j] += jac[i][k] * m[k, j]
+        want = np.concatenate([f(x), np.ravel(dm)])
+        y = np.concatenate([x, m.ravel()]).tolist()
+        assert np.array_equal(np.array(f._var(*y)), want)
+        assert np.array_equal(np.array(f._var_back(*y)), -want)
+        assert np.abs(want[3:] - (f.jacobian(x) @ m).ravel()).max() < 1e-14
+        assert np.array_equal(np.array(f._value_back(*x.tolist())), -f(x))
+
+
+@pytest.mark.parametrize("drift, t", [("-1", 1.0), ("1", -1.0)])
+def test_domain_error_in_flow_raises_eval_error(drift, t):
+    # the flow carries x1 from 0.5 to -0.5, where sqrt(x1) is undefined
+    f = VectorField([expr.parse(drift, 2), expr.parse("sqrt(x1)", 2)])
+    fl = Flow(f, horizon=1.0)
+    with pytest.raises(EvalError, match="field evaluation failed"):
+        flow_map(fl, t, [0.5, 0.0])
+    with pytest.raises(EvalError, match="variational right-hand side failed"):
+        flow_map_with_jacobian(fl, t, [0.5, 0.0])
 
 
 def test_nonfinite_field_raises():

@@ -129,6 +129,16 @@ def test_validate_rejects_bad_levels_length(systemb):
         validate_system(systemb, levels=[0.0, 0.0])
 
 
+def test_validate_rejects_t_max_below_absorb_horizon(systemb):
+    # the absorb check samples [horizon, t_max], which is empty below the
+    # horizon; reading the interpolant there gave a margin of -8.25e9
+    with pytest.raises(ValueError, match="horizon"):
+        validate_system(systemb, m=16, t_max=1.0)
+    report = validate_system(systemb, m=16, t_max=4.0)
+    absorb = [c for c in report.conditions if c.name == "absorb"]
+    assert len(absorb) == 1 and absorb[0].passed
+
+
 def test_signed_level_continuous_along_flow(systemb):
     # no jumps beyond a Lipschitz bound along a sampled arc
     flow = systemb.flows[0]
