@@ -335,7 +335,7 @@ def _cmd_accessible(args, system, levels, outdir: Path) -> int:
     x0 = _parse_vector(args.x0, "--x0", system.n)
     cloud = relay.accessible_set(system, x0, args.k0, levels,
                                  depth=args.depth, breadth=args.breadth)
-    delta_s = system.diameter / 512.0
+    delta_s = relay.cloud_spacing(system)
     connected, ncomp = relay.check_connected(cloud, 2.0 * delta_s)
     rows = [[*pt, int(d)] for pt, d in zip(cloud.points, cloud.depths)]
     count = _write_csv(outdir / "points.csv",

@@ -11,7 +11,7 @@ variational right-hand side) that the solver calls on the state directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -64,7 +64,7 @@ class VanishingImage(FlowRelayError):
 
 
 class ProjectionDiverged(FlowRelayError):
-    """Newton projection onto a level set left the collar or failed to converge."""
+    """Newton projection onto a level set failed to converge."""
 
 
 class NoConvergence(FlowRelayError):
@@ -73,7 +73,7 @@ class NoConvergence(FlowRelayError):
 
 class DegenerateJacobian(FlowRelayError):
     """No seed converged and some seed met a numerically singular shooting
-    Jacobian (condition number above SolveOptions.cond_limit)."""
+    Jacobian (condition number above 1e12, periodic._COND_LIMIT)."""
 
 
 class ContinuationStalled(FlowRelayError):

@@ -39,6 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EventSettings:
+    """The fixed crossing tolerances; DEFAULT_EVENTS is the one record read."""
     tol_level: float = 1e-10   # |f - level| at a reported crossing point
     eps_tan: float = 1e-8      # transversality floor on |d/dt f(F^t x)|
     t_sep_rel: float = 1e-7    # root pairs closer than this * window are tangencies
@@ -83,8 +84,7 @@ def _fine_grid(arc: FlowArc, ns: int) -> np.ndarray:
     return np.unique(ts)
 
 
-def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int,
-                settings: EventSettings) -> list[float]:
+def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int) -> list[float]:
     """Root times of g on (0, duration), including pairs recovered from
     near-zero extrema; raises on grazes."""
     ts = _fine_grid(arc, ns)
@@ -106,7 +106,7 @@ def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int,
 
     # grazing detection: extrema of g near zero that the sign scan cannot see
     g_range = float(g.max() - g.min()) if len(g) else 0.0
-    band = max(settings.graze_band * g_range, 10.0 * settings.tol_level)
+    band = max(DEFAULT_EVENTS.graze_band * g_range, 10.0 * DEFAULT_EVENTS.tol_level)
     for i in range(len(ts) - 1):
         if gdot[i] == 0.0 or gdot[i + 1] == 0.0 or np.sign(gdot[i]) == np.sign(gdot[i + 1]):
             continue
@@ -115,7 +115,7 @@ def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int,
                 continue
             t_ext = brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
             g_ext = gfun(t_ext)
-            if abs(g_ext) <= settings.graze_tol:
+            if abs(g_ext) <= DEFAULT_EVENTS.graze_tol:
                 raise DegenerateCrossing(
                     f"grazing contact with the boundary (|g|={abs(g_ext):.2e})",
                     time=float(t_ext))
@@ -133,7 +133,6 @@ def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int,
 
 def find_crossings(flow: Flow, region: Region, level: float | None, x,
                    t_end: float, *, backward: bool = False,
-                   settings: EventSettings = DEFAULT_EVENTS,
                    arc: FlowArc | None = None) -> list[CrossingEvent]:
     """All transversal crossings of {f = level} along the arc, ordered by time.
 
@@ -147,16 +146,16 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     if arc is None:
         arc = integrate(flow, t_end, np.asarray(x, float), backward=backward)
     g0 = float(f.evaluate(arc.x0)) - lv
-    if abs(g0) <= settings.tol_level:
+    if abs(g0) <= DEFAULT_EVENTS.tol_level:
         raise ValueError("start point lies on the watched boundary")
 
-    t_sep = settings.t_sep_rel * t_end
-    roots = _scan_roots(arc, f, lv, settings.ns, settings)
-    ns = settings.ns
+    t_sep = DEFAULT_EVENTS.t_sep_rel * t_end
+    ns = DEFAULT_EVENTS.ns
+    roots = _scan_roots(arc, f, lv, ns)
     agreed = False
-    while ns < settings.ns_max:
+    while ns < DEFAULT_EVENTS.ns_max:
         ns *= 2
-        confirm = _scan_roots(arc, f, lv, ns, settings)
+        confirm = _scan_roots(arc, f, lv, ns)
         agreed = len(confirm) == len(roots) and all(
             abs(a - b) <= max(t_sep, 1e-9) for a, b in zip(roots, confirm))
         roots = confirm
@@ -164,7 +163,8 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
             break
     if not agreed:
         raise DegenerateCrossing(
-            f"crossing structure unresolved at {settings.ns_max} subsamples per step")
+            f"crossing structure unresolved at {DEFAULT_EVENTS.ns_max} "
+            "subsamples per step")
 
     # boundary-of-window and separation policy
     roots = [r for r in roots if t_sep < r < t_end - t_sep]
@@ -178,11 +178,11 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     for r in roots:
         y = arc(r)
         resid = abs(float(f.evaluate(y)) - lv)
-        if resid > settings.tol_level:
+        if resid > DEFAULT_EVENTS.tol_level:
             raise DegenerateCrossing(
                 f"root polish stalled at |g|={resid:.2e}", time=float(r))
         slope = gdfun(r)
-        if abs(slope) <= settings.eps_tan:
+        if abs(slope) <= DEFAULT_EVENTS.eps_tan:
             raise DegenerateCrossing(
                 f"tangential crossing, margin {abs(slope):.2e}", time=float(r))
         events.append(CrossingEvent(float(r), y, int(np.sign(slope)), abs(slope)))
@@ -227,13 +227,13 @@ class CrossingTree:
 
 
 def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
-                 forward: bool, settings: EventSettings,
-                 window_factor: float = 1.0) -> CrossingTree:
+                 forward: bool, window_factor: float = 1.0) -> CrossingTree:
     p = system.p
     x = np.asarray(x, float)
     start_stage = 0 if forward else p
     region0 = system.chain_region(start_stage, levels)
-    if abs(float(region0.f.evaluate(x)) - float(levels[start_stage])) > settings.tol_level:
+    g0 = float(region0.f.evaluate(x)) - float(levels[start_stage])
+    if abs(g0) > DEFAULT_EVENTS.tol_level:
         raise ValueError(f"root point is not on boundary {start_stage}")
 
     stages = [[TreeNode(x, (), start_stage, None)]]
@@ -248,7 +248,7 @@ def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
             try:
                 evs = find_crossings(flow, region_t, float(levels[target]),
                                      node.point, window_factor * flow.horizon,
-                                     backward=not forward, settings=settings)
+                                     backward=not forward)
             except DegenerateCrossing as exc:
                 raise DegenerateCrossing(str(exc), stage=target) from exc
             if not evs:
@@ -260,30 +260,26 @@ def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
     return CrossingTree(x, forward, stages, consistent)
 
 
-def forward_tree(system: RelaySystem, levels, x,
-                 settings: EventSettings = DEFAULT_EVENTS) -> CrossingTree:
+def forward_tree(system: RelaySystem, levels, x) -> CrossingTree:
     """Expand crossings stage by stage from a point on boundary 0."""
     lv = system.levels() if levels is None else np.asarray(levels, float)
-    return _expand_tree(system, lv, x, True, settings)
+    return _expand_tree(system, lv, x, True)
 
 
-def backward_tree(system: RelaySystem, levels, x,
-                  settings: EventSettings = DEFAULT_EVENTS) -> CrossingTree:
+def backward_tree(system: RelaySystem, levels, x) -> CrossingTree:
     """Expand reversed-flow crossings from a point on the closing boundary p."""
     lv = system.levels() if levels is None else np.asarray(levels, float)
-    return _expand_tree(system, lv, x, False, settings)
+    return _expand_tree(system, lv, x, False)
 
 
-def forward_leaf_parity(system: RelaySystem, levels, x,
-                        settings: EventSettings = DEFAULT_EVENTS) -> int:
+def forward_leaf_parity(system: RelaySystem, levels, x) -> int:
     """Leaf count of the forward tree mod 2 (the chain-start preimage parity)."""
-    return forward_tree(system, levels, x, settings).leaf_count % 2
+    return forward_tree(system, levels, x).leaf_count % 2
 
 
-def backward_leaf_parity(system: RelaySystem, levels, x,
-                         settings: EventSettings = DEFAULT_EVENTS) -> int:
+def backward_leaf_parity(system: RelaySystem, levels, x) -> int:
     """Leaf count of the backward tree mod 2 (the chain-end preimage parity)."""
-    return backward_tree(system, levels, x, settings).leaf_count % 2
+    return backward_tree(system, levels, x).leaf_count % 2
 
 
 @dataclass
@@ -312,8 +308,7 @@ class DegreeCheckResult:
 
 
 def degree_check(system: RelaySystem, levels=None, samples: int = 20,
-                 seed: int = 0,
-                 settings: EventSettings = DEFAULT_EVENTS) -> DegreeCheckResult:
+                 seed: int = 0) -> DegreeCheckResult:
     """Sample both chain boundaries and tabulate leaf parities.
 
     Degenerate samples (tangential crossings somewhere in their tree) are
@@ -328,12 +323,12 @@ def degree_check(system: RelaySystem, levels=None, samples: int = 20,
     end: list[int | None] = []
     for pt in bs0.points:
         try:
-            start.append(forward_leaf_parity(system, lv, pt, settings))
+            start.append(forward_leaf_parity(system, lv, pt))
         except DegenerateCrossing:
             start.append(None)
     for pt in bsp.points:
         try:
-            end.append(backward_leaf_parity(system, lv, pt, settings))
+            end.append(backward_leaf_parity(system, lv, pt))
         except DegenerateCrossing:
             end.append(None)
     return DegreeCheckResult(start, end, bs0.points, bsp.points)

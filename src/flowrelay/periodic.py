@@ -20,8 +20,7 @@ from .dynamics import (TIME_CAP_FACTOR, flow_map, flow_map_with_jacobian,
 from .errors import (ContinuationStalled, DegenerateCrossing,
                      DegenerateJacobian, FlowRelayError, NoConvergence,
                      NotInWindow, ProjectionDiverged, ReplayMismatch)
-from .events import (DEFAULT_EVENTS, EventSettings, _expand_tree,
-                     find_crossings)
+from .events import _expand_tree, find_crossings
 from .geometry import Region, RelaySystem, sample_boundary
 from .relay import Segment, SwitchEvent, Trajectory
 from ._util import seeded_rng
@@ -118,22 +117,20 @@ def chain_end(system: RelaySystem, sv: SwitchingVector) -> np.ndarray:
     return chain_points(system, sv)[-1]
 
 
-def project_to_boundary(region: Region, level_target: float, y, *,
-                        tol: float = 1e-12, max_iter: int = 30,
-                        max_displacement: float | None = None) -> np.ndarray:
-    """Newton steps along the gradient until |f - level_target| <= tol.
+_PROJECT_TOL = 1e-12     # |f - level_target| that ends a projection
+_PROJECT_MAX_ITER = 30   # Newton steps before a projection is given up
+
+
+def project_to_boundary(region: Region, level_target: float, y) -> np.ndarray:
+    """Newton steps along the gradient until |f - level_target| <= 1e-12.
 
     Intended for points already near the target level (a collar move);
     diverging iterations or a vanishing gradient raise ProjectionDiverged.
     """
     x = np.array(y, float)
-    start = x.copy()
-    for _ in range(max_iter):
+    for _ in range(_PROJECT_MAX_ITER):
         r = float(region.f.evaluate(x)) - level_target
-        if abs(r) <= tol:
-            if max_displacement is not None and \
-                    np.linalg.norm(x - start) > max_displacement:
-                raise ProjectionDiverged("projection left the collar")
+        if abs(r) <= _PROJECT_TOL:
             return x
         g = region.f.gradient(x)
         gn2 = float(g @ g)
@@ -141,7 +138,8 @@ def project_to_boundary(region: Region, level_target: float, y, *,
             raise ProjectionDiverged(
                 f"gradient norm {np.sqrt(gn2):.2e} under the regularity floor")
         x = x - (r / gn2) * g
-    raise ProjectionDiverged(f"no convergence in {max_iter} Newton steps")
+    raise ProjectionDiverged(
+        f"no convergence in {_PROJECT_MAX_ITER} Newton steps")
 
 
 def shooting_residual(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
@@ -187,13 +185,13 @@ def residual_jacobian(system: RelaySystem, levels, sv: SwitchingVector) -> np.nd
 class SolveOptions:
     max_seeds: int = 32
     window_factor: float = 2.0   # durations may range in (0, factor * horizon)
-    residual_tol: float = 1e-9
     max_iter: int = 40
-    clamp_margin_rel: float = 1e-6
-    dedup_tol: float = 1e-4
-    cond_limit: float = 1e12
     seed: int = 0
-    events: EventSettings = DEFAULT_EVENTS
+
+
+_RESIDUAL_TOL = 1e-9        # |r| at which a Newton seed has converged
+_CLAMP_MARGIN_REL = 1e-6    # duration clamp margin, as a share of the horizon
+_COND_LIMIT = 1e12          # cond(J) above which a Jacobian counts as degenerate
 
 
 # failures a seed or a continuation step may hit; anything else is a bug
@@ -211,7 +209,7 @@ class _NewtonResult:
 
 def _clamp_bounds(system: RelaySystem,
                   opts: SolveOptions) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.array([opts.clamp_margin_rel * f.horizon for f in system.flows])
+    lo = np.array([_CLAMP_MARGIN_REL * f.horizon for f in system.flows])
     hi = np.array([opts.window_factor * f.horizon - m
                    for f, m in zip(system.flows, lo)])
     return lo, hi
@@ -244,10 +242,10 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     rnorm = float(np.linalg.norm(r))
     mu = 0.0
     for _ in range(opts.max_iter):
-        if rnorm <= opts.residual_tol or mu > 1.0:
+        if rnorm <= _RESIDUAL_TOL or mu > 1.0:
             break
         jac = residual_jacobian(system, levels, split(z))
-        if np.linalg.cond(jac) > opts.cond_limit:
+        if np.linalg.cond(jac) > _COND_LIMIT:
             degenerate = True
         scale = float(np.trace(jac.T @ jac)) / (n + p)
         rhs = np.concatenate([-r, np.zeros(n + p)])
@@ -265,7 +263,7 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
                 mu = mu / 10.0 if mu > 1e-8 else 0.0
                 break
             mu = max(10.0 * mu, 1e-8)
-    converged = rnorm <= opts.residual_tol
+    converged = rnorm <= _RESIDUAL_TOL
     lo, hi = _clamp_bounds(system, opts)
     on_clamp = bool(np.any(z[n:] <= lo * 1.5) or np.any(z[n:] >= hi - 0.5 * lo))
     return _NewtonResult(split(z), rnorm, converged, on_clamp, degenerate)
@@ -355,30 +353,27 @@ def _package(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
                          monodromy, xs, window_factor)
 
 
-def orbit_points(system: RelaySystem, sv: SwitchingVector,
-                 per_leg: int = 128) -> np.ndarray:
+_ORBIT_PER_LEG = 256  # samples per leg of an orbit's sampled curve
+
+
+def orbit_points(system: RelaySystem, sv: SwitchingVector) -> np.ndarray:
     """Dense samples along the closed curve traced by the orbit."""
     pts = []
     x = sv.x
     for i, dur in enumerate(sv.durations):
         arc = integrate(system.flows[i], dur, x)
-        taus = np.linspace(0.0, dur, per_leg, endpoint=False)
+        taus = np.linspace(0.0, dur, _ORBIT_PER_LEG, endpoint=False)
         pts.append(arc.sample(taus))
         x = arc.end
     return np.vstack(pts)
 
 
-_HAUSDORFF_PER_LEG = 256  # samples per leg when comparing two orbits
-
-
 def orbit_hausdorff(system: RelaySystem, a: SwitchingVector | PeriodicOrbit,
-                    b: SwitchingVector | PeriodicOrbit,
-                    per_leg: int = _HAUSDORFF_PER_LEG) -> float:
+                    b: SwitchingVector | PeriodicOrbit) -> float:
     """Symmetric Hausdorff distance between two orbits' sampled curves."""
     sa = a.sv if isinstance(a, PeriodicOrbit) else a
     sb = b.sv if isinstance(b, PeriodicOrbit) else b
-    return _hausdorff(orbit_points(system, sa, per_leg),
-                      orbit_points(system, sb, per_leg))
+    return _hausdorff(orbit_points(system, sa), orbit_points(system, sb))
 
 
 def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
@@ -388,9 +383,11 @@ def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
     return float(max(da, db))
 
 
-def verify_periodic(system: RelaySystem, orbit: PeriodicOrbit,
-                    settings: EventSettings | None = None,
-                    replay_tol_rel: float = 1e-6) -> VerificationReport:
+_REPLAY_TOL_REL = 1e-6  # replay time mismatch allowed, as a share of the horizon
+
+
+def verify_periodic(system: RelaySystem,
+                    orbit: PeriodicOrbit) -> VerificationReport:
     """Independently replay the orbit and measure closure and margins.
 
     Each leg's crossing list is recomputed from scratch; the recorded
@@ -398,7 +395,6 @@ def verify_periodic(system: RelaySystem, orbit: PeriodicOrbit,
     replay). A failed match, or a matched time off by more than the replay
     tolerance, raises ReplayMismatch.
     """
-    st = settings if settings is not None else DEFAULT_EVENTS
     lv = orbit.levels
     x = orbit.sv.x
     indices = []
@@ -408,13 +404,12 @@ def verify_periodic(system: RelaySystem, orbit: PeriodicOrbit,
         flow = system.flows[i]
         region = system.chain_region(i + 1, lv)
         window = orbit.window_factor * flow.horizon
-        evs = find_crossings(flow, region, float(lv[i + 1]), x, window,
-                             settings=st)
+        evs = find_crossings(flow, region, float(lv[i + 1]), x, window)
         if not evs:
             raise ReplayMismatch(f"no crossings on leg {i + 1} during replay")
         diffs = [abs(e.t - dur) for e in evs]
         k = int(np.argmin(diffs))
-        tol_t = replay_tol_rel * flow.horizon
+        tol_t = _REPLAY_TOL_REL * flow.horizon
         if diffs[k] > tol_t:
             raise ReplayMismatch(
                 f"leg {i + 1}: recorded duration {dur} is {diffs[k]:.2e} from "
@@ -449,7 +444,7 @@ def _auto_seeds(system: RelaySystem, levels: np.ndarray,
     seeds: list[SwitchingVector] = []
     for pt in samples.points:
         try:
-            tree = _expand_tree(system, levels, pt, True, opts.events,
+            tree = _expand_tree(system, levels, pt, True,
                                 window_factor=opts.window_factor)
         except DegenerateCrossing:
             continue
@@ -467,17 +462,20 @@ def _require_closing_level(lv: np.ndarray) -> None:
             "a periodic orbit needs them equal")
 
 
-def _dedup(system: RelaySystem, cands: list[_NewtonResult],
-           tol: float) -> list[_NewtonResult]:
-    """Keep each candidate whose orbit is at least tol (Hausdorff) from every
-    orbit kept before it. With two or more candidates each one takes part in
-    a comparison, so each orbit is sampled once, up front."""
+_DEDUP_TOL = 1e-4  # Hausdorff distance under which two orbits count as one
+
+
+def _dedup(system: RelaySystem,
+           cands: list[_NewtonResult]) -> list[_NewtonResult]:
+    """Keep each candidate whose orbit is at least _DEDUP_TOL (Hausdorff) from
+    every orbit kept before it. With two or more candidates each one takes
+    part in a comparison, so each orbit is sampled once, up front."""
     if len(cands) < 2:
         return cands
     kept: list[tuple[_NewtonResult, np.ndarray]] = []
     for c in cands:
-        pts = orbit_points(system, c.sv, _HAUSDORFF_PER_LEG)
-        if all(_hausdorff(pts, q) >= tol for _, q in kept):
+        pts = orbit_points(system, c.sv)
+        if all(_hausdorff(pts, q) >= _DEDUP_TOL for _, q in kept):
             kept.append((c, pts))
     return [c for c, _ in kept]
 
@@ -492,7 +490,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
     orbit Hausdorff distance and independently verified. Raises ValueError
     when the first and closing level offsets differ, DegenerateJacobian when
     no seed converged and some seed met a Jacobian with condition number
-    above cond_limit, and NoConvergence when no seed produces an orbit
+    above _COND_LIMIT (1e12), and NoConvergence when no seed produces an orbit
     otherwise.
     """
     opts = opts or SolveOptions()
@@ -526,10 +524,10 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
 
     candidates.sort(key=lambda r: (r.sv.durations, r.sv.start))
     verified: list[PeriodicOrbit] = []
-    for res in _dedup(system, candidates, opts.dedup_tol):
+    for res in _dedup(system, candidates):
         orb = _package(system, lv, res.sv, res.residual_norm, opts.window_factor)
         try:
-            orb.verification = verify_periodic(system, orb, opts.events)
+            orb.verification = verify_periodic(system, orb)
         except (ReplayMismatch, DegenerateCrossing):
             continue
         verified.append(orb)
@@ -564,7 +562,7 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     if np.array_equal(lv_a, lv_b):
         rnorm = float(np.linalg.norm(shooting_residual(system, lv_a, sv)))
         orbit = _package(system, lv_a, sv, rnorm, opts.window_factor)
-        orbit.verification = verify_periodic(system, orbit, opts.events)
+        orbit.verification = verify_periodic(system, orbit)
         return ContinuationPath(path, orbit)
 
     s = 0.0
@@ -601,5 +599,5 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     final = _newton(system, lv_b, cur, opts)
     orbit = _package(system, lv_b, final.sv, final.residual_norm,
                      opts.window_factor)
-    orbit.verification = verify_periodic(system, orbit, opts.events)
+    orbit.verification = verify_periodic(system, orbit)
     return ContinuationPath(path, orbit)

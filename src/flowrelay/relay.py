@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 
 from .dynamics import Flow, FlowArc, integrate
 from .errors import NoCrossingWithinHorizon
-from .events import EventSettings, DEFAULT_EVENTS, CrossingEvent, find_crossings
+from .events import CrossingEvent, find_crossings
 from .geometry import RelaySystem
 from ._util import seeded_rng
 
@@ -31,7 +31,9 @@ __all__ = [
     "simulate",
     "accessible_set",
     "omega_limit_estimate",
+    "strict_mode_check",
     "check_connected",
+    "cloud_spacing",
 ]
 
 _WINDOW_GROWTH = (1.0, 2.0, 4.0, 10.0)  # multiples of the horizon, capped at 10
@@ -104,18 +106,16 @@ class Trajectory:
 
 
 def _watched_events(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
-                    mode: int, need: int, settings: EventSettings
-                    ) -> tuple[list[CrossingEvent], FlowArc]:
+                    mode: int, need: int) -> tuple[list[CrossingEvent], FlowArc]:
     """Crossings of the watched boundary, growing the window up to the cap."""
     flow = system.flows[mode]
     watch = (mode + 1) % system.p
     region = system.chain_region(watch, levels)
-    last_err: Exception | None = None
     for factor in _WINDOW_GROWTH:
         window = factor * flow.horizon
         arc = integrate(flow, window, x)
         evs = find_crossings(flow, region, float(levels[watch]), x, window,
-                             settings=settings, arc=arc)
+                             arc=arc)
         if len(evs) >= need:
             return evs, arc
     raise NoCrossingWithinHorizon(
@@ -136,8 +136,8 @@ def _pick(policy: SwitchPolicy, events: list[CrossingEvent],
 
 def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
              policy: SwitchPolicy = FirstHit(), *,
-             max_switches: int | None = None, t_max: float | None = None,
-             settings: EventSettings = DEFAULT_EVENTS) -> Trajectory:
+             max_switches: int | None = None,
+             t_max: float | None = None) -> Trajectory:
     """Run the switching dynamics from (x0, mode k0) until a stop criterion.
 
     At least one of max_switches / t_max must bound the run.
@@ -159,7 +159,7 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
             break
         need = policy.n if isinstance(policy, NthHit) else 1
         try:
-            events, arc = _watched_events(system, lv, x, mode, need, settings)
+            events, arc = _watched_events(system, lv, x, mode, need)
         except NoCrossingWithinHorizon:
             if t_max is not None and t_abs < t_max:
                 # park the trajectory at the time cap instead of failing
@@ -230,12 +230,15 @@ class _Branch:
     order: tuple[int, ...]     # (crossing indices along the ancestry), for pruning
 
 
+def cloud_spacing(system: RelaySystem) -> float:
+    """Arc-length spacing of reach-cloud samples: 1/512 of the box diagonal."""
+    return system.diameter / 512.0
+
+
 def _expand_cloud(system: RelaySystem, x0, k0: int, levels, total_depth: int,
-                  breadth: int, delta_s: float | None, record_from: int,
-                  settings: EventSettings) -> PointCloud:
+                  breadth: int, record_from: int) -> PointCloud:
     lv = system.levels() if levels is None else np.asarray(levels, float)
-    if delta_s is None:
-        delta_s = system.diameter / 512.0
+    delta_s = cloud_spacing(system)
     pts: list[np.ndarray] = []
     depths: list[int] = []
     edges: list[tuple[int, int]] = []
@@ -249,7 +252,7 @@ def _expand_cloud(system: RelaySystem, x0, k0: int, levels, total_depth: int,
             flow = system.flows[br.mode]
             watch = (br.mode + 1) % system.p
             try:
-                evs, arc = _watched_events(system, lv, br.x, br.mode, 1, settings)
+                evs, arc = _watched_events(system, lv, br.x, br.mode, 1)
             except NoCrossingWithinHorizon:
                 # stuck branch: keep one horizon of its arc, spawn nothing
                 evs, arc = [], integrate(flow, flow.horizon, br.x)
@@ -280,22 +283,18 @@ def _expand_cloud(system: RelaySystem, x0, k0: int, levels, total_depth: int,
 
 
 def accessible_set(system: RelaySystem, x0, k0: int = 0, levels=None,
-                   depth: int = 0, breadth: int = 64,
-                   delta_s: float | None = None,
-                   settings: EventSettings = DEFAULT_EVENTS) -> PointCloud:
+                   depth: int = 0, breadth: int = 64) -> PointCloud:
     """Branching reach cloud: all policy choices up to `depth` switches.
 
     Breadth is capped per switching level with deterministic pruning (the
     branches with lexicographically lowest crossing indices survive).
     """
-    return _expand_cloud(system, x0, k0, levels, depth, breadth, delta_s,
-                         record_from=0, settings=settings)
+    return _expand_cloud(system, x0, k0, levels, depth, breadth, record_from=0)
 
 
 def omega_limit_estimate(system: RelaySystem, x0, k0: int = 0, levels=None,
-                         m_discard: int = 0, depth: int = 0, breadth: int = 64,
-                         delta_s: float | None = None,
-                         settings: EventSettings = DEFAULT_EVENTS) -> PointCloud:
+                         m_discard: int = 0, depth: int = 0,
+                         breadth: int = 64) -> PointCloud:
     """Reach cloud restricted to states past the first m_discard switches.
 
     Increasing m_discard peels transients, approximating the limit set from
@@ -303,12 +302,15 @@ def omega_limit_estimate(system: RelaySystem, x0, k0: int = 0, levels=None,
     trajectories, so treat the cloud as a witness, not a certificate.
     """
     return _expand_cloud(system, x0, k0, levels, m_discard + depth, breadth,
-                         delta_s, record_from=m_discard, settings=settings)
+                         record_from=m_discard)
 
 
-def strict_mode_check(system: RelaySystem, traj: Trajectory,
-                      samples_per_segment: int = 256,
-                      tol: float = 1e-9) -> tuple[bool, float]:
+_STRICT_SAMPLES = 256   # samples per segment for the strict-mode check
+_STRICT_TOL = 1e-9      # interior excess the strict-mode check forgives
+
+
+def strict_mode_check(system: RelaySystem,
+                      traj: Trajectory) -> tuple[bool, float]:
     """Post-hoc check of the stricter trajectory notion: while in mode k the
     state never enters the interior of the watched region.
 
@@ -322,10 +324,10 @@ def strict_mode_check(system: RelaySystem, traj: Trajectory,
             continue
         watch = (seg.mode + 1) % system.p
         region = system.chain_region(watch, traj.levels)
-        taus = np.linspace(0.0, seg.duration, samples_per_segment)
+        taus = np.linspace(0.0, seg.duration, _STRICT_SAMPLES)
         vals = region.f.evaluate(arc.sample(taus)) - float(traj.levels[watch])
         worst = max(worst, float(vals.max()))
-    return worst <= tol, worst
+    return worst <= _STRICT_TOL, worst
 
 
 def check_connected(cloud: PointCloud, delta: float) -> tuple[bool, int]:

@@ -11,8 +11,8 @@ from scipy.optimize import brentq
 from flowrelay import expr
 from flowrelay.dynamics import integrate
 from flowrelay.errors import DegenerateCrossing, VanishingImage
-from flowrelay.events import (DEFAULT_EVENTS, backward_leaf_parity,
-                              backward_tree, degree_check, find_crossings,
+from flowrelay.events import (backward_leaf_parity, backward_tree,
+                              degree_check, find_crossings,
                               forward_leaf_parity, forward_tree,
                               winding_degree)
 from flowrelay.geometry import Region, sample_boundary

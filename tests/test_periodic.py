@@ -8,11 +8,12 @@ import pytest
 from scipy.linalg import expm
 
 from flowrelay import expr, periodic
-from flowrelay.dynamics import flow_map
-from flowrelay.errors import (ContinuationStalled, NoConvergence, NotInWindow,
-                              ProjectionDiverged, ReplayMismatch)
+from flowrelay.dynamics import Flow, VectorField, flow_map
+from flowrelay.errors import (ContinuationStalled, DegenerateJacobian,
+                              NoConvergence, NotInWindow, ProjectionDiverged,
+                              ReplayMismatch)
 from flowrelay.events import forward_tree, backward_tree
-from flowrelay.geometry import Region, sample_boundary
+from flowrelay.geometry import Region, RelaySystem, sample_boundary
 from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                                 chain_end, chain_points, chain_start,
                                 continue_levels, find_periodic, level_values,
@@ -233,6 +234,22 @@ def test_hopeless_seed_work_is_bounded(rotor_m, monkeypatch):
                       opts=opts)
     assert calls["jacobian"] <= opts.max_iter
     assert calls["residual"] <= 2 * opts.max_iter + 11
+
+
+def test_singular_relay_raises_degenerate_jacobian():
+    # two equal unit translations: x_2 - x_0 = (t_1 + t_2, 0) never vanishes,
+    # and with identity leg Jacobians the x2 closure row of the shooting
+    # Jacobian is zero at every iterate
+    drift = VectorField([expr.parse("1", 2), expr.parse("0", 2)])
+    relay = RelaySystem(
+        n=2, p=2, flows=(Flow(drift, horizon=1.0), Flow(drift, horizon=1.0)),
+        regions=(Region(expr.parse("-x1", 2), index=0),
+                 Region(expr.parse("x1 - 1", 2), index=1)),
+        box=[[-2.0, -2.0], [2.0, 2.0]])
+    sv = SwitchingVector.of([0.0, 0.0], (1.0, 1.0))
+    assert np.abs(residual_jacobian(relay, None, sv)[3]).max() == 0.0
+    with pytest.raises(DegenerateJacobian):
+        find_periodic(relay, seeds=[sv])
 
 
 @pytest.mark.parametrize("levels", [[0.0, 0.0, 0.01], [0.01, 0.0, 0.0]])
