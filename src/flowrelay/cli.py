@@ -95,15 +95,12 @@ def load_config(path: str | Path) -> geo.RelaySystem:
             raise ConfigError(f"{prefix}field", f"expected {n} components, got {len(comps)}")
         exprs = [_parse_field(c, n, f"{prefix}field[{j}]") for j, c in enumerate(comps)]
         horizon = _req(fd, "T", float, prefix)
-        integ = fd.get("integrator", {})
-        if not isinstance(integ, dict):
-            raise ConfigError(f"{prefix}integrator", "expected an object")
+        if "integrator" in fd:
+            raise ConfigError(f"{prefix}integrator",
+                              "not supported: every flow is integrated with "
+                              "DOP853 at rtol 1e-10, atol 1e-12")
         try:
-            flows.append(Flow(VectorField(exprs, label=k + 1), horizon,
-                              rtol=float(integ.get("rtol", 1e-10)),
-                              atol=float(integ.get("atol", 1e-12)),
-                              max_step=float(integ.get("max_step", np.inf)),
-                              method=str(integ.get("method", "DOP853"))))
+            flows.append(Flow(VectorField(exprs), horizon))
         except ValueError as exc:
             raise ConfigError(f"flows[{k}]", str(exc)) from exc
 

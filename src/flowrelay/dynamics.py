@@ -1,6 +1,6 @@
 """Flow integration: flow maps, dense trajectories, variational Jacobians.
 
-One adaptive embedded Runge-Kutta pair (DOP853 by default, RK45 selectable)
+One adaptive embedded Runge-Kutta pair (DOP853 at rtol 1e-10, atol 1e-12)
 behind one solve_ivp call; the dense-output interpolant is built only for
 arcs and sampled batches, not for endpoint maps. No stiff path. Backward
 time is realized by integrating the sign-flipped field forward, so crossing
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 TIME_CAP_FACTOR = 10.0  # |t| may not exceed this multiple of the flow horizon
+_RTOL = 1e-10  # relative tolerance of every integration
+_ATOL = 1e-12  # absolute tolerance of every integration
 _EVAL_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -63,7 +65,7 @@ class VectorField:
     is pure and thread-safe.
     """
 
-    def __init__(self, components: Sequence[ex.Expression], label: int = 0):
+    def __init__(self, components: Sequence[ex.Expression]):
         components = tuple(components)
         if not components:
             raise ValueError("vector field needs at least one component")
@@ -74,7 +76,6 @@ class VectorField:
             raise ValueError(f"{len(components)} components for dimension {n}")
         self.components = components
         self.n = n
-        self.label = label
         roots = tuple(c.root for c in components)
         jac = tuple(ex.derive(r, k) for r in roots for k in range(1, n + 1))
         var = _variational_body(roots, jac)
@@ -115,20 +116,15 @@ class VectorField:
 
 @dataclass
 class Flow:
-    """A flow descriptor: field, horizon, and integrator settings."""
+    """A flow descriptor: a field and its horizon. Every flow is integrated
+    with the same fixed method and tolerances (_RTOL, _ATOL)."""
 
     field: VectorField
     horizon: float
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_step: float = np.inf
-    method: str = "DOP853"
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ValueError("flow horizon must be positive")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 class FlowArc:
@@ -176,12 +172,11 @@ def _check_cap(flow: Flow, t: float) -> None:
             f"({TIME_CAP_FACTOR * flow.horizon})")
 
 
-def _solve(flow: Flow, rhs, duration: float, y0: np.ndarray, dense: bool):
+def _solve(rhs, duration: float, y0: np.ndarray, dense: bool):
     """The one solve_ivp call: integrate y' = rhs(y) over [0, duration],
     raising IntegrationError on solver failure or a non-finite end state."""
-    sol = solve_ivp(rhs, (0.0, duration), y0, method=flow.method,
-                    dense_output=dense, rtol=flow.rtol, atol=flow.atol,
-                    max_step=flow.max_step)
+    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
+                    dense_output=dense, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     if not np.all(np.isfinite(sol.y[:, -1])):
@@ -213,7 +208,7 @@ def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> Flo
         raise ValueError("duration must be positive")
     _check_cap(flow, duration)
     x0 = np.asarray(x0, float)
-    sol = _solve(flow, _field_rhs(flow, backward), duration, x0, dense=True)
+    sol = _solve(_field_rhs(flow, backward), duration, x0, dense=True)
     return FlowArc(flow, x0, duration, backward, sol)
 
 
@@ -223,7 +218,7 @@ def flow_map(flow: Flow, t: float, x) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     _check_cap(flow, t)
-    sol = _solve(flow, _field_rhs(flow, t < 0.0), abs(t), x, dense=False)
+    sol = _solve(_field_rhs(flow, t < 0.0), abs(t), x, dense=False)
     return sol.y[:, -1].copy()
 
 
@@ -233,7 +228,7 @@ def _variational(flow: Flow, duration: float, x0, backward: bool):
     rhs = _kernel_rhs(fld._var_back if backward else fld._var,
                       "variational right-hand side")
     y0 = np.concatenate([np.asarray(x0, float), np.eye(n).ravel()])
-    yf = _solve(flow, rhs, duration, y0, dense=False).y[:, -1]
+    yf = _solve(rhs, duration, y0, dense=False).y[:, -1]
     return yf[:n].copy(), yf[n:].reshape(n, n).copy()
 
 
@@ -276,7 +271,7 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     def rhs(_t, y):
         return sign * fld.value_batch(y.reshape(npts, n)).ravel()
 
-    sol = _solve(flow, rhs, abs(t), pts.ravel(), dense=t_eval is not None)
+    sol = _solve(rhs, abs(t), pts.ravel(), dense=t_eval is not None)
     if t_eval is None:
         return sol.y[:, -1].reshape(npts, n)
     return sol.sol(t_eval).T.reshape(len(t_eval), npts, n)

@@ -63,10 +63,6 @@ class VanishingImage(FlowRelayError):
     """A circle map passed through (numerically) zero, so no winding is defined."""
 
 
-class ProjectionDiverged(FlowRelayError):
-    """Newton projection onto a level set failed to converge."""
-
-
 class NoConvergence(FlowRelayError):
     """Every seed of the periodic-orbit solver was exhausted without a root."""
 

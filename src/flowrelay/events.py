@@ -78,10 +78,12 @@ def _gdot_scalar(arc: FlowArc, f: Expression) -> Callable[[float], float]:
 
 
 def _fine_grid(arc: FlowArc, ns: int) -> np.ndarray:
-    pieces = [np.linspace(arc.ts[i], arc.ts[i + 1], ns + 1)[:-1]
-              for i in range(len(arc.ts) - 1)]
-    ts = np.concatenate(pieces + [arc.ts[-1:]])
-    return np.unique(ts)
+    """Each accepted step cut into ns equal pieces, plus the final time;
+    the same floats as np.linspace(ts[i], ts[i + 1], ns + 1)[:-1] per step."""
+    ts = arc.ts
+    step = (ts[1:] - ts[:-1]) / ns
+    grid = np.arange(ns) * step[:, None] + ts[:-1, None]
+    return np.unique(np.concatenate([grid.ravel(), ts[-1:]]))
 
 
 def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int) -> list[float]:
@@ -316,9 +318,9 @@ def degree_check(system: RelaySystem, levels=None, samples: int = 20,
     """
     lv = system.levels() if levels is None else np.asarray(levels, float)
     bs0 = sample_boundary(system.chain_region(0, lv), system.box, samples,
-                          seeded_rng(seed, "degree", "start"), level=float(lv[0]))
+                          seeded_rng(seed, "degree", "start"))
     bsp = sample_boundary(system.chain_region(system.p, lv), system.box, samples,
-                          seeded_rng(seed, "degree", "end"), level=float(lv[system.p]))
+                          seeded_rng(seed, "degree", "end"))
     start: list[int | None] = []
     end: list[int | None] = []
     for pt in bs0.points:

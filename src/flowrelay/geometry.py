@@ -31,14 +31,17 @@ __all__ = [
 ]
 
 
+_EPS_REG = 1e-6  # floor on |grad f| at regular boundary points
+
+
 @dataclass
 class Region:
-    """Superlevel-set region {f >= level} with boundary {f = level}."""
+    """Superlevel-set region {f >= level} with boundary {f = level}; a
+    boundary point is regular where |grad f| >= _EPS_REG (1e-6)."""
 
     f: ex.Expression
     level: float = 0.0
     index: int = 0
-    eps_reg: float = 1e-6  # floor on |grad f| at sampled boundary points
 
 
 def signed_level(region: Region, x, level: float | None = None):
@@ -58,26 +61,31 @@ class BoundarySamples:
         return len(self.points)
 
 
-def sample_boundary(region: Region, box: np.ndarray, m: int, seed: int = 0,
-                    *, level: float | None = None, tol: float = 1e-10,
-                    max_batches: int = 20, newton_iters: int = 80) -> BoundarySamples:
-    """Draw m points on {f = level} inside the box.
+_SAMPLE_TOL = 1e-10    # |f - level| at an accepted boundary sample
+_SAMPLE_BATCHES = 20   # random batches drawn before BoundaryNotFound
+_SAMPLE_NEWTON = 80    # Newton steps per batch
 
-    Random box points are projected onto the level set by Newton steps along
-    the gradient; points that leave the box, stall, or land where the
-    gradient is below the regularity floor are discarded.
+
+def sample_boundary(region: Region, box: np.ndarray, m: int,
+                    seed: int = 0) -> BoundarySamples:
+    """Draw m points on {f = region.level} inside the box.
+
+    Random box points are projected onto the level set by up to 80 Newton
+    steps along the gradient; points that leave the box, miss the level by
+    more than 1e-10, or land where the gradient is below the regularity
+    floor are discarded. BoundaryNotFound after 20 batches without m points.
     """
-    lv = region.level if level is None else level
+    lv = region.level
     box = np.asarray(box, float)
     lo, hi = box[0], box[1]
     n = len(lo)
     rng = seed if isinstance(seed, np.random.Generator) else seeded_rng(seed, "boundary", str(region.index))
     points: list[np.ndarray] = []
     norms: list[float] = []
-    for _ in range(max_batches):
+    for _ in range(_SAMPLE_BATCHES):
         batch = rng.uniform(lo, hi, size=(max(4 * m, 32), n))
         x = batch.copy()
-        for _ in range(newton_iters):
+        for _ in range(_SAMPLE_NEWTON):
             r = region.f.evaluate(x) - lv
             g = region.f.gradient(x)
             gn2 = np.einsum("ij,ij->i", g, g)
@@ -85,12 +93,12 @@ def sample_boundary(region: Region, box: np.ndarray, m: int, seed: int = 0,
             step = (r / gn2)[:, None] * g
             np.clip(step, -1.0, 1.0, out=step)  # guard wild first steps
             x = x - step
-            if np.all(np.abs(region.f.evaluate(x) - lv) <= tol):
+            if np.all(np.abs(region.f.evaluate(x) - lv) <= _SAMPLE_TOL):
                 break
         r = np.abs(region.f.evaluate(x) - lv)
         g = region.f.gradient(x)
         gn = np.sqrt(np.einsum("ij,ij->i", g, g))
-        ok = (r <= tol) & (gn >= region.eps_reg)
+        ok = (r <= _SAMPLE_TOL) & (gn >= _EPS_REG)
         ok &= np.all((x >= lo - 1e-12) & (x <= hi + 1e-12), axis=1)
         for i in np.flatnonzero(ok):
             points.append(x[i])
@@ -99,7 +107,7 @@ def sample_boundary(region: Region, box: np.ndarray, m: int, seed: int = 0,
                 return BoundarySamples(np.array(points), np.array(norms))
     raise BoundaryNotFound(
         f"no boundary of region {region.index} at level {lv} found in the box "
-        f"after {max_batches} batches")
+        f"after {_SAMPLE_BATCHES} batches")
 
 
 def saturate_level(e: ex.Expression, eps: float) -> ex.Expression:
@@ -166,7 +174,7 @@ class RelaySystem:
             raise ValueError(f"chain index {j} outside 0..{self.p}")
         lv = self.levels() if levels is None else np.asarray(levels, float)
         base = self.regions[j] if j < self.p else self.regions[0]
-        return Region(base.f, float(lv[j]), index=j, eps_reg=base.eps_reg)
+        return Region(base.f, float(lv[j]), index=j)
 
     @property
     def diameter(self) -> float:
@@ -260,7 +268,7 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
                                  seeded_rng(seed, "validate", str(j)))
             boundary[j] = bs
             conditions.append(ConditionResult(
-                "regular", j, bool(bs.grad_norms.min() >= region_j.eps_reg),
+                "regular", j, bool(bs.grad_norms.min() >= _EPS_REG),
                 float(bs.grad_norms.min())))
         except BoundaryNotFound as exc:
             conditions.append(ConditionResult("regular", j, False,

@@ -19,10 +19,9 @@ from .dynamics import (TIME_CAP_FACTOR, flow_map, flow_map_with_jacobian,
                        integrate)
 from .errors import (ContinuationStalled, DegenerateCrossing,
                      DegenerateJacobian, FlowRelayError, NoConvergence,
-                     NotInWindow, ProjectionDiverged, ReplayMismatch)
+                     NotInWindow, ReplayMismatch)
 from .events import _expand_tree, find_crossings
-from .geometry import Region, RelaySystem, sample_boundary
-from .relay import Segment, SwitchEvent, Trajectory
+from .geometry import RelaySystem, sample_boundary
 from ._util import seeded_rng
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "chain_start",
     "chain_end",
     "chain_points",
-    "project_to_boundary",
     "shooting_residual",
     "residual_jacobian",
     "find_periodic",
@@ -115,31 +113,6 @@ def chain_start(sv: SwitchingVector) -> np.ndarray:
 def chain_end(system: RelaySystem, sv: SwitchingVector) -> np.ndarray:
     """Endpoint of the realized chain (the composed flow maps applied to x)."""
     return chain_points(system, sv)[-1]
-
-
-_PROJECT_TOL = 1e-12     # |f - level_target| that ends a projection
-_PROJECT_MAX_ITER = 30   # Newton steps before a projection is given up
-
-
-def project_to_boundary(region: Region, level_target: float, y) -> np.ndarray:
-    """Newton steps along the gradient until |f - level_target| <= 1e-12.
-
-    Intended for points already near the target level (a collar move);
-    diverging iterations or a vanishing gradient raise ProjectionDiverged.
-    """
-    x = np.array(y, float)
-    for _ in range(_PROJECT_MAX_ITER):
-        r = float(region.f.evaluate(x)) - level_target
-        if abs(r) <= _PROJECT_TOL:
-            return x
-        g = region.f.gradient(x)
-        gn2 = float(g @ g)
-        if gn2 < region.eps_reg ** 2:
-            raise ProjectionDiverged(
-                f"gradient norm {np.sqrt(gn2):.2e} under the regularity floor")
-        x = x - (r / gn2) * g
-    raise ProjectionDiverged(
-        f"no convergence in {_PROJECT_MAX_ITER} Newton steps")
 
 
 def shooting_residual(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
@@ -310,20 +283,6 @@ class PeriodicOrbit:
     def period(self) -> float:
         return float(sum(self.sv.durations))
 
-    def trajectory(self) -> Trajectory:
-        """The realized switching trajectory (one full period)."""
-        segments = []
-        switches = []
-        t_abs = 0.0
-        for i, dur in enumerate(self.sv.durations):
-            segments.append(Segment(i % len(self.sv.durations), t_abs, dur,
-                                    self.chain[i], self.chain[i + 1]))
-            switches.append(SwitchEvent(t_abs + dur, self.chain[i + 1], i,
-                                        (i + 1) % len(self.sv.durations), 0,
-                                        self.margins[i]))
-            t_abs += dur
-        return Trajectory(0, self.levels, segments, switches)
-
     def to_dict(self) -> dict:
         return {
             "start": [float(v) for v in self.sv.start],
@@ -383,6 +342,13 @@ def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
     return float(max(da, db))
 
 
+def _require_closing_level(lv: np.ndarray) -> None:
+    if lv[0] != lv[-1]:
+        raise ValueError(
+            f"first and closing level offsets differ ({lv[0]} != {lv[-1]}); "
+            "a periodic orbit needs them equal")
+
+
 _REPLAY_TOL_REL = 1e-6  # replay time mismatch allowed, as a share of the horizon
 
 
@@ -393,9 +359,11 @@ def verify_periodic(system: RelaySystem,
     Each leg's crossing list is recomputed from scratch; the recorded
     duration must match one crossing (the matched index realizes an NthHit
     replay). A failed match, or a matched time off by more than the replay
-    tolerance, raises ReplayMismatch.
-    """
+    tolerance, raises ReplayMismatch; unequal first and closing level
+    offsets raise ValueError. closure (and closure_raw, the same number) is
+    |replayed end - start|."""
     lv = orbit.levels
+    _require_closing_level(lv)
     x = orbit.sv.x
     indices = []
     margins = []
@@ -418,14 +386,9 @@ def verify_periodic(system: RelaySystem,
         indices.append(k)
         margins.append(evs[k].margin)
         x = evs[k].point
-    closure_raw = float(np.linalg.norm(x - orbit.sv.x))
-    if abs(float(lv[system.p]) - float(lv[0])) > 0:
-        x_proj = project_to_boundary(system.chain_region(0, lv), float(lv[0]), x)
-        closure = float(np.linalg.norm(x_proj - orbit.sv.x))
-    else:
-        closure = closure_raw
+    closure = float(np.linalg.norm(x - orbit.sv.x))
     mono = np.linalg.eigvals(orbit.monodromy)
-    return VerificationReport(closure, closure_raw, tuple(margins),
+    return VerificationReport(closure, closure, tuple(margins),
                               tuple(float(abs(m)) for m in mono),
                               tuple(indices), float(max_mismatch))
 
@@ -439,8 +402,7 @@ def _auto_seeds(system: RelaySystem, levels: np.ndarray,
     """Chain completions grown from boundary-0 samples, one seed per leaf."""
     samples = sample_boundary(system.chain_region(0, levels), system.box,
                               opts.max_seeds,
-                              seeded_rng(opts.seed, "find-periodic"),
-                              level=float(levels[0]))
+                              seeded_rng(opts.seed, "find-periodic"))
     seeds: list[SwitchingVector] = []
     for pt in samples.points:
         try:
@@ -453,13 +415,6 @@ def _auto_seeds(system: RelaySystem, levels: np.ndarray,
         if len(seeds) >= opts.max_seeds:
             break
     return seeds[:opts.max_seeds]
-
-
-def _require_closing_level(lv: np.ndarray) -> None:
-    if lv[0] != lv[-1]:
-        raise ValueError(
-            f"first and closing level offsets differ ({lv[0]} != {lv[-1]}); "
-            "a periodic orbit needs them equal")
 
 
 _DEDUP_TOL = 1e-4  # Hausdorff distance under which two orbits count as one

@@ -51,6 +51,19 @@ def test_expression_typo_carries_parser_position(tmp_path):
     assert "position" in str(exc.value)
 
 
+def test_integrator_block_rejected(tmp_path, capsys):
+    doc = json.loads(ROTOR_CONFIG.read_text())
+    doc["flows"][0]["integrator"] = {"rtol": 1e-6}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc:
+        load_config(bad)
+    assert exc.value.keypath == "flows[0].integrator"
+    rc = main(["validate", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "config error: flows[0].integrator" in capsys.readouterr().err
+
+
 def test_nonexistent_config():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.json")

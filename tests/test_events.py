@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from flowrelay import expr
 from flowrelay.dynamics import integrate
 from flowrelay.errors import DegenerateCrossing, VanishingImage
-from flowrelay.events import (backward_leaf_parity, backward_tree,
+from flowrelay.events import (_fine_grid, backward_leaf_parity, backward_tree,
                               degree_check, find_crossings,
                               forward_leaf_parity, forward_tree,
                               winding_degree)
@@ -118,6 +118,24 @@ def test_oracle_equivalence_100_instances(rotor_m, systemb_m):
             assert abs(e.t - t_ref) < 1e-6
         checked += 1
     assert checked >= 90  # tangencies are rare on these systems
+
+
+def test_fine_grid_matches_per_step_linspace(rotor_m, systemb_m):
+    # the vectorized grid is pinned bit for bit to the per-step linspace one
+    rng = np.random.default_rng(12)
+    for system in (rotor_m, systemb_m):
+        for backward in (False, True):
+            for _ in range(5):
+                x0 = rng.uniform(-1.5, 1.5, 2)
+                arc = integrate(system.flows[0], 2 * system.flows[0].horizon,
+                                x0, backward=backward)
+                for ns in (8, 16, 32, 64):
+                    pieces = [np.linspace(arc.ts[i], arc.ts[i + 1], ns + 1)[:-1]
+                              for i in range(len(arc.ts) - 1)]
+                    old = np.unique(np.concatenate(pieces + [arc.ts[-1:]]))
+                    new = _fine_grid(arc, ns)
+                    assert new.shape == old.shape
+                    assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 def test_forward_tree_rotor_stage_counts(rotor_m):

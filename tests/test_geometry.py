@@ -53,7 +53,7 @@ def test_sample_boundary_sphere_unit_vector():
 def test_sample_boundary_empty_region():
     r = Region(expr.parse("-1 - (x1^2 + x2^2)", 2))
     with pytest.raises(BoundaryNotFound):
-        sample_boundary(r, BOX, 2, seed=0, max_batches=3)
+        sample_boundary(r, BOX, 2, seed=0)
 
 
 def test_saturate_level_bounds_and_slope():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,13 @@ from scipy.linalg import expm
 from flowrelay import expr, periodic
 from flowrelay.dynamics import Flow, VectorField, flow_map
 from flowrelay.errors import (ContinuationStalled, DegenerateJacobian,
-                              NoConvergence, NotInWindow, ProjectionDiverged,
-                              ReplayMismatch)
+                              NoConvergence, NotInWindow, ReplayMismatch)
 from flowrelay.events import forward_tree, backward_tree
 from flowrelay.geometry import Region, RelaySystem, sample_boundary
 from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                                 chain_end, chain_points, chain_start,
                                 continue_levels, find_periodic, level_values,
-                                orbit_hausdorff, project_to_boundary,
-                                residual_jacobian, shooting_residual,
+                                orbit_hausdorff, residual_jacobian, shooting_residual,
                                 verify_periodic)
 
 from conftest import make_rotor, make_systemb, rotor_periodic_start
@@ -83,33 +82,6 @@ def test_chain_rejects_nonpositive_duration(systemb_m):
         chain_end(systemb_m, SwitchingVector.of([1.5, 0.0], (0.0, 1.0)))
     with pytest.raises(NotInWindow):
         chain_end(systemb_m, SwitchingVector.of([1.5, 0.0], (1.0, 100.0)))
-
-
-def test_project_to_boundary_identity_and_sphere():
-    sphere = Region(expr.parse("1 - (x1^2 + x2^2)", 2))
-    y = np.array([1.0, 0.0])
-    assert np.array_equal(project_to_boundary(sphere, 0.0, y), y)
-    proj = project_to_boundary(sphere, 0.0, [1.1, 0.0])
-    assert np.abs(proj - [1.0, 0.0]).max() < 1e-12
-
-
-def test_project_displacement_bound():
-    sphere = Region(expr.parse("1 - (x1^2 + x2^2)", 2))
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        level_gap = rng.uniform(0.0, 0.05)
-        theta = rng.uniform(0, 2 * np.pi)
-        y = project_to_boundary(sphere, level_gap,
-                                np.array([np.cos(theta), np.sin(theta)]))
-        moved = np.linalg.norm(y - [np.cos(theta), np.sin(theta)])
-        min_grad = 2.0 * min(1.0, np.linalg.norm(y))
-        assert moved <= 2 * level_gap / min_grad + 1e-12
-
-
-def test_project_diverges_on_flat_spot():
-    flat = Region(expr.parse("x1^2", 2), eps_reg=1e-6)
-    with pytest.raises(ProjectionDiverged):
-        project_to_boundary(flat, -1.0, [0.5, 0.0])  # no level -1 anywhere
 
 
 def test_residual_shape_and_closed_form(rotor_m):
@@ -313,6 +285,12 @@ def test_verify_rejects_corrupted_orbit(systemb_m, systemb_orbit):
                               chain_points(systemb_m, bad_sv), orb.window_factor)
     with pytest.raises(ReplayMismatch):
         verify_periodic(systemb_m, corrupted)
+
+
+def test_verify_rejects_unequal_closing_level(systemb_m, systemb_orbit):
+    shifted = replace(systemb_orbit, levels=np.array([0.0, 0.0, 0.01]))
+    with pytest.raises(ValueError, match="closing level"):
+        verify_periodic(systemb_m, shifted)
 
 
 def test_continuation_trivial_path(systemb_m, systemb_orbit):
