@@ -12,13 +12,13 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from . import errors
-from .dynamics import Flow, FlowArc, VectorField, flow_jacobian, flow_map
+from .dynamics import Flow, FlowArc, VectorField, flow_map
 from .events import (CrossingEvent, CrossingTree, backward_leaf_parity,
                      backward_tree, degree_check, find_crossings,
                      forward_leaf_parity, forward_tree, winding_degree)
 from .expr import Expression, parse
 from .geometry import (Region, RelaySystem, sample_boundary, saturate_level,
-                       signed_level, validate_system)
+                       validate_system)
 from .periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                        continue_levels, find_periodic, orbit_hausdorff,
                        shooting_residual, verify_periodic)
@@ -31,9 +31,9 @@ __all__ = [
     "__version__",
     "errors",
     "parse", "Expression",
-    "Region", "RelaySystem", "signed_level", "sample_boundary",
+    "Region", "RelaySystem", "sample_boundary",
     "saturate_level", "validate_system",
-    "VectorField", "Flow", "FlowArc", "flow_map", "flow_jacobian",
+    "VectorField", "Flow", "FlowArc", "flow_map",
     "CrossingEvent", "CrossingTree", "find_crossings", "forward_tree",
     "backward_tree", "forward_leaf_parity", "backward_leaf_parity",
     "degree_check", "winding_degree",

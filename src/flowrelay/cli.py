@@ -25,7 +25,7 @@ from . import events as ev
 from . import geometry as geo
 from . import periodic as per
 from . import relay
-from .dynamics import Flow, VectorField
+from .dynamics import TIME_CAP_FACTOR, Flow, VectorField
 from .errors import (BoundaryNotFound, ConfigError, ContinuationStalled,
                      DegenerateCrossing, DegenerateJacobian, FlowRelayError,
                      IntegrationError, NoConvergence, NoCrossingWithinHorizon,
@@ -168,6 +168,8 @@ def _parse_vector(text: str, name: str, length: int | None = None) -> np.ndarray
         raise ConfigError(name, f"expected comma-separated numbers, got {text!r}") from exc
     if length is not None and len(vec) != length:
         raise ConfigError(name, f"expected {length} values, got {len(vec)}")
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(name, f"expected finite numbers, got {text!r}")
     return vec
 
 
@@ -221,6 +223,8 @@ def _cmd_validate(args, system, levels, outdir: Path) -> int:
 def _cmd_simulate(args, system, levels, outdir: Path) -> int:
     if args.max_switches is None and args.t_max is None:
         raise ConfigError("simulate", "need --max-switches or --t-max")
+    if args.t_max is not None and not 0.0 < args.t_max < np.inf:
+        raise ConfigError("--t-max", f"must be positive and finite, got {args.t_max}")
     x0 = _parse_vector(args.x0, "--x0", system.n)
     if args.policy == "first":
         policy = relay.FirstHit()
@@ -263,6 +267,10 @@ def _cmd_crossings(args, system, levels, outdir: Path) -> int:
         raise ConfigError("--region", f"region index must lie in 0..{system.p}")
     x0 = _parse_vector(args.x0, "--x0", system.n)
     flow = system.flows[args.flow - 1]
+    cap = TIME_CAP_FACTOR * flow.horizon
+    if not 0.0 < args.window <= cap:
+        raise ConfigError("--window", f"must lie in (0, {cap:g}], the time cap "
+                                      f"of flow {args.flow}; got {args.window}")
     region = system.chain_region(args.region, levels)
     evs = ev.find_crossings(flow, region, float(levels[args.region]), x0,
                             args.window, backward=args.backward)
@@ -413,11 +421,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the lowest value of each integer flag; checked here, not by argparse, whose
+# exit code 2 would read as a validation failure
+_FLAG_FLOORS = {"seed": 0, "samples": 1, "grid": 1, "seeds": 1,
+                "max_switches": 1, "depth": 0, "breadth": 1}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, low in _FLAG_FLOORS.items():
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise ConfigError("--" + name.replace("_", "-"),
+                                  f"must be at least {low}, got {value}")
         system = load_config(args.config)
+        if not 0 <= getattr(args, "k0", 0) < system.p:
+            raise ConfigError("--k0", f"must lie in 0..{system.p - 1}, got {args.k0}")
         levels = _resolve_levels(system, args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,6 @@ __all__ = [
     "FlowArc",
     "integrate",
     "flow_map",
-    "flow_jacobian",
     "flow_map_with_jacobian",
     "flow_map_points",
 ]
@@ -240,11 +239,6 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
         return x.copy(), np.eye(n)
     _check_cap(flow, t)
     return _variational(flow, abs(t), x, t < 0.0)
-
-
-def flow_jacobian(flow: Flow, t: float, x) -> np.ndarray:
-    """Space derivative of the time-t flow map at x."""
-    return flow_map_with_jacobian(flow, t, x)[1]
 
 
 def flow_map_points(flow: Flow, t: float, points: np.ndarray,

@@ -21,7 +21,6 @@ from .geometry import Region, RelaySystem, sample_boundary
 from ._util import seeded_rng
 
 __all__ = [
-    "EventSettings",
     "DEFAULT_EVENTS",
     "CrossingEvent",
     "TreeNode",
@@ -38,7 +37,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EventSettings:
+class _EventSettings:
     """The fixed crossing tolerances; DEFAULT_EVENTS is the one record read."""
     tol_level: float = 1e-10   # |f - level| at a reported crossing point
     eps_tan: float = 1e-8      # transversality floor on |d/dt f(F^t x)|
@@ -49,7 +48,7 @@ class EventSettings:
     graze_band: float = 1e-2   # fraction of the g-range scanned for grazing extrema
 
 
-DEFAULT_EVENTS = EventSettings()
+DEFAULT_EVENTS = _EventSettings()
 
 
 @dataclass
@@ -234,7 +233,7 @@ def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
     x = np.asarray(x, float)
     start_stage = 0 if forward else p
     region0 = system.chain_region(start_stage, levels)
-    g0 = float(region0.f.evaluate(x)) - float(levels[start_stage])
+    g0 = float(region0.f.evaluate(x)) - region0.level
     if abs(g0) > DEFAULT_EVENTS.tol_level:
         raise ValueError(f"root point is not on boundary {start_stage}")
 

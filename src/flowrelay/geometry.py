@@ -24,7 +24,6 @@ __all__ = [
     "BoundarySamples",
     "ConditionResult",
     "ValidationReport",
-    "signed_level",
     "sample_boundary",
     "saturate_level",
     "validate_system",
@@ -44,12 +43,6 @@ class Region:
     index: int = 0
 
 
-def signed_level(region: Region, x, level: float | None = None):
-    """f(x) - level: positive inside, zero on the boundary, negative outside."""
-    lv = region.level if level is None else level
-    return region.f.evaluate(x) - lv
-
-
 @dataclass
 class BoundarySamples:
     """Boundary points with their gradient norms (regularity witnesses)."""
@@ -67,19 +60,21 @@ _SAMPLE_NEWTON = 80    # Newton steps per batch
 
 
 def sample_boundary(region: Region, box: np.ndarray, m: int,
-                    seed: int = 0) -> BoundarySamples:
-    """Draw m points on {f = region.level} inside the box.
+                    rng: np.random.Generator) -> BoundarySamples:
+    """Draw m >= 1 points on {f = region.level} inside the box from rng.
 
     Random box points are projected onto the level set by up to 80 Newton
     steps along the gradient; points that leave the box, miss the level by
     more than 1e-10, or land where the gradient is below the regularity
-    floor are discarded. BoundaryNotFound after 20 batches without m points.
+    floor are discarded. BoundaryNotFound after 20 batches without m points;
+    ValueError when m < 1.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1 boundary samples, got {m}")
     lv = region.level
     box = np.asarray(box, float)
     lo, hi = box[0], box[1]
     n = len(lo)
-    rng = seed if isinstance(seed, np.random.Generator) else seeded_rng(seed, "boundary", str(region.index))
     points: list[np.ndarray] = []
     norms: list[float] = []
     for _ in range(_SAMPLE_BATCHES):
@@ -220,12 +215,12 @@ class ValidationReport:
 
 
 def _interior_samples(region: Region, box: np.ndarray, m: int,
-                      rng: np.random.Generator, level: float) -> np.ndarray:
+                      rng: np.random.Generator) -> np.ndarray:
     lo, hi = box[0], box[1]
     keep: list[np.ndarray] = []
     for _ in range(200):
         batch = rng.uniform(lo, hi, size=(max(4 * m, 64), len(lo)))
-        vals = region.f.evaluate(batch) - level
+        vals = region.f.evaluate(batch) - region.level
         inside = batch[vals >= 0.0]
         keep.extend(inside)
         if len(keep) >= m:
@@ -234,16 +229,14 @@ def _interior_samples(region: Region, box: np.ndarray, m: int,
 
 
 def validate_system(system: RelaySystem, levels=None, m: int = 256,
-                    grid: int = 16, seed: int = 0,
-                    t_max: float | None = None) -> ValidationReport:
+                    grid: int = 16, seed: int = 0) -> ValidationReport:
     """Check the switching hypotheses by sampling, reporting worst margins.
 
     - disjoint (k=1..p): boundary k-1 stays strictly outside region k;
     - entry   (k=1..p): flow k carries boundary k-1 into the interior of
       region k at its horizon;
     - absorb (if beta set): flow beta keeps all of region beta-1 inside
-      region beta for every time in [horizon, t_max] (t_max defaults to
-      twice the horizon; one below the horizon raises ValueError);
+      region beta at grid times spread evenly over [horizon, 2 * horizon];
     - regular (j=0..p): gradient norms on sampled boundaries stay above
       the regularity floor.
 
@@ -253,11 +246,6 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
     lv = system.levels() if levels is None else np.asarray(levels, float)
     if lv.shape != (system.p + 1,):
         raise ValueError(f"levels must have length p+1 = {system.p + 1}")
-    if system.beta is not None and t_max is not None:
-        horizon = system.flows[system.beta - 1].horizon
-        if t_max < horizon:
-            raise ValueError(f"t_max={t_max} is below the absorbing flow's "
-                             f"horizon {horizon}")
     conditions: list[ConditionResult] = []
 
     boundary: dict[int, BoundarySamples] = {}
@@ -299,10 +287,10 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
         region_b = system.chain_region(b, lv)
         src_region = system.chain_region(b - 1, lv)
         rng = seeded_rng(seed, "validate-absorb")
-        pts = _interior_samples(src_region, system.box, m, rng, lv[b - 1])
+        pts = _interior_samples(src_region, system.box, m, rng)
         if b - 1 in boundary:
             pts = np.vstack([pts, boundary[b - 1].points])
-        tm = 2.0 * flow_b.horizon if t_max is None else t_max
+        tm = 2.0 * flow_b.horizon
         t_eval = np.linspace(flow_b.horizon, tm, grid)
         states = flow_map_points(flow_b, tm, pts, t_eval=t_eval)
         vals = region_b.f.evaluate(states.reshape(-1, system.n)) - lv[b]

@@ -10,7 +10,7 @@ reject unequal ones with ValueError.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -30,9 +30,6 @@ __all__ = [
     "VerificationReport",
     "SolveOptions",
     "ContinuationPath",
-    "level_values",
-    "chain_start",
-    "chain_end",
     "chain_points",
     "shooting_residual",
     "residual_jacobian",
@@ -94,25 +91,6 @@ def _chain_with_jacobians(system: RelaySystem, sv: SwitchingVector):
         xs.append(x_next)
         mats.append(a)
     return xs, mats
-
-
-def level_values(system: RelaySystem, sv: SwitchingVector) -> np.ndarray:
-    """(f_0(x_0), ..., f_p(x_p)) along the chain; equals the level offsets
-    exactly when the chain rides every boundary."""
-    xs = chain_points(system, sv)
-    vals = [float(system.chain_region(j).f.evaluate(xs[j]))
-            for j in range(system.p + 1)]
-    return np.array(vals)
-
-
-def chain_start(sv: SwitchingVector) -> np.ndarray:
-    """Projection of a switching vector onto its start point (bit-exact)."""
-    return sv.x
-
-
-def chain_end(system: RelaySystem, sv: SwitchingVector) -> np.ndarray:
-    """Endpoint of the realized chain (the composed flow maps applied to x)."""
-    return chain_points(system, sv)[-1]
 
 
 def shooting_residual(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
@@ -249,21 +227,12 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
 @dataclass
 class VerificationReport:
     closure: float
-    closure_raw: float
     margins: tuple[float, ...]
-    monodromy_moduli: tuple[float, ...]
     matched_indices: tuple[int, ...]
     max_time_mismatch: float
 
     def to_dict(self) -> dict:
-        return {
-            "closure": self.closure,
-            "closure_raw": self.closure_raw,
-            "margins": list(self.margins),
-            "monodromy_moduli": list(self.monodromy_moduli),
-            "matched_indices": list(self.matched_indices),
-            "max_time_mismatch": self.max_time_mismatch,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -275,7 +244,6 @@ class PeriodicOrbit:
     residual_norm: float
     margins: tuple[float, ...]
     monodromy: np.ndarray
-    chain: list[np.ndarray]
     window_factor: float
     verification: VerificationReport | None = None
 
@@ -309,7 +277,7 @@ def _package(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     for a in mats:
         monodromy = a @ monodromy
     return PeriodicOrbit(sv, np.asarray(levels, float), rnorm, margins,
-                         monodromy, xs, window_factor)
+                         monodromy, window_factor)
 
 
 _ORBIT_PER_LEG = 256  # samples per leg of an orbit's sampled curve
@@ -360,8 +328,7 @@ def verify_periodic(system: RelaySystem,
     duration must match one crossing (the matched index realizes an NthHit
     replay). A failed match, or a matched time off by more than the replay
     tolerance, raises ReplayMismatch; unequal first and closing level
-    offsets raise ValueError. closure (and closure_raw, the same number) is
-    |replayed end - start|."""
+    offsets raise ValueError. closure is |replayed end - start|."""
     lv = orbit.levels
     _require_closing_level(lv)
     x = orbit.sv.x
@@ -387,10 +354,8 @@ def verify_periodic(system: RelaySystem,
         margins.append(evs[k].margin)
         x = evs[k].point
     closure = float(np.linalg.norm(x - orbit.sv.x))
-    mono = np.linalg.eigvals(orbit.monodromy)
-    return VerificationReport(closure, closure, tuple(margins),
-                              tuple(float(abs(m)) for m in mono),
-                              tuple(indices), float(max_mismatch))
+    return VerificationReport(closure, tuple(margins), tuple(indices),
+                              float(max_mismatch))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +404,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
                   opts: SolveOptions | None = None) -> list[PeriodicOrbit]:
     """Find periodic switching orbits by Levenberg-Marquardt from many seeds.
 
-    Seeds are either explicit switching vectors or ("auto") the leaves of
+    Seeds are either SwitchingVectors or ("auto") the leaves of
     chain expansions grown from boundary samples. Converged candidates that
     sit on the duration clamp are rejected; survivors are deduplicated by
     orbit Hausdorff distance and independently verified. Raises ValueError
@@ -454,8 +419,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
     if isinstance(seeds, str) and seeds == "auto":
         seed_list = _auto_seeds(system, lv, opts)
     else:
-        seed_list = [s if isinstance(s, SwitchingVector) else SwitchingVector.of(*s)
-                     for s in seeds]
+        seed_list = list(seeds)
     if not seed_list:
         raise NoConvergence("no seeds to start from")
 

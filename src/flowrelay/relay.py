@@ -140,10 +140,14 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
              t_max: float | None = None) -> Trajectory:
     """Run the switching dynamics from (x0, mode k0) until a stop criterion.
 
-    At least one of max_switches / t_max must bound the run.
+    At least one of max_switches (>= 1) / t_max (> 0) must bound the run.
     """
     if max_switches is None and t_max is None:
         raise ValueError("need max_switches or t_max as a stop criterion")
+    if max_switches is not None and max_switches < 1:
+        raise ValueError(f"max_switches={max_switches} must be at least 1")
+    if t_max is not None and not t_max > 0.0:
+        raise ValueError(f"t_max={t_max} must be positive")
     lv = system.levels() if levels is None else np.asarray(levels, float)
     if not 0 <= k0 < system.p:
         raise ValueError(f"mode k0={k0} outside 0..{system.p - 1}")
@@ -237,6 +241,8 @@ def cloud_spacing(system: RelaySystem) -> float:
 
 def _expand_cloud(system: RelaySystem, x0, k0: int, levels, total_depth: int,
                   breadth: int, record_from: int) -> PointCloud:
+    if not 0 <= k0 < system.p:
+        raise ValueError(f"mode k0={k0} outside 0..{system.p - 1}")
     lv = system.levels() if levels is None else np.asarray(levels, float)
     delta_s = cloud_spacing(system)
     pts: list[np.ndarray] = []
@@ -288,6 +294,7 @@ def accessible_set(system: RelaySystem, x0, k0: int = 0, levels=None,
 
     Breadth is capped per switching level with deterministic pruning (the
     branches with lexicographically lowest crossing indices survive).
+    Raises ValueError when k0 lies outside 0..p-1.
     """
     return _expand_cloud(system, x0, k0, levels, depth, breadth, record_from=0)
 
@@ -300,6 +307,7 @@ def omega_limit_estimate(system: RelaySystem, x0, k0: int = 0, levels=None,
     Increasing m_discard peels transients, approximating the limit set from
     outside; the sampler can only under-approximate the set of all
     trajectories, so treat the cloud as a witness, not a certificate.
+    Raises ValueError when k0 lies outside 0..p-1.
     """
     return _expand_cloud(system, x0, k0, levels, m_discard + depth, breadth,
                          record_from=m_discard)

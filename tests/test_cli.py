@@ -168,6 +168,12 @@ def test_find_periodic_command(tmp_path):
     assert len(orbits) >= 1
     assert orbits[0]["residual_norm"] < 1e-8
     assert orbits[0]["verification"]["closure"] < 1e-6
+    assert set(orbits[0]) == {"start", "durations", "period", "levels",
+                              "residual_norm", "margins", "monodromy_moduli",
+                              "verification"}
+    assert set(orbits[0]["verification"]) == {"closure", "margins",
+                                              "matched_indices",
+                                              "max_time_mismatch"}
 
 
 def test_find_periodic_unequal_closing_level_is_config_error(tmp_path, capsys):
@@ -248,11 +254,35 @@ def test_reports_validate_against_schema(tmp_path):
             assert (out / artifact).exists()
 
 
-def test_bad_policy_and_x0_dimension_are_config_errors(tmp_path):
-    rc = main(["simulate", "--config", str(SYSTEMB_CONFIG), "--x0", "1.5,0",
-               "--policy", "nth:x", "--max-switches", "1",
-               "--out", str(tmp_path)])
-    assert rc == 1
-    rc = main(["simulate", "--config", str(SYSTEMB_CONFIG), "--x0", "1.5",
-               "--max-switches", "1", "--out", str(tmp_path)])
-    assert rc == 1
+_SIM = ["simulate", "--config", str(SYSTEMB_CONFIG)]
+_CROSS = ["crossings", "--config", str(ROTOR_CONFIG), "--flow", "1",
+          "--region", "1", "--x0", "1.3,0"]
+_ACC = ["accessible", "--config", str(SYSTEMB_CONFIG), "--x0", "1.5,0"]
+BAD_INPUTS = [
+    _SIM + ["--x0", "1.5,0", "--policy", "nth:x", "--max-switches", "1"],
+    _SIM + ["--x0", "1.5", "--max-switches", "1"],
+    _SIM + ["--x0", "nan,0", "--max-switches", "1"],
+    _SIM + ["--x0", "1.5,0", "--max-switches", "0"],
+    _SIM + ["--x0", "1.5,0", "--t-max", "-1"],
+    _SIM + ["--x0", "1.5,0", "--t-max", "inf"],
+    _SIM + ["--x0", "1.5,0", "--max-switches", "1", "--k0", "2"],
+    _CROSS + ["--window", "0"],
+    _CROSS + ["--window", "100"],   # past the ten-horizon time cap
+    _ACC + ["--depth", "-1"],
+    _ACC + ["--breadth", "0"],
+    _ACC + ["--k0", "5"],
+    ["validate", "--config", str(SYSTEMB_CONFIG), "--grid", "0"],
+    ["validate", "--config", str(SYSTEMB_CONFIG), "--samples", "0"],
+    ["validate", "--config", str(SYSTEMB_CONFIG), "--seed", "-1"],
+    ["find-periodic", "--config", str(SYSTEMB_CONFIG), "--seeds", "0"],
+    ["find-periodic", "--config", str(SYSTEMB_CONFIG), "--lambda", "inf,0,inf"],
+    ["degree-check", "--config", str(SYSTEMB_CONFIG), "--samples", "0"],
+]
+
+
+def test_bad_policy_and_x0_dimension_are_config_errors(tmp_path, capsys):
+    # every out-of-range flag is refused before any work, with exit 1
+    for args in BAD_INPUTS:
+        rc = main(args + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert (rc, err.startswith("config error:")) == (1, True), (args, err)

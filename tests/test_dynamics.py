@@ -8,9 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from flowrelay import expr
-from flowrelay.dynamics import (Flow, VectorField, flow_jacobian, flow_map,
-                                flow_map_points, flow_map_with_jacobian,
-                                integrate)
+from flowrelay.dynamics import (Flow, VectorField, flow_map, flow_map_points,
+                                flow_map_with_jacobian, integrate)
 from flowrelay.errors import EvalError, IntegrationError, OutOfSpan
 
 from conftest import GRADIENT_CORPUS, rotation_field
@@ -58,7 +57,7 @@ def test_jacobian_identity_at_zero():
 def test_jacobian_linear_field_is_matrix_exponential():
     fl = sink_flow()
     for x0 in ([1.5, 0.0], [0.0, 2.0]):
-        J = flow_jacobian(fl, 3.0, x0)
+        J = flow_map_with_jacobian(fl, 3.0, x0)[1]
         assert np.abs(J - expm(3.0 * A_SINK)).max() < 1e-8
 
 
@@ -68,7 +67,7 @@ def test_jacobian_matches_finite_differences():
     fl = Flow(f, horizon=3.0)
     x0 = np.array([0.8, -0.4])
     t = 1.7
-    J = flow_jacobian(fl, t, x0)
+    J = flow_map_with_jacobian(fl, t, x0)[1]
     h = 1e-6
     Jfd = np.zeros((2, 2))
     for j in range(2):
@@ -81,8 +80,8 @@ def test_jacobian_matches_finite_differences():
 def test_backward_jacobian_inverts_forward():
     fl = sink_flow()
     x0 = np.array([1.5, 0.0])
-    Jf = flow_jacobian(fl, 2.0, x0)
-    Jb = flow_jacobian(fl, -2.0, flow_map(fl, 2.0, x0))
+    Jf = flow_map_with_jacobian(fl, 2.0, x0)[1]
+    Jb = flow_map_with_jacobian(fl, -2.0, flow_map(fl, 2.0, x0))[1]
     assert np.abs(Jb @ Jf - np.eye(2)).max() < 1e-7
 
 
@@ -237,7 +236,7 @@ def test_variable_exponent_field_jacobian_matches_finite_differences():
     f = VectorField([expr.parse("x2^x1", 2), expr.parse("x1 - x2", 2)])
     fl = Flow(f, horizon=2.0)
     x0 = np.array([0.5, 2.0])
-    J = flow_jacobian(fl, 0.8, x0)
+    J = flow_map_with_jacobian(fl, 0.8, x0)[1]
     h = 1e-6
     for j in range(2):
         xp = x0.copy(); xp[j] += h

@@ -157,7 +157,8 @@ def test_systemb_tree_parities(systemb_m):
 
 
 def test_forward_tree_leaves_on_closing_boundary(systemb_m):
-    bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 3, seed=5)
+    bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 3,
+                         np.random.default_rng(5))
     lv = systemb_m.levels()
     for pt in bs.points:
         tree = forward_tree(systemb_m, lv, pt)
@@ -169,7 +170,8 @@ def test_forward_tree_leaves_on_closing_boundary(systemb_m):
 
 
 def test_backward_tree_even_leaves(systemb_m):
-    bs = sample_boundary(systemb_m.chain_region(2), systemb_m.box, 6, seed=6)
+    bs = sample_boundary(systemb_m.chain_region(2), systemb_m.box, 6,
+                         np.random.default_rng(6))
     for pt in bs.points:
         try:
             tree = backward_tree(systemb_m, None, pt)
@@ -182,7 +184,8 @@ def test_backward_tree_even_leaves(systemb_m):
 
 
 def test_parity_stable_under_level_perturbation(systemb_m):
-    bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 4, seed=9)
+    bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 4,
+                         np.random.default_rng(9))
     for pt in bs.points:
         base = forward_leaf_parity(systemb_m, None, pt)
         # margins on this system are ~0.25; perturb far below half of that

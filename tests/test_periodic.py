@@ -15,8 +15,7 @@ from flowrelay.errors import (ContinuationStalled, DegenerateJacobian,
 from flowrelay.events import forward_tree, backward_tree
 from flowrelay.geometry import Region, RelaySystem, sample_boundary
 from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
-                                chain_end, chain_points, chain_start,
-                                continue_levels, find_periodic, level_values,
+                                chain_points, continue_levels, find_periodic,
                                 orbit_hausdorff, residual_jacobian, shooting_residual,
                                 verify_periodic)
 
@@ -48,15 +47,23 @@ def rotor_closed_form_sv(radius: float = 1.0) -> SwitchingVector:
                               (t1, 2 * math.pi - t1))
 
 
+def f_along_chain(system, sv: SwitchingVector) -> np.ndarray:
+    """(f_0(x_0), ..., f_p(x_p)) along the chain."""
+    xs = chain_points(system, sv)
+    return np.array([float(system.chain_region(j).f.evaluate(x))
+                     for j, x in enumerate(xs)])
+
+
 def test_level_values_on_boundary_start(systemb_m):
-    bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 1, seed=0)
+    bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 1,
+                         np.random.default_rng(0))
     sv = SwitchingVector.of(bs.points[0], (1.0, 1.0))
-    vals = level_values(systemb_m, sv)
+    vals = f_along_chain(systemb_m, sv)
     assert abs(vals[0]) <= 1e-10
 
 
 def test_level_values_rotor_closed_form(rotor_m):
-    vals = level_values(rotor_m, rotor_closed_form_sv())
+    vals = f_along_chain(rotor_m, rotor_closed_form_sv())
     assert np.abs(vals).max() < 1e-8
 
 
@@ -64,7 +71,7 @@ def test_level_values_recomputation_oracle(systemb_m):
     rng = np.random.default_rng(8)
     for _ in range(5):
         sv = SwitchingVector.of(rng.uniform(-1, 1, 2), rng.uniform(0.5, 3.5, 2))
-        vals = level_values(systemb_m, sv)
+        vals = f_along_chain(systemb_m, sv)
         x1 = flow_map(systemb_m.flows[0], sv.durations[0], sv.x)
         x2 = flow_map(systemb_m.flows[1], sv.durations[1], x1)
         assert vals[0] == pytest.approx(float(systemb_m.regions[0].f.evaluate(sv.x)))
@@ -72,16 +79,11 @@ def test_level_values_recomputation_oracle(systemb_m):
         assert vals[2] == pytest.approx(float(systemb_m.regions[0].f.evaluate(x2)), abs=1e-9)
 
 
-def test_chain_start_bit_exact():
-    sv = SwitchingVector.of([0.1234567890123, -0.9], (1.0, 2.0))
-    assert np.array_equal(chain_start(sv), np.array(sv.start))
-
-
 def test_chain_rejects_nonpositive_duration(systemb_m):
     with pytest.raises(NotInWindow):
-        chain_end(systemb_m, SwitchingVector.of([1.5, 0.0], (0.0, 1.0)))
+        chain_points(systemb_m, SwitchingVector.of([1.5, 0.0], (0.0, 1.0)))
     with pytest.raises(NotInWindow):
-        chain_end(systemb_m, SwitchingVector.of([1.5, 0.0], (1.0, 100.0)))
+        chain_points(systemb_m, SwitchingVector.of([1.5, 0.0], (1.0, 100.0)))
 
 
 def test_residual_shape_and_closed_form(rotor_m):
@@ -248,7 +250,7 @@ def test_find_periodic_systemb_small(systemb_m):
     # the symmetric relay has equal legs
     assert abs(orb.sv.durations[0] - orb.sv.durations[1]) < 1e-6
     # chain end returns to the start
-    assert np.abs(chain_end(systemb_m, orb.sv) - chain_start(orb.sv)).max() < 1e-8
+    assert np.abs(chain_points(systemb_m, orb.sv)[-1] - orb.sv.x).max() < 1e-8
 
 
 def test_find_periodic_deterministic(systemb_m):
@@ -262,18 +264,20 @@ def test_find_periodic_deterministic(systemb_m):
 
 def test_tree_leaves_are_consistent_switching_vectors(systemb_m):
     lv = systemb_m.levels()
-    bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 2, seed=4)
+    bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 2,
+                         np.random.default_rng(4))
     for pt in bs.points:
         tree = forward_tree(systemb_m, lv, pt)
         for leaf in tree.leaves:
             sv = SwitchingVector.of(pt, leaf.times)
-            assert np.abs(level_values(systemb_m, sv) - lv).max() <= 1e-8
-    bsp = sample_boundary(systemb_m.chain_region(2), systemb_m.box, 2, seed=4)
+            assert np.abs(f_along_chain(systemb_m, sv) - lv).max() <= 1e-8
+    bsp = sample_boundary(systemb_m.chain_region(2), systemb_m.box, 2,
+                          np.random.default_rng(4))
     for pt in bsp.points:
         tree = backward_tree(systemb_m, lv, pt)
         for leaf in tree.leaves:
             sv = SwitchingVector.of(leaf.point, tuple(reversed(leaf.times)))
-            assert np.abs(chain_end(systemb_m, sv) - pt).max() <= 1e-7
+            assert np.abs(chain_points(systemb_m, sv)[-1] - pt).max() <= 1e-7
 
 
 def test_verify_rejects_corrupted_orbit(systemb_m, systemb_orbit):
@@ -281,8 +285,7 @@ def test_verify_rejects_corrupted_orbit(systemb_m, systemb_orbit):
     bad_sv = SwitchingVector.of(orb.sv.start,
                                 (orb.sv.durations[0] + 0.01, orb.sv.durations[1]))
     corrupted = PeriodicOrbit(bad_sv, orb.levels, orb.residual_norm,
-                              orb.margins, orb.monodromy,
-                              chain_points(systemb_m, bad_sv), orb.window_factor)
+                              orb.margins, orb.monodromy, orb.window_factor)
     with pytest.raises(ReplayMismatch):
         verify_periodic(systemb_m, corrupted)
 

@@ -98,6 +98,20 @@ def test_simulate_requires_stop_rule(rotor_m):
         simulate(rotor_m, rotor_periodic_start(1.0), 0)
 
 
+@pytest.mark.parametrize("stop", [{"max_switches": 0}, {"t_max": 0.0},
+                                  {"t_max": -1.0}, {"t_max": math.nan}])
+def test_simulate_rejects_empty_stop_rule(rotor_m, stop):
+    with pytest.raises(ValueError, match="must be"):
+        simulate(rotor_m, rotor_periodic_start(1.0), 0, **stop)
+
+
+@pytest.mark.parametrize("cloud", [accessible_set, omega_limit_estimate])
+@pytest.mark.parametrize("k0", [-1, 2])
+def test_clouds_reject_mode_outside_range(rotor_m, cloud, k0):
+    with pytest.raises(ValueError, match="k0"):
+        cloud(rotor_m, rotor_periodic_start(1.0), k0)
+
+
 def test_no_crossing_within_horizon():
     # start far outside both disks on a huge circle: never meets boundary 1
     rotor = make_rotor()
