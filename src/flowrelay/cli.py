@@ -5,9 +5,10 @@ directory. Reports contain no timestamps and all randomness flows from the
 --seed flag, so identical (config, command, seed) triples produce
 byte-identical outputs.
 
-Exit codes: 0 success, 1 usage/config error, 2 hypothesis-validation
-failure, 3 numeric failure (no convergence, degenerate crossing, stalled
-continuation, integration failure).
+Exit codes: 0 success, 1 usage/config error (including a malformed or
+missing flag and a start point on the watched boundary), 2
+hypothesis-validation failure, 3 numeric failure (no convergence,
+degenerate crossing, stalled continuation, integration failure).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .dynamics import TIME_CAP_FACTOR, Flow, VectorField
 from .errors import (BoundaryNotFound, ConfigError, ContinuationStalled,
                      DegenerateCrossing, DegenerateJacobian, FlowRelayError,
                      IntegrationError, NoConvergence, NoCrossingWithinHorizon,
-                     ParseError)
+                     ParseError, StartOnBoundary)
 from .expr import parse as parse_expr
 
 __all__ = ["load_config", "main"]
@@ -144,21 +145,22 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
-def _write_report(outdir: Path, command: str, config_path: Path, seed: int,
-                  outcome: str, metrics: dict, artifacts: list[str]) -> Path:
-    report = {
-        "command": command,
+_OUTCOMES = {0: "ok", 2: "validation_failed"}  # by exit code
+
+
+def _write_report(outdir: Path, args, code: int, metrics: dict,
+                  artifacts: list[str]) -> None:
+    config_path = Path(args.config)
+    _write_json(outdir / f"{args.command}_report.json", {
+        "command": args.command,
         "config": str(config_path),
         "config_sha256": hashlib.sha256(config_path.read_bytes()).hexdigest(),
-        "seed": seed,
-        "outcome": outcome,
+        "seed": args.seed,
+        "outcome": _OUTCOMES[code],
         "metrics": metrics,
         "artifacts": artifacts,
         "version": __version__,
-    }
-    path = outdir / f"{command}_report.json"
-    _write_json(path, report)
-    return path
+    })
 
 
 def _parse_vector(text: str, name: str, length: int | None = None) -> np.ndarray:
@@ -201,26 +203,25 @@ def _write_csv(path: Path, header: list[str], rows) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each writes its data files and returns (exit code, report
+# metrics, artifact names); main writes the report
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args, system, levels, outdir: Path) -> int:
+def _cmd_validate(args, system, levels, outdir: Path):
     report = geo.validate_system(system, levels, m=args.samples,
                                  grid=args.grid, seed=args.seed)
     payload = report.to_dict()
     _write_json(outdir / "validation.json", payload)
-    outcome = "ok" if report.passed else "validation_failed"
-    _write_report(outdir, "validate", Path(args.config), args.seed, outcome,
-                  {"passed": report.passed,
-                   "failures": [list(f) for f in report.failures]},
-                  ["validation.json"])
     for c in report.conditions:
         print(f"{c.name}[{c.index}] {'pass' if c.passed else 'FAIL'} "
               f"margin={c.margin:.6g}{' ' + c.note if c.note else ''}")
-    return 0 if report.passed else 2
+    return (0 if report.passed else 2,
+            {"passed": report.passed,
+             "failures": [list(f) for f in report.failures]},
+            ["validation.json"])
 
 
-def _cmd_simulate(args, system, levels, outdir: Path) -> int:
+def _cmd_simulate(args, system, levels, outdir: Path):
     if args.max_switches is None and args.t_max is None:
         raise ConfigError("simulate", "need --max-switches or --t-max")
     if args.t_max is not None and not 0.0 < args.t_max < np.inf:
@@ -249,18 +250,16 @@ def _cmd_simulate(args, system, levels, outdir: Path) -> int:
                  "crossing_index": s.crossing_index, "margin": s.margin}
                 for s in traj.switches]
     _write_json(outdir / "switches.json", switches)
-    _write_report(outdir, "simulate", Path(args.config), args.seed, "ok",
-                  {"switches": len(traj.switches), "rows": count,
-                   "final_time": traj.final_time,
-                   "final_state": list(traj.final_state),
-                   "strict_mode": strict,
-                   "strict_mode_excess": strict_excess},
-                  ["trajectory.csv", "switches.json"])
     print(f"{len(traj.switches)} switches, final time {traj.final_time:.6g}")
-    return 0
+    return (0, {"switches": len(traj.switches), "rows": count,
+                "final_time": traj.final_time,
+                "final_state": list(traj.final_state),
+                "strict_mode": strict,
+                "strict_mode_excess": strict_excess},
+            ["trajectory.csv", "switches.json"])
 
 
-def _cmd_crossings(args, system, levels, outdir: Path) -> int:
+def _cmd_crossings(args, system, levels, outdir: Path):
     if not 1 <= args.flow <= system.p:
         raise ConfigError("--flow", f"flow index must lie in 1..{system.p}")
     if not 0 <= args.region <= system.p:
@@ -278,17 +277,15 @@ def _cmd_crossings(args, system, levels, outdir: Path) -> int:
     count = _write_csv(outdir / "crossings.csv",
                        ["t"] + [f"x{i + 1}" for i in range(system.n)]
                        + ["direction", "margin"], rows)
-    _write_report(outdir, "crossings", Path(args.config), args.seed, "ok",
-                  {"count": count,
-                   "times": [e.t for e in evs],
-                   "flow": args.flow, "region": args.region,
-                   "window": args.window, "backward": args.backward},
-                  ["crossings.csv"])
     print(f"{count} crossing(s): {[round(e.t, 6) for e in evs]}")
-    return 0
+    return (0, {"count": count,
+                "times": [e.t for e in evs],
+                "flow": args.flow, "region": args.region,
+                "window": args.window, "backward": args.backward},
+            ["crossings.csv"])
 
 
-def _cmd_find_periodic(args, system, levels, outdir: Path) -> int:
+def _cmd_find_periodic(args, system, levels, outdir: Path):
     opts = per.SolveOptions(max_seeds=args.seeds, seed=args.seed)
     metrics: dict = {}
     lv_from = None if args.continue_from is None else _parse_vector(
@@ -314,14 +311,12 @@ def _cmd_find_periodic(args, system, levels, outdir: Path) -> int:
         "closures": [o.verification.closure for o in orbits
                      if o.verification is not None],
     })
-    _write_report(outdir, "find-periodic", Path(args.config), args.seed, "ok",
-                  metrics, ["orbits.json"])
     print(f"{len(orbits)} orbit(s); periods "
           f"{[round(o.period, 6) for o in orbits]}")
-    return 0
+    return 0, metrics, ["orbits.json"]
 
 
-def _cmd_degree_check(args, system, levels, outdir: Path) -> int:
+def _cmd_degree_check(args, system, levels, outdir: Path):
     res = ev.degree_check(system, levels, samples=args.samples, seed=args.seed)
     payload = res.to_dict()
     start = [v for v in res.start_parities if v is not None]
@@ -329,14 +324,12 @@ def _cmd_degree_check(args, system, levels, outdir: Path) -> int:
     payload["start_parity_uniform"] = sorted(set(start))
     payload["end_parity_uniform"] = sorted(set(end))
     _write_json(outdir / "degree_check.json", payload)
-    _write_report(outdir, "degree-check", Path(args.config), args.seed, "ok",
-                  payload, ["degree_check.json"])
     print(f"start parities {sorted(set(start))}, end parities {sorted(set(end))}, "
           f"degenerate rate {res.degenerate_rate:.3f}")
-    return 0
+    return 0, payload, ["degree_check.json"]
 
 
-def _cmd_accessible(args, system, levels, outdir: Path) -> int:
+def _cmd_accessible(args, system, levels, outdir: Path):
     x0 = _parse_vector(args.x0, "--x0", system.n)
     cloud = relay.accessible_set(system, x0, args.k0, levels,
                                  depth=args.depth, breadth=args.breadth)
@@ -345,13 +338,11 @@ def _cmd_accessible(args, system, levels, outdir: Path) -> int:
     rows = [[*pt, int(d)] for pt, d in zip(cloud.points, cloud.depths)]
     count = _write_csv(outdir / "points.csv",
                        [f"x{i + 1}" for i in range(system.n)] + ["depth"], rows)
-    _write_report(outdir, "accessible", Path(args.config), args.seed, "ok",
-                  {"points": count, "depth": args.depth,
-                   "breadth": args.breadth, "connected": connected,
-                   "components": ncomp, "delta": 2.0 * delta_s},
-                  ["points.csv"])
     print(f"{count} points, {ncomp} component(s) at delta={2 * delta_s:.4g}")
-    return 0
+    return (0, {"points": count, "depth": args.depth,
+                "breadth": args.breadth, "connected": connected,
+                "components": ncomp, "delta": 2.0 * delta_s},
+            ["points.csv"])
 
 
 _COMMANDS = {
@@ -364,8 +355,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed or missing flag as a config error (exit 1), since
+    argparse's own exit code 2 would read as a failed validation."""
+
+    def error(self, message):
+        raise ConfigError(self.prog, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowrelay",
         description="Cyclic relays of smooth flows: validation, simulation, "
                     "crossing parities, periodic-orbit shooting.")
@@ -421,16 +420,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the lowest value of each integer flag; checked here, not by argparse, whose
-# exit code 2 would read as a validation failure
+# the lowest value of each integer flag
 _FLAG_FLOORS = {"seed": 0, "samples": 1, "grid": 1, "seeds": 1,
                 "max_switches": 1, "depth": 0, "breadth": 1}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         for name, low in _FLAG_FLOORS.items():
             value = getattr(args, name, None)
             if value is not None and value < low:
@@ -442,8 +439,11 @@ def main(argv=None) -> int:
         levels = _resolve_levels(system, args)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, system, levels, outdir)
-    except ConfigError as exc:
+        code, metrics, artifacts = _COMMANDS[args.command](args, system,
+                                                           levels, outdir)
+        _write_report(outdir, args, code, metrics, artifacts)
+        return code
+    except (ConfigError, StartOnBoundary) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except _NUMERIC_ERRORS as exc:

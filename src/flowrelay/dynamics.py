@@ -3,8 +3,8 @@
 One adaptive embedded Runge-Kutta pair (DOP853 at rtol 1e-10, atol 1e-12)
 behind one solve_ivp call; the dense-output interpolant is built only for
 arcs and sampled batches, not for endpoint maps. No stiff path. Backward
-time is realized by integrating the sign-flipped field forward, so crossing
-search and tree recursion share a single code path.
+time is a negative time span: the solver steps the same field with negative
+steps, so both directions use the same compiled kernels.
 
 Each VectorField is compiled once into fused kernels (value, Jacobian,
 variational right-hand side) that the solver calls on the state directly.
@@ -57,9 +57,8 @@ class VectorField:
 
     Compiled at construction into functions of floats that each return one
     tuple: the value (n entries), the Jacobian (n², row-major) and the
-    variational right-hand side (n + n² entries); the value and the
-    variational right-hand side also negated for backward time, and the
-    value also over numpy columns. They evaluate the same trees as
+    variational right-hand side (n + n² entries); the value also over numpy
+    columns. They evaluate the same trees as
     Expression.evaluate/gradient. Immutable after construction; evaluation
     is pure and thread-safe.
     """
@@ -77,15 +76,9 @@ class VectorField:
         self.n = n
         roots = tuple(c.root for c in components)
         jac = tuple(ex.derive(r, k) for r in roots for k in range(1, n + 1))
-        var = _variational_body(roots, jac)
-
-        def kernels(body, nargs):
-            neg = tuple(ex.Neg(b) for b in body)
-            return (ex._compile(body, nargs, "_", ex._SCALAR_NS),
-                    ex._compile(neg, nargs, "_", ex._SCALAR_NS))
-
-        self._value, self._value_back = kernels(roots, n)
-        self._var, self._var_back = kernels(var, n + n * n)
+        self._value = ex._compile(roots, n, "_", ex._SCALAR_NS)
+        self._var = ex._compile(_variational_body(roots, jac), n + n * n, "_",
+                                ex._SCALAR_NS)
         self._jac = ex._compile(jac, n, "_", ex._SCALAR_NS)
         self._value_cols = ex._compile(roots, n, "_a", ex._ARRAY_NS)
 
@@ -127,21 +120,25 @@ class Flow:
 
 
 class FlowArc:
-    """An integrated trajectory piece with dense output.
+    """An integrated trajectory piece with dense output, built by integrate.
 
-    The arc is parameterized by tau in [0, duration]; for a backward arc the
-    physical time is -tau.
+    The arc is parameterized by elapsed time tau in [0, duration], and ts
+    holds the accepted steps in tau. A backward arc is solved over the
+    negative span [0, -duration], so its solver time is -tau; this class is
+    the one place that maps between the two.
     """
 
     def __init__(self, flow: Flow, x0: np.ndarray, duration: float,
-                 backward: bool, sol):
+                 backward: bool):
         self.flow = flow
         self.x0 = np.asarray(x0, float)
         self.duration = duration
         self.backward = backward
-        self._sol = sol
-        self.ts = sol.t
-        self.states = sol.y
+        self._sign = -1.0 if backward else 1.0
+        self._sol = _solve(_kernel_rhs(flow.field._value, "field evaluation"),
+                           self._sign * duration, self.x0, dense=True)
+        self.ts = np.abs(self._sol.t)
+        self.states = self._sol.y
 
     @property
     def end(self) -> np.ndarray:
@@ -152,7 +149,7 @@ class FlowArc:
             raise OutOfSpan(f"tau={tau} outside [0, {self.duration}]")
         if tau == 0.0:
             return self.x0.copy()
-        return np.asarray(self._sol.sol(tau), float)
+        return np.asarray(self._sol.sol(self._sign * tau), float)
 
     def sample(self, taus) -> np.ndarray:
         """Dense states at many parameters, shape (len(taus), n)."""
@@ -161,7 +158,7 @@ class FlowArc:
             return np.empty((0, self.flow.field.n))
         if taus.min() < 0.0 or taus.max() > self.duration:
             raise OutOfSpan("sample parameters outside the integrated span")
-        return np.asarray(self._sol.sol(taus), float).T
+        return np.asarray(self._sol.sol(self._sign * taus), float).T
 
 
 def _check_cap(flow: Flow, t: float) -> None:
@@ -171,10 +168,11 @@ def _check_cap(flow: Flow, t: float) -> None:
             f"({TIME_CAP_FACTOR * flow.horizon})")
 
 
-def _solve(rhs, duration: float, y0: np.ndarray, dense: bool):
-    """The one solve_ivp call: integrate y' = rhs(y) over [0, duration],
-    raising IntegrationError on solver failure or a non-finite end state."""
-    sol = solve_ivp(rhs, (0.0, duration), y0, method="DOP853",
+def _solve(rhs, t: float, y0: np.ndarray, dense: bool):
+    """The one solve_ivp call: integrate y' = rhs(y) from 0 to the signed
+    time t, raising IntegrationError on solver failure or a non-finite end
+    state."""
+    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853",
                     dense_output=dense, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
@@ -195,20 +193,13 @@ def _kernel_rhs(kernel, what: str):
     return rhs
 
 
-def _field_rhs(flow: Flow, backward: bool):
-    fld = flow.field
-    return _kernel_rhs(fld._value_back if backward else fld._value,
-                       "field evaluation")
-
-
 def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> FlowArc:
-    """Integrate the flow from x0 over [0, duration] (field negated if backward)."""
+    """Integrate the flow from x0 for the given duration, backward in time
+    if asked."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     _check_cap(flow, duration)
-    x0 = np.asarray(x0, float)
-    sol = _solve(_field_rhs(flow, backward), duration, x0, dense=True)
-    return FlowArc(flow, x0, duration, backward, sol)
+    return FlowArc(flow, x0, duration, backward)
 
 
 def flow_map(flow: Flow, t: float, x) -> np.ndarray:
@@ -217,18 +208,8 @@ def flow_map(flow: Flow, t: float, x) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     _check_cap(flow, t)
-    sol = _solve(_field_rhs(flow, t < 0.0), abs(t), x, dense=False)
-    return sol.y[:, -1].copy()
-
-
-def _variational(flow: Flow, duration: float, x0, backward: bool):
-    fld = flow.field
-    n = fld.n
-    rhs = _kernel_rhs(fld._var_back if backward else fld._var,
-                      "variational right-hand side")
-    y0 = np.concatenate([np.asarray(x0, float), np.eye(n).ravel()])
-    yf = _solve(rhs, duration, y0, dense=False).y[:, -1]
-    return yf[:n].copy(), yf[n:].reshape(n, n).copy()
+    rhs = _kernel_rhs(flow.field._value, "field evaluation")
+    return _solve(rhs, t, x, dense=False).y[:, -1].copy()
 
 
 def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +219,9 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
     if t == 0.0:
         return x.copy(), np.eye(n)
     _check_cap(flow, t)
-    return _variational(flow, abs(t), x, t < 0.0)
+    rhs = _kernel_rhs(flow.field._var, "variational right-hand side")
+    yf = _solve(rhs, t, np.concatenate([x, np.eye(n).ravel()]), dense=False).y[:, -1]
+    return yf[:n].copy(), yf[n:].reshape(n, n).copy()
 
 
 def flow_map_points(flow: Flow, t: float, points: np.ndarray,
@@ -260,12 +243,11 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     pts = np.asarray(points, float)
     npts, n = pts.shape
     fld = flow.field
-    sign = -1.0 if t < 0.0 else 1.0
 
     def rhs(_t, y):
-        return sign * fld.value_batch(y.reshape(npts, n)).ravel()
+        return fld.value_batch(y.reshape(npts, n)).ravel()
 
-    sol = _solve(rhs, abs(t), pts.ravel(), dense=t_eval is not None)
+    sol = _solve(rhs, t, pts.ravel(), dense=t_eval is not None)
     if t_eval is None:
         return sol.y[:, -1].reshape(npts, n)
-    return sol.sol(t_eval).T.reshape(len(t_eval), npts, n)
+    return sol.sol(np.copysign(t_eval, t)).T.reshape(len(t_eval), npts, n)

@@ -55,6 +55,10 @@ class DegenerateCrossing(FlowRelayError):
         super().__init__(message)
 
 
+class StartOnBoundary(FlowRelayError, ValueError):
+    """A crossing search started on the boundary it watches."""
+
+
 class NoCrossingWithinHorizon(FlowRelayError):
     """The watched boundary was never reached within the search cap."""
 

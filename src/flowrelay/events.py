@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dynamics import Flow, FlowArc, integrate
-from .errors import DegenerateCrossing, VanishingImage
+from .errors import DegenerateCrossing, StartOnBoundary, VanishingImage
 from .expr import Expression
 from .geometry import Region, RelaySystem, sample_boundary
 from ._util import seeded_rng
@@ -148,7 +148,7 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
         arc = integrate(flow, t_end, np.asarray(x, float), backward=backward)
     g0 = float(f.evaluate(arc.x0)) - lv
     if abs(g0) <= DEFAULT_EVENTS.tol_level:
-        raise ValueError("start point lies on the watched boundary")
+        raise StartOnBoundary("start point lies on the watched boundary")
 
     t_sep = DEFAULT_EVENTS.t_sep_rel * t_end
     ns = DEFAULT_EVENTS.ns
@@ -198,8 +198,6 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
 class TreeNode:
     point: np.ndarray
     times: tuple[float, ...]   # durations accumulated along the branch
-    stage: int                 # chain index of the boundary this node lies on
-    parent: int | None         # index into the previous stage's node list
 
 
 @dataclass
@@ -213,8 +211,6 @@ class CrossingTree:
     (possible only when the entry hypothesis fails).
     """
 
-    root: np.ndarray
-    forward: bool
     stages: list[list[TreeNode]]
     consistent: bool
 
@@ -237,7 +233,7 @@ def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
     if abs(g0) > DEFAULT_EVENTS.tol_level:
         raise ValueError(f"root point is not on boundary {start_stage}")
 
-    stages = [[TreeNode(x, (), start_stage, None)]]
+    stages = [[TreeNode(x, ())]]
     consistent = True
     order = range(1, p + 1) if forward else range(p - 1, -1, -1)
     for target in order:
@@ -245,7 +241,7 @@ def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
         flow = system.flows[flow_idx]
         region_t = system.chain_region(target, levels)
         next_nodes: list[TreeNode] = []
-        for parent_idx, node in enumerate(stages[-1]):
+        for node in stages[-1]:
             try:
                 evs = find_crossings(flow, region_t, float(levels[target]),
                                      node.point, window_factor * flow.horizon,
@@ -255,10 +251,9 @@ def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
             if not evs:
                 consistent = False
             for ev in evs:
-                next_nodes.append(TreeNode(ev.point, node.times + (ev.t,),
-                                           target, parent_idx))
+                next_nodes.append(TreeNode(ev.point, node.times + (ev.t,)))
         stages.append(next_nodes)
-    return CrossingTree(x, forward, stages, consistent)
+    return CrossingTree(stages, consistent)
 
 
 def forward_tree(system: RelaySystem, levels, x) -> CrossingTree:
@@ -289,8 +284,6 @@ class DegreeCheckResult:
 
     start_parities: list[int | None]   # None marks a degenerate sample
     end_parities: list[int | None]
-    start_points: np.ndarray
-    end_points: np.ndarray
 
     @property
     def degenerate_rate(self) -> float:
@@ -332,7 +325,7 @@ def degree_check(system: RelaySystem, levels=None, samples: int = 20,
             end.append(backward_leaf_parity(system, lv, pt))
         except DegenerateCrossing:
             end.append(None)
-    return DegreeCheckResult(start, end, bs0.points, bsp.points)
+    return DegreeCheckResult(start, end)
 
 
 # ---------------------------------------------------------------------------

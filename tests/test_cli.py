@@ -192,6 +192,31 @@ def test_numeric_failure_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_start_on_watched_boundary_is_a_config_error(tmp_path, capsys):
+    common = ["--config", str(ROTOR_CONFIG), "--out", str(tmp_path)]
+    for args in (["crossings", "--flow", "1", "--region", "0", "--x0", "1.3,0",
+                  "--window", "3"],
+                 ["simulate", "--x0=-0.6,0", "--max-switches", "1"],
+                 ["accessible", "--x0=-0.6,0", "--depth", "1"]):
+        rc = main(args + common)
+        err = capsys.readouterr().err
+        assert (rc, err) == (1, "config error: start point lies on the "
+                                "watched boundary\n"), args
+
+
+def test_malformed_flags_are_config_errors(capsys):
+    # argparse's own exit code 2 would read as a failed validation
+    for args in (["validate", "--config", str(SYSTEMB_CONFIG), "--samples", "abc"],
+                 ["validate"]):
+        rc = main(args)
+        err = capsys.readouterr().err
+        assert (rc, err.startswith("config error:")) == (1, True), (args, err)
+    for args in (["--help"], ["--version"], ["validate", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "flowrelay", "--version"],
                           capture_output=True, text=True)

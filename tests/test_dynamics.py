@@ -12,7 +12,8 @@ from flowrelay.dynamics import (Flow, VectorField, flow_map, flow_map_points,
                                 flow_map_with_jacobian, integrate)
 from flowrelay.errors import EvalError, IntegrationError, OutOfSpan
 
-from conftest import GRADIENT_CORPUS, rotation_field
+from conftest import GRADIENT_CORPUS, make_rotor, make_systemb, rotation_field
+from test_three_mode import make_triangle
 
 A_SINK = np.array([[-0.5, -1.0], [1.0, -0.5]])
 C_SINK = np.array([-1.0, 0.0])
@@ -208,9 +209,33 @@ def test_variational_kernel_is_value_and_jacobian_product():
         want = np.concatenate([f(x), np.ravel(dm)])
         y = np.concatenate([x, m.ravel()]).tolist()
         assert np.array_equal(np.array(f._var(*y)), want)
-        assert np.array_equal(np.array(f._var_back(*y)), -want)
         assert np.abs(want[3:] - (f.jacobian(x) @ m).ravel()).max() < 1e-14
-        assert np.array_equal(np.array(f._value_back(*x.tolist())), -f(x))
+
+
+def test_backward_time_equals_negated_field_forward():
+    # a negative time span steps V exactly as a positive one steps -V
+    def negated(fl: Flow) -> Flow:
+        return Flow(VectorField([expr.Expression(expr.Neg(c.root), c.n)
+                                 for c in fl.field.components]), fl.horizon)
+
+    rng = np.random.default_rng(13)
+    flows = [*make_systemb().flows, make_rotor().flows[0], *make_triangle().flows]
+    for fl in flows:
+        neg = negated(fl)
+        for _ in range(4):
+            x = rng.uniform(-2.0, 2.0, 2)
+            t = float(rng.uniform(0.1, fl.horizon))
+            assert np.array_equal(flow_map(fl, -t, x), flow_map(neg, t, x))
+            for got, want in zip(flow_map_with_jacobian(fl, -t, x),
+                                 flow_map_with_jacobian(neg, t, x)):
+                assert np.array_equal(got, want)
+            back, fwd = integrate(fl, t, x, backward=True), integrate(neg, t, x)
+            taus = np.linspace(0.0, t, 17)
+            assert np.array_equal(back.ts, fwd.ts)
+            assert np.array_equal(back.sample(taus), fwd.sample(taus))
+            pts = rng.uniform(-2.0, 2.0, (3, 2))
+            assert np.array_equal(flow_map_points(fl, -t, pts, taus),
+                                  flow_map_points(neg, t, pts, taus))
 
 
 @pytest.mark.parametrize("drift, t", [("-1", 1.0), ("1", -1.0)])

@@ -11,7 +11,8 @@ from scipy.linalg import expm
 from flowrelay import expr, periodic
 from flowrelay.dynamics import Flow, VectorField, flow_map
 from flowrelay.errors import (ContinuationStalled, DegenerateJacobian,
-                              NoConvergence, NotInWindow, ReplayMismatch)
+                              IntegrationError, NoConvergence, NotInWindow,
+                              ReplayMismatch)
 from flowrelay.events import forward_tree, backward_tree
 from flowrelay.geometry import Region, RelaySystem, sample_boundary
 from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
@@ -208,6 +209,27 @@ def test_hopeless_seed_work_is_bounded(rotor_m, monkeypatch):
                       opts=opts)
     assert calls["jacobian"] <= opts.max_iter
     assert calls["residual"] <= 2 * opts.max_iter + 11
+
+
+def test_newton_counts_a_failed_trial_as_a_rejection(rotor_m, monkeypatch):
+    # the first trial's integration fails: Newton raises the damping and
+    # tries again instead of giving the seed up
+    calls = []
+    residual = periodic.shooting_residual
+
+    def failing_once(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise IntegrationError("injected trial failure")
+        return residual(*args)
+
+    monkeypatch.setattr(periodic, "shooting_residual", failing_once)
+    sv = rotor_closed_form_sv()
+    rough = SwitchingVector.of(sv.x + np.array([0.0, 1e-3]),
+                               (sv.durations[0] + 0.05, sv.durations[1] - 0.02))
+    res = periodic._newton(rotor_m, rotor_m.levels(), rough, SolveOptions())
+    assert res.converged
+    assert len(calls) > 2
 
 
 def test_singular_relay_raises_degenerate_jacobian():

@@ -60,6 +60,17 @@ def test_t_max_before_first_crossing_single_segment(rotor_m):
     assert traj.final_time == pytest.approx(0.5)
 
 
+def test_t_max_parks_a_run_that_meets_no_boundary(rotor_m):
+    # the radius-2.5 circle never meets boundary 1: the run ends at t_max on
+    # the rotated start point instead of failing
+    traj = simulate(rotor_m, [2.5, 0.0], 0, t_max=5.0)
+    assert len(traj.segments) == 1
+    assert traj.switches == []
+    assert traj.final_time == 5.0
+    assert np.allclose(traj.final_state, [2.5 * math.cos(5.0), 2.5 * math.sin(5.0)],
+                       atol=1e-8)
+
+
 def test_replay_reproduces_segment_endpoints(systemb_m):
     traj = simulate(systemb_m, [1.5, 0.0], 0, max_switches=6)
     for seg in traj.segments:
@@ -125,6 +136,15 @@ def test_accessible_depth0_single_arc(rotor_m):
     assert set(cloud.depths.tolist()) == {0}
     ok, ncomp = check_connected(cloud, 2 * rotor_m.diameter / 512)
     assert ok and ncomp == 1
+
+
+def test_accessible_stuck_branch_keeps_one_horizon(rotor_m):
+    # no crossing from the radius-2.5 circle: the branch keeps the half turn
+    # of one horizon and spawns nothing
+    cloud = accessible_set(rotor_m, [2.5, 0.0], 0, depth=1)
+    assert set(cloud.depths.tolist()) == {0}
+    assert np.abs(np.linalg.norm(cloud.points, axis=1) - 2.5).max() < 1e-8
+    assert np.allclose(cloud.points[[0, -1]], [[2.5, 0.0], [-2.5, 0.0]], atol=1e-8)
 
 
 def test_accessible_rotor_radius_conserved(rotor_m):
