@@ -1,0 +1,183 @@
+"""The DOP853 stepper behind every single-trajectory integration.
+
+The explicit Runge-Kutta 8(5,3) pair of Prince & Dormand with its 7th-order
+dense output (Hairer, Norsett & Wanner, Solving ODEs I, ch. II.5), at fixed
+rtol 1e-10 and atol 1e-12. The tableau is read from scipy.integrate.DOP853,
+and the initial-step rule, error norm, step controller and step-underflow
+failure are those of that class, so results differ from solve_ivp's only by
+rounding.
+
+For each state size one step function and one dense-row function are
+generated as straight-line Python over floats, with the zero tableau entries
+dropped, the way expr._compile builds the field kernels. A right-hand side
+is a function of the N state floats returning a tuple of N floats; the
+stepper never builds an array. A failing right-hand side propagates its own
+exception. Squares are plain products, so an overflowing error estimate is
+inf and rejects the step instead of raising.
+"""
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+from scipy.integrate import DOP853
+
+from .errors import IntegrationError
+
+RTOL = 1e-10
+ATOL = 1e-12
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+
+# the coefficients the generated code reads (K[12] is the derivative at the
+# new state; K[13..15] are the extra stages of the dense output)
+_A = DOP853.A.tolist()
+_B = DOP853.B.tolist()
+_E3 = DOP853.E3.tolist()
+_E5 = DOP853.E5.tolist()
+_A_EXTRA = DOP853.A_EXTRA.tolist()
+_D = DOP853.D.tolist()
+_STAGES = len(_B)
+
+# (step, dense rows) per state size: pure functions, so one cache serves all
+_GENERATED: dict[int, tuple[Callable, Callable]] = {}
+
+
+def _comb(coefs, i: int) -> str:
+    """sum_j coefs[j] * k<j>_<i> over the nonzero coefficients, in order."""
+    return " + ".join(f"{c!r}*k{j}_{i}" for j, c in enumerate(coefs) if c != 0.0)
+
+
+def _names(stem: str, n: int) -> str:
+    return "".join(f"{stem}_{i}, " for i in range(n))
+
+
+def _args(n: int, entry: Callable[[int], str]) -> str:
+    return "".join(f"{entry(i)}, " for i in range(n))
+
+
+def _step_source(n: int) -> str:
+    """_step(fun, y, k0, h) -> (error norm, y_new, f_new, stages): one trial
+    step of size h from y with derivative k0."""
+    lines = ["def _step(fun, y, k0, h):", f"    {_names('y', n)}= y",
+             f"    {_names('k0', n)}= k0"]
+    for s in range(1, _STAGES):
+        arg = _args(n, lambda i: f"y_{i} + ({_comb(_A[s][:s], i)})*h")
+        lines += [f"    k{s} = fun({arg})", f"    {_names(f'k{s}', n)}= k{s}"]
+    lines += [f"    n_{i} = y_{i} + h*({_comb(_B, i)})" for i in range(n)]
+    lines.append(f"    k{_STAGES} = fun({_names('n', n)})")
+    for i in range(n):
+        lines += [f"    a = abs(y_{i})", f"    b = abs(n_{i})",
+                  f"    s = {ATOL!r} + (a if a > b else b)*{RTOL!r}",
+                  f"    r_{i} = ({_comb(_E5, i)})/s",
+                  f"    q_{i} = ({_comb(_E3, i)})/s"]
+    lines.append("    e5 = " + " + ".join(f"r_{i}*r_{i}" for i in range(n)))
+    lines.append("    e3 = " + " + ".join(f"q_{i}*q_{i}" for i in range(n)))
+    # e5 == 0 gives a zero norm whatever e3 is, as in scipy
+    lines.append(f"    err = abs(h)*e5/_sqrt((e5 + 0.01*e3)*{n}) if e5 else 0.0")
+    stages = "".join(f"k{s}, " for s in range(_STAGES))
+    lines.append(f"    return err, ({_names('n', n)}), k{_STAGES}, ({stages})")
+    return "\n".join(lines) + "\n"
+
+
+def _dense_source(n: int) -> str:
+    """_dense(fun, y, stages, y_new, f_new, h) -> y and the 7 rows F0..F6 of
+    the step's interpolant, as one flat tuple of 8n floats."""
+    stages = "".join(f"({_names(f'k{s}', n)}), " for s in range(_STAGES))
+    lines = ["def _dense(fun, y, ks, yn, fn, h):", f"    {_names('y', n)}= y",
+             f"    {_names('n', n)}= yn", f"    {_names(f'k{_STAGES}', n)}= fn",
+             f"    {stages}= ks"]
+    for r, row in enumerate(_A_EXTRA):
+        s = _STAGES + 1 + r
+        arg = _args(n, lambda i: f"y_{i} + ({_comb(row[:s], i)})*h")
+        lines.append(f"    {_names(f'k{s}', n)}= fun({arg})")
+    lines += [f"    d_{i} = n_{i} - y_{i}" for i in range(n)]
+    rows = [_names("y", n), _names("d", n),
+            _args(n, lambda i: f"h*k0_{i} - d_{i}"),
+            _args(n, lambda i: f"2*d_{i} - h*(k{_STAGES}_{i} + k0_{i})")]
+    rows += [_args(n, lambda i: f"h*({_comb(row, i)})") for row in _D]
+    lines.append(f"    return ({''.join(rows)})")
+    return "\n".join(lines) + "\n"
+
+
+def _generated(n: int) -> tuple[Callable, Callable]:
+    """The step and dense-row functions for states of n floats, generated
+    on first use."""
+    got = _GENERATED.get(n)
+    if got is None:
+        scope = {"_sqrt": math.sqrt}
+        src = _step_source(n) + _dense_source(n)
+        exec(compile(src, f"<flowrelay-dop853-{n}>", "exec"), scope)
+        got = _GENERATED[n] = (scope["_step"], scope["_dense"])
+    return got
+
+
+def _rms(v) -> float:
+    return math.hypot(*v) / len(v) ** 0.5
+
+
+def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float) -> float:
+    """|h| of the first trial step (Hairer, Norsett & Wanner, sec. II.4)."""
+    scale = [ATOL + abs(v) * RTOL for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(*[v + h0 * direction * w for v, w in zip(y, f)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)])
+    # h0 is 0 only if d1 overflowed; numpy's division would give inf too
+    d2 = d2 / h0 if h0 > 0.0 else math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
+    return min(100 * h0, h1, span)
+
+
+def solve(fun, t_end: float, y0: tuple, dense: bool):
+    """Integrate y' = fun(*y) from time 0 to the signed time t_end.
+
+    Returns (ts, ys, rows): the accepted times (signed, from 0 to t_end),
+    the states there, and with ``dense`` one flat row per step holding the
+    step's start state and its 7 interpolant rows (else an empty list).
+    Raises IntegrationError on step underflow.
+    """
+    step, dense_rows = _generated(len(y0))
+    direction = 1.0 if t_end > 0 else -1.0
+    toward = direction * math.inf
+    t, y = 0.0, y0
+    f = fun(*y)
+    h_abs = _initial_step(fun, y, f, abs(t_end), direction)
+    ts, ys, rows = [t], [y], []
+    while direction * (t - t_end) < 0:
+        min_step = 10 * abs(math.nextafter(t, toward) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError("integration failed: Required step size "
+                                       "is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            err, y_new, f_new, ks = step(fun, y, f, h)
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0
+                          else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        if dense:
+            rows.append(dense_rows(fun, y, ks, y_new, f_new, h))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return ts, ys, rows

@@ -1,22 +1,28 @@
 """Flow integration: flow maps, dense trajectories, variational Jacobians.
 
-One adaptive embedded Runge-Kutta pair (DOP853 at rtol 1e-10, atol 1e-12)
-behind one solve_ivp call; the dense-output interpolant is built only for
-arcs and sampled batches, not for endpoint maps. No stiff path. Backward
-time is a negative time span: the solver steps the same field with negative
-steps, so both directions use the same compiled kernels.
+Every single trajectory (flow_map, flow_map_with_jacobian and the dense
+FlowArc behind integrate) runs on the owned DOP853 stepper of _dop853 at
+rtol 1e-10, atol 1e-12: straight-line Python over floats that calls the
+fused kernels directly, with the dense interpolant built only for arcs.
+flow_map_points integrates a stacked batch as one numpy system under one
+joint norm, with solve_ivp's DOP853 at the same tolerances. No stiff path.
+Backward time is a negative time span: the stepper steps the same field
+with negative steps, so both directions use the same compiled kernels.
 
 Each VectorField is compiled once into fused kernels (value, Jacobian,
-variational right-hand side) that the solver calls on the state directly.
+variational right-hand side) that the stepper calls on the state directly.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import _dop853
 from . import expr as ex
 from .errors import EvalError, IntegrationError, OutOfSpan
 
@@ -31,8 +37,6 @@ __all__ = [
 ]
 
 TIME_CAP_FACTOR = 10.0  # |t| may not exceed this multiple of the flow horizon
-_RTOL = 1e-10  # relative tolerance of every integration
-_ATOL = 1e-12  # absolute tolerance of every integration
 _EVAL_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
 
 
@@ -109,7 +113,7 @@ class VectorField:
 @dataclass
 class Flow:
     """A flow descriptor: a field and its horizon. Every flow is integrated
-    with the same fixed method and tolerances (_RTOL, _ATOL)."""
+    with the same fixed method and tolerances (_dop853.RTOL, _dop853.ATOL)."""
 
     field: VectorField
     horizon: float
@@ -122,23 +126,31 @@ class Flow:
 class FlowArc:
     """An integrated trajectory piece with dense output, built by integrate.
 
-    The arc is parameterized by elapsed time tau in [0, duration], and ts
-    holds the accepted steps in tau. A backward arc is solved over the
-    negative span [0, -duration], so its solver time is -tau; this class is
-    the one place that maps between the two.
+    The arc is parameterized by elapsed time tau in [0, duration]: ts holds
+    the accepted steps in tau and states the states there, shape
+    (n, len(ts)). A backward arc is solved over the negative span
+    [0, -duration], so its solver time is -tau; this class is the one place
+    that maps between the two. Each step keeps its start state and the 7
+    rows of DOP853's interpolant, which depends on tau only through the step
+    fraction (tau - ts[i]) / (ts[i+1] - ts[i]), the same in either time. At
+    an accepted step time the lower step is used, as scipy's OdeSolution
+    does.
     """
 
     def __init__(self, flow: Flow, x0: np.ndarray, duration: float,
                  backward: bool):
         self.flow = flow
-        self.x0 = np.asarray(x0, float)
+        self.x0 = x0
         self.duration = duration
         self.backward = backward
-        self._sign = -1.0 if backward else 1.0
-        self._sol = _solve(_kernel_rhs(flow.field._value, "field evaluation"),
-                           self._sign * duration, self.x0, dense=True)
-        self.ts = np.abs(self._sol.t)
-        self.states = self._sol.y
+        ts, ys, rows = _run(flow.field._value, "field evaluation",
+                            -duration if backward else duration, x0.tolist(),
+                            dense=True)
+        self._knots = [abs(t) for t in ts]
+        self._rows = rows
+        self._table = np.array(rows)
+        self.ts = np.array(self._knots)
+        self.states = np.array(ys).T
 
     @property
     def end(self) -> np.ndarray:
@@ -147,18 +159,35 @@ class FlowArc:
     def __call__(self, tau: float) -> np.ndarray:
         if tau < 0.0 or tau > self.duration:
             raise OutOfSpan(f"tau={tau} outside [0, {self.duration}]")
-        if tau == 0.0:
-            return self.x0.copy()
-        return np.asarray(self._sol.sol(self._sign * tau), float)
+        knots = self._knots
+        i = min(max(bisect_left(knots, tau) - 1, 0), len(self._rows) - 1)
+        x = (tau - knots[i]) / (knots[i + 1] - knots[i])
+        row, n = self._rows[i], self.flow.field.n
+        return np.array([_interpolate(row[j::n], x) for j in range(n)])
 
     def sample(self, taus) -> np.ndarray:
         """Dense states at many parameters, shape (len(taus), n)."""
         taus = np.asarray(taus, float)
+        n = self.flow.field.n
         if taus.size == 0:
-            return np.empty((0, self.flow.field.n))
+            return np.empty((0, n))
         if taus.min() < 0.0 or taus.max() > self.duration:
             raise OutOfSpan("sample parameters outside the integrated span")
-        return np.asarray(self._sol.sol(self._sign * taus), float).T
+        ts = self.ts
+        i = np.clip(np.searchsorted(ts, taus) - 1, 0, len(self._rows) - 1)
+        x = ((taus - ts[i]) / (ts[i + 1] - ts[i]))[:, None]
+        blocks = self._table[i].reshape(len(taus), 8, n).transpose(1, 0, 2)
+        return _interpolate(blocks, x)
+
+
+def _interpolate(c, x):
+    """DOP853's dense output at step fraction x from c = (y_old, F0, ..., F6),
+    floats or arrays alike: the Horner form of scipy's Dop853DenseOutput."""
+    u = 1 - x
+    v = 0.0
+    for k, w in ((7, x), (6, u), (5, x), (4, u), (3, x), (2, u), (1, x)):
+        v = (v + c[k]) * w
+    return v + c[0]
 
 
 def _check_cap(flow: Flow, t: float) -> None:
@@ -168,12 +197,36 @@ def _check_cap(flow: Flow, t: float) -> None:
             f"({TIME_CAP_FACTOR * flow.horizon})")
 
 
+def _start(x, fn: str) -> np.ndarray:
+    """The start point (n,) or points (N, n) as floats; ValueError naming fn
+    and the first point that is not finite."""
+    x = np.asarray(x, float)
+    finite = np.isfinite(x).all(axis=-1)
+    if not finite.all():
+        bad = x if x.ndim == 1 else x[~finite][0]
+        raise ValueError(f"{fn}: start point {bad.tolist()} is not finite")
+    return x
+
+
+def _run(kernel, what: str, t: float, y0: list[float], dense: bool):
+    """Integrate y' = kernel(*y) from 0 to the signed time t on the owned
+    stepper: (ts, ys, rows) as _dop853.solve returns them. A kernel failure
+    raises EvalError; a non-finite end state, IntegrationError."""
+    try:
+        out = _dop853.solve(kernel, t, tuple(y0), dense)
+    except _EVAL_FAILURES as exc:
+        raise EvalError(f"{what} failed: {exc}") from exc
+    if not all(map(math.isfinite, out[1][-1])):
+        raise IntegrationError("non-finite state at the end of integration")
+    return out
+
+
 def _solve(rhs, t: float, y0: np.ndarray, dense: bool):
-    """The one solve_ivp call: integrate y' = rhs(y) from 0 to the signed
-    time t, raising IntegrationError on solver failure or a non-finite end
-    state."""
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853",
-                    dense_output=dense, rtol=_RTOL, atol=_ATOL)
+    """Integrate the stacked batch y' = rhs(t, y) from 0 to the signed time
+    t with solve_ivp, raising IntegrationError on solver failure or a
+    non-finite end state."""
+    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", dense_output=dense,
+                    rtol=_dop853.RTOL, atol=_dop853.ATOL)
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     if not np.all(np.isfinite(sol.y[:, -1])):
@@ -181,21 +234,10 @@ def _solve(rhs, t: float, y0: np.ndarray, dense: bool):
     return sol
 
 
-def _kernel_rhs(kernel, what: str):
-    """Wrap a fused kernel as a solve_ivp right-hand side of the state y."""
-
-    def rhs(_t, y):
-        try:
-            return kernel(*y.tolist())
-        except _EVAL_FAILURES as exc:
-            raise EvalError(f"{what} failed: {exc}") from exc
-
-    return rhs
-
-
 def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> FlowArc:
     """Integrate the flow from x0 for the given duration, backward in time
     if asked."""
+    x0 = _start(x0, "integrate")
     if duration <= 0:
         raise ValueError("duration must be positive")
     _check_cap(flow, duration)
@@ -204,24 +246,25 @@ def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> Flo
 
 def flow_map(flow: Flow, t: float, x) -> np.ndarray:
     """State after time t (t may be negative) starting from x."""
-    x = np.asarray(x, float)
+    x = _start(x, "flow_map")
     if t == 0.0:
         return x.copy()
     _check_cap(flow, t)
-    rhs = _kernel_rhs(flow.field._value, "field evaluation")
-    return _solve(rhs, t, x, dense=False).y[:, -1].copy()
+    return np.array(_run(flow.field._value, "field evaluation", t, x.tolist(),
+                         dense=False)[1][-1])
 
 
 def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """(F^t(x), D_x F^t(x)) via the variational equations integrated alongside."""
-    x = np.asarray(x, float)
+    x = _start(x, "flow_map_with_jacobian")
     n = flow.field.n
     if t == 0.0:
         return x.copy(), np.eye(n)
     _check_cap(flow, t)
-    rhs = _kernel_rhs(flow.field._var, "variational right-hand side")
-    yf = _solve(rhs, t, np.concatenate([x, np.eye(n).ravel()]), dense=False).y[:, -1]
-    return yf[:n].copy(), yf[n:].reshape(n, n).copy()
+    y0 = x.tolist() + np.eye(n).ravel().tolist()
+    yf = np.array(_run(flow.field._var, "variational right-hand side", t, y0,
+                       dense=False)[1][-1])
+    return yf[:n], yf[n:].reshape(n, n)
 
 
 def flow_map_points(flow: Flow, t: float, points: np.ndarray,
@@ -233,14 +276,14 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     the endpoint batch (N, n), or (len(t_eval), N, n) when t_eval is given;
     t_eval is in elapsed time and must lie in [0, |t|] (else OutOfSpan).
     """
+    pts = _start(points, "flow_map_points")
     if t_eval is not None:
         t_eval = np.asarray(t_eval, float)
         if t_eval.size and (t_eval.min() < 0.0 or t_eval.max() > abs(t)):
             raise OutOfSpan(f"t_eval outside the integrated span [0, {abs(t)}]")
     elif t == 0.0:
-        return np.array(points, float, copy=True)
+        return pts.copy()
     _check_cap(flow, t)
-    pts = np.asarray(points, float)
     npts, n = pts.shape
     fld = flow.field
 

@@ -1,0 +1,106 @@
+"""The owned DOP853 stepper against scipy's solve_ivp, its tableau against
+the order conditions, and its dense output against itself."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.integrate import DOP853, solve_ivp
+
+from flowrelay import _dop853, expr
+from flowrelay.dynamics import (Flow, VectorField, flow_map, flow_map_with_jacobian,
+                                integrate)
+from flowrelay.errors import IntegrationError
+
+from conftest import make_systemb
+
+PENDULUM = ("x2", "-sin(x1)")
+VAN_DER_POL = ("x2", "(1 - x1^2)*x2 - x1")
+
+
+def _field(comps) -> VectorField:
+    return VectorField([expr.parse(c, 2) for c in comps])
+
+
+def _scipy(kernel, t: float, y0, dense: bool = False):
+    return solve_ivp(lambda _t, y: kernel(*y.tolist()), (0.0, t), y0,
+                     method="DOP853", dense_output=dense, rtol=1e-10, atol=1e-12)
+
+
+def _close(got, want, rel: float) -> bool:
+    return bool(np.all(np.abs(got - want) <= rel * (1.0 + np.abs(want))))
+
+
+@pytest.mark.parametrize("name", ["pendulum", "systemb", "van der pol"])
+def test_core_matches_solve_ivp(name):
+    field = {"pendulum": _field(PENDULUM), "systemb": make_systemb().flows[0].field,
+             "van der pol": _field(VAN_DER_POL)}[name]
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        x = rng.uniform(-1.0, 1.0, 2)
+        t = float(rng.uniform(0.5, 3.0))
+        for sign in (1.0, -1.0):
+            for kernel, y0 in ((field._value, x),
+                               (field._var, np.concatenate([x, np.eye(2).ravel()]))):
+                ref = _scipy(kernel, sign * t, y0)
+                assert ref.success
+                ts, ys, _ = _dop853.solve(kernel, sign * t, tuple(y0.tolist()), False)
+                assert abs(len(ts) - len(ref.t)) <= 1
+                assert _close(np.array(ys[-1]), ref.y[:, -1], 1e-12)
+            arc = integrate(Flow(field, 3.0), t, x, backward=sign < 0)
+            taus = np.linspace(0.0, t, 25)
+            ref = _scipy(field._value, sign * t, x, dense=True)
+            assert _close(arc.sample(taus), ref.sol(sign * taus).T, 1e-11)
+
+
+def test_backward_van_der_pol_blow_up_fails_in_both():
+    # outside the limit cycle the reversed flow escapes to infinity in finite time
+    field = _field(VAN_DER_POL)
+    x = np.array([3.0, 3.0])
+    assert not _scipy(field._value, -5.0, x).success
+    fl = Flow(field, 5.0)
+    with pytest.raises(IntegrationError, match="step size"):
+        flow_map(fl, -5.0, x)
+    with pytest.raises(IntegrationError, match="step size"):
+        flow_map_with_jacobian(fl, -5.0, x)
+
+
+def test_overflowing_start_derivative_fails_as_underflow():
+    # V(x0) is inf: the first step size is 0, every trial is rejected and the
+    # step underflows, as in scipy, instead of a float division raising
+    fl = Flow(_field(("x1*x1*x1*x1", "x2")), 1.0)
+    for call in (flow_map, flow_map_with_jacobian, integrate):
+        with pytest.raises(IntegrationError, match="step size"):
+            call(fl, 0.5, [1e80, 1.0])
+
+
+def test_tableau_meets_the_order_conditions():
+    c = DOP853.C
+    for a, ci in zip(DOP853.A, c):
+        assert abs(a.sum() - ci) <= 1e-15
+    for a, ci in zip(DOP853.A_EXTRA, DOP853.C_EXTRA):
+        assert abs(a.sum() - ci) <= 1e-15
+    b = DOP853.B
+    assert abs(b.sum() - 1.0) <= 1e-15
+    assert abs(b @ c - 1.0 / 2.0) <= 1e-15
+    assert abs(b @ c**2 - 1.0 / 3.0) <= 1e-15
+    assert abs(DOP853.E3.sum()) <= 1e-15
+    assert abs(DOP853.E5.sum()) <= 1e-15
+    # the shapes the generated step reads
+    assert DOP853.A.shape == (12, 12) and b.shape == (12,)
+    assert DOP853.E3.shape == DOP853.E5.shape == (13,)
+    assert DOP853.A_EXTRA.shape == (3, 16) and DOP853.D.shape == (4, 16)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_dense_point_and_sample_agree(backward):
+    fl = Flow(_field(PENDULUM), 7.0)
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        x = rng.uniform(-2.0, 2.0, 2)
+        arc = integrate(fl, float(rng.uniform(1.0, 7.0)), x, backward=backward)
+        taus = np.concatenate([rng.uniform(0.0, arc.duration, 40), arc.ts])
+        for tau in taus:
+            assert np.array_equal(arc(tau), arc.sample([tau])[0])
+        for i, tau in enumerate(arc.ts):
+            want = arc.states[:, i]
+            assert np.abs(arc(tau) - want).max() <= 1e-14 * np.abs(want).max()

@@ -282,3 +282,16 @@ def test_flow_map_matches_integrate_endpoint():
         for sign in (1.0, -1.0):
             arc = integrate(fl, t, x, backward=sign < 0)
             assert np.array_equal(flow_map(fl, sign * t, x), arc.end)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_start_point_is_a_value_error(bad):
+    fl = sink_flow()
+    x = [0.5, bad]
+    calls = {"flow_map": lambda: flow_map(fl, 1.0, x),
+             "flow_map_with_jacobian": lambda: flow_map_with_jacobian(fl, -1.0, x),
+             "integrate": lambda: integrate(fl, 1.0, x),
+             "flow_map_points": lambda: flow_map_points(fl, 1.0, [[0.1, 0.2], x])}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"^{name}: start point \[0\.5, -?(nan|inf)\]"):
+            call()
