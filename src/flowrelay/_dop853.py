@@ -1,25 +1,26 @@
-"""The DOP853 stepper behind every single-trajectory integration.
+"""The DOP853 stepper behind every integration in flowrelay.
 
 The explicit Runge-Kutta 8(5,3) pair of Prince & Dormand with its 7th-order
 dense output (Hairer, Norsett & Wanner, Solving ODEs I, ch. II.5), at fixed
 rtol 1e-10 and atol 1e-12. The tableau is read from scipy.integrate.DOP853,
 and the initial-step rule, error norm, step controller and step-underflow
-failure are those of that class, so results differ from solve_ivp's only by
-rounding.
+failure are that class's, so results differ from scipy's only by rounding.
 
-For each state size one step function and one dense-row function are
-generated as straight-line Python over floats, with the zero tableau entries
-dropped, the way expr._compile builds the field kernels. A right-hand side
-is a function of the N state floats returning a tuple of N floats; the
-stepper never builds an array. A failing right-hand side propagates its own
-exception. Squares are plain products, so an overflowing error estimate is
-inf and rejects the step instead of raising.
+A state is a tuple of n floats (one trajectory) or of n numpy columns (a
+batch under one joint error norm). For each state size one step function and
+one dense-row function are generated as straight-line Python with the zero
+tableau entries dropped, the way expr._compile builds the field kernels: one
+source for both forms, with the reductions taken from the form's namespace.
+A right-hand side maps the n state entries to a tuple of n entries; a
+failing one propagates its own exception. Squares are plain products, so an
+overflowing error estimate is inf and rejects the step instead of raising.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import DOP853
 
 from .errors import IntegrationError
@@ -41,8 +42,8 @@ _A_EXTRA = DOP853.A_EXTRA.tolist()
 _D = DOP853.D.tolist()
 _STAGES = len(_B)
 
-# (step, dense rows) per state size: pure functions, so one cache serves all
-_GENERATED: dict[int, tuple[Callable, Callable]] = {}
+# (step, dense rows) per state size and form: pure functions, so one cache serves all
+_GENERATED: dict[tuple[int, bool], tuple[Callable, Callable]] = {}
 
 
 def _comb(coefs, i: int) -> str:
@@ -70,11 +71,11 @@ def _step_source(n: int) -> str:
     lines.append(f"    k{_STAGES} = fun({_names('n', n)})")
     for i in range(n):
         lines += [f"    a = abs(y_{i})", f"    b = abs(n_{i})",
-                  f"    s = {ATOL!r} + (a if a > b else b)*{RTOL!r}",
+                  f"    s = {ATOL!r} + _max(a, b)*{RTOL!r}",
                   f"    r_{i} = ({_comb(_E5, i)})/s",
                   f"    q_{i} = ({_comb(_E3, i)})/s"]
-    lines.append("    e5 = " + " + ".join(f"r_{i}*r_{i}" for i in range(n)))
-    lines.append("    e3 = " + " + ".join(f"q_{i}*q_{i}" for i in range(n)))
+    lines.append("    e5 = _mean(" + " + ".join(f"r_{i}*r_{i}" for i in range(n)) + ")")
+    lines.append("    e3 = _mean(" + " + ".join(f"q_{i}*q_{i}" for i in range(n)) + ")")
     # e5 == 0 gives a zero norm whatever e3 is, as in scipy
     lines.append(f"    err = abs(h)*e5/_sqrt((e5 + 0.01*e3)*{n}) if e5 else 0.0")
     stages = "".join(f"k{s}, " for s in range(_STAGES))
@@ -102,31 +103,37 @@ def _dense_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _generated(n: int) -> tuple[Callable, Callable]:
-    """The step and dense-row functions for states of n floats, generated
-    on first use."""
-    got = _GENERATED.get(n)
+# reductions over a state of floats and of columns: the max in the error scale,
+# the mean over columns (giving the stacked system's norm), the initial RMS norm
+_FLOATS = {"_max": max, "_mean": lambda v: v,
+           "_rms": lambda v: math.hypot(*v) / len(v) ** 0.5}
+_COLUMNS = {"_max": np.maximum, "_mean": np.mean,
+            "_rms": lambda v: math.sqrt(np.mean(np.square(v)))}
+
+
+def _generated(n: int, ns: dict) -> tuple[Callable, Callable]:
+    """The step and dense-row functions for states of n entries of the
+    form with namespace ns, generated on first use."""
+    key = (n, ns is _COLUMNS)
+    got = _GENERATED.get(key)
     if got is None:
-        scope = {"_sqrt": math.sqrt}
+        scope = {"_sqrt": math.sqrt, **ns}
         src = _step_source(n) + _dense_source(n)
         exec(compile(src, f"<flowrelay-dop853-{n}>", "exec"), scope)
-        got = _GENERATED[n] = (scope["_step"], scope["_dense"])
+        got = _GENERATED[key] = (scope["_step"], scope["_dense"])
     return got
 
 
-def _rms(v) -> float:
-    return math.hypot(*v) / len(v) ** 0.5
-
-
-def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float) -> float:
+def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
+                  rms: Callable) -> float:
     """|h| of the first trial step (Hairer, Norsett & Wanner, sec. II.4)."""
     scale = [ATOL + abs(v) * RTOL for v in y]
-    d0 = _rms([v / s for v, s in zip(y, scale)])
-    d1 = _rms([v / s for v, s in zip(f, scale)])
+    d0 = rms([v / s for v, s in zip(y, scale)])
+    d1 = rms([v / s for v, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
     f1 = fun(*[v + h0 * direction * w for v, w in zip(y, f)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)])
+    d2 = rms([(a - b) / s for a, b, s in zip(f1, f, scale)])
     # h0 is 0 only if d1 overflowed; numpy's division would give inf too
     d2 = d2 / h0 if h0 > 0.0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -136,20 +143,22 @@ def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float) -> flo
     return min(100 * h0, h1, span)
 
 
-def solve(fun, t_end: float, y0: tuple, dense: bool):
-    """Integrate y' = fun(*y) from time 0 to the signed time t_end.
+def solve(fun, t_end: float, y0: tuple, dense_from: float):
+    """Integrate y' = fun(*y) from time 0 to the signed time t_end, over
+    floats or, if y0 holds numpy columns, over columns.
 
     Returns (ts, ys, rows): the accepted times (signed, from 0 to t_end),
-    the states there, and with ``dense`` one flat row per step holding the
-    step's start state and its 7 interpolant rows (else an empty list).
-    Raises IntegrationError on step underflow.
+    the states there, and for each step ending at |t| >= dense_from (the
+    last len(rows) steps) one flat row holding its start state and its 7
+    interpolant rows. Raises IntegrationError on step underflow.
     """
-    step, dense_rows = _generated(len(y0))
+    ns = _COLUMNS if isinstance(y0[0], np.ndarray) else _FLOATS
+    step, dense_rows = _generated(len(y0), ns)
     direction = 1.0 if t_end > 0 else -1.0
     toward = direction * math.inf
     t, y = 0.0, y0
     f = fun(*y)
-    h_abs = _initial_step(fun, y, f, abs(t_end), direction)
+    h_abs = _initial_step(fun, y, f, abs(t_end), direction, ns["_rms"])
     ts, ys, rows = [t], [y], []
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)
@@ -175,7 +184,7 @@ def solve(fun, t_end: float, y0: tuple, dense: bool):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
-        if dense:
+        if abs(t_new) >= dense_from:
             rows.append(dense_rows(fun, y, ks, y_new, f_new, h))
         t, y, f = t_new, y_new, f_new
         ts.append(t)

@@ -1,13 +1,13 @@
 """Flow integration: flow maps, dense trajectories, variational Jacobians.
 
-Every single trajectory (flow_map, flow_map_with_jacobian and the dense
-FlowArc behind integrate) runs on the owned DOP853 stepper of _dop853 at
-rtol 1e-10, atol 1e-12: straight-line Python over floats that calls the
-fused kernels directly, with the dense interpolant built only for arcs.
-flow_map_points integrates a stacked batch as one numpy system under one
-joint norm, with solve_ivp's DOP853 at the same tolerances. No stiff path.
-Backward time is a negative time span: the stepper steps the same field
-with negative steps, so both directions use the same compiled kernels.
+Every integration runs through _run on the owned DOP853 stepper of _dop853
+at rtol 1e-10, atol 1e-12, which calls the fused kernels directly. A single
+trajectory (flow_map, flow_map_with_jacobian and the dense FlowArc behind
+integrate) is stepped over floats; flow_map_points steps a batch as numpy
+columns under one joint norm. The dense interpolant is built only where it
+is read. No stiff path. Backward time is a negative time span: the stepper
+steps the same field with negative steps, so both directions use the same
+compiled kernels.
 
 Each VectorField is compiled once into fused kernels (value, Jacobian,
 variational right-hand side) that the stepper calls on the state directly.
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _dop853
 from . import expr as ex
@@ -145,7 +144,7 @@ class FlowArc:
         self.backward = backward
         ts, ys, rows = _run(flow.field._value, "field evaluation",
                             -duration if backward else duration, x0.tolist(),
-                            dense=True)
+                            dense_from=0.0)
         self._knots = [abs(t) for t in ts]
         self._rows = rows
         self._table = np.array(rows)
@@ -197,10 +196,14 @@ def _check_cap(flow: Flow, t: float) -> None:
             f"({TIME_CAP_FACTOR * flow.horizon})")
 
 
-def _start(x, fn: str) -> np.ndarray:
-    """The start point (n,) or points (N, n) as floats; ValueError naming fn
-    and the first point that is not finite."""
+def _start(x, fn: str, n: int, batch: bool = False) -> np.ndarray:
+    """The start point (n,), or with batch the points (N, n), as floats;
+    ValueError naming fn and the expected shape, or the first point that is
+    not finite."""
     x = np.asarray(x, float)
+    if x.ndim != 1 + batch or x.shape[-1] != n:
+        want = f"start points of shape (N, {n})" if batch else f"a point of shape ({n},)"
+        raise ValueError(f"{fn}: expected {want}, got shape {x.shape}")
     finite = np.isfinite(x).all(axis=-1)
     if not finite.all():
         bad = x if x.ndim == 1 else x[~finite][0]
@@ -208,36 +211,24 @@ def _start(x, fn: str) -> np.ndarray:
     return x
 
 
-def _run(kernel, what: str, t: float, y0: list[float], dense: bool):
+def _run(kernel, what: str, t: float, y0, dense_from: float):
     """Integrate y' = kernel(*y) from 0 to the signed time t on the owned
-    stepper: (ts, ys, rows) as _dop853.solve returns them. A kernel failure
-    raises EvalError; a non-finite end state, IntegrationError."""
+    stepper, over the floats or numpy columns of y0: (ts, ys, rows) as
+    _dop853.solve returns them. A kernel failure raises EvalError; a
+    non-finite end state, IntegrationError."""
     try:
-        out = _dop853.solve(kernel, t, tuple(y0), dense)
+        out = _dop853.solve(kernel, t, tuple(y0), dense_from)
     except _EVAL_FAILURES as exc:
         raise EvalError(f"{what} failed: {exc}") from exc
-    if not all(map(math.isfinite, out[1][-1])):
+    if not np.isfinite(out[1][-1]).all():
         raise IntegrationError("non-finite state at the end of integration")
     return out
-
-
-def _solve(rhs, t: float, y0: np.ndarray, dense: bool):
-    """Integrate the stacked batch y' = rhs(t, y) from 0 to the signed time
-    t with solve_ivp, raising IntegrationError on solver failure or a
-    non-finite end state."""
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", dense_output=dense,
-                    rtol=_dop853.RTOL, atol=_dop853.ATOL)
-    if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y[:, -1])):
-        raise IntegrationError("non-finite state at the end of integration")
-    return sol
 
 
 def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> FlowArc:
     """Integrate the flow from x0 for the given duration, backward in time
     if asked."""
-    x0 = _start(x0, "integrate")
+    x0 = _start(x0, "integrate", flow.field.n)
     if duration <= 0:
         raise ValueError("duration must be positive")
     _check_cap(flow, duration)
@@ -246,51 +237,55 @@ def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> Flo
 
 def flow_map(flow: Flow, t: float, x) -> np.ndarray:
     """State after time t (t may be negative) starting from x."""
-    x = _start(x, "flow_map")
+    x = _start(x, "flow_map", flow.field.n)
     if t == 0.0:
         return x.copy()
     _check_cap(flow, t)
     return np.array(_run(flow.field._value, "field evaluation", t, x.tolist(),
-                         dense=False)[1][-1])
+                         dense_from=math.inf)[1][-1])
 
 
 def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndarray]:
     """(F^t(x), D_x F^t(x)) via the variational equations integrated alongside."""
-    x = _start(x, "flow_map_with_jacobian")
     n = flow.field.n
+    x = _start(x, "flow_map_with_jacobian", n)
     if t == 0.0:
         return x.copy(), np.eye(n)
     _check_cap(flow, t)
     y0 = x.tolist() + np.eye(n).ravel().tolist()
     yf = np.array(_run(flow.field._var, "variational right-hand side", t, y0,
-                       dense=False)[1][-1])
+                       dense_from=math.inf)[1][-1])
     return yf[:n], yf[n:].reshape(n, n)
 
 
 def flow_map_points(flow: Flow, t: float, points: np.ndarray,
                     t_eval=None) -> np.ndarray:
-    """Flow many points at once by stacking them into one ODE system.
+    """Flow many points at once, stepped together as numpy columns.
 
     Error control is applied to the joint norm, which is adequate for the
     margin checks this backs (not for tight per-point tolerances). Returns
     the endpoint batch (N, n), or (len(t_eval), N, n) when t_eval is given;
     t_eval is in elapsed time and must lie in [0, |t|] (else OutOfSpan).
     """
-    pts = _start(points, "flow_map_points")
+    n = flow.field.n
+    pts = _start(points, "flow_map_points", n, batch=True)
+    shape = pts.shape
     if t_eval is not None:
         t_eval = np.asarray(t_eval, float)
         if t_eval.size and (t_eval.min() < 0.0 or t_eval.max() > abs(t)):
             raise OutOfSpan(f"t_eval outside the integrated span [0, {abs(t)}]")
-    elif t == 0.0:
-        return pts.copy()
+        shape = (len(t_eval),) + shape
     _check_cap(flow, t)
-    npts, n = pts.shape
-    fld = flow.field
-
-    def rhs(_t, y):
-        return fld.value_batch(y.reshape(npts, n)).ravel()
-
-    sol = _solve(rhs, t, pts.ravel(), dense=t_eval is not None)
-    if t_eval is None:
-        return sol.y[:, -1].reshape(npts, n)
-    return sol.sol(np.copysign(t_eval, t)).T.reshape(len(t_eval), npts, n)
+    if t == 0.0 or 0 in shape:   # nothing to integrate
+        return np.broadcast_to(pts, shape).copy()
+    with np.errstate(all="ignore"):
+        ts, ys, rows = _run(flow.field._value_cols, "field evaluation", t,
+                            pts.T.copy(), math.inf if t_eval is None else t_eval.min())
+        if t_eval is None:
+            return np.stack(ys[-1], axis=1)
+        # step i, picked as FlowArc.sample picks it, has the rows rows[i - first]
+        knots, first = np.abs(ts), len(ts) - 1 - len(rows)
+        steps = np.clip(np.searchsorted(knots, t_eval) - 1, 0, len(ts) - 2)
+        x = (t_eval - knots[steps]) / (knots[steps + 1] - knots[steps])
+        return np.array([[_interpolate(rows[i - first][j::n], xi) for j in range(n)]
+                         for i, xi in zip(steps, x)]).transpose(0, 2, 1)

@@ -97,39 +97,34 @@ def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int) -> list[floa
     gfun = _g_scalar(arc, f, level)
     gdfun = _gdot_scalar(arc, f)
 
-    brackets: list[tuple[float, float]] = []
+    # signs are compared, never products, which underflow for tiny values; a
+    # zero sample is left to the level-tolerance precondition / root polish
     sig = np.sign(g)
-    for i in range(len(ts) - 1):
-        if sig[i] == 0.0:
-            continue  # handled by the level-tolerance precondition / root polish
-        if sig[i + 1] != 0.0 and sig[i] != sig[i + 1]:
-            brackets.append((ts[i], ts[i + 1]))
+    s0, s1 = sig[:-1], sig[1:]
+    crossed = np.flatnonzero((s0 != 0.0) & (s1 != 0.0) & (s0 != s1))
+    brackets = [(ts[i], ts[i + 1]) for i in crossed]
 
     # grazing detection: extrema of g near zero that the sign scan cannot see
     g_range = float(g.max() - g.min()) if len(g) else 0.0
     band = max(DEFAULT_EVENTS.graze_band * g_range, 10.0 * DEFAULT_EVENTS.tol_level)
-    for i in range(len(ts) - 1):
-        if gdot[i] == 0.0 or gdot[i + 1] == 0.0 or np.sign(gdot[i]) == np.sign(gdot[i + 1]):
-            continue
-        if sig[i] != 0.0 and sig[i] == sig[i + 1]:
-            if min(abs(g[i]), abs(g[i + 1])) > band:
-                continue
-            t_ext = brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
-            g_ext = gfun(t_ext)
-            if abs(g_ext) <= DEFAULT_EVENTS.graze_tol:
-                raise DegenerateCrossing(
-                    f"grazing contact with the boundary (|g|={abs(g_ext):.2e})",
-                    time=float(t_ext))
-            if np.sign(g_ext) != sig[i]:
-                # the extremum pokes through: two roots hidden in one step
-                brackets.append((ts[i], t_ext))
-                brackets.append((t_ext, ts[i + 1]))
+    d0, d1 = np.sign(gdot[:-1]), np.sign(gdot[1:])
+    turns = np.flatnonzero((d0 != 0.0) & (d1 != 0.0) & (d0 != d1)
+                           & (s0 != 0.0) & (s0 == s1)
+                           & (np.minimum(abs(g[:-1]), abs(g[1:])) <= band))
+    for i in turns:
+        t_ext = brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
+        g_ext = gfun(t_ext)
+        if abs(g_ext) <= DEFAULT_EVENTS.graze_tol:
+            raise DegenerateCrossing(
+                f"grazing contact with the boundary (|g|={abs(g_ext):.2e})",
+                time=float(t_ext))
+        if np.sign(g_ext) != sig[i]:
+            # the extremum pokes through: two roots hidden in one step
+            brackets.append((ts[i], t_ext))
+            brackets.append((t_ext, ts[i + 1]))
 
-    roots = []
-    for a, b in sorted(brackets):
-        r = brentq(gfun, a, b, xtol=1e-14, rtol=1e-15)
-        roots.append(float(r))
-    return sorted(roots)
+    return sorted(float(brentq(gfun, a, b, xtol=1e-14, rtol=1e-15))
+                  for a, b in sorted(brackets))
 
 
 def find_crossings(flow: Flow, region: Region, level: float | None, x,

@@ -1,5 +1,6 @@
-"""The owned DOP853 stepper against scipy's solve_ivp, its tableau against
-the order conditions, and its dense output against itself."""
+"""The owned DOP853 stepper against scipy's solve_ivp, over floats and over
+columns, its tableau against the order conditions, and its dense output
+against itself."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 
 from flowrelay import _dop853, expr
-from flowrelay.dynamics import (Flow, VectorField, flow_map, flow_map_with_jacobian,
-                                integrate)
+from flowrelay.dynamics import (Flow, VectorField, flow_map, flow_map_points,
+                                flow_map_with_jacobian, integrate)
 from flowrelay.errors import IntegrationError
 
-from conftest import make_systemb
+from conftest import make_rotor, make_systemb
+from test_three_mode import make_triangle
 
 PENDULUM = ("x2", "-sin(x1)")
 VAN_DER_POL = ("x2", "(1 - x1^2)*x2 - x1")
@@ -50,6 +52,58 @@ def test_core_matches_solve_ivp(name):
             taus = np.linspace(0.0, t, 25)
             ref = _scipy(field._value, sign * t, x, dense=True)
             assert _close(arc.sample(taus), ref.sol(sign * taus).T, 1e-11)
+
+
+def _close_points(got, want, rel: float) -> bool:
+    """Each point within rel * (1 + its norm): where rounding noise in a
+    tiny error estimate moves a step, the interpolants differ in the
+    small coordinate of a large point by more than rel times that
+    coordinate."""
+    dist = np.abs(got - want).max(axis=-1)
+    return bool(np.all(dist <= rel * (1.0 + np.linalg.norm(want, axis=-1))))
+
+
+def _stacked(field: VectorField, t: float, pts: np.ndarray):
+    """solve_ivp on the batch stacked into one system under one joint norm:
+    the reference for the column form of the stepper."""
+    npts, n = pts.shape
+    return solve_ivp(lambda _t, y: field.value_batch(y.reshape(npts, n)).ravel(),
+                     (0.0, t), pts.ravel(), method="DOP853", dense_output=True,
+                     rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("npts", [1, 7, 256])
+def test_batch_matches_stacked_solve_ivp(npts):
+    flows = [*make_systemb().flows, make_rotor().flows[0], *make_triangle().flows]
+    rng = np.random.default_rng(23)
+    for fl in flows:
+        for sign in (1.0, -1.0):
+            pts = rng.uniform(-2.0, 2.0, (npts, 2))
+            t = float(rng.uniform(0.5, fl.horizon))
+            ref = _stacked(fl.field, sign * t, pts)
+            assert ref.success
+            with np.errstate(all="ignore"):
+                ts, _, _ = _dop853.solve(fl.field._value_cols, sign * t,
+                                         tuple(pts.T.copy()), np.inf)
+            assert abs(len(ts) - len(ref.t)) <= 1
+            want = ref.y[:, -1].reshape(npts, 2)
+            assert _close_points(flow_map_points(fl, sign * t, pts), want, 1e-12)
+            taus = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t, 8)), [t]])
+            want = ref.sol(sign * taus).T.reshape(len(taus), npts, 2)
+            assert _close_points(flow_map_points(fl, sign * t, pts, taus), want,
+                                 1e-12)
+
+
+def test_batch_blow_up_fails_as_underflow():
+    # x1' = x1^2 from x1 = 3 escapes to infinity at t = 1/3: the overflowing
+    # columns raise no warning, and the batch fails as the stepper underflows
+    fl = Flow(_field(("x1^2", "0")), 1.0)
+    pts = np.array([[0.1, 1.0], [3.0, 1.0]])
+    with pytest.raises(IntegrationError, match="Required step size is less "
+                       "than spacing between numbers."):
+        flow_map_points(fl, 1.0, pts)
+    want = np.array([[0.1 / 1.1, 1.0], [0.75, 1.0]])
+    assert _close(flow_map_points(fl, -1.0, pts), want, 1e-9)
 
 
 def test_backward_van_der_pol_blow_up_fails_in_both():

@@ -295,3 +295,27 @@ def test_nonfinite_start_point_is_a_value_error(bad):
     for name, call in calls.items():
         with pytest.raises(ValueError, match=rf"^{name}: start point \[0\.5, -?(nan|inf)\]"):
             call()
+
+
+def test_start_point_of_the_wrong_shape_is_a_value_error():
+    fl = sink_flow()
+    single = r"expected a point of shape \(2,\), got shape \(3,\)"
+    batch = r"expected start points of shape \(N, 2\), got shape"
+    calls = [("flow_map", single, lambda: flow_map(fl, 1.0, [1, 2, 3])),
+             ("flow_map_with_jacobian", single,
+              lambda: flow_map_with_jacobian(fl, 1.0, [1, 2, 3])),
+             ("integrate", single, lambda: integrate(fl, 1.0, [1, 2, 3])),
+             ("flow_map_points", batch, lambda: flow_map_points(fl, 1.0, np.ones((4, 3)))),
+             ("flow_map_points", batch, lambda: flow_map_points(fl, 1.0, [1.0, 2.0]))]
+    for name, message, call in calls:
+        with pytest.raises(ValueError, match=rf"^{name}: {message}"):
+            call()
+
+
+def test_flow_map_points_edge_spans():
+    fl = sink_flow()
+    pts = np.array([[1.5, 0.0], [0.0, 1.0], [0.3, -0.4]])
+    assert flow_map_points(fl, 2.0, pts, t_eval=[]).shape == (0, 3, 2)
+    assert flow_map_points(fl, -2.0, pts, t_eval=np.array([])).shape == (0, 3, 2)
+    assert np.array_equal(flow_map_points(fl, 0.0, pts, t_eval=[0.0]), pts[None])
+    assert np.array_equal(flow_map_points(fl, 0.0, pts), pts)

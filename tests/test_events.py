@@ -11,7 +11,8 @@ from scipy.optimize import brentq
 from flowrelay import expr
 from flowrelay.dynamics import integrate
 from flowrelay.errors import DegenerateCrossing, VanishingImage
-from flowrelay.events import (_fine_grid, backward_leaf_parity, backward_tree,
+from flowrelay.events import (DEFAULT_EVENTS, _fine_grid, _g_scalar, _gdot_scalar,
+                              _scan_roots, backward_leaf_parity, backward_tree,
                               degree_check, find_crossings,
                               forward_leaf_parity, forward_tree,
                               winding_degree)
@@ -136,6 +137,73 @@ def test_fine_grid_matches_per_step_linspace(rotor_m, systemb_m):
                     new = _fine_grid(arc, ns)
                     assert new.shape == old.shape
                     assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def _scan_roots_by_loops(arc, f, level: float, ns: int) -> list[float]:
+    """The element-by-element scan that _scan_roots replaced: the reference
+    for its numpy masks."""
+    ts = _fine_grid(arc, ns)
+    pts = arc.sample(ts)
+    g = f.evaluate(pts) - level
+    gdot = (-1.0 if arc.backward else 1.0) * np.einsum(
+        "ij,ij->i", f.gradient(pts), arc.flow.field.value_batch(pts))
+    gfun, gdfun = _g_scalar(arc, f, level), _gdot_scalar(arc, f)
+    sig = np.sign(g)
+    brackets = [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)
+                if sig[i] != 0.0 and sig[i + 1] != 0.0 and sig[i] != sig[i + 1]]
+    band = max(DEFAULT_EVENTS.graze_band * float(g.max() - g.min()),
+               10.0 * DEFAULT_EVENTS.tol_level)
+    for i in range(len(ts) - 1):
+        if gdot[i] == 0.0 or gdot[i + 1] == 0.0 or np.sign(gdot[i]) == np.sign(gdot[i + 1]):
+            continue
+        if sig[i] != 0.0 and sig[i] == sig[i + 1] and min(abs(g[i]), abs(g[i + 1])) <= band:
+            t_ext = brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
+            g_ext = gfun(t_ext)
+            if abs(g_ext) <= DEFAULT_EVENTS.graze_tol:
+                raise DegenerateCrossing("graze", time=float(t_ext))
+            if np.sign(g_ext) != sig[i]:
+                brackets += [(ts[i], t_ext), (t_ext, ts[i + 1])]
+    return sorted(float(brentq(gfun, a, b, xtol=1e-14, rtol=1e-15))
+                  for a, b in sorted(brackets))
+
+
+def test_scan_masks_match_the_loops(rotor_m, systemb_m):
+    rng = np.random.default_rng(9)
+    cases = [(rotor_m, 0, 1.2999 * np.array([math.cos(-0.5), math.sin(-0.5)]), 1.0)]
+    for system in (rotor_m, systemb_m):
+        for _ in range(6):
+            cases.append((system, int(rng.integers(2)), rng.uniform(-2.0, 2.0, 2),
+                          float(rng.uniform(1.0, 6.0))))
+    for system, k, x, t in cases:
+        fl = system.flows[k]
+        for backward in (False, True):
+            arc = integrate(fl, t, x, backward=backward)
+            for region in system.regions:
+                for ns in (8, 16, 64):
+                    args = (arc, region.f, region.level, ns)
+                    try:
+                        want = _scan_roots_by_loops(*args)
+                    except DegenerateCrossing:
+                        with pytest.raises(DegenerateCrossing):
+                            _scan_roots(*args)
+                        continue
+                    assert _scan_roots(*args) == want
+
+
+def test_root_pair_between_scan_samples_is_found(rotor_m):
+    # the rotor circle of radius 1.2999 cuts a chord of angle 2 * half through
+    # the boundary-0 disk, between two samples of the first two scan densities:
+    # only the extremum of g poking through the level finds the pair
+    fl, region = rotor_m.flows[0], rotor_m.regions[0]
+    radius, phi = 1.2999, 0.5
+    half = math.acos((radius * radius + 0.91) / (2.0 * radius))
+    x = radius * np.array([math.cos(-phi), math.sin(-phi)])
+    arc = integrate(fl, 1.0, x)
+    for ns in (8, 16):
+        assert not np.any(np.abs(_fine_grid(arc, ns) - phi) < half)
+    evs = find_crossings(fl, region, None, x, 1.0, arc=arc)
+    assert [e.direction for e in evs] == [1, -1]
+    assert np.abs(np.array([e.t for e in evs]) - [phi - half, phi + half]).max() < 1e-8
 
 
 def test_forward_tree_rotor_stage_counts(rotor_m):
