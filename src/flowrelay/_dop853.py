@@ -7,13 +7,21 @@ and the initial-step rule, error norm, step controller and step-underflow
 failure are that class's, so results differ from scipy's only by rounding.
 
 A state is a tuple of n floats (one trajectory) or of n numpy columns (a
-batch under one joint error norm). For each state size one step function and
-one dense-row function are generated as straight-line Python with the zero
-tableau entries dropped, the way expr._compile builds the field kernels: one
-source for both forms, with the reductions taken from the form's namespace.
-A right-hand side maps the n state entries to a tuple of n entries; a
-failing one propagates its own exception. Squares are plain products, so an
-overflowing error estimate is inf and rejects the step instead of raising.
+batch of N points under one joint error norm). Each form has its own step
+and dense-row functions under the one step loop of solve.
+
+- Floats: for each state size the two functions are generated as
+  straight-line Python with the zero tableau entries dropped, the way
+  expr._compile builds the field kernels.
+- Columns are stacked into one (n, N) array, with the stages in one
+  preallocated (16, n, N) buffer K. Every stage, solution, error and
+  dense-row sum is one matrix product of tableau rows with the flattened
+  stages, a[:s] @ K[:s].reshape(s, -1), the arithmetic of scipy's rk_step.
+
+A right-hand side maps the n state entries to a tuple of n entries (a
+column may come back as a scalar); a failing one propagates its own
+exception. Squares are plain products, so an overflowing error estimate is
+inf or nan and rejects the step instead of raising.
 """
 from __future__ import annotations
 
@@ -42,8 +50,16 @@ _A_EXTRA = DOP853.A_EXTRA.tolist()
 _D = DOP853.D.tolist()
 _STAGES = len(_B)
 
-# (step, dense rows) per state size and form: pure functions, so one cache serves all
-_GENERATED: dict[tuple[int, bool], tuple[Callable, Callable]] = {}
+# the same coefficients as arrays, for the stacked form's matrix products
+_A_ROWS = [np.array(row[:s]) for s, row in enumerate(_A)]
+_B_ROW = np.array(_B)
+_E_ROWS = (np.array(_E5), np.array(_E3))
+_EXTRA_ROWS = [np.array(row[:s]) for s, row in enumerate(_A_EXTRA, _STAGES + 1)]
+_D_ROWS = np.array(_D)
+
+# (step, dense rows) of the float form per state size: pure functions, so
+# one cache serves all
+_GENERATED: dict[int, tuple[Callable, Callable]] = {}
 
 
 def _comb(coefs, i: int) -> str:
@@ -71,11 +87,11 @@ def _step_source(n: int) -> str:
     lines.append(f"    k{_STAGES} = fun({_names('n', n)})")
     for i in range(n):
         lines += [f"    a = abs(y_{i})", f"    b = abs(n_{i})",
-                  f"    s = {ATOL!r} + _max(a, b)*{RTOL!r}",
+                  f"    s = {ATOL!r} + max(a, b)*{RTOL!r}",
                   f"    r_{i} = ({_comb(_E5, i)})/s",
                   f"    q_{i} = ({_comb(_E3, i)})/s"]
-    lines.append("    e5 = _mean(" + " + ".join(f"r_{i}*r_{i}" for i in range(n)) + ")")
-    lines.append("    e3 = _mean(" + " + ".join(f"q_{i}*q_{i}" for i in range(n)) + ")")
+    lines.append("    e5 = " + " + ".join(f"r_{i}*r_{i}" for i in range(n)))
+    lines.append("    e3 = " + " + ".join(f"q_{i}*q_{i}" for i in range(n)))
     # e5 == 0 gives a zero norm whatever e3 is, as in scipy
     lines.append(f"    err = abs(h)*e5/_sqrt((e5 + 0.01*e3)*{n}) if e5 else 0.0")
     stages = "".join(f"k{s}, " for s in range(_STAGES))
@@ -103,25 +119,75 @@ def _dense_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# reductions over a state of floats and of columns: the max in the error scale,
-# the mean over columns (giving the stacked system's norm), the initial RMS norm
-_FLOATS = {"_max": max, "_mean": lambda v: v,
-           "_rms": lambda v: math.hypot(*v) / len(v) ** 0.5}
-_COLUMNS = {"_max": np.maximum, "_mean": np.mean,
-            "_rms": lambda v: math.sqrt(np.mean(np.square(v)))}
-
-
-def _generated(n: int, ns: dict) -> tuple[Callable, Callable]:
-    """The step and dense-row functions for states of n entries of the
-    form with namespace ns, generated on first use."""
-    key = (n, ns is _COLUMNS)
-    got = _GENERATED.get(key)
+def _generated(n: int) -> tuple[Callable, Callable]:
+    """The float form's step and dense-row functions for states of n
+    entries, generated on first use."""
+    got = _GENERATED.get(n)
     if got is None:
-        scope = {"_sqrt": math.sqrt, **ns}
+        scope = {"_sqrt": math.sqrt}
         src = _step_source(n) + _dense_source(n)
         exec(compile(src, f"<flowrelay-dop853-{n}>", "exec"), scope)
-        got = _GENERATED[key] = (scope["_step"], scope["_dense"])
+        got = _GENERATED[n] = (scope["_step"], scope["_dense"])
     return got
+
+
+def _stacked(n: int, npts: int) -> tuple[Callable, Callable]:
+    """The stacked form's step and dense-row functions for a batch of npts
+    points of n entries, the same contract as the generated pair over
+    (n, npts) arrays. They share one stage buffer K, so the stages passed to
+    the dense rows are those of the last trial step."""
+    K = np.empty((_STAGES + 4, n, npts))
+    flat = K.reshape(len(K), n * npts)
+
+    def put(s: int, entries) -> None:
+        """K[s] = the n entries, columns or scalars."""
+        for i, v in enumerate(entries):
+            K[s, i] = v
+
+    def stage(fun, s: int, y, coefs, h: float) -> None:
+        """K[s] = fun(y + (coefs @ K[:len(coefs)]) * h)."""
+        z = (coefs @ flat[:len(coefs)]).reshape(n, npts)
+        z *= h
+        z += y
+        put(s, fun(*z))
+
+    def step(fun, y, k0, h):
+        put(0, k0)
+        for s in range(1, _STAGES):
+            stage(fun, s, y, _A_ROWS[s], h)
+        y_new = y + (_B_ROW @ flat[:_STAGES]).reshape(n, npts) * h
+        put(_STAGES, fun(*y_new))
+        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+        # each the mean over points of the scaled squares summed over
+        # entries, as in the float form; e5 == 0 gives a zero norm whatever
+        # e3 is, as in scipy
+        e5, e3 = (np.mean(np.sum(np.square(
+            (row @ flat[:_STAGES + 1]).reshape(n, npts) / scale), axis=0))
+            for row in _E_ROWS)
+        err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
+        return err, y_new, K[_STAGES].copy(), K
+
+    def dense(fun, y, ks, y_new, f_new, h):
+        for s, coefs in enumerate(_EXTRA_ROWS, _STAGES + 1):
+            stage(fun, s, y, coefs, h)
+        row = np.empty((8, n, npts))
+        row[0] = y
+        row[1] = d = y_new - y
+        row[2] = h * K[0] - d
+        row[3] = 2 * d - h * (K[_STAGES] + K[0])
+        row[4:] = h * (_D_ROWS @ flat).reshape(len(_D), n, npts)
+        return row
+
+    return step, dense
+
+
+# the initial RMS norm of a state of floats and of a stacked state
+def _rms_floats(v) -> float:
+    return math.hypot(*v) / len(v) ** 0.5
+
+
+def _rms_stacked(v) -> float:
+    return math.sqrt(np.mean(np.square(v)))
 
 
 def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
@@ -145,20 +211,25 @@ def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
 
 def solve(fun, t_end: float, y0: tuple, dense_from: float):
     """Integrate y' = fun(*y) from time 0 to the signed time t_end, over
-    floats or, if y0 holds numpy columns, over columns.
+    floats or, if y0 holds numpy columns, over the stacked columns.
 
     Returns (ts, ys, rows): the accepted times (signed, from 0 to t_end),
     the states there, and for each step ending at |t| >= dense_from (the
-    last len(rows) steps) one flat row holding its start state and its 7
-    interpolant rows. Raises IntegrationError on step underflow.
+    last len(rows) steps) one row holding its start state and its 7
+    interpolant rows. Over floats a state is a tuple and a row a flat tuple
+    of 8n floats; over columns a state is an (n, N) array and a row an
+    (8, n, N) array. Raises IntegrationError on step underflow.
     """
-    ns = _COLUMNS if isinstance(y0[0], np.ndarray) else _FLOATS
-    step, dense_rows = _generated(len(y0), ns)
+    if isinstance(y0[0], np.ndarray):
+        y0 = np.array(y0, float)
+        (step, dense_rows), rms = _stacked(*y0.shape), _rms_stacked
+    else:
+        (step, dense_rows), rms = _generated(len(y0)), _rms_floats
     direction = 1.0 if t_end > 0 else -1.0
     toward = direction * math.inf
     t, y = 0.0, y0
     f = fun(*y)
-    h_abs = _initial_step(fun, y, f, abs(t_end), direction, ns["_rms"])
+    h_abs = _initial_step(fun, y, f, abs(t_end), direction, rms)
     ts, ys, rows = [t], [y], []
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)

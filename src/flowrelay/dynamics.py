@@ -3,11 +3,13 @@
 Every integration runs through _run on the owned DOP853 stepper of _dop853
 at rtol 1e-10, atol 1e-12, which calls the fused kernels directly. A single
 trajectory (flow_map, flow_map_with_jacobian and the dense FlowArc behind
-integrate) is stepped over floats; flow_map_points steps a batch as numpy
-columns under one joint norm. The dense interpolant is built only where it
-is read. No stiff path. Backward time is a negative time span: the stepper
-steps the same field with negative steps, so both directions use the same
-compiled kernels.
+integrate) is stepped over floats. flow_map_points steps its N points as one
+stacked (n, N) array under one joint norm, taking each stage sum as one
+matrix product of a tableau row with the flattened stages, and evaluates
+all its t_eval rows in one vectorised Horner pass. The dense interpolant is
+built only where it is read. No stiff path. Backward time is a negative
+time span: the stepper steps the same field with negative steps, so both
+directions use the same compiled kernels.
 
 Each VectorField is compiled once into fused kernels (value, Jacobian,
 variational right-hand side) that the stepper calls on the state directly.
@@ -260,7 +262,7 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
 
 def flow_map_points(flow: Flow, t: float, points: np.ndarray,
                     t_eval=None) -> np.ndarray:
-    """Flow many points at once, stepped together as numpy columns.
+    """Flow many points at once, stepped together as one (n, N) array.
 
     Error control is applied to the joint norm, which is adequate for the
     margin checks this backs (not for tight per-point tolerances). Returns
@@ -280,12 +282,16 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
         return np.broadcast_to(pts, shape).copy()
     with np.errstate(all="ignore"):
         ts, ys, rows = _run(flow.field._value_cols, "field evaluation", t,
-                            pts.T.copy(), math.inf if t_eval is None else t_eval.min())
+                            pts.T, math.inf if t_eval is None else t_eval.min())
         if t_eval is None:
-            return np.stack(ys[-1], axis=1)
-        # step i, picked as FlowArc.sample picks it, has the rows rows[i - first]
+            return ys[-1].T.copy()
+        # step i, picked as FlowArc.sample picks it, has the (8, n, N) row
+        # rows[i - first]; one Horner pass per time covers every entry and
+        # point, without gathering the rows into a copy
         knots, first = np.abs(ts), len(ts) - 1 - len(rows)
         steps = np.clip(np.searchsorted(knots, t_eval) - 1, 0, len(ts) - 2)
         x = (t_eval - knots[steps]) / (knots[steps + 1] - knots[steps])
-        return np.array([[_interpolate(rows[i - first][j::n], xi) for j in range(n)]
-                         for i, xi in zip(steps, x)]).transpose(0, 2, 1)
+        out = np.empty((len(t_eval),) + ys[0].shape)
+        for k, (i, xk) in enumerate(zip(steps, x)):
+            out[k] = _interpolate(rows[i - first], xk)
+        return out.transpose(0, 2, 1)

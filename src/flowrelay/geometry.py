@@ -76,30 +76,32 @@ def sample_boundary(region: Region, box: np.ndarray, m: int,
     lo, hi = box[0], box[1]
     n = len(lo)
     points: list[np.ndarray] = []
-    norms: list[float] = []
+    norms: list[np.ndarray] = []
+    have = 0
     for _ in range(_SAMPLE_BATCHES):
-        batch = rng.uniform(lo, hi, size=(max(4 * m, 32), n))
-        x = batch.copy()
+        x = rng.uniform(lo, hi, size=(max(4 * m, 32), n))
+        # the residual checked for convergence is the next step's residual
+        r = region.f.evaluate(x) - lv
         for _ in range(_SAMPLE_NEWTON):
-            r = region.f.evaluate(x) - lv
             g = region.f.gradient(x)
             gn2 = np.einsum("ij,ij->i", g, g)
             gn2 = np.where(gn2 > 0, gn2, 1.0)
             step = (r / gn2)[:, None] * g
             np.clip(step, -1.0, 1.0, out=step)  # guard wild first steps
             x = x - step
-            if np.all(np.abs(region.f.evaluate(x) - lv) <= _SAMPLE_TOL):
+            r = region.f.evaluate(x) - lv
+            if np.all(np.abs(r) <= _SAMPLE_TOL):
                 break
-        r = np.abs(region.f.evaluate(x) - lv)
         g = region.f.gradient(x)
         gn = np.sqrt(np.einsum("ij,ij->i", g, g))
-        ok = (r <= _SAMPLE_TOL) & (gn >= _EPS_REG)
+        ok = (np.abs(r) <= _SAMPLE_TOL) & (gn >= _EPS_REG)
         ok &= np.all((x >= lo - 1e-12) & (x <= hi + 1e-12), axis=1)
-        for i in np.flatnonzero(ok):
-            points.append(x[i])
-            norms.append(float(gn[i]))
-            if len(points) == m:
-                return BoundarySamples(np.array(points), np.array(norms))
+        take = np.flatnonzero(ok)[:m - have]
+        points.append(x[take])
+        norms.append(gn[take])
+        have += len(take)
+        if have == m:
+            return BoundarySamples(np.concatenate(points), np.concatenate(norms))
     raise BoundaryNotFound(
         f"no boundary of region {region.index} at level {lv} found in the box "
         f"after {_SAMPLE_BATCHES} batches")
@@ -218,13 +220,14 @@ def _interior_samples(region: Region, box: np.ndarray, m: int,
                       rng: np.random.Generator) -> np.ndarray:
     lo, hi = box[0], box[1]
     keep: list[np.ndarray] = []
+    have = 0
     for _ in range(200):
         batch = rng.uniform(lo, hi, size=(max(4 * m, 64), len(lo)))
         vals = region.f.evaluate(batch) - region.level
-        inside = batch[vals >= 0.0]
-        keep.extend(inside)
-        if len(keep) >= m:
-            return np.array(keep[:m])
+        keep.append(batch[vals >= 0.0])
+        have += len(keep[-1])
+        if have >= m:
+            return np.concatenate(keep)[:m]
     raise BoundaryNotFound(f"region {region.index} has no interior in the box")
 
 
@@ -241,7 +244,9 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
       the regularity floor.
 
     Margins are oriented so that positive means the condition holds with
-    room; these are open conditions, so sampling + margins is the check.
+    room; these are open conditions, so sampling + margins is the check. A
+    condition whose boundary or interior samples cannot be drawn fails with
+    margin -inf and the sampler's message as its note.
     """
     lv = system.levels() if levels is None else np.asarray(levels, float)
     if lv.shape != (system.p + 1,):
@@ -287,14 +292,19 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
         region_b = system.chain_region(b, lv)
         src_region = system.chain_region(b - 1, lv)
         rng = seeded_rng(seed, "validate-absorb")
-        pts = _interior_samples(src_region, system.box, m, rng)
-        if b - 1 in boundary:
-            pts = np.vstack([pts, boundary[b - 1].points])
-        tm = 2.0 * flow_b.horizon
-        t_eval = np.linspace(flow_b.horizon, tm, grid)
-        states = flow_map_points(flow_b, tm, pts, t_eval=t_eval)
-        vals = region_b.f.evaluate(states.reshape(-1, system.n)) - lv[b]
-        conditions.append(ConditionResult(
-            "absorb", b, bool(vals.min() > 0.0), float(vals.min())))
+        try:
+            pts = _interior_samples(src_region, system.box, m, rng)
+        except BoundaryNotFound as exc:
+            conditions.append(ConditionResult("absorb", b, False, float("-inf"),
+                                              note=str(exc)))
+        else:
+            if b - 1 in boundary:
+                pts = np.vstack([pts, boundary[b - 1].points])
+            tm = 2.0 * flow_b.horizon
+            t_eval = np.linspace(flow_b.horizon, tm, grid)
+            states = flow_map_points(flow_b, tm, pts, t_eval=t_eval)
+            vals = region_b.f.evaluate(states.reshape(-1, system.n)) - lv[b]
+            conditions.append(ConditionResult(
+                "absorb", b, bool(vals.min() > 0.0), float(vals.min())))
 
     return ValidationReport(conditions, lv, m)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from flowrelay.cli import load_config, main
 from flowrelay.errors import ConfigError
 
-from conftest import ROTOR_CONFIG, SYSTEMB_CONFIG, ROTOR_CROSS_T
+from conftest import REPO_ROOT, ROTOR_CONFIG, SYSTEMB_CONFIG, ROTOR_CROSS_T
 
 
 def test_load_rotor_config():
@@ -82,6 +83,39 @@ def test_validate_exit_codes(tmp_path):
     assert rc == 2
     report = json.loads((tmp_path / "r" / "validate_report.json").read_text())
     assert report["metrics"]["failures"] == [["entry", 2]]
+
+
+def test_validate_without_interior_is_a_failed_validation(tmp_path, capsys):
+    doc = json.loads(SYSTEMB_CONFIG.read_text())
+    doc["regions"][0]["f"] = "0.01 - ((x1-1)^2 + x2^2)"
+    doc["regions"][1]["f"] = "0.01 - ((x1+1)^2 + x2^2)"
+    config = tmp_path / "small_disks.json"
+    config.write_text(json.dumps(doc))
+    rc = main(["validate", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "absorb[1] FAIL margin=-inf region 0 has no interior in the box" in \
+        capsys.readouterr().out
+    report = json.loads((tmp_path / "validate_report.json").read_text())
+    assert report["outcome"] == "validation_failed"
+    assert ["absorb", 1] in report["metrics"]["failures"]
+
+
+def test_validate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the batch stepper's stage sums are BLAS matrix products
+    outputs = []
+    for name, threads in (("one", "1"), ("default", None)):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowrelay", "validate", "--config",
+             str(SYSTEMB_CONFIG), "--seed", "7", "--out", str(tmp_path / name)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((tmp_path / name / "validation.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The owned DOP853 stepper against scipy's solve_ivp, over floats and over
-columns, its tableau against the order conditions, and its dense output
-against itself."""
+stacked columns, its two forms against each other, its tableau against the
+order conditions, and its dense output against itself."""
 from __future__ import annotations
 
 import numpy as np
@@ -92,6 +92,28 @@ def test_batch_matches_stacked_solve_ivp(npts):
             want = ref.sol(sign * taus).T.reshape(len(taus), npts, 2)
             assert _close_points(flow_map_points(fl, sign * t, pts, taus), want,
                                  1e-12)
+
+
+def test_one_row_batch_matches_the_float_stepper():
+    # the stacked form rounds its stage sums in BLAS order, the float form
+    # left to right: backward legs away from the sinks grow that difference
+    # by up to e^2.5, so the bound sits above rounding, far below tolerance
+    flows = [*make_systemb().flows, *make_rotor().flows, *make_triangle().flows]
+    rng = np.random.default_rng(24)
+    for fl in flows:
+        for _ in range(10):
+            x = rng.uniform(-2.0, 2.0, 2)
+            t = float(rng.uniform(0.5, fl.horizon))
+            for sign in (1.0, -1.0):
+                want = flow_map(fl, sign * t, x)
+                got = flow_map_points(fl, sign * t, x[None])[0]
+                assert _close_points(got[None], want[None], 1e-13)
+                floats, _, _ = _dop853.solve(fl.field._value, sign * t,
+                                             tuple(x.tolist()), np.inf)
+                with np.errstate(all="ignore"):
+                    stacked, _, _ = _dop853.solve(fl.field._value_cols, sign * t,
+                                                  tuple(x[:, None]), np.inf)
+                assert len(stacked) == len(floats)
 
 
 def test_batch_blow_up_fails_as_underflow():

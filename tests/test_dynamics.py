@@ -149,6 +149,27 @@ def test_flow_map_points_matches_pointwise():
         assert np.abs(flow_map(fl, 2.0, x) - y).max() < 1e-8
 
 
+def test_flow_map_points_three_dimensional_linear_field():
+    # a non-normal x' = Mx with n = 3 and N = 5 points: a swapped (n, N)
+    # axis would break shapes or values that square batches hide
+    M = np.array([[-0.3, 2.0, 0.0], [0.0, -0.5, 1.5], [0.4, 0.0, -0.2]])
+    field = VectorField([expr.parse(c, 3) for c in
+                         ("-0.3*x1 + 2*x2", "-0.5*x2 + 1.5*x3", "0.4*x1 - 0.2*x3")])
+    fl = Flow(field, horizon=2.0)
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3))
+    taus = np.array([0.0, 0.4, 1.1, 1.5])
+    for t in (1.5, -1.5):
+        want = pts @ expm(t * M).T
+        got = flow_map_points(fl, t, pts)
+        assert got.shape == (5, 3)
+        assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
+        dense = flow_map_points(fl, t, pts, t_eval=taus)
+        assert dense.shape == (4, 5, 3)
+        for tau, states in zip(taus, dense):
+            want = pts @ expm(math.copysign(tau, t) * M).T
+            assert np.all(np.abs(states - want) <= 1e-9 * (1.0 + np.abs(want)))
+
+
 def test_flow_map_points_rejects_t_eval_outside_span():
     fl = sink_flow()
     pts = np.array([[1.5, 0.0], [0.0, 1.0]])

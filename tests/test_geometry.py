@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from flowrelay import expr
+from flowrelay import expr, geometry
 from flowrelay.dynamics import Flow, VectorField, integrate
 from flowrelay.errors import BoundaryNotFound
 from flowrelay.geometry import (Region, RelaySystem, sample_boundary,
                                 saturate_level, validate_system)
 
 from conftest import make_rotor, make_systemb, rotation_field
+from test_three_mode import make_triangle
 
 BOX = np.array([[-3.0, -3.0], [3.0, 3.0]])
 
@@ -48,6 +49,78 @@ def test_sample_boundary_empty_region():
 def test_sample_boundary_rejects_empty_request(m):
     with pytest.raises(ValueError, match="m >= 1"):
         sample_boundary(rotor_region0(), BOX, m, np.random.default_rng(0))
+
+
+def _sample_boundary_by_loops(region, box, m, rng):
+    """sample_boundary with the level evaluated twice per Newton step and
+    the accepted points taken one by one: the reference for its array form.
+    Also returns the number of batches drawn."""
+    lv, lo, hi = region.level, box[0], box[1]
+    points, norms = [], []
+    for batches in range(1, geometry._SAMPLE_BATCHES + 1):
+        x = rng.uniform(lo, hi, size=(max(4 * m, 32), len(lo)))
+        for _ in range(geometry._SAMPLE_NEWTON):
+            r = region.f.evaluate(x) - lv
+            g = region.f.gradient(x)
+            gn2 = np.einsum("ij,ij->i", g, g)
+            gn2 = np.where(gn2 > 0, gn2, 1.0)
+            step = (r / gn2)[:, None] * g
+            np.clip(step, -1.0, 1.0, out=step)
+            x = x - step
+            if np.all(np.abs(region.f.evaluate(x) - lv) <= geometry._SAMPLE_TOL):
+                break
+        r = np.abs(region.f.evaluate(x) - lv)
+        g = region.f.gradient(x)
+        gn = np.sqrt(np.einsum("ij,ij->i", g, g))
+        for i in range(len(x)):
+            if (r[i] <= geometry._SAMPLE_TOL and gn[i] >= geometry._EPS_REG
+                    and np.all((x[i] >= lo - 1e-12) & (x[i] <= hi + 1e-12))):
+                points.append(x[i])
+                norms.append(float(gn[i]))
+                if len(points) == m:
+                    return np.array(points), np.array(norms), batches
+    raise BoundaryNotFound("reference loop found too few points")
+
+
+def _interior_samples_by_loops(region, box, m, rng):
+    """_interior_samples taking the inside points one by one, and the
+    number of batches drawn."""
+    keep = []
+    for batches in range(1, 201):
+        batch = rng.uniform(box[0], box[1], size=(max(4 * m, 64), len(box[0])))
+        vals = region.f.evaluate(batch) - region.level
+        for x, v in zip(batch, vals):
+            if v >= 0.0:
+                keep.append(x)
+        if len(keep) >= m:
+            return np.array(keep[:m]), batches
+    raise BoundaryNotFound("reference loop found too few points")
+
+
+def test_samplers_match_the_loops():
+    systems = (make_systemb(), make_rotor(), make_triangle())
+    cases = [(s, s.chain_region(j)) for s in systems for j in range(s.p + 1)]
+    # rotor's box keeps only the piece of this line with |x1 - x2| <= 0.6,
+    # where about a fifth of the projected points land: several batches
+    cases.append((systems[1], Region(expr.parse("x1 + x2 - 5.4", 2), index=0)))
+    most_batches = [0, 0]
+    for system, region in cases:
+        for m in (1, 7, 1024):
+            rngs = [np.random.default_rng(31) for _ in range(4)]
+            got = sample_boundary(region, system.box, m, rngs[0])
+            points, norms, batches = _sample_boundary_by_loops(region, system.box,
+                                                               m, rngs[1])
+            assert np.array_equal(got.points, points)
+            assert np.array_equal(got.grad_norms, norms)
+            inside = geometry._interior_samples(region, system.box, m, rngs[2])
+            want, inside_batches = _interior_samples_by_loops(region, system.box,
+                                                              m, rngs[3])
+            assert np.array_equal(inside, want)
+            assert rngs[0].random() == rngs[1].random()
+            assert rngs[2].random() == rngs[3].random()
+            most_batches = [max(most_batches[0], batches),
+                            max(most_batches[1], inside_batches)]
+    assert most_batches[0] > 1 and most_batches[1] > 1
 
 
 def test_saturate_level_bounds_and_slope():
@@ -116,6 +189,21 @@ def test_validate_monotone_in_level():
     m0 = [c.margin for c in base.conditions if c.name == "disjoint" and c.index == 1][0]
     m1 = [c.margin for c in raised.conditions if c.name == "disjoint" and c.index == 1][0]
     assert m1 >= m0
+
+
+def test_validate_without_interior_fails_absorb():
+    # disks of radius 0.1 in the 8 x 8 box: the interior sampler's 200
+    # batches hold too few interior points, so absorb fails with its note
+    system = make_systemb()
+    system.regions = tuple(
+        Region(expr.parse(text, 2), index=i) for i, text in
+        enumerate(("0.01 - ((x1-1)^2 + x2^2)", "0.01 - ((x1+1)^2 + x2^2)")))
+    report = validate_system(system, seed=0)
+    absorb = [c for c in report.conditions if c.name == "absorb"]
+    assert len(absorb) == 1 and not absorb[0].passed
+    assert absorb[0].margin == -math.inf
+    assert absorb[0].note == "region 0 has no interior in the box"
+    assert all(c.passed for c in report.conditions if c.name == "regular")
 
 
 def test_validate_rejects_bad_levels_length(systemb):
