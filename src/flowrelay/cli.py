@@ -131,7 +131,9 @@ def load_config(path: str | Path) -> geo.RelaySystem:
 
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -142,7 +144,8 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
 
 
 _OUTCOMES = {0: "ok", 2: "validation_failed"}  # by exit code

@@ -253,14 +253,12 @@ def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
 
 def forward_tree(system: RelaySystem, levels, x) -> CrossingTree:
     """Expand crossings stage by stage from a point on boundary 0."""
-    lv = system.levels() if levels is None else np.asarray(levels, float)
-    return _expand_tree(system, lv, x, True)
+    return _expand_tree(system, system.levels(levels), x, True)
 
 
 def backward_tree(system: RelaySystem, levels, x) -> CrossingTree:
     """Expand reversed-flow crossings from a point on the closing boundary p."""
-    lv = system.levels() if levels is None else np.asarray(levels, float)
-    return _expand_tree(system, lv, x, False)
+    return _expand_tree(system, system.levels(levels), x, False)
 
 
 def forward_leaf_parity(system: RelaySystem, levels, x) -> int:
@@ -303,7 +301,7 @@ def degree_check(system: RelaySystem, levels=None, samples: int = 20,
     Degenerate samples (tangential crossings somewhere in their tree) are
     recorded as None rather than retried; their rate is part of the result.
     """
-    lv = system.levels() if levels is None else np.asarray(levels, float)
+    lv = system.levels(levels)
     bs0 = sample_boundary(system.chain_region(0, lv), system.box, samples,
                           seeded_rng(seed, "degree", "start"))
     bsp = sample_boundary(system.chain_region(system.p, lv), system.box, samples,

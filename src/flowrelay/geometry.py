@@ -161,15 +161,22 @@ class RelaySystem:
         if self.beta is not None and not 1 <= self.beta <= self.p:
             raise ValueError("beta must lie in 1..p")
 
-    def levels(self) -> np.ndarray:
-        """Stored level offsets (level_0, ..., level_{p-1}, level_p)."""
-        return np.array([r.level for r in self.regions] + [self.level_p])
+    def levels(self, levels=None) -> np.ndarray:
+        """Level offsets (level_0, ..., level_p): the stored ones, or levels
+        checked to be p+1 finite values (ValueError otherwise)."""
+        if levels is None:
+            return np.array([r.level for r in self.regions] + [self.level_p])
+        lv = np.asarray(levels, float)
+        if lv.shape != (self.p + 1,) or not np.isfinite(lv).all():
+            raise ValueError(f"levels must have length p+1 = {self.p + 1} and "
+                             f"be finite, got {lv.tolist()}")
+        return lv
 
     def chain_region(self, j: int, levels=None) -> Region:
         """Region for chain index j in 0..p (j = p reuses f_0 at level_p)."""
         if not 0 <= j <= self.p:
             raise ValueError(f"chain index {j} outside 0..{self.p}")
-        lv = self.levels() if levels is None else np.asarray(levels, float)
+        lv = self.levels(levels)
         base = self.regions[j] if j < self.p else self.regions[0]
         return Region(base.f, float(lv[j]), index=j)
 
@@ -248,9 +255,7 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
     condition whose boundary or interior samples cannot be drawn fails with
     margin -inf and the sampler's message as its note.
     """
-    lv = system.levels() if levels is None else np.asarray(levels, float)
-    if lv.shape != (system.p + 1,):
-        raise ValueError(f"levels must have length p+1 = {system.p + 1}")
+    lv = system.levels(levels)
     conditions: list[ConditionResult] = []
 
     boundary: dict[int, BoundarySamples] = {}

@@ -95,7 +95,7 @@ def _chain_with_jacobians(system: RelaySystem, sv: SwitchingVector):
 
 def shooting_residual(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
     """(f_i(x_i) - level_i for i = 0..p-1) followed by x_p - x_0; length n+p."""
-    lv = system.levels() if levels is None else np.asarray(levels, float)
+    lv = system.levels(levels)
     xs = chain_points(system, sv)
     rows = [float(system.chain_region(i, lv).f.evaluate(xs[i])) - float(lv[i])
             for i in range(system.p)]
@@ -109,7 +109,7 @@ def residual_jacobian(system: RelaySystem, levels, sv: SwitchingVector) -> np.nd
     integration), boundary gradients, and field values at the chain points
     (the time partials).
     """
-    lv = system.levels() if levels is None else np.asarray(levels, float)
+    lv = system.levels(levels)
     n, p = system.n, system.p
     xs, mats = _chain_with_jacobians(system, sv)
     vels = [system.flows[i].field(xs[i + 1]) for i in range(p)]
@@ -300,11 +300,7 @@ def orbit_hausdorff(system: RelaySystem, a: SwitchingVector | PeriodicOrbit,
     """Symmetric Hausdorff distance between two orbits' sampled curves."""
     sa = a.sv if isinstance(a, PeriodicOrbit) else a
     sb = b.sv if isinstance(b, PeriodicOrbit) else b
-    return _hausdorff(orbit_points(system, sa), orbit_points(system, sb))
-
-
-def _hausdorff(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point sets."""
+    pa, pb = orbit_points(system, sa), orbit_points(system, sb)
     da = cKDTree(pb).query(pa)[0].max()
     db = cKDTree(pa).query(pb)[0].max()
     return float(max(da, db))
@@ -382,22 +378,18 @@ def _auto_seeds(system: RelaySystem, levels: np.ndarray,
     return seeds[:opts.max_seeds]
 
 
-_DEDUP_TOL = 1e-4  # Hausdorff distance under which two orbits count as one
+_DEDUP_TOL = 1e-4  # switching-vector distance (max norm) under which orbits are one
 
 
-def _dedup(system: RelaySystem,
-           cands: list[_NewtonResult]) -> list[_NewtonResult]:
-    """Keep each candidate whose orbit is at least _DEDUP_TOL (Hausdorff) from
-    every orbit kept before it. With two or more candidates each one takes
-    part in a comparison, so each orbit is sampled once, up front."""
-    if len(cands) < 2:
-        return cands
-    kept: list[tuple[_NewtonResult, np.ndarray]] = []
+def _dedup(cands: list[_NewtonResult]) -> list[_NewtonResult]:
+    """Keep each candidate whose switching vector (start, durations) is at
+    least _DEDUP_TOL (max norm) from every switching vector kept before it."""
+    kept: list[_NewtonResult] = []
     for c in cands:
-        pts = orbit_points(system, c.sv)
-        if all(_hausdorff(pts, q) >= _DEDUP_TOL for _, q in kept):
-            kept.append((c, pts))
-    return [c for c, _ in kept]
+        z = c.sv.as_vector()
+        if all(np.abs(z - k.sv.as_vector()).max() >= _DEDUP_TOL for k in kept):
+            kept.append(c)
+    return kept
 
 
 def find_periodic(system: RelaySystem, levels=None, seeds="auto",
@@ -407,14 +399,14 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
     Seeds are either SwitchingVectors or ("auto") the leaves of
     chain expansions grown from boundary samples. Converged candidates that
     sit on the duration clamp are rejected; survivors are deduplicated by
-    orbit Hausdorff distance and independently verified. Raises ValueError
-    when the first and closing level offsets differ, DegenerateJacobian when
-    no seed converged and some seed met a Jacobian with condition number
-    above _COND_LIMIT (1e12), and NoConvergence when no seed produces an orbit
-    otherwise.
+    the max-norm distance of their switching vectors and independently
+    verified. Raises ValueError when the first and closing level offsets
+    differ, DegenerateJacobian when no seed converged and some seed met a
+    Jacobian with condition number above _COND_LIMIT (1e12), and
+    NoConvergence when no seed produces an orbit otherwise.
     """
     opts = opts or SolveOptions()
-    lv = system.levels() if levels is None else np.asarray(levels, float)
+    lv = system.levels(levels)
     _require_closing_level(lv)
     if isinstance(seeds, str) and seeds == "auto":
         seed_list = _auto_seeds(system, lv, opts)
@@ -443,7 +435,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
 
     candidates.sort(key=lambda r: (r.sv.durations, r.sv.start))
     verified: list[PeriodicOrbit] = []
-    for res in _dedup(system, candidates):
+    for res in _dedup(candidates):
         orb = _package(system, lv, res.sv, res.residual_norm, opts.window_factor)
         try:
             orb.verification = verify_periodic(system, orb)
@@ -473,8 +465,8 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     closing offsets.
     """
     opts = opts or SolveOptions()
-    lv_a = np.asarray(levels_from, float)
-    lv_b = np.asarray(levels_to, float)
+    lv_a = system.levels(levels_from)
+    lv_b = system.levels(levels_to)
     _require_closing_level(lv_b)
     n, p = system.n, system.p
     path: list[tuple[np.ndarray, SwitchingVector]] = [(lv_a.copy(), sv)]

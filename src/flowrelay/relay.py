@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .dynamics import Flow, FlowArc, integrate
+from .dynamics import TIME_CAP_FACTOR, Flow, FlowArc, integrate
 from .errors import NoCrossingWithinHorizon
 from .events import CrossingEvent, find_crossings
 from .geometry import RelaySystem
@@ -36,7 +36,7 @@ __all__ = [
     "cloud_spacing",
 ]
 
-_WINDOW_GROWTH = (1.0, 2.0, 4.0, 10.0)  # multiples of the horizon, capped at 10
+_WINDOW_GROWTH = (1.0, 2.0, 4.0, TIME_CAP_FACTOR)  # multiples of the horizon
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
         raise ValueError(f"max_switches={max_switches} must be at least 1")
     if t_max is not None and not t_max > 0.0:
         raise ValueError(f"t_max={t_max} must be positive")
-    lv = system.levels() if levels is None else np.asarray(levels, float)
+    lv = system.levels(levels)
     if not 0 <= k0 < system.p:
         raise ValueError(f"mode k0={k0} outside 0..{system.p - 1}")
     x = np.asarray(x0, float)
@@ -243,7 +243,7 @@ def _expand_cloud(system: RelaySystem, x0, k0: int, levels, total_depth: int,
                   breadth: int, record_from: int) -> PointCloud:
     if not 0 <= k0 < system.p:
         raise ValueError(f"mode k0={k0} outside 0..{system.p - 1}")
-    lv = system.levels() if levels is None else np.asarray(levels, float)
+    lv = system.levels(levels)
     delta_s = cloud_spacing(system)
     pts: list[np.ndarray] = []
     depths: list[int] = []

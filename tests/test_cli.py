@@ -99,6 +99,14 @@ def test_validate_without_interior_is_a_failed_validation(tmp_path, capsys):
     assert report["outcome"] == "validation_failed"
     assert ["absorb", 1] in report["metrics"]["failures"]
 
+    def strict(name):
+        raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+    validation = json.loads((tmp_path / "validation.json").read_text(),
+                            parse_constant=strict)
+    absorb, = [c for c in validation["conditions"] if c["name"] == "absorb"]
+    assert absorb["margin"] is None
+
 
 def test_validate_bytes_do_not_depend_on_blas_threads(tmp_path):
     # the batch stepper's stage sums are BLAS matrix products

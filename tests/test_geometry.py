@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from flowrelay import expr, geometry
+from flowrelay import dynamics, events, expr, geometry, periodic, relay
 from flowrelay.dynamics import Flow, VectorField, integrate
 from flowrelay.errors import BoundaryNotFound
 from flowrelay.geometry import (Region, RelaySystem, sample_boundary,
@@ -206,9 +206,47 @@ def test_validate_without_interior_fails_absorb():
     assert all(c.passed for c in report.conditions if c.name == "regular")
 
 
-def test_validate_rejects_bad_levels_length(systemb):
-    with pytest.raises(ValueError):
-        validate_system(systemb, levels=[0.0, 0.0])
+_SV = periodic.SwitchingVector.of([1.5, 0.0], (2.0, 2.0))
+_X = np.array([1.5, 0.0])
+
+# every public call that takes level offsets, as call(system, levels)
+_TAKERS_OF_LEVELS = {
+    "RelaySystem.levels": lambda s, lv: s.levels(lv),
+    "RelaySystem.chain_region": lambda s, lv: s.chain_region(0, lv),
+    "validate_system": lambda s, lv: validate_system(s, lv),
+    "shooting_residual": lambda s, lv: periodic.shooting_residual(s, lv, _SV),
+    "residual_jacobian": lambda s, lv: periodic.residual_jacobian(s, lv, _SV),
+    "find_periodic": lambda s, lv: periodic.find_periodic(s, lv),
+    "continue_levels from": lambda s, lv: periodic.continue_levels(
+        s, _SV, lv, s.levels()),
+    "continue_levels to": lambda s, lv: periodic.continue_levels(
+        s, _SV, s.levels(), lv),
+    "forward_tree": lambda s, lv: events.forward_tree(s, lv, _X),
+    "backward_tree": lambda s, lv: events.backward_tree(s, lv, _X),
+    "forward_leaf_parity": lambda s, lv: events.forward_leaf_parity(s, lv, _X),
+    "backward_leaf_parity": lambda s, lv: events.backward_leaf_parity(s, lv, _X),
+    "degree_check": lambda s, lv: events.degree_check(s, lv),
+    "simulate": lambda s, lv: relay.simulate(s, _X, 0, lv, max_switches=2),
+    "accessible_set": lambda s, lv: relay.accessible_set(s, _X, 0, lv, depth=1),
+    "omega_limit_estimate": lambda s, lv: relay.omega_limit_estimate(
+        s, _X, 0, lv, m_discard=1, depth=1),
+}
+
+
+def test_validate_rejects_bad_levels_length(systemb, monkeypatch):
+    # a short, long or NaN offset vector fails at the door, before any
+    # integration, with the message RelaySystem.levels gives
+    def unreachable(*args):
+        raise AssertionError("integrated before checking the levels")
+
+    monkeypatch.setattr(dynamics, "_run", unreachable)
+    bad_vectors = [([0.0, 0.0], "length p\\+1 = 3"),
+                   ([0.0, 0.0, 0.0, 0.0], "length p\\+1 = 3"),
+                   ([0.0, float("nan"), 0.0], "finite")]
+    for call in _TAKERS_OF_LEVELS.values():
+        for bad, message in bad_vectors:
+            with pytest.raises(ValueError, match=message):
+                call(systemb, bad)
 
 
 def test_signed_level_continuous_along_flow(systemb):

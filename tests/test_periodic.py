@@ -284,6 +284,50 @@ def test_find_periodic_deterministic(systemb_m):
         assert orbit_hausdorff(systemb_m, oa, ob) < 1e-6
 
 
+def _result(start, durations) -> periodic._NewtonResult:
+    return periodic._NewtonResult(SwitchingVector.of(start, durations), 0.0,
+                                  converged=True, on_clamp=False,
+                                  degenerate=False)
+
+
+def test_dedup_merges_switching_vectors_within_tolerance():
+    a = _result([1.0, 0.0], (2.0, 3.0))
+    near = _result([1.0, 1e-7], (2.0, 3.0))
+    far = _result([1.0, 0.0], (2.0, 3.0 + 1e-3))
+    b = _result([0.5, 0.5], (1.0, 1.0))
+    assert periodic._dedup([a, near, far, b]) == [a, far, b]
+    assert periodic._dedup([far, a, near]) == [far, a]
+    assert periodic._dedup([]) == []
+
+
+def test_rotor_circle_switched_at_either_end_is_two_orbits(rotor_m):
+    # one curve, the radius-1 circle, switched at its upper and at its lower
+    # boundary intersections: two switching vectors, so two orbits (the
+    # sampled curves differ by 7.5e-3 in Hausdorff distance too)
+    seeds = [SwitchingVector.of([0.955, 0.29661], (2.4379, 3.8453)),
+             SwitchingVector.of([0.955, -0.29661], (3.8453, 2.4379))]
+    orbits = find_periodic(rotor_m, seeds=seeds)
+    assert len(orbits) == 2
+    for orb in orbits:
+        assert abs(orb.period - 2 * math.pi) < 1e-6
+        assert abs(np.linalg.norm(orb.sv.x) - 1.0) < 1e-3
+    assert {np.sign(orb.sv.x[1]) for orb in orbits} == {-1.0, 1.0}
+
+
+def test_find_periodic_samples_no_orbit_curves(rotor_m, monkeypatch):
+    calls = []
+    orbit_points = periodic.orbit_points
+
+    def counted(*args):
+        calls.append(args)
+        return orbit_points(*args)
+
+    monkeypatch.setattr(periodic, "orbit_points", counted)
+    orbits = find_periodic(rotor_m, opts=SolveOptions(max_seeds=32, seed=7))
+    assert len(orbits) == 30
+    assert len(calls) == 0
+
+
 def test_tree_leaves_are_consistent_switching_vectors(systemb_m):
     lv = systemb_m.levels()
     bs = sample_boundary(systemb_m.chain_region(0), systemb_m.box, 2,
