@@ -299,8 +299,7 @@ def _cmd_find_periodic(args, system, levels, outdir: Path):
                                    f"closing level offsets, got {lv[0]} and {lv[-1]}")
     if lv_from is not None:
         found = per.find_periodic(system, lv_from, opts=opts)
-        path = per.continue_levels(system, found[0].sv, lv_from, levels,
-                                   opts=opts)
+        path = per.continue_levels(system, found[0].sv, lv_from, levels)
         orbits = [path.orbit]
         metrics["continuation_steps"] = len(path.steps)
         metrics["levels_from"] = list(lv_from)

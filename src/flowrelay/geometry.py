@@ -253,8 +253,11 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
     Margins are oriented so that positive means the condition holds with
     room; these are open conditions, so sampling + margins is the check. A
     condition whose boundary or interior samples cannot be drawn fails with
-    margin -inf and the sampler's message as its note.
+    margin -inf and the sampler's message as its note. Raises ValueError
+    when grid is below 1.
     """
+    if grid < 1:
+        raise ValueError(f"grid={grid} must be at least 1")
     lv = system.levels(levels)
     conditions: list[ConditionResult] = []
 

@@ -10,7 +10,8 @@ reject unequal ones with ValueError.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -65,6 +66,14 @@ class SwitchingVector:
         return np.concatenate([self.x, self.t])
 
 
+def _check_shape(system: RelaySystem, sv: SwitchingVector) -> None:
+    if len(sv.start) != system.n or len(sv.durations) != system.p:
+        raise ValueError(
+            f"switching vector needs {system.n} start coordinates and "
+            f"{system.p} durations, got {len(sv.start)} and "
+            f"{len(sv.durations)}")
+
+
 def _check_windows(system: RelaySystem, sv: SwitchingVector) -> None:
     for i, (t, flow) in enumerate(zip(sv.durations, system.flows)):
         cap = TIME_CAP_FACTOR * flow.horizon
@@ -75,6 +84,7 @@ def _check_windows(system: RelaySystem, sv: SwitchingVector) -> None:
 
 def chain_points(system: RelaySystem, sv: SwitchingVector) -> list[np.ndarray]:
     """The chain x_0, ..., x_p realized by integrating each leg in turn."""
+    _check_shape(system, sv)
     _check_windows(system, sv)
     xs = [sv.x]
     for i, t in enumerate(sv.durations):
@@ -82,15 +92,17 @@ def chain_points(system: RelaySystem, sv: SwitchingVector) -> list[np.ndarray]:
     return xs
 
 
-def _chain_with_jacobians(system: RelaySystem, sv: SwitchingVector):
+def _linearize(system: RelaySystem, sv: SwitchingVector):
+    """Chain points x_i, leg Jacobians dx_i/dx_{i-1}, end fields dx_i/dt_i."""
+    _check_shape(system, sv)
     _check_windows(system, sv)
-    xs = [sv.x]
-    mats = []
+    xs, mats, vels = [sv.x], [], []
     for i, t in enumerate(sv.durations):
         x_next, a = flow_map_with_jacobian(system.flows[i], t, xs[-1])
         xs.append(x_next)
         mats.append(a)
-    return xs, mats
+        vels.append(system.flows[i].field(x_next))
+    return xs, mats, vels
 
 
 def shooting_residual(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
@@ -111,8 +123,7 @@ def residual_jacobian(system: RelaySystem, levels, sv: SwitchingVector) -> np.nd
     """
     lv = system.levels(levels)
     n, p = system.n, system.p
-    xs, mats = _chain_with_jacobians(system, sv)
-    vels = [system.flows[i].field(xs[i + 1]) for i in range(p)]
+    xs, mats, vels = _linearize(system, sv)
     jac = np.zeros((n + p, n + p))
     for i in range(p):
         w = system.chain_region(i, lv).f.gradient(xs[i])
@@ -134,12 +145,17 @@ def residual_jacobian(system: RelaySystem, levels, sv: SwitchingVector) -> np.nd
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Seed budget and RNG seed of find_periodic's automatic seeding; the
+    duration window (window_factor horizons) is fixed."""
+
     max_seeds: int = 32
-    window_factor: float = 2.0   # durations may range in (0, factor * horizon)
-    max_iter: int = 40
     seed: int = 0
+    window_factor: ClassVar[float] = 2.0  # durations in (0, factor * horizon)
 
 
+_MAX_ITER = 40              # Jacobians per Newton solve
+_CORRECTOR_MAX_ITER = 20    # Jacobians per continuation corrector
+_CONTINUATION_STEPS = 16    # steps across the level segment, before halving
 _RESIDUAL_TOL = 1e-9        # |r| at which a Newton seed has converged
 _CLAMP_MARGIN_REL = 1e-6    # duration clamp margin, as a share of the horizon
 _COND_LIMIT = 1e12          # cond(J) above which a Jacobian counts as degenerate
@@ -158,21 +174,14 @@ class _NewtonResult:
     degenerate: bool
 
 
-def _clamp_bounds(system: RelaySystem,
-                  opts: SolveOptions) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.array([_CLAMP_MARGIN_REL * f.horizon for f in system.flows])
-    hi = np.array([opts.window_factor * f.horizon - m
-                   for f, m in zip(system.flows, lo)])
-    return lo, hi
-
-
-def _clamp_durations(t: np.ndarray, system: RelaySystem,
-                     opts: SolveOptions) -> np.ndarray:
-    return np.clip(t, *_clamp_bounds(system, opts))
+def _clamp_bounds(system: RelaySystem) -> tuple[np.ndarray, np.ndarray]:
+    horizons = np.array([f.horizon for f in system.flows])
+    lo = _CLAMP_MARGIN_REL * horizons
+    return lo, SolveOptions.window_factor * horizons - lo
 
 
 def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
-            opts: SolveOptions) -> _NewtonResult:
+            max_iter: int) -> _NewtonResult:
     """Levenberg-Marquardt with one adaptive damping parameter mu.
 
     Each trial solves [J; sqrt(mu*s) I] dz = [-r; 0] in the least-squares
@@ -180,10 +189,12 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     Gauss-Newton step. A trial is accepted only if it lowers |r|; acceptance
     divides mu by 10 (to 0 below 1e-8), rejection multiplies it by 10
     (from 1e-8). The seed is given up once mu passes 1, which bounds the
-    work to max_iter Jacobians and 2*max_iter + 11 residuals.
+    work to max_iter (_MAX_ITER, or _CORRECTOR_MAX_ITER in a continuation
+    corrector) Jacobians and 2*max_iter + 11 residuals.
     """
     n, p = system.n, system.p
-    z = np.concatenate([sv.x, _clamp_durations(sv.t, system, opts)])
+    lo, hi = _clamp_bounds(system)
+    z = np.concatenate([sv.x, np.clip(sv.t, lo, hi)])
     degenerate = False
 
     def split(vec: np.ndarray) -> SwitchingVector:
@@ -192,7 +203,7 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     r = shooting_residual(system, levels, split(z))
     rnorm = float(np.linalg.norm(r))
     mu = 0.0
-    for _ in range(opts.max_iter):
+    for _ in range(max_iter):
         if rnorm <= _RESIDUAL_TOL or mu > 1.0:
             break
         jac = residual_jacobian(system, levels, split(z))
@@ -203,7 +214,7 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
         while mu <= 1.0:
             aug = np.vstack([jac, np.sqrt(mu * scale) * np.eye(n + p)])
             z_try = z + np.linalg.lstsq(aug, rhs, rcond=None)[0]
-            z_try[n:] = _clamp_durations(z_try[n:], system, opts)
+            z_try[n:] = np.clip(z_try[n:], lo, hi)
             try:
                 r_try = shooting_residual(system, levels, split(z_try))
                 rnorm_try = float(np.linalg.norm(r_try))
@@ -215,7 +226,6 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
                 break
             mu = max(10.0 * mu, 1e-8)
     converged = rnorm <= _RESIDUAL_TOL
-    lo, hi = _clamp_bounds(system, opts)
     on_clamp = bool(np.any(z[n:] <= lo * 1.5) or np.any(z[n:] >= hi - 0.5 * lo))
     return _NewtonResult(split(z), rnorm, converged, on_clamp, degenerate)
 
@@ -244,7 +254,6 @@ class PeriodicOrbit:
     residual_norm: float
     margins: tuple[float, ...]
     monodromy: np.ndarray
-    window_factor: float
     verification: VerificationReport | None = None
 
     @property
@@ -267,17 +276,19 @@ class PeriodicOrbit:
 
 
 def _package(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
-             rnorm: float, window_factor: float) -> PeriodicOrbit:
-    xs, mats = _chain_with_jacobians(system, sv)
-    vels = [system.flows[i].field(xs[i + 1]) for i in range(system.p)]
+             rnorm: float) -> PeriodicOrbit:
+    """The orbit at a solved switching vector, replay-verified."""
+    xs, mats, vels = _linearize(system, sv)
     margins = tuple(
         float(abs(system.chain_region(i + 1, levels).f.gradient(xs[i + 1]) @ vels[i]))
         for i in range(system.p))
     monodromy = np.eye(system.n)
     for a in mats:
         monodromy = a @ monodromy
-    return PeriodicOrbit(sv, np.asarray(levels, float), rnorm, margins,
-                         monodromy, window_factor)
+    orbit = PeriodicOrbit(sv, np.asarray(levels, float), rnorm, margins,
+                          monodromy)
+    orbit.verification = verify_periodic(system, orbit)
+    return orbit
 
 
 _ORBIT_PER_LEG = 256  # samples per leg of an orbit's sampled curve
@@ -285,6 +296,7 @@ _ORBIT_PER_LEG = 256  # samples per leg of an orbit's sampled curve
 
 def orbit_points(system: RelaySystem, sv: SwitchingVector) -> np.ndarray:
     """Dense samples along the closed curve traced by the orbit."""
+    _check_shape(system, sv)
     pts = []
     x = sv.x
     for i, dur in enumerate(sv.durations):
@@ -323,9 +335,11 @@ def verify_periodic(system: RelaySystem,
     Each leg's crossing list is recomputed from scratch; the recorded
     duration must match one crossing (the matched index realizes an NthHit
     replay). A failed match, or a matched time off by more than the replay
-    tolerance, raises ReplayMismatch; unequal first and closing level
-    offsets raise ValueError. closure is |replayed end - start|."""
+    tolerance, raises ReplayMismatch; a switching vector of the wrong shape
+    or unequal first and closing level offsets raise ValueError. closure is
+    |replayed end - start|."""
     lv = orbit.levels
+    _check_shape(system, orbit.sv)
     _require_closing_level(lv)
     x = orbit.sv.x
     indices = []
@@ -334,7 +348,7 @@ def verify_periodic(system: RelaySystem,
     for i, dur in enumerate(orbit.sv.durations):
         flow = system.flows[i]
         region = system.chain_region(i + 1, lv)
-        window = orbit.window_factor * flow.horizon
+        window = SolveOptions.window_factor * flow.horizon
         evs = find_crossings(flow, region, float(lv[i + 1]), x, window)
         if not evs:
             raise ReplayMismatch(f"no crossings on leg {i + 1} during replay")
@@ -368,7 +382,7 @@ def _auto_seeds(system: RelaySystem, levels: np.ndarray,
     for pt in samples.points:
         try:
             tree = _expand_tree(system, levels, pt, True,
-                                window_factor=opts.window_factor)
+                                window_factor=SolveOptions.window_factor)
         except DegenerateCrossing:
             continue
         for leaf in tree.leaves:
@@ -396,12 +410,13 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
                   opts: SolveOptions | None = None) -> list[PeriodicOrbit]:
     """Find periodic switching orbits by Levenberg-Marquardt from many seeds.
 
-    Seeds are either SwitchingVectors or ("auto") the leaves of
-    chain expansions grown from boundary samples. Converged candidates that
-    sit on the duration clamp are rejected; survivors are deduplicated by
-    the max-norm distance of their switching vectors and independently
-    verified. Raises ValueError when the first and closing level offsets
-    differ, DegenerateJacobian when no seed converged and some seed met a
+    Seeds are either SwitchingVectors or ("auto") the leaves of chain
+    expansions grown from opts.max_seeds boundary samples; each gets at most
+    _MAX_ITER (40) Jacobians. Converged candidates that sit on the duration
+    clamp are rejected; survivors are deduplicated by the max-norm distance
+    of their switching vectors and independently verified. Raises ValueError
+    when the first and closing level offsets differ or a seed has the wrong
+    shape, DegenerateJacobian when no seed converged and some seed met a
     Jacobian with condition number above _COND_LIMIT (1e12), and
     NoConvergence when no seed produces an orbit otherwise.
     """
@@ -412,6 +427,8 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
         seed_list = _auto_seeds(system, lv, opts)
     else:
         seed_list = list(seeds)
+        for sv in seed_list:
+            _check_shape(system, sv)
     if not seed_list:
         raise NoConvergence("no seeds to start from")
 
@@ -419,7 +436,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
     saw_degenerate = False
     for sv in seed_list:
         try:
-            res = _newton(system, lv, sv, opts)
+            res = _newton(system, lv, sv, _MAX_ITER)
         except _SOLVE_ERRORS:
             continue
         if res.converged and not res.on_clamp:
@@ -436,12 +453,10 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
     candidates.sort(key=lambda r: (r.sv.durations, r.sv.start))
     verified: list[PeriodicOrbit] = []
     for res in _dedup(candidates):
-        orb = _package(system, lv, res.sv, res.residual_norm, opts.window_factor)
         try:
-            orb.verification = verify_periodic(system, orb)
+            verified.append(_package(system, lv, res.sv, res.residual_norm))
         except (ReplayMismatch, DegenerateCrossing):
             continue
-        verified.append(orb)
     if not verified:
         raise NoConvergence("all converged orbits failed replay verification")
     return verified
@@ -454,17 +469,16 @@ class ContinuationPath:
 
 
 def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
-                    levels_to, steps: int = 16,
-                    opts: SolveOptions | None = None) -> ContinuationPath:
+                    levels_to) -> ContinuationPath:
     """Track a converged orbit as the level offsets move along a segment.
 
-    Linear predictor (tangent solve of the shooting system) plus
-    Levenberg-Marquardt corrector; the step halves on corrector failure down
-    to 1/1024 of the segment, at which point ContinuationStalled carries the
-    partial path. Raises ValueError when levels_to has unequal first and
-    closing offsets.
+    _CONTINUATION_STEPS (16) steps of linear predictor (tangent solve of
+    the shooting system) plus Levenberg-Marquardt corrector; the step halves
+    on corrector failure down to 1/1024 of the segment, at which point
+    ContinuationStalled carries the partial path. Raises ValueError when sv
+    has the wrong shape or levels_to unequal first and closing offsets.
     """
-    opts = opts or SolveOptions()
+    _check_shape(system, sv)
     lv_a = system.levels(levels_from)
     lv_b = system.levels(levels_to)
     _require_closing_level(lv_b)
@@ -472,12 +486,11 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     path: list[tuple[np.ndarray, SwitchingVector]] = [(lv_a.copy(), sv)]
     if np.array_equal(lv_a, lv_b):
         rnorm = float(np.linalg.norm(shooting_residual(system, lv_a, sv)))
-        orbit = _package(system, lv_a, sv, rnorm, opts.window_factor)
-        orbit.verification = verify_periodic(system, orbit)
-        return ContinuationPath(path, orbit)
+        return ContinuationPath(path, _package(system, lv_a, sv, rnorm))
 
+    lo, hi = _clamp_bounds(system)
     s = 0.0
-    base = 1.0 / steps
+    base = 1.0 / _CONTINUATION_STEPS
     h = base
     cur = sv
     while s < 1.0 - 1e-15:
@@ -490,10 +503,8 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
             rhs = np.concatenate([dl[:p], np.zeros(n)])
             tangent = np.linalg.lstsq(jac, rhs, rcond=None)[0]
             z_pred = cur.as_vector() + tangent
-            pred = SwitchingVector.of(z_pred[:n],
-                                      _clamp_durations(z_pred[n:], system, opts))
-            res = _newton(system, lv_next, pred,
-                          replace(opts, max_iter=min(opts.max_iter, 20)))
+            pred = SwitchingVector.of(z_pred[:n], np.clip(z_pred[n:], lo, hi))
+            res = _newton(system, lv_next, pred, _CORRECTOR_MAX_ITER)
         except _SOLVE_ERRORS:
             res = None
         if res is not None and res.converged and not res.on_clamp:
@@ -507,8 +518,6 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
                 raise ContinuationStalled(
                     f"minimum continuation step reached at s={s:.4f}",
                     path=path)
-    final = _newton(system, lv_b, cur, opts)
-    orbit = _package(system, lv_b, final.sv, final.residual_norm,
-                     opts.window_factor)
-    orbit.verification = verify_periodic(system, orbit)
-    return ContinuationPath(path, orbit)
+    final = _newton(system, lv_b, cur, _MAX_ITER)
+    return ContinuationPath(path, _package(system, lv_b, final.sv,
+                                           final.residual_norm))

@@ -140,14 +140,15 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
              t_max: float | None = None) -> Trajectory:
     """Run the switching dynamics from (x0, mode k0) until a stop criterion.
 
-    At least one of max_switches (>= 1) / t_max (> 0) must bound the run.
+    At least one of max_switches (>= 1) / t_max (finite, > 0) must bound
+    the run.
     """
     if max_switches is None and t_max is None:
         raise ValueError("need max_switches or t_max as a stop criterion")
     if max_switches is not None and max_switches < 1:
         raise ValueError(f"max_switches={max_switches} must be at least 1")
-    if t_max is not None and not t_max > 0.0:
-        raise ValueError(f"t_max={t_max} must be positive")
+    if t_max is not None and not 0.0 < t_max < np.inf:
+        raise ValueError(f"t_max={t_max} must be finite and positive")
     lv = system.levels(levels)
     if not 0 <= k0 < system.p:
         raise ValueError(f"mode k0={k0} outside 0..{system.p - 1}")

@@ -70,3 +70,21 @@ def test_all_names_resolve(name):
 def test_all_is_the_pinned_surface(name):
     mod = importlib.import_module(name)
     assert sorted(mod.__all__) == sorted(EXPORTS[name])
+
+
+def test_shooting_settings_are_the_seed_budget_and_rng_seed():
+    import dataclasses
+    import inspect
+
+    from flowrelay import periodic
+
+    names = [f.name for f in dataclasses.fields(periodic.SolveOptions)]
+    assert names == ["max_seeds", "seed"]
+    with pytest.raises(TypeError):
+        periodic.SolveOptions(window_factor=3.0)
+    # the duration window stays readable: perfbench searches seeds over it
+    assert periodic.SolveOptions().window_factor == 2.0
+    params = list(inspect.signature(periodic.continue_levels).parameters)
+    assert params == ["system", "sv", "levels_from", "levels_to"]
+    orbit_fields = [f.name for f in dataclasses.fields(periodic.PeriodicOrbit)]
+    assert "window_factor" not in orbit_fields

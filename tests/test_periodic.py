@@ -203,12 +203,10 @@ def test_hopeless_seed_work_is_bounded(rotor_m, monkeypatch):
                         counted("residual", periodic.shooting_residual))
     monkeypatch.setattr(periodic, "residual_jacobian",
                         counted("jacobian", periodic.residual_jacobian))
-    opts = SolveOptions()
     with pytest.raises(NoConvergence):
-        find_periodic(rotor_m, seeds=[SwitchingVector.of([0, 0.05], (0.01, 6.2))],
-                      opts=opts)
-    assert calls["jacobian"] <= opts.max_iter
-    assert calls["residual"] <= 2 * opts.max_iter + 11
+        find_periodic(rotor_m, seeds=[SwitchingVector.of([0, 0.05], (0.01, 6.2))])
+    assert calls["jacobian"] <= periodic._MAX_ITER
+    assert calls["residual"] <= 2 * periodic._MAX_ITER + 11
 
 
 def test_newton_counts_a_failed_trial_as_a_rejection(rotor_m, monkeypatch):
@@ -227,7 +225,7 @@ def test_newton_counts_a_failed_trial_as_a_rejection(rotor_m, monkeypatch):
     sv = rotor_closed_form_sv()
     rough = SwitchingVector.of(sv.x + np.array([0.0, 1e-3]),
                                (sv.durations[0] + 0.05, sv.durations[1] - 0.02))
-    res = periodic._newton(rotor_m, rotor_m.levels(), rough, SolveOptions())
+    res = periodic._newton(rotor_m, rotor_m.levels(), rough, periodic._MAX_ITER)
     assert res.converged
     assert len(calls) > 2
 
@@ -351,7 +349,7 @@ def test_verify_rejects_corrupted_orbit(systemb_m, systemb_orbit):
     bad_sv = SwitchingVector.of(orb.sv.start,
                                 (orb.sv.durations[0] + 0.01, orb.sv.durations[1]))
     corrupted = PeriodicOrbit(bad_sv, orb.levels, orb.residual_norm,
-                              orb.margins, orb.monodromy, orb.window_factor)
+                              orb.margins, orb.monodromy)
     with pytest.raises(ReplayMismatch):
         verify_periodic(systemb_m, corrupted)
 
@@ -374,17 +372,52 @@ def test_continuation_small_shift_and_back(systemb_m, systemb_orbit):
     orb = systemb_orbit
     lv0 = systemb_m.levels()
     lv1 = lv0 + 0.01
-    out = continue_levels(systemb_m, orb.sv, lv0, lv1, steps=4)
+    out = continue_levels(systemb_m, orb.sv, lv0, lv1)
     assert np.abs(out.orbit.levels - lv1).max() == 0.0
-    back = continue_levels(systemb_m, out.orbit.sv, lv1, lv0, steps=4)
+    back = continue_levels(systemb_m, out.orbit.sv, lv1, lv0)
     assert orbit_hausdorff(systemb_m, back.orbit, orb) < 1e-6
 
 
-def test_continuation_stalls_when_regions_vanish(systemb_m, systemb_orbit):
+def test_continuation_stalls_when_regions_vanish(systemb_m, systemb_orbit,
+                                                 monkeypatch):
     orb = systemb_orbit
     lv0 = systemb_m.levels()
-    cheap = SolveOptions(max_iter=6, seed=0)
+    monkeypatch.setattr(periodic, "_MAX_ITER", 6)
+    monkeypatch.setattr(periodic, "_CORRECTOR_MAX_ITER", 6)
     with pytest.raises(ContinuationStalled) as exc:
-        continue_levels(systemb_m, orb.sv, lv0, np.full(3, 0.26), steps=4,
-                        opts=cheap)
+        continue_levels(systemb_m, orb.sv, lv0, np.full(3, 0.26))
     assert len(exc.value.path) >= 1
+
+
+# every call that takes a switching vector, as call(system, sv)
+_TAKERS_OF_SWITCHING_VECTORS = {
+    "chain_points": lambda s, sv: chain_points(s, sv),
+    "shooting_residual": lambda s, sv: shooting_residual(s, None, sv),
+    "residual_jacobian": lambda s, sv: residual_jacobian(s, None, sv),
+    "find_periodic": lambda s, sv: find_periodic(s, seeds=[sv]),
+    "continue_levels": lambda s, sv: continue_levels(
+        s, sv, s.levels(), s.levels() + 0.01),
+    "verify_periodic": lambda s, sv: verify_periodic(
+        s, PeriodicOrbit(sv, s.levels(), 0.0, (), np.eye(2))),
+    "orbit_points": lambda s, sv: periodic.orbit_points(s, sv),
+    "orbit_hausdorff": lambda s, sv: orbit_hausdorff(s, sv, sv),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKERS_OF_SWITCHING_VECTORS))
+def test_switching_vector_shape_checked_before_integrating(systemb_m,
+                                                           monkeypatch, name):
+    # systemb has n = 2 and p = 2: one or three durations, or a 3-D start,
+    # fail at the door with ValueError instead of being sliced or broadcast
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrated before checking the switching vector")
+
+    for fn in ("flow_map", "flow_map_with_jacobian", "integrate",
+               "find_crossings"):
+        monkeypatch.setattr(periodic, fn, unreachable)
+    call = _TAKERS_OF_SWITCHING_VECTORS[name]
+    for bad in (SwitchingVector.of([1.5, 0.0], (2.0,)),
+                SwitchingVector.of([1.5, 0.0], (2.0, 2.0, 2.0)),
+                SwitchingVector.of([1.5, 0.0, 0.0], (2.0, 2.0))):
+        with pytest.raises(ValueError, match="2 start coordinates and 2 durations"):
+            call(systemb_m, bad)

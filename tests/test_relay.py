@@ -110,7 +110,8 @@ def test_simulate_requires_stop_rule(rotor_m):
 
 
 @pytest.mark.parametrize("stop", [{"max_switches": 0}, {"t_max": 0.0},
-                                  {"t_max": -1.0}, {"t_max": math.nan}])
+                                  {"t_max": -1.0}, {"t_max": math.nan},
+                                  {"t_max": math.inf}])
 def test_simulate_rejects_empty_stop_rule(rotor_m, stop):
     with pytest.raises(ValueError, match="must be"):
         simulate(rotor_m, rotor_periodic_start(1.0), 0, **stop)
