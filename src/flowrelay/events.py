@@ -2,17 +2,18 @@
 
 Crossings of g(t) = f(F^t(x)) - level are found on the dense interpolant of
 one adaptive integration: every accepted step is oversampled, sign changes
-are bracketed and polished by a safeguarded root finder, and near-tangent
-structure (grazing extrema, root pairs closer than the separation floor)
-aborts with DegenerateCrossing so callers can perturb the level offsets.
+are bracketed and polished by Brent's method (_brentq, a port of scipy's
+brentq), and near-tangent structure (grazing extrema, root pairs closer
+than the separation floor) aborts with DegenerateCrossing so callers can
+perturb the level offsets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import Flow, FlowArc, integrate
 from .errors import DegenerateCrossing, StartOnBoundary, VanishingImage
@@ -85,6 +86,79 @@ def _fine_grid(arc: FlowArc, ns: int) -> np.ndarray:
     return np.unique(np.concatenate([grid.ravel(), ts[-1:]]))
 
 
+_BRENT_ITER = 100
+
+
+def _brentq(f: Callable[[float], float], xa, xb, xtol: float,
+            rtol: float) -> float:
+    """A root of f in the bracket [xa, xb] by Brent's method (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    A line for line port of scipy's brentq.c, so on the same f and bracket
+    it returns scipy.optimize.brentq's root bit for bit: it stops once half
+    the bracket is below delta = (xtol + rtol*|x|)/2. Raises ValueError when
+    f has one sign at both ends or returns nan, RuntimeError when 100
+    iterations do not converge.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_ITER):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {_BRENT_ITER} iterations, "
+                       f"value is {xcur}")
+
+
 def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int) -> list[float]:
     """Root times of g on (0, duration), including pairs recovered from
     near-zero extrema; raises on grazes."""
@@ -112,7 +186,7 @@ def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int) -> list[floa
                            & (s0 != 0.0) & (s0 == s1)
                            & (np.minimum(abs(g[:-1]), abs(g[1:])) <= band))
     for i in turns:
-        t_ext = brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
+        t_ext = _brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
         g_ext = gfun(t_ext)
         if abs(g_ext) <= DEFAULT_EVENTS.graze_tol:
             raise DegenerateCrossing(
@@ -123,7 +197,7 @@ def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int) -> list[floa
             brackets.append((ts[i], t_ext))
             brackets.append((t_ext, ts[i + 1]))
 
-    return sorted(float(brentq(gfun, a, b, xtol=1e-14, rtol=1e-15))
+    return sorted(_brentq(gfun, a, b, xtol=1e-14, rtol=1e-15)
                   for a, b in sorted(brackets))
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dynamics import TIME_CAP_FACTOR, Flow, FlowArc, integrate
 from .errors import NoCrossingWithinHorizon
@@ -339,14 +338,70 @@ def strict_mode_check(system: RelaySystem,
     return worst <= _STRICT_TOL, worst
 
 
+# cells are this much wider than delta, so that rounding in a cell index can
+# never put two points at most delta apart two cells apart
+_CELL_WIDEN = 1.0 + 1e-6
+
+
+def _pairs_within(points: np.ndarray, delta: float) -> np.ndarray:
+    """The index pairs of points at most delta apart, each once: squared
+    distance, summed over coordinates in order, at most delta*delta.
+
+    The points are hashed to a grid of cells of side delta, and only points
+    in the same or neighbouring cells are compared. Returns a (2, k) array.
+    """
+    n, dim = points.shape
+    cells = np.floor((points - points.min(axis=0))
+                     / (delta * _CELL_WIDEN)).astype(np.int64)
+    # one int64 key per cell; each axis' occupied indices are renumbered
+    # from 1 with gaps capped at 2, so neighbours stay neighbours and the key
+    # stays small however fine the grid
+    key = np.zeros(n, np.int64)
+    offsets = [0]   # key steps to the 3^dim cells around one, in key order
+    for col in cells.T:
+        u, inv = np.unique(col, return_inverse=True)
+        col = np.concatenate(([1], 1 + np.cumsum(np.minimum(np.diff(u), 2))))
+        radix = int(col[-1]) + 2
+        key = key * radix + col[inv]
+        offsets = [off * radix + o for off in offsets for o in (-1, 0, 1)]
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+
+    firsts, seconds = [], []
+
+    def partners(lo: np.ndarray, hi: np.ndarray) -> None:
+        """Pair the point at each sorted position s with those at sorted
+        positions lo[s]..hi[s]-1."""
+        counts = hi - lo
+        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        firsts.append(np.repeat(order, counts))
+        seconds.append(order[starts + np.arange(counts.sum())])
+
+    # the same cell, then each neighbouring cell with a larger key
+    partners(np.arange(1, n + 1), np.searchsorted(skey, skey, "right"))
+    for off in offsets[len(offsets) // 2 + 1:]:
+        target = skey + off
+        partners(np.searchsorted(skey, target, "left"),
+                 np.searchsorted(skey, target, "right"))
+    pairs = np.array([np.concatenate(firsts), np.concatenate(seconds)])
+    diff = points[pairs[0]] - points[pairs[1]]
+    d2 = diff[:, 0] ** 2
+    for k in range(1, dim):
+        d2 += diff[:, k] ** 2
+    return pairs[:, d2 <= delta * delta]
+
+
 def check_connected(cloud: PointCloud, delta: float) -> tuple[bool, int]:
     """Is the cloud one component when points within delta are joined?
 
     Recorded along-arc adjacencies count as edges regardless of distance.
+    Raises ValueError on an empty cloud or a delta that is not positive.
     """
     n = len(cloud)
     if n == 0:
         raise ValueError("empty cloud")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -362,8 +417,7 @@ def check_connected(cloud: PointCloud, delta: float) -> tuple[bool, int]:
 
     for a, b in cloud.edges:
         union(a, b)
-    tree = cKDTree(cloud.points)
-    for a, b in tree.query_pairs(delta):
+    for a, b in _pairs_within(np.asarray(cloud.points, float), delta).T.tolist():
         union(a, b)
     roots = {find(i) for i in range(n)}
     return len(roots) == 1, len(roots)

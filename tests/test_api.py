@@ -3,8 +3,15 @@ exported."""
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTS = {
     "flowrelay": [
@@ -88,3 +95,28 @@ def test_shooting_settings_are_the_seed_budget_and_rng_seed():
     assert params == ["system", "sv", "levels_from", "levels_to"]
     orbit_fields = [f.name for f in dataclasses.fields(periodic.PeriodicOrbit)]
     assert "window_factor" not in orbit_fields
+
+
+# imports the CLI, runs validate on systemb and prints the names of the
+# scipy modules then loaded
+_SCIPY_PROBE = """
+import json, sys
+from flowrelay import cli
+rc = cli.main(["validate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([rc, sorted(m for m in sys.modules
+                             if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # the library needs only numpy at run time; scipy is a test-only oracle
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE,
+         str(REPO_ROOT / "configs" / "systemb.json"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert loaded == []

@@ -1,6 +1,7 @@
 """The owned DOP853 stepper against scipy's solve_ivp, over floats and over
-stacked columns, its two forms against each other, its tableau against the
-order conditions, and its dense output against itself."""
+stacked columns, its two forms against each other, its embedded tableau
+against scipy's and the order conditions, and its dense output against
+itself."""
 from __future__ import annotations
 
 import numpy as np
@@ -149,22 +150,35 @@ def test_overflowing_start_derivative_fails_as_underflow():
             call(fl, 0.5, [1e80, 1.0])
 
 
+_TABLEAU = ("A", "B", "E3", "E5", "A_EXTRA", "D")
+
+
+def test_embedded_tableau_is_scipys_bit_for_bit():
+    for name in _TABLEAU:
+        got = np.array(getattr(_dop853, "_" + name))
+        want = getattr(DOP853, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    assert _dop853._ERROR_ESTIMATOR_ORDER == DOP853.error_estimator_order
+
+
 def test_tableau_meets_the_order_conditions():
+    a_rows, b, e3, e5, a_extra, d = (np.array(getattr(_dop853, "_" + name))
+                                     for name in _TABLEAU)
     c = DOP853.C
-    for a, ci in zip(DOP853.A, c):
+    for a, ci in zip(a_rows, c):
         assert abs(a.sum() - ci) <= 1e-15
-    for a, ci in zip(DOP853.A_EXTRA, DOP853.C_EXTRA):
+    for a, ci in zip(a_extra, DOP853.C_EXTRA):
         assert abs(a.sum() - ci) <= 1e-15
-    b = DOP853.B
     assert abs(b.sum() - 1.0) <= 1e-15
     assert abs(b @ c - 1.0 / 2.0) <= 1e-15
     assert abs(b @ c**2 - 1.0 / 3.0) <= 1e-15
-    assert abs(DOP853.E3.sum()) <= 1e-15
-    assert abs(DOP853.E5.sum()) <= 1e-15
+    assert abs(e3.sum()) <= 1e-15
+    assert abs(e5.sum()) <= 1e-15
     # the shapes the generated step reads
-    assert DOP853.A.shape == (12, 12) and b.shape == (12,)
-    assert DOP853.E3.shape == DOP853.E5.shape == (13,)
-    assert DOP853.A_EXTRA.shape == (3, 16) and DOP853.D.shape == (4, 16)
+    assert a_rows.shape == (12, 12) and b.shape == (12,)
+    assert e3.shape == e5.shape == (13,)
+    assert a_extra.shape == (3, 16) and d.shape == (4, 16)
 
 
 @pytest.mark.parametrize("backward", [False, True])

@@ -2,7 +2,9 @@
 crossing trees, parities, winding numbers."""
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from scipy.optimize import brentq
 from flowrelay import expr
 from flowrelay.dynamics import integrate
 from flowrelay.errors import DegenerateCrossing, VanishingImage
-from flowrelay.events import (DEFAULT_EVENTS, _fine_grid, _g_scalar, _gdot_scalar,
+from flowrelay.events import (DEFAULT_EVENTS, _brentq, _fine_grid, _g_scalar,
+                              _gdot_scalar,
                               _scan_roots, backward_leaf_parity, backward_tree,
                               degree_check, find_crossings,
                               forward_leaf_parity, forward_tree,
@@ -188,6 +191,99 @@ def test_scan_masks_match_the_loops(rotor_m, systemb_m):
                             _scan_roots(*args)
                         continue
                     assert _scan_roots(*args) == want
+
+
+def _step(root: float, at: float = math.inf):
+    """-1 below root, 1 from it on, nan at x == at: every step bisects."""
+    def f(x: float) -> float:
+        return math.nan if x == at else (-1.0 if x < root else 1.0)
+    return f
+
+
+_EPS4 = 4 * np.finfo(float).eps   # the smallest rtol scipy's brentq takes
+
+# (f, a, b, xtol, rtol): smooth roots (interpolation and extrapolation), a
+# step (bisection), roots at either end, a bracket below the xtol floor,
+# reversed and numpy-scalar ends, and the tolerances _scan_roots uses
+BRENT_CORPUS = [
+    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 2e-12, _EPS4),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14, 1e-15),
+    (lambda x: math.exp(x) - 2.0, -5.0, 5.0, 1e-13, 1e-14),
+    (lambda x: (x - 1.0 / 3.0) ** 3 * 1e-9 + 1e-30, -2.0, 7.0, 1e-14, 1e-15),
+    (_step(0.3), 0.0, 1.0, 1e-14, 1e-15),
+    (lambda x: x, 0.0, 1.0, 1e-14, 1e-15),
+    (lambda x: -x, 0.0, 1.0, 1e-14, 1e-15),
+    (lambda x: x - 1.0, 0.0, 1.0, 1e-14, 1e-15),
+    (lambda x: x - 0.5 - 3e-15, 0.5, 0.5 + 1e-14, 1e-13, 1e-14),
+    (lambda x: x - 1e6 - 0.123, 1e6 - 1.0, 1e6 + 1.0, 1e-14, 1e-15),
+    (math.sin, np.float64(4.0), np.float64(3.0), 1e-14, 1e-15),
+    (lambda x: math.atan(1e4 * (x - 0.25)), -1.0, 2.0, 1e-13, 1e-14),
+    (_step(1e-250), -1.0, 1.0, 2.0**-98, _EPS4),   # converges in 100 bisections
+]
+
+
+def _lines_run(fn, *args) -> set[int]:
+    """Line numbers of _brentq's own frame executed by fn(*args)."""
+    code, seen = _brentq.__code__, set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(old)
+    return seen
+
+
+def _random_cubics(n: int, seed: int) -> list:
+    """n cubics with random coefficients, each with a bracket [a, b] of
+    random ends over which it changes sign."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        c0, c1, c2, c3 = rng.normal(size=4).tolist()
+        a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+
+        def f(x, c0=c0, c1=c1, c2=c2, c3=c3):
+            return ((c0 * x + c1) * x + c2) * x + c3
+        if f(a) * f(b) < 0:
+            out.append((f, a, b, 1e-14, 1e-15))
+    return out
+
+
+def test_brentq_port_matches_scipy_bit_for_bit():
+    seen = set()
+    for f, a, b, xtol, rtol in BRENT_CORPUS + _random_cubics(300, 5):
+        want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+        got = _brentq(f, a, b, xtol, rtol)
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        seen |= _lines_run(_brentq, f, a, b, xtol, rtol)
+    # the corpus runs the first line of every branch the comments name
+    lines, first = inspect.getsourcelines(_brentq)
+    for tag in ("# interpolate", "# extrapolate", "# good short step", "# bisect"):
+        at = [first + i + 1 for i, line in enumerate(lines) if line.strip() == tag]
+        assert at and set(at) <= seen, tag
+
+
+@pytest.mark.parametrize("f, a, b, xtol, error", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, ValueError),
+    (lambda x: math.nan, 0.0, 1.0, 1e-14, ValueError),
+    (_step(0.7, at=0.5), 0.0, 1.0, 1e-14, ValueError),
+    (_step(1e-250), -1.0, 1.0, 2.0**-99, RuntimeError),   # needs 101 bisections
+], ids=["one sign", "nan at an end", "nan inside", "no convergence"])
+def test_brentq_port_raises_as_scipy_does(f, a, b, xtol, error):
+    with pytest.raises(error):
+        brentq(f, a, b, xtol=xtol, rtol=_EPS4)
+    with pytest.raises(error):
+        _brentq(f, a, b, xtol, _EPS4)
 
 
 def test_root_pair_between_scan_samples_is_found(rotor_m):

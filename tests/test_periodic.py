@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.spatial import cKDTree
 
 from flowrelay import expr, periodic
 from flowrelay.dynamics import Flow, VectorField, flow_map
@@ -280,6 +281,26 @@ def test_find_periodic_deterministic(systemb_m):
     for oa, ob in zip(a, b):
         assert oa.sv == ob.sv
         assert orbit_hausdorff(systemb_m, oa, ob) < 1e-6
+
+
+def _kdtree_hausdorff(system, a: SwitchingVector, b: SwitchingVector) -> float:
+    pa, pb = periodic.orbit_points(system, a), periodic.orbit_points(system, b)
+    return float(max(cKDTree(pb).query(pa)[0].max(),
+                     cKDTree(pa).query(pb)[0].max()))
+
+
+def test_orbit_hausdorff_matches_kdtree(systemb_m, systemb_orbit, rotor_m):
+    sv = systemb_orbit.sv
+    pairs = [(systemb_m, sv, SwitchingVector.of(sv.x + shift, sv.durations))
+             for shift in ([1e-9, 0.0], [0.0, -1e-6], [2e-3, 1e-3])]
+    pairs += [(systemb_m, sv, sv),
+              (rotor_m, rotor_closed_form_sv(1.0), rotor_closed_form_sv(0.9)),
+              (rotor_m, rotor_closed_form_sv(1.0), rotor_closed_form_sv(1.0 + 1e-7))]
+    for system, a, b in pairs:
+        want = _kdtree_hausdorff(system, a, b)
+        assert orbit_hausdorff(system, a, b) == want
+        assert orbit_hausdorff(system, b, a) == want
+    assert orbit_hausdorff(systemb_m, sv, sv) == 0.0
 
 
 def _result(start, durations) -> periodic._NewtonResult:

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from flowrelay.dynamics import flow_map
 from flowrelay.errors import NoCrossingWithinHorizon
 from flowrelay.relay import (FirstHit, NthHit, PointCloud,
-                             RandomHit, accessible_set, check_connected,
-                             omega_limit_estimate, simulate)
+                             RandomHit, _pairs_within, accessible_set,
+                             check_connected, omega_limit_estimate, simulate)
 
 from conftest import make_rotor, make_systemb, rotor_periodic_start
 
@@ -186,7 +187,6 @@ def test_omega_nested_within_fattened_predecessor(systemb_m):
     delta_s = systemb_m.diameter / 512
     c1 = omega_limit_estimate(systemb_m, [1.5, 0.0], 0, m_discard=1, depth=2)
     c2 = omega_limit_estimate(systemb_m, [1.5, 0.0], 0, m_discard=2, depth=2)
-    from scipy.spatial import cKDTree
     d = cKDTree(c1.points).query(c2.points)[0]
     assert d.max() <= 2 * delta_s
 
@@ -198,6 +198,76 @@ def test_check_connected_two_far_clouds():
     cloud = PointCloud(pts, [], np.zeros(10, dtype=int))
     ok, ncomp = check_connected(cloud, 0.1)
     assert not ok and ncomp == 2
+
+
+def _kdtree_connected(cloud: PointCloud, delta: float) -> tuple[bool, int]:
+    """check_connected with cKDTree.query_pairs as the neighbour search."""
+    parent = list(range(len(cloud)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in list(cloud.edges) + list(cKDTree(cloud.points).query_pairs(delta)):
+        parent[find(a)] = find(b)
+    roots = {find(i) for i in range(len(cloud))}
+    return len(roots) == 1, len(roots)
+
+
+def _same_pairs_as_kdtree(points: np.ndarray, delta: float) -> None:
+    got = _pairs_within(points, delta)
+    assert len(set(map(frozenset, got.T.tolist()))) == got.shape[1]
+    assert {tuple(sorted(p)) for p in got.T.tolist()} == \
+        cKDTree(points).query_pairs(delta)
+
+
+def test_neighbour_search_matches_query_pairs_on_random_clouds():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n, dim = int(rng.integers(1, 200)), int(rng.integers(1, 4))
+        scale = float(rng.choice([1e-3, 1.0, 1e3]))
+        pts = rng.uniform(-1.0, 1.0, (n, dim)) * scale
+        for rel in (1e-9, 0.02, 0.2, 1.0):
+            delta = rel * scale
+            _same_pairs_as_kdtree(pts, delta)
+            cloud = PointCloud(pts, [], np.zeros(n, dtype=int))
+            assert check_connected(cloud, delta) == _kdtree_connected(cloud, delta)
+
+
+@pytest.mark.parametrize("delta", [0.1, 1.0 / 3.0, 0.7, 1e-3, 2.0**-4])
+def test_points_exactly_delta_apart_are_joined(delta):
+    # lattice points i*delta: most neighbours lie exactly delta apart, some
+    # a rounding error nearer or farther, as query_pairs sees them
+    i = np.arange(40) * delta
+    line = np.stack([i, np.zeros_like(i)], axis=1)
+    grid = np.stack(np.meshgrid(i[:25], i[:25]), axis=-1).reshape(-1, 2)
+    for pts in (line, grid, grid + 1e6 * delta):
+        _same_pairs_as_kdtree(pts, delta)
+        cloud = PointCloud(pts, [], np.zeros(len(pts), dtype=int))
+        assert check_connected(cloud, delta) == _kdtree_connected(cloud, delta)
+    # a pair at distance exactly delta is joined
+    for pair in ([[0.0, 0.0], [delta, 0.0]], [[0.0, -delta], [0.0, 0.0]]):
+        cloud = PointCloud(np.array(pair), [], np.zeros(2, dtype=int))
+        assert check_connected(cloud, delta) == (True, 1)
+
+
+def test_check_connected_rejects_nonpositive_delta():
+    cloud = PointCloud(np.zeros((2, 2)), [], np.zeros(2, dtype=int))
+    for delta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            check_connected(cloud, delta)
+
+
+def test_depth5_cloud_connectivity_matches_query_pairs(systemb_m):
+    cloud = accessible_set(systemb_m, [1.5, 0.0], 0, depth=5, breadth=64)
+    for factor in (0.5, 1.0, 2.0):
+        delta = factor * systemb_m.diameter / 512
+        _same_pairs_as_kdtree(cloud.points, delta)
+        bare = PointCloud(cloud.points, [], cloud.depths)
+        for c in (cloud, bare):
+            assert check_connected(c, delta) == _kdtree_connected(c, delta)
 
 
 def test_systemb_accessible_connected(systemb_m):
