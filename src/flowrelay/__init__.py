@@ -17,29 +17,25 @@ from .events import (CrossingEvent, CrossingTree, backward_leaf_parity,
                      backward_tree, degree_check, find_crossings,
                      forward_leaf_parity, forward_tree, winding_degree)
 from .expr import Expression, parse
-from .geometry import (Region, RelaySystem, sample_boundary, saturate_level,
-                       validate_system)
+from .geometry import Region, RelaySystem, sample_boundary, validate_system
 from .periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                        continue_levels, find_periodic, orbit_hausdorff,
                        shooting_residual, verify_periodic)
 from .relay import (FirstHit, NthHit, RandomHit, Trajectory, accessible_set,
-                    check_connected, omega_limit_estimate, simulate,
-                    strict_mode_check)
+                    check_connected, simulate, strict_mode_check)
 from .cli import load_config
 
 __all__ = [
     "__version__",
     "errors",
     "parse", "Expression",
-    "Region", "RelaySystem", "sample_boundary",
-    "saturate_level", "validate_system",
+    "Region", "RelaySystem", "sample_boundary", "validate_system",
     "VectorField", "Flow", "FlowArc", "flow_map",
     "CrossingEvent", "CrossingTree", "find_crossings", "forward_tree",
     "backward_tree", "forward_leaf_parity", "backward_leaf_parity",
     "degree_check", "winding_degree",
     "FirstHit", "NthHit", "RandomHit", "Trajectory", "simulate",
-    "accessible_set", "omega_limit_estimate", "check_connected",
-    "strict_mode_check",
+    "accessible_set", "check_connected", "strict_mode_check",
     "SwitchingVector", "PeriodicOrbit", "SolveOptions", "shooting_residual",
     "find_periodic", "continue_levels", "verify_periodic", "orbit_hausdorff",
     "load_config",

@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,14 +46,26 @@ _NUMERIC_ERRORS = (NoConvergence, DegenerateCrossing, DegenerateJacobian,
 # ---------------------------------------------------------------------------
 
 def _req(doc: dict, key: str, kind, path: str):
+    """doc[key] as a kind; a float must be finite, and a bool is no number."""
     if key not in doc:
         raise ConfigError(f"{path}{key}", "missing")
     val = doc[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
+    if isinstance(val, bool) or not isinstance(
+            val, (int, float) if kind is float else kind):
         raise ConfigError(f"{path}{key}", f"expected {kind.__name__}, got {type(val).__name__}")
+    if kind is float:
+        try:
+            val = float(val)
+        except OverflowError:  # an integer literal past the float range
+            val = math.inf
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}{key}", f"expected a finite number, got {val}")
     return val
+
+
+def _opt(doc: dict, key: str, kind, path: str, default):
+    """Like _req, with default for an absent or null key."""
+    return default if doc.get(key) is None else _req(doc, key, kind, path)
 
 
 def _parse_field(text, n: int, path: str):
@@ -103,7 +116,7 @@ def load_config(path: str | Path) -> geo.RelaySystem:
         try:
             flows.append(Flow(VectorField(exprs), horizon))
         except ValueError as exc:
-            raise ConfigError(f"flows[{k}]", str(exc)) from exc
+            raise ConfigError(f"{prefix}T", str(exc)) from exc
 
     regions = []
     for i, rd in enumerate(regions_doc):
@@ -111,16 +124,14 @@ def load_config(path: str | Path) -> geo.RelaySystem:
         if not isinstance(rd, dict):
             raise ConfigError(f"regions[{i}]", "expected an object")
         f = _parse_field(_req(rd, "f", str, prefix), n, f"{prefix}f")
-        level = float(rd.get("lambda", 0.0))
+        level = _opt(rd, "lambda", float, prefix, 0.0)
         regions.append(geo.Region(f, level, index=i))
 
-    level_p = doc.get("lambda_p")
-    beta = doc.get("beta")
     try:
         return geo.RelaySystem(
             n=n, p=p, flows=tuple(flows), regions=tuple(regions), box=box,
-            level_p=None if level_p is None else float(level_p),
-            beta=None if beta is None else int(beta))
+            level_p=_opt(doc, "lambda_p", float, "", None),
+            beta=_opt(doc, "beta", int, "", None))
     except ValueError as exc:
         raise ConfigError(str(path), str(exc)) from exc
 

@@ -81,11 +81,11 @@ class VectorField:
         self.n = n
         roots = tuple(c.root for c in components)
         jac = tuple(ex.derive(r, k) for r in roots for k in range(1, n + 1))
-        self._value = ex._compile(roots, n, "_", ex._SCALAR_NS)
-        self._var = ex._compile(_variational_body(roots, jac), n + n * n, "_",
+        self._value = ex._compile(roots, n, ex._SCALAR_NS)
+        self._var = ex._compile(_variational_body(roots, jac), n + n * n,
                                 ex._SCALAR_NS)
-        self._jac = ex._compile(jac, n, "_", ex._SCALAR_NS)
-        self._value_cols = ex._compile(roots, n, "_a", ex._ARRAY_NS)
+        self._jac = ex._compile(jac, n, ex._SCALAR_NS)
+        self._value_cols = ex._compile(roots, n, ex._ARRAY_NS)
 
     def __call__(self, x) -> np.ndarray:
         xs = [float(v) for v in x]
@@ -120,8 +120,9 @@ class Flow:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("flow horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"flow horizon must be finite and positive, "
+                             f"got {self.horizon}")
 
 
 class FlowArc:

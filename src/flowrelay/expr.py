@@ -269,25 +269,25 @@ def _wrap(s: str, prec: int, ctx: int) -> str:
 # Compiled evaluation (scalar and batched)
 # ---------------------------------------------------------------------------
 
-def _emit(node: Node, fn_prefix: str) -> str:
+def _emit(node: Node) -> str:
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
         return f"x{node.index}"
     if isinstance(node, Neg):
-        return f"(-{_emit(node.arg, fn_prefix)})"
+        return f"(-{_emit(node.arg)})"
     if isinstance(node, Fun):
-        return f"{fn_prefix}{node.name}({_emit(node.arg, fn_prefix)})"
+        return f"_{node.name}({_emit(node.arg)})"
     if isinstance(node, Add):
-        return f"({_emit(node.left, fn_prefix)} + {_emit(node.right, fn_prefix)})"
+        return f"({_emit(node.left)} + {_emit(node.right)})"
     if isinstance(node, Sub):
-        return f"({_emit(node.left, fn_prefix)} - {_emit(node.right, fn_prefix)})"
+        return f"({_emit(node.left)} - {_emit(node.right)})"
     if isinstance(node, Mul):
-        return f"({_emit(node.left, fn_prefix)} * {_emit(node.right, fn_prefix)})"
+        return f"({_emit(node.left)} * {_emit(node.right)})"
     if isinstance(node, Div):
-        return f"({_emit(node.left, fn_prefix)} / {_emit(node.right, fn_prefix)})"
+        return f"({_emit(node.left)} / {_emit(node.right)})"
     if isinstance(node, Pow):
-        return f"{fn_prefix}pow({_emit(node.base, fn_prefix)}, {_emit(node.exponent, fn_prefix)})"
+        return f"_pow({_emit(node.base)}, {_emit(node.exponent)})"
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -297,20 +297,20 @@ _SCALAR_NS = {
     "_sqrt": math.sqrt, "_tanh": math.tanh, "_pow": math.pow, "_log": math.log,
 }
 _ARRAY_NS = {
-    "_asin": np.sin, "_acos": np.cos, "_aexp": np.exp,
-    "_asqrt": np.sqrt, "_atanh": np.tanh, "_apow": np.power, "_alog": np.log,
+    "_sin": np.sin, "_cos": np.cos, "_exp": np.exp,
+    "_sqrt": np.sqrt, "_tanh": np.tanh, "_pow": np.power, "_log": np.log,
 }
 
 
-def _compile(body: Node | tuple[Node, ...], n: int, prefix: str,
-             ns: dict) -> Callable:
+def _compile(body: Node | tuple[Node, ...], n: int, ns: dict) -> Callable:
     """Compile one tree to a function of x1..xn, or a tuple of trees to a
-    function returning the tuple of their values."""
+    function returning the tuple of their values, with the functions of ns
+    (_SCALAR_NS over floats, _ARRAY_NS over numpy columns)."""
     args = ", ".join(f"x{i}" for i in range(1, n + 1))
     if isinstance(body, Node):
-        ret = _emit(body, prefix)
+        ret = _emit(body)
     else:
-        ret = "(" + "".join(f"{_emit(b, prefix)}, " for b in body) + ")"
+        ret = "(" + "".join(f"{_emit(b)}, " for b in body) + ")"
     src = f"def _fn({args}):\n    return {ret}\n"
     scope = dict(ns)
     exec(compile(src, "<flowrelay-expr>", "exec"), scope)
@@ -455,23 +455,24 @@ class Expression:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _compiled(self, prefix: str, ns: dict, grad: bool) -> Callable:
-        fn = self._fns.get((prefix, grad))
+    def _compiled(self, array: bool, grad: bool) -> Callable:
+        fn = self._fns.get((array, grad))
         if fn is None:
             body = (tuple(derive(self.root, j) for j in range(1, self.n + 1))
                     if grad else self.root)
-            fn = self._fns[prefix, grad] = _compile(body, self.n, prefix, ns)
+            fn = self._fns[array, grad] = _compile(
+                body, self.n, _ARRAY_NS if array else _SCALAR_NS)
         return fn
 
     def _scalar(self, grad: bool = False) -> Callable:
         """Compiled math function of floats: the value, or with ``grad`` the
         tuple of the n partials."""
-        return self._compiled("_", _SCALAR_NS, grad)
+        return self._compiled(False, grad)
 
     def _array(self, grad: bool = False) -> Callable:
         """Like :meth:`_scalar` over numpy columns; constant parts come back
         as plain floats."""
-        return self._compiled("_a", _ARRAY_NS, grad)
+        return self._compiled(True, grad)
 
     def _check_point(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)

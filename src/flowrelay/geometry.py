@@ -25,7 +25,6 @@ __all__ = [
     "ConditionResult",
     "ValidationReport",
     "sample_boundary",
-    "saturate_level",
     "validate_system",
 ]
 
@@ -107,20 +106,6 @@ def sample_boundary(region: Region, box: np.ndarray, m: int,
         f"after {_SAMPLE_BATCHES} batches")
 
 
-def saturate_level(e: ex.Expression, eps: float) -> ex.Expression:
-    """Compose a smooth odd saturation with e: (eps/3)*tanh(3*e/eps).
-
-    The result has the same zero set as e, unit slope there, and magnitude
-    bounded by eps/3 everywhere, so every level near zero stays close to
-    the original boundary.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    root = ex.Mul(ex.Num(eps / 3.0),
-                  ex.Fun("tanh", ex.Mul(ex.Num(3.0 / eps), e.root)))
-    return ex.Expression(root, e.n)
-
-
 @dataclass
 class RelaySystem:
     """A cyclic relay: p flows, p regions, a bounding box.
@@ -156,8 +141,14 @@ class RelaySystem:
         self.box = np.asarray(self.box, float)
         if self.box.shape != (2, self.n):
             raise ValueError(f"bounding box must be 2x{self.n}")
+        if not (np.isfinite(self.box).all() and np.all(self.box[0] < self.box[1])):
+            raise ValueError("bounding box needs finite corners with the "
+                             f"lower below the upper, got {self.box.tolist()}")
         if self.level_p is None:
             self.level_p = self.regions[0].level
+        stored = self.levels()
+        if not np.isfinite(stored).all():
+            raise ValueError(f"level offsets must be finite, got {stored.tolist()}")
         if self.beta is not None and not 1 <= self.beta <= self.p:
             raise ValueError("beta must lie in 1..p")
 

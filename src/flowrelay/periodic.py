@@ -236,6 +236,9 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
 
 @dataclass
 class VerificationReport:
+    """The replay's closure |end - start|, its transversality margins
+    |grad f . V| at each leg's matched crossing, and the matches."""
+
     closure: float
     margins: tuple[float, ...]
     matched_indices: tuple[int, ...]
@@ -252,7 +255,6 @@ class PeriodicOrbit:
     sv: SwitchingVector
     levels: np.ndarray
     residual_norm: float
-    margins: tuple[float, ...]
     monodromy: np.ndarray
     verification: VerificationReport | None = None
 
@@ -267,7 +269,6 @@ class PeriodicOrbit:
             "period": self.period,
             "levels": [float(v) for v in self.levels],
             "residual_norm": self.residual_norm,
-            "margins": list(self.margins),
             "monodromy_moduli": [float(abs(m)) for m in
                                  np.linalg.eigvals(self.monodromy)],
             "verification": None if self.verification is None
@@ -278,15 +279,11 @@ class PeriodicOrbit:
 def _package(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
              rnorm: float) -> PeriodicOrbit:
     """The orbit at a solved switching vector, replay-verified."""
-    xs, mats, vels = _linearize(system, sv)
-    margins = tuple(
-        float(abs(system.chain_region(i + 1, levels).f.gradient(xs[i + 1]) @ vels[i]))
-        for i in range(system.p))
+    _, mats, _ = _linearize(system, sv)
     monodromy = np.eye(system.n)
     for a in mats:
         monodromy = a @ monodromy
-    orbit = PeriodicOrbit(sv, np.asarray(levels, float), rnorm, margins,
-                          monodromy)
+    orbit = PeriodicOrbit(sv, np.asarray(levels, float), rnorm, monodromy)
     orbit.verification = verify_periodic(system, orbit)
     return orbit
 
@@ -496,8 +493,10 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     _CONTINUATION_STEPS (16) steps of linear predictor (tangent solve of
     the shooting system) plus Levenberg-Marquardt corrector; the step halves
     on corrector failure down to 1/1024 of the segment, at which point
-    ContinuationStalled carries the partial path. Raises ValueError when sv
-    has the wrong shape or levels_to unequal first and closing offsets.
+    ContinuationStalled carries the partial path. The last step lands on
+    levels_to exactly, and its corrector's solution is the orbit returned.
+    Raises ValueError when sv has the wrong shape or levels_to unequal first
+    and closing offsets.
     """
     _check_shape(system, sv)
     lv_a = system.levels(levels_from)
@@ -517,7 +516,7 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     while s < 1.0 - 1e-15:
         h = min(h, 1.0 - s)
         lv_cur = lv_a + s * (lv_b - lv_a)
-        lv_next = lv_a + (s + h) * (lv_b - lv_a)
+        lv_next = lv_b if h == 1.0 - s else lv_a + (s + h) * (lv_b - lv_a)
         dl = lv_next - lv_cur
         try:
             jac = residual_jacobian(system, lv_cur, cur)
@@ -530,7 +529,7 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
             res = None
         if res is not None and res.converged and not res.on_clamp:
             s += h
-            cur = res.sv
+            cur, rnorm = res.sv, res.residual_norm
             path.append((lv_next.copy(), cur))
             h = min(2.0 * h, base)
         else:
@@ -539,6 +538,4 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
                 raise ContinuationStalled(
                     f"minimum continuation step reached at s={s:.4f}",
                     path=path)
-    final = _newton(system, lv_b, cur, _MAX_ITER)
-    return ContinuationPath(path, _package(system, lv_b, final.sv,
-                                           final.residual_norm))
+    return ContinuationPath(path, _package(system, lv_b, cur, rnorm))

@@ -29,7 +29,6 @@ __all__ = [
     "PointCloud",
     "simulate",
     "accessible_set",
-    "omega_limit_estimate",
     "strict_mode_check",
     "check_connected",
     "cloud_spacing",
@@ -229,7 +228,6 @@ def _arc_sample_times(arc: FlowArc, flow: Flow, delta_s: float,
 class _Branch:
     x: np.ndarray
     mode: int
-    depth: int
     parent_point: int | None   # cloud index the branch grew from
     order: tuple[int, ...]     # (crossing indices along the ancestry), for pruning
 
@@ -239,18 +237,31 @@ def cloud_spacing(system: RelaySystem) -> float:
     return system.diameter / 512.0
 
 
-def _expand_cloud(system: RelaySystem, x0, k0: int, levels, total_depth: int,
-                  breadth: int, record_from: int) -> PointCloud:
+def accessible_set(system: RelaySystem, x0, k0: int = 0, levels=None,
+                   depth: int = 0, breadth: int = 64) -> PointCloud:
+    """Branching reach cloud: all policy choices up to `depth` switches.
+
+    Breadth is capped per switching level with deterministic pruning (the
+    branches with lexicographically lowest crossing indices survive). The
+    points with depths >= m estimate the omega-limit set past the first m
+    switches, from outside: the sampler under-approximates the set of all
+    trajectories, so treat them as a witness, not a certificate. Raises
+    ValueError when k0 lies outside 0..p-1, depth < 0 or breadth < 1.
+    """
     if not 0 <= k0 < system.p:
         raise ValueError(f"mode k0={k0} outside 0..{system.p - 1}")
+    if depth < 0:
+        raise ValueError(f"depth={depth} must be at least 0")
+    if breadth < 1:
+        raise ValueError(f"breadth={breadth} must be at least 1")
     lv = system.levels(levels)
     delta_s = cloud_spacing(system)
     pts: list[np.ndarray] = []
     depths: list[int] = []
     edges: list[tuple[int, int]] = []
-    level_branches = [_Branch(np.asarray(x0, float), k0, 0, None, ())]
+    level_branches = [_Branch(np.asarray(x0, float), k0, None, ())]
 
-    for depth in range(total_depth + 1):
+    for level in range(depth + 1):
         level_branches.sort(key=lambda b: b.order)
         level_branches = level_branches[:breadth]
         next_branches: list[_Branch] = []
@@ -262,55 +273,22 @@ def _expand_cloud(system: RelaySystem, x0, k0: int, levels, total_depth: int,
             except NoCrossingWithinHorizon:
                 # stuck branch: keep one horizon of its arc, spawn nothing
                 evs, arc = [], integrate(flow, flow.horizon, br.x)
-            record = br.depth >= record_from
             ev_times = [e.t for e in evs]
-            index_of_time: dict[float, int] = {}
-            if record:
-                ts = _arc_sample_times(arc, flow, delta_s, ev_times)
-                states = arc.sample(ts)
-                base = len(pts)
-                pts.extend(states)
-                depths.extend([br.depth] * len(ts))
-                edges.extend((base + i, base + i + 1) for i in range(len(ts) - 1))
-                if br.parent_point is not None:
-                    edges.append((br.parent_point, base))
-                for et in ev_times:
-                    j = int(np.searchsorted(ts, et))
-                    index_of_time[et] = base + min(j, len(ts) - 1)
-            if depth < total_depth:
+            ts = _arc_sample_times(arc, flow, delta_s, ev_times)
+            base = len(pts)
+            pts.extend(arc.sample(ts))
+            depths.extend([level] * len(ts))
+            edges.extend((base + i, base + i + 1) for i in range(len(ts) - 1))
+            if br.parent_point is not None:
+                edges.append((br.parent_point, base))
+            if level < depth:
                 for ci, e in enumerate(evs):
-                    next_branches.append(_Branch(
-                        e.point, watch, br.depth + 1,
-                        index_of_time.get(e.t), br.order + (ci,)))
+                    j = min(int(np.searchsorted(ts, e.t)), len(ts) - 1)
+                    next_branches.append(_Branch(e.point, watch, base + j,
+                                                 br.order + (ci,)))
         level_branches = next_branches
 
-    points = np.array(pts) if pts else np.empty((0, system.n))
-    return PointCloud(points, edges, np.asarray(depths, dtype=int))
-
-
-def accessible_set(system: RelaySystem, x0, k0: int = 0, levels=None,
-                   depth: int = 0, breadth: int = 64) -> PointCloud:
-    """Branching reach cloud: all policy choices up to `depth` switches.
-
-    Breadth is capped per switching level with deterministic pruning (the
-    branches with lexicographically lowest crossing indices survive).
-    Raises ValueError when k0 lies outside 0..p-1.
-    """
-    return _expand_cloud(system, x0, k0, levels, depth, breadth, record_from=0)
-
-
-def omega_limit_estimate(system: RelaySystem, x0, k0: int = 0, levels=None,
-                         m_discard: int = 0, depth: int = 0,
-                         breadth: int = 64) -> PointCloud:
-    """Reach cloud restricted to states past the first m_discard switches.
-
-    Increasing m_discard peels transients, approximating the limit set from
-    outside; the sampler can only under-approximate the set of all
-    trajectories, so treat the cloud as a witness, not a certificate.
-    Raises ValueError when k0 lies outside 0..p-1.
-    """
-    return _expand_cloud(system, x0, k0, levels, m_discard + depth, breadth,
-                         record_from=m_discard)
+    return PointCloud(np.array(pts), edges, np.asarray(depths, dtype=int))
 
 
 _STRICT_SAMPLES = 256   # samples per segment for the strict-mode check

@@ -16,15 +16,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 EXPORTS = {
     "flowrelay": [
         "__version__", "errors", "parse", "Expression",
-        "Region", "RelaySystem", "sample_boundary", "saturate_level",
-        "validate_system",
+        "Region", "RelaySystem", "sample_boundary", "validate_system",
         "VectorField", "Flow", "FlowArc", "flow_map",
         "CrossingEvent", "CrossingTree", "find_crossings", "forward_tree",
         "backward_tree", "forward_leaf_parity", "backward_leaf_parity",
         "degree_check", "winding_degree",
         "FirstHit", "NthHit", "RandomHit", "Trajectory", "simulate",
-        "accessible_set", "omega_limit_estimate", "check_connected",
-        "strict_mode_check",
+        "accessible_set", "check_connected", "strict_mode_check",
         "SwitchingVector", "PeriodicOrbit", "SolveOptions", "shooting_residual",
         "find_periodic", "continue_levels", "verify_periodic", "orbit_hausdorff",
         "load_config",
@@ -46,8 +44,7 @@ EXPORTS = {
     ],
     "flowrelay.geometry": [
         "Region", "RelaySystem", "BoundarySamples", "ConditionResult",
-        "ValidationReport", "sample_boundary", "saturate_level",
-        "validate_system",
+        "ValidationReport", "sample_boundary", "validate_system",
     ],
     "flowrelay.periodic": [
         "SwitchingVector", "PeriodicOrbit", "VerificationReport",
@@ -59,7 +56,7 @@ EXPORTS = {
     "flowrelay.relay": [
         "FirstHit", "NthHit", "RandomHit", "SwitchPolicy", "Segment",
         "SwitchEvent", "Trajectory", "PointCloud", "simulate",
-        "accessible_set", "omega_limit_estimate", "strict_mode_check",
+        "accessible_set", "strict_mode_check",
         "check_connected", "cloud_spacing",
     ],
 }
@@ -95,17 +92,26 @@ def test_shooting_settings_are_the_seed_budget_and_rng_seed():
     assert params == ["system", "sv", "levels_from", "levels_to"]
     orbit_fields = [f.name for f in dataclasses.fields(periodic.PeriodicOrbit)]
     assert "window_factor" not in orbit_fields
+    # the transversality margins are the replay's, in orbit.verification
+    assert "margins" not in orbit_fields
 
 
-# imports the CLI, runs validate on systemb and prints the names of the
-# scipy modules then loaded
+# imports the CLI, runs each command line given on systemb and prints their
+# exit codes with the names of the scipy modules then loaded; between them
+# the commands reach the integrator, the Brent polish of find_crossings and
+# the neighbour search of check_connected
 _SCIPY_PROBE = """
 import json, sys
 from flowrelay import cli
-rc = cli.main(["validate", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([rc, sorted(m for m in sys.modules
-                             if m == "scipy" or m.startswith("scipy."))]))
+config, out = sys.argv[1:3]
+rcs = [cli.main(cmd.split() + ["--config", config, "--out", out])
+       for cmd in sys.argv[3:]]
+print(json.dumps([rcs, sorted(m for m in sys.modules
+                              if m == "scipy" or m.startswith("scipy."))]))
 """
+_PROBED_COMMANDS = ["validate", "find-periodic --seeds 4",
+                    "accessible --x0 1.5,0 --depth 2",
+                    "degree-check --samples 5"]
 
 
 def test_runtime_imports_no_scipy(tmp_path):
@@ -114,9 +120,10 @@ def test_runtime_imports_no_scipy(tmp_path):
         [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE,
-         str(REPO_ROOT / "configs" / "systemb.json"), str(tmp_path / "out")],
+         str(REPO_ROOT / "configs" / "systemb.json"), str(tmp_path / "out"),
+         *_PROBED_COMMANDS],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert rc == 0
+    rcs, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rcs == [0] * len(_PROBED_COMMANDS)
     assert loaded == []

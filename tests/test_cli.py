@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,47 @@ def test_integrator_block_rejected(tmp_path, capsys):
     rc = main(["validate", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "config error: flows[0].integrator" in capsys.readouterr().err
+
+
+def _set_key(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# config values refused at the door, as name: (key path, bad value, the key
+# the error names)
+_BAD_VALUES = {
+    "T infinite": (("flows", 0, "T"), math.inf, "flows[0].T"),
+    "T nan": (("flows", 0, "T"), math.nan, "flows[0].T"),
+    "T negative": (("flows", 1, "T"), -1.0, "flows[1].T"),
+    "T huge integer": (("flows", 1, "T"), 10 ** 400, "flows[1].T"),
+    "lambda string": (("regions", 0, "lambda"), "abc", "regions[0].lambda"),
+    "lambda nan": (("regions", 1, "lambda"), math.nan, "regions[1].lambda"),
+    "lambda_p list": (("lambda_p",), [1], "lambda_p"),
+    "lambda_p infinite": (("lambda_p",), -math.inf, "lambda_p"),
+    "box nan": (("bounding_box", 0, 1), math.nan, "bounding box"),
+    "box inverted": (("bounding_box", 1), [-5, 4], "bounding box"),
+    "beta fractional": (("beta",), 1.7, "beta"),
+    "beta bool": (("beta",), True, "beta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_VALUES))
+def test_bad_config_values_fail_at_the_door(tmp_path, capsys, case):
+    # json reads Infinity and NaN; each value is refused before any integration
+    path, value, named = _BAD_VALUES[case]
+    doc = json.loads(SYSTEMB_CONFIG.read_text())
+    _set_key(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_config(bad)
+    rc = main(["validate", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
 
 
 def test_nonexistent_config():
@@ -211,7 +253,7 @@ def test_find_periodic_command(tmp_path):
     assert orbits[0]["residual_norm"] < 1e-8
     assert orbits[0]["verification"]["closure"] < 1e-6
     assert set(orbits[0]) == {"start", "durations", "period", "levels",
-                              "residual_norm", "margins", "monodromy_moduli",
+                              "residual_norm", "monodromy_moduli",
                               "verification"}
     assert set(orbits[0]["verification"]) == {"closure", "margins",
                                               "matched_indices",

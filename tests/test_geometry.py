@@ -10,7 +10,7 @@ from flowrelay import dynamics, events, expr, geometry, periodic, relay
 from flowrelay.dynamics import Flow, VectorField, integrate
 from flowrelay.errors import BoundaryNotFound
 from flowrelay.geometry import (Region, RelaySystem, sample_boundary,
-                                saturate_level, validate_system)
+                                validate_system)
 
 from conftest import make_rotor, make_systemb, rotation_field
 from test_three_mode import make_triangle
@@ -123,9 +123,14 @@ def test_samplers_match_the_loops():
     assert most_batches[0] > 1 and most_batches[1] > 1
 
 
+def _saturated(f: str, eps: float, n: int) -> expr.Expression:
+    # a level function saturated in the config grammar: the zero set of f,
+    # unit slope there, magnitude at most eps/3
+    return expr.parse(f"({eps}/3)*tanh(3*({f})/{eps})", n)
+
+
 def test_saturate_level_bounds_and_slope():
-    e = expr.parse("x1", 1)
-    s = saturate_level(e, 0.3)
+    s = _saturated("x1", 0.3, 1)
     xs = np.linspace(-5, 5, 201)[:, None]
     vals = s.evaluate(xs)
     assert np.abs(vals).max() <= 0.1 + 1e-12
@@ -135,17 +140,12 @@ def test_saturate_level_bounds_and_slope():
 
 def test_saturate_level_preserves_zero_set():
     e = expr.parse("0.09 - ((x1-1)^2 + x2^2)", 2)
-    s = saturate_level(e, 0.3)
+    s = _saturated(str(e), 0.3, 2)
     grid = np.stack(np.meshgrid(np.linspace(-2, 2, 81),
                                 np.linspace(-2, 2, 81)), axis=-1).reshape(-1, 2)
     ve = e.evaluate(grid)
     vs = s.evaluate(grid)
     assert np.array_equal(np.sign(ve), np.sign(vs))
-
-
-def test_saturate_level_stays_in_grammar():
-    s = saturate_level(expr.parse("x1 - x2", 2), 0.5)
-    assert expr.parse(str(s), 2) == s
 
 
 def test_validate_systemb_passes(systemb):
@@ -239,8 +239,6 @@ _TAKERS_OF_LEVELS = {
     "degree_check": lambda s, lv: events.degree_check(s, lv),
     "simulate": lambda s, lv: relay.simulate(s, _X, 0, lv, max_switches=2),
     "accessible_set": lambda s, lv: relay.accessible_set(s, _X, 0, lv, depth=1),
-    "omega_limit_estimate": lambda s, lv: relay.omega_limit_estimate(
-        s, _X, 0, lv, m_discard=1, depth=1),
 }
 
 

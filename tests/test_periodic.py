@@ -161,7 +161,7 @@ def test_find_periodic_rotor_explicit_seeds(rotor_m):
     orb = orbits[0]
     assert abs(orb.period - 2 * math.pi) < 1e-6
     assert orb.verification.closure < 1e-6
-    assert min(orb.margins) > 0.1
+    assert min(orb.verification.margins) > 0.1
     # monodromy of a rigid full turn is the identity
     assert np.abs(orb.monodromy - np.eye(2)).max() < 1e-7
 
@@ -267,7 +267,7 @@ def test_find_periodic_systemb_small(systemb_m):
     orb = orbits[0]
     assert orb.residual_norm < 1e-8
     assert orb.verification.closure < 1e-6
-    assert min(orb.margins) > 1e-6
+    assert min(orb.verification.margins) > 1e-6
     # the symmetric relay has equal legs
     assert abs(orb.sv.durations[0] - orb.sv.durations[1]) < 1e-6
     # chain end returns to the start
@@ -370,7 +370,7 @@ def test_verify_rejects_corrupted_orbit(systemb_m, systemb_orbit):
     bad_sv = SwitchingVector.of(orb.sv.start,
                                 (orb.sv.durations[0] + 0.01, orb.sv.durations[1]))
     corrupted = PeriodicOrbit(bad_sv, orb.levels, orb.residual_norm,
-                              orb.margins, orb.monodromy)
+                              orb.monodromy)
     with pytest.raises(ReplayMismatch):
         verify_periodic(systemb_m, corrupted)
 
@@ -399,6 +399,19 @@ def test_continuation_small_shift_and_back(systemb_m, systemb_orbit):
     assert orbit_hausdorff(systemb_m, back.orbit, orb) < 1e-6
 
 
+def test_continuation_ends_exactly_on_the_target_levels(systemb_m):
+    # the last step lands on levels_to itself, not on lv_a + 1.0*(lv_b - lv_a),
+    # and the orbit returned is that step's corrector solution
+    lv0, lv1 = np.full(3, 0.02), np.full(3, -0.01)
+    start = find_periodic(systemb_m, lv0, opts=SolveOptions(max_seeds=4, seed=1))
+    path = continue_levels(systemb_m, start[0].sv, lv0, lv1)
+    assert path.steps[-1][0].tolist() == [-0.01, -0.01, -0.01]
+    assert path.steps[-1][1] == path.orbit.sv
+    assert path.orbit.levels.tolist() == [-0.01, -0.01, -0.01]
+    rnorm = float(np.linalg.norm(shooting_residual(systemb_m, lv1, path.orbit.sv)))
+    assert path.orbit.residual_norm == rnorm <= 1e-9
+
+
 def test_continuation_stalls_when_regions_vanish(systemb_m, systemb_orbit,
                                                  monkeypatch):
     orb = systemb_orbit
@@ -419,7 +432,7 @@ _TAKERS_OF_SWITCHING_VECTORS = {
     "continue_levels": lambda s, sv: continue_levels(
         s, sv, s.levels(), s.levels() + 0.01),
     "verify_periodic": lambda s, sv: verify_periodic(
-        s, PeriodicOrbit(sv, s.levels(), 0.0, (), np.eye(2))),
+        s, PeriodicOrbit(sv, s.levels(), 0.0, np.eye(2))),
     "orbit_points": lambda s, sv: periodic.orbit_points(s, sv),
     "orbit_hausdorff": lambda s, sv: orbit_hausdorff(s, sv, sv),
 }

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from flowrelay import relay
 from flowrelay.dynamics import flow_map
 from flowrelay.errors import NoCrossingWithinHorizon
 from flowrelay.relay import (FirstHit, NthHit, PointCloud,
                              RandomHit, _pairs_within, accessible_set,
-                             check_connected, omega_limit_estimate, simulate)
+                             check_connected, simulate)
 
 from conftest import make_rotor, make_systemb, rotor_periodic_start
 
@@ -118,11 +119,25 @@ def test_simulate_rejects_empty_stop_rule(rotor_m, stop):
         simulate(rotor_m, rotor_periodic_start(1.0), 0, **stop)
 
 
-@pytest.mark.parametrize("cloud", [accessible_set, omega_limit_estimate])
+@pytest.mark.parametrize("cloud", [accessible_set])
 @pytest.mark.parametrize("k0", [-1, 2])
 def test_clouds_reject_mode_outside_range(rotor_m, cloud, k0):
     with pytest.raises(ValueError, match="k0"):
         cloud(rotor_m, rotor_periodic_start(1.0), k0)
+
+
+@pytest.mark.parametrize("bad", [{"depth": -1}, {"breadth": 0},
+                                 {"breadth": -3}])
+def test_accessible_rejects_empty_expansion(systemb_m, monkeypatch, bad):
+    # an expansion with no level or no branch would return an empty cloud
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrated before checking depth and breadth")
+
+    monkeypatch.setattr(relay, "integrate", unreachable)
+    monkeypatch.setattr(relay, "find_crossings", unreachable)
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=name):
+        accessible_set(systemb_m, [1.5, 0.0], 0, **bad)
 
 
 def test_no_crossing_within_horizon():
@@ -170,24 +185,25 @@ def test_accessible_points_inside_box(systemb_m):
     assert np.all(cloud.points <= hi + 1e-9)
 
 
-def test_omega_equals_accessible_at_zero_discard(systemb_m):
-    a = accessible_set(systemb_m, [1.5, 0.0], 0, depth=2)
-    o = omega_limit_estimate(systemb_m, [1.5, 0.0], 0, m_discard=0, depth=2)
-    assert np.array_equal(a.points, o.points)
+def _omega_points(system, x0, m, d):
+    # the omega-limit estimate past m switches, d levels deep
+    cloud = accessible_set(system, x0, 0, depth=m + d)
+    return cloud.points[cloud.depths >= m]
 
 
 def test_omega_rotor_concentrates_on_invariant_radius(rotor_m):
     x0 = rotor_periodic_start(1.0)
-    cloud = omega_limit_estimate(rotor_m, x0, 0, m_discard=2, depth=1)
-    radii = np.linalg.norm(cloud.points, axis=1)
+    points = _omega_points(rotor_m, x0, 2, 1)
+    assert len(points) > 10
+    radii = np.linalg.norm(points, axis=1)
     assert np.abs(radii - 1.0).max() < 1e-8
 
 
 def test_omega_nested_within_fattened_predecessor(systemb_m):
     delta_s = systemb_m.diameter / 512
-    c1 = omega_limit_estimate(systemb_m, [1.5, 0.0], 0, m_discard=1, depth=2)
-    c2 = omega_limit_estimate(systemb_m, [1.5, 0.0], 0, m_discard=2, depth=2)
-    d = cKDTree(c1.points).query(c2.points)[0]
+    c1 = _omega_points(systemb_m, [1.5, 0.0], 1, 2)
+    c2 = _omega_points(systemb_m, [1.5, 0.0], 2, 2)
+    d = cKDTree(c1).query(c2)[0]
     assert d.max() <= 2 * delta_s
 
 
