@@ -159,13 +159,17 @@ class FlowArc:
         return self.states[:, -1].copy()
 
     def __call__(self, tau: float) -> np.ndarray:
+        return np.array(self._point(tau))
+
+    def _point(self, tau: float) -> list[float]:
+        """The dense state at one parameter as a list of n floats."""
         if tau < 0.0 or tau > self.duration:
             raise OutOfSpan(f"tau={tau} outside [0, {self.duration}]")
         knots = self._knots
         i = min(max(bisect_left(knots, tau) - 1, 0), len(self._rows) - 1)
         x = (tau - knots[i]) / (knots[i + 1] - knots[i])
         row, n = self._rows[i], self.flow.field.n
-        return np.array([_interpolate(row[j::n], x) for j in range(n)])
+        return [_interpolate(row[j::n], x) for j in range(n)]
 
     def sample(self, taus) -> np.ndarray:
         """Dense states at many parameters, shape (len(taus), n)."""

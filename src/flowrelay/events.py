@@ -1,11 +1,14 @@
 """Boundary-crossing location, crossing trees, and parity/winding checks.
 
 Crossings of g(t) = f(F^t(x)) - level are found on the dense interpolant of
-one adaptive integration: every accepted step is oversampled, sign changes
-are bracketed and polished by Brent's method (_brentq, a port of scipy's
-brentq), and near-tangent structure (grazing extrema, root pairs closer
-than the separation floor) aborts with DegenerateCrossing so callers can
-perturb the level offsets.
+one adaptive integration (event location as in Shampine & Thompson, "Event
+location for ordinary differential equations", 2000): every accepted step is
+cut into ns and 2*ns equal pieces, both scans read g and its time derivative
+from one sampling pass at 2*ns (the ns grid is every other point of it), sign
+changes are bracketed and polished over floats by Brent's method (_brentq, a
+port of scipy's brentq), and near-tangent structure (grazing extrema, root
+pairs closer than the separation floor) aborts with DegenerateCrossing so
+callers can perturb the level offsets.
 """
 from __future__ import annotations
 
@@ -64,16 +67,20 @@ class CrossingEvent:
 
 def _g_scalar(arc: FlowArc, f: Expression, level: float) -> Callable[[float], float]:
     def g(tau: float) -> float:
-        return float(f.evaluate(arc(tau))) - level
+        return f._value_at(arc._point(tau)) - level
     return g
 
 
-def _gdot_scalar(arc: FlowArc, f: Expression) -> Callable[[float], float]:
+def _gdot_at(arc: FlowArc, f: Expression, x: np.ndarray) -> float:
+    """d/dtau f along the arc at its state x: grad f(x) . V(x), negated on a
+    backward arc."""
     sign = -1.0 if arc.backward else 1.0
+    return sign * float(f.gradient(x) @ arc.flow.field(x))
 
+
+def _gdot_scalar(arc: FlowArc, f: Expression) -> Callable[[float], float]:
     def gdot(tau: float) -> float:
-        x = arc(tau)
-        return sign * float(f.gradient(x) @ arc.flow.field(x))
+        return _gdot_at(arc, f, arc(tau))
     return gdot
 
 
@@ -159,18 +166,25 @@ def _brentq(f: Callable[[float], float], xa, xb, xtol: float,
                        f"value is {xcur}")
 
 
-def _scan_roots(arc: FlowArc, f: Expression, level: float, ns: int) -> list[float]:
-    """Root times of g on (0, duration), including pairs recovered from
-    near-zero extrema; raises on grazes."""
+def _samples(arc: FlowArc, f: Expression, level: float,
+             ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ts, g, gdot): the grid _fine_grid(arc, ns), and g and its time
+    derivative there, from one sampling pass."""
     ts = _fine_grid(arc, ns)
     pts = arc.sample(ts)
     g = f.evaluate(pts) - level
     sign = -1.0 if arc.backward else 1.0
     gdot = sign * np.einsum("ij,ij->i", f.gradient(pts),
                             arc.flow.field.value_batch(pts))
-    gfun = _g_scalar(arc, f, level)
-    gdfun = _gdot_scalar(arc, f)
+    return ts, g, gdot
 
+
+def _scan_roots(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
+                gfun: Callable[[float], float],
+                gdfun: Callable[[float], float]) -> list[float]:
+    """Root times of g on the span of the samples (ts, g, gdot), including
+    pairs recovered from near-zero extrema, polished on gfun (g) and gdfun
+    (its derivative); raises on grazes."""
     # signs are compared, never products, which underflow for tiny values; a
     # zero sample is left to the level-tolerance precondition / root polish
     sig = np.sign(g)
@@ -209,7 +223,9 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     The scan is confirmed by doubling the oversampling density until two
     consecutive densities agree on the root set (up to the separation
     floor); disagreement at the densest scan is treated as unresolved
-    tangency.
+    tangency. The arc is sampled once per confirming density: the first
+    pass, at 2*ns, also serves the ns scan, whose grid is every other point
+    of it.
     """
     lv = region.level if level is None else float(level)
     f = region.f
@@ -220,17 +236,23 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
         raise StartOnBoundary("start point lies on the watched boundary")
 
     t_sep = DEFAULT_EVENTS.t_sep_rel * t_end
+    gfun, gdfun = _g_scalar(arc, f, lv), _gdot_scalar(arc, f)
     ns = DEFAULT_EVENTS.ns
-    roots = _scan_roots(arc, f, lv, ns)
-    agreed = False
-    while ns < DEFAULT_EVENTS.ns_max:
+    ts, g, gdot = _samples(arc, f, lv, 2 * ns)
+    # a step cut in ns or 2*ns pieces gives k*(h/ns) == 2k*(h/(2*ns))
+    # exactly, so the ns grid is every other point of the 2*ns grid; it is
+    # looked up by value, which holds also where rounding merged two points
+    coarse = np.searchsorted(ts, _fine_grid(arc, ns))
+    roots = _scan_roots(ts[coarse], g[coarse], gdot[coarse], gfun, gdfun)
+    while True:
         ns *= 2
-        confirm = _scan_roots(arc, f, lv, ns)
+        confirm = _scan_roots(ts, g, gdot, gfun, gdfun)
         agreed = len(confirm) == len(roots) and all(
             abs(a - b) <= max(t_sep, 1e-9) for a, b in zip(roots, confirm))
         roots = confirm
-        if agreed:
+        if agreed or ns >= DEFAULT_EVENTS.ns_max:
             break
+        ts, g, gdot = _samples(arc, f, lv, 2 * ns)
     if not agreed:
         raise DegenerateCrossing(
             f"crossing structure unresolved at {DEFAULT_EVENTS.ns_max} "
@@ -243,7 +265,6 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
             raise DegenerateCrossing(
                 f"root pair separated by {b - a:.2e} <= t_sep", time=float(a))
 
-    gdfun = _gdot_scalar(arc, f)
     events = []
     for r in roots:
         y = arc(r)
@@ -251,7 +272,7 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
         if resid > DEFAULT_EVENTS.tol_level:
             raise DegenerateCrossing(
                 f"root polish stalled at |g|={resid:.2e}", time=float(r))
-        slope = gdfun(r)
+        slope = _gdot_at(arc, f, y)
         if abs(slope) <= DEFAULT_EVENTS.eps_tan:
             raise DegenerateCrossing(
                 f"tangential crossing, margin {abs(slope):.2e}", time=float(r))

@@ -480,17 +480,22 @@ class Expression:
             raise ValueError(f"point has dimension {arr.shape[-1:]}, expected {self.n}")
         return arr
 
+    def _value_at(self, xs: list[float]) -> float:
+        """The value at one point given as a list of n floats: evaluate's
+        one-point path, for callers that already hold floats."""
+        try:
+            out = self._scalar()(*xs)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalError(f"evaluation failed: {exc}") from exc
+        if not math.isfinite(out):
+            raise EvalError(f"non-finite value {out!r}")
+        return out
+
     def evaluate(self, x) -> float | np.ndarray:
         """Evaluate at a point (n,) -> float, or a batch (..., n) -> (...,) array."""
         arr = self._check_point(x)
         if arr.ndim == 1:
-            try:
-                out = self._scalar()(*arr.tolist())
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvalError(f"evaluation failed: {exc}") from exc
-            if not math.isfinite(out):
-                raise EvalError(f"non-finite value {out!r}")
-            return out
+            return self._value_at(arr.tolist())
         cols = [arr[..., j] for j in range(self.n)]
         with np.errstate(all="ignore"):
             out = self._array()(*cols)

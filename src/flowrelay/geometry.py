@@ -144,6 +144,10 @@ class RelaySystem:
         if not (np.isfinite(self.box).all() and np.all(self.box[0] < self.box[1])):
             raise ValueError("bounding box needs finite corners with the "
                              f"lower below the upper, got {self.box.tolist()}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.diameter):
+                raise ValueError("bounding box needs a finite width and "
+                                 f"diameter, got {self.box.tolist()}")
         if self.level_p is None:
             self.level_p = self.regions[0].level
         stored = self.levels()

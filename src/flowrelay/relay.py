@@ -216,7 +216,7 @@ def _arc_sample_times(arc: FlowArc, flow: Flow, delta_s: float,
     ts = [0.0]
     t = 0.0
     while t < arc.duration:
-        speed = float(np.linalg.norm(flow.field(arc(t))))
+        speed = float(np.linalg.norm(flow.field(arc._point(t))))
         dt = delta_s / max(speed, delta_s / arc.duration)
         t = min(t + dt, arc.duration)
         ts.append(t)

@@ -107,6 +107,25 @@ def test_bad_config_values_fail_at_the_door(tmp_path, capsys, case):
     assert err.startswith("config error: ") and named in err
 
 
+@pytest.mark.parametrize("box, command", [
+    ([[-1e308, -4], [1e308, 4]], ["validate"]),
+    ([[-1e308, -4], [1e308, 4]], ["accessible", "--x0", "1.5,0"]),
+    ([[0, 0], [1.5e308, 1.5e308]], ["validate"]),
+], ids=["width validate", "width accessible", "diameter validate"])
+def test_box_that_overflows_is_a_config_error(tmp_path, capsys, box, command):
+    # finite corners, but hi - lo or the diagonal overflows to inf
+    doc = json.loads(SYSTEMB_CONFIG.read_text())
+    doc["bounding_box"] = box
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main([command[0], "--config", str(bad), *command[1:],
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "bounding box" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonexistent_config():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.json")

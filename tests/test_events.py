@@ -5,16 +5,17 @@ from __future__ import annotations
 import inspect
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from flowrelay import expr
-from flowrelay.dynamics import integrate
-from flowrelay.errors import DegenerateCrossing, VanishingImage
+from flowrelay.dynamics import FlowArc, integrate
+from flowrelay.errors import DegenerateCrossing, EvalError, VanishingImage
 from flowrelay.events import (DEFAULT_EVENTS, _brentq, _fine_grid, _g_scalar,
-                              _gdot_scalar,
+                              _gdot_scalar, _samples,
                               _scan_roots, backward_leaf_parity, backward_tree,
                               degree_check, find_crossings,
                               forward_leaf_parity, forward_tree,
@@ -22,6 +23,7 @@ from flowrelay.events import (DEFAULT_EVENTS, _brentq, _fine_grid, _g_scalar,
 from flowrelay.geometry import Region, sample_boundary
 
 from conftest import ROTOR_CROSS_T, make_rotor, make_systemb, rotor_periodic_start
+from test_three_mode import make_triangle
 
 
 @pytest.fixture(scope="module")
@@ -182,15 +184,141 @@ def test_scan_masks_match_the_loops(rotor_m, systemb_m):
         for backward in (False, True):
             arc = integrate(fl, t, x, backward=backward)
             for region in system.regions:
+                scalars = (_g_scalar(arc, region.f, region.level),
+                           _gdot_scalar(arc, region.f))
                 for ns in (8, 16, 64):
                     args = (arc, region.f, region.level, ns)
                     try:
                         want = _scan_roots_by_loops(*args)
                     except DegenerateCrossing:
                         with pytest.raises(DegenerateCrossing):
-                            _scan_roots(*args)
+                            _scan_roots(*_samples(*args), *scalars)
                         continue
-                    assert _scan_roots(*args) == want
+                    assert _scan_roots(*_samples(*args), *scalars) == want
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_coarse_scan_reads_every_other_fine_sample(rotor_m, systemb_m):
+    # find_crossings takes its ns scan from the samples of its 2*ns pass:
+    # every other fine point is the ns grid, and g and its derivative there
+    # are the bits a pass of its own at ns gives
+    rng = np.random.default_rng(13)
+    for system in (rotor_m, systemb_m, make_triangle()):
+        for backward in (False, True):
+            for _ in range(3):
+                k = int(rng.integers(system.p))
+                arc = integrate(system.flows[k], 2 * system.flows[k].horizon,
+                                rng.uniform(-2.0, 2.0, 2), backward=backward)
+                region = system.regions[(k + 1) % system.p]
+                for ns in (8, 16, 32):
+                    ts, g, gdot = _samples(arc, region.f, region.level, 2 * ns)
+                    want = _samples(arc, region.f, region.level, ns)
+                    assert _same_bits(ts[::2], want[0])
+                    coarse = np.searchsorted(ts, want[0])
+                    assert _same_bits(arc.sample(ts)[coarse], arc.sample(want[0]))
+                    assert _same_bits(g[coarse], want[1])
+                    assert _same_bits(gdot[coarse], want[2])
+
+
+def test_coarse_grid_lies_in_the_fine_grid_where_points_merge():
+    # a last step clipped to a few ulps of the end merges fine points, so
+    # every other fine point is no longer the coarse grid; each coarse point
+    # still is a fine point, which find_crossings looks up by value
+    end = 3.0
+    ts = np.array([0.0, 1.0, end - 8 * math.ulp(end), end])
+    arc = SimpleNamespace(ts=ts)
+    for ns in (8, 16, 32):
+        fine, coarse = _fine_grid(arc, 2 * ns), _fine_grid(arc, ns)
+        assert len(fine) < 2 * len(coarse) - 1
+        assert _same_bits(fine[np.searchsorted(fine, coarse)], coarse)
+
+
+def test_float_g_matches_evaluate_bit_for_bit(systemb_m):
+    rng = np.random.default_rng(14)
+    for backward in (False, True):
+        arc = integrate(systemb_m.flows[0], 5.0, [1.5, 0.3], backward=backward)
+        for region in systemb_m.regions:
+            g = _g_scalar(arc, region.f, region.level)
+            for tau in rng.uniform(0.0, arc.duration, 500).tolist():
+                assert arc._point(tau) == arc(tau).tolist()
+                want = float(region.f.evaluate(arc(tau))) - region.level
+                assert _same_bits(g(tau), want)
+
+
+@pytest.mark.parametrize("text", ["sqrt(-x1)", "exp(1000*x1)", "1e300*1e300*x1"],
+                         ids=["domain", "overflow", "non-finite"])
+def test_float_g_raises_eval_error_as_evaluate_does(rotor_m, text):
+    # x1 = cos(0.5) on the rotor circle through (1, 0)
+    f = expr.parse(text, 2)
+    arc = integrate(rotor_m.flows[0], 1.0, [1.0, 0.0])
+    with pytest.raises(EvalError):
+        f.evaluate(arc(0.5))
+    with pytest.raises(EvalError):
+        _g_scalar(arc, f, 0.0)(0.5)
+
+
+@pytest.fixture
+def sample_calls(monkeypatch) -> list:
+    """The number of points of each FlowArc.sample call, in call order."""
+    calls = []
+    sample = FlowArc.sample
+
+    def counted(self, taus):
+        calls.append(len(taus))
+        return sample(self, taus)
+
+    monkeypatch.setattr(FlowArc, "sample", counted)
+    return calls
+
+
+def test_agreeing_scan_samples_the_arc_once(rotor_m, sample_calls):
+    evs = find_crossings(rotor_m.flows[0], rotor_m.regions[1], 0.0,
+                         [1.3, 0.0], 3.0)
+    assert [e.t for e in evs] == pytest.approx([ROTOR_CROSS_T], abs=1e-9)
+    assert len(sample_calls) == 1
+
+
+def _roots_by_density(arc, f, level: float, t_end: float) -> tuple[list[float], int]:
+    """The confirmation loop with a sampling pass of its own per density:
+    the reference for find_crossings' shared first pass. Returns the roots
+    inside the window and the number of densities scanned."""
+    scalars = (_g_scalar(arc, f, level), _gdot_scalar(arc, f))
+    t_sep = DEFAULT_EVENTS.t_sep_rel * t_end
+    ns = DEFAULT_EVENTS.ns
+    roots, scanned = _scan_roots(*_samples(arc, f, level, ns), *scalars), 1
+    while ns < DEFAULT_EVENTS.ns_max:
+        ns *= 2
+        confirm = _scan_roots(*_samples(arc, f, level, ns), *scalars)
+        scanned += 1
+        agreed = len(confirm) == len(roots) and all(
+            abs(a - b) <= max(t_sep, 1e-9) for a, b in zip(roots, confirm))
+        roots = confirm
+        if agreed:
+            return [r for r in roots if t_sep < r < t_end - t_sep], scanned
+    raise DegenerateCrossing("unresolved")
+
+
+def test_doubling_samples_once_per_further_density(rotor_m, sample_calls):
+    # a level set around a narrow peak of f on the rotor circle: a root pair
+    # that the ns = 8 scan misses and the 16 scan finds sends the
+    # confirmation on to 32
+    fl = rotor_m.flows[0]
+    passes = set()
+    for width in (1e4, 1e5):
+        f = expr.parse(f"exp(-{width}*((x1-1.3)^2 + x2^2)) - 0.5", 2)
+        for phi in np.linspace(0.2, 0.8, 12):
+            arc = integrate(fl, 1.0, 1.3 * np.array([math.cos(-phi), math.sin(-phi)]))
+            want, scanned = _roots_by_density(arc, f, 0.0, 1.0)
+            del sample_calls[:]
+            evs = find_crossings(fl, Region(f, 0.0), None, arc.x0, 1.0, arc=arc)
+            assert [e.t for e in evs] == want
+            assert len(sample_calls) == scanned - 1
+            passes.add(scanned - 1)
+    assert passes == {1, 2}
 
 
 def _step(root: float, at: float = math.inf):
