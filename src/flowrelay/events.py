@@ -89,8 +89,9 @@ def _fine_grid(arc: FlowArc, ns: int) -> np.ndarray:
     the same floats as np.linspace(ts[i], ts[i + 1], ns + 1)[:-1] per step."""
     ts = arc.ts
     step = (ts[1:] - ts[:-1]) / ns
-    grid = np.arange(ns) * step[:, None] + ts[:-1, None]
-    return np.unique(np.concatenate([grid.ravel(), ts[-1:]]))
+    grid = np.append(np.arange(ns) * step[:, None] + ts[:-1, None], ts[-1:])
+    # ts rises and no piece rounds past its step's end: repeats are adjacent
+    return grid[np.r_[True, grid[1:] != grid[:-1]]]
 
 
 _BRENT_ITER = 100

@@ -6,7 +6,8 @@ Closure is solved as a square (n+p) root-finding problem: p level equations
 plus the n-vector x_p - x_0, so a zero residual is exactly a p-periodic
 switching trajectory. That needs equal first and closing level offsets
 (the orbit leaves and re-enters boundary 0 at one level); the solvers
-reject unequal ones with ValueError.
+reject unequal ones with ValueError. Level continuation tracks an orbit
+with steps that double while its corrector succeeds and halve when it fails.
 """
 from __future__ import annotations
 
@@ -154,8 +155,8 @@ class SolveOptions:
 
 
 _MAX_ITER = 40              # Jacobians per Newton solve
-_CORRECTOR_MAX_ITER = 20    # Jacobians per continuation corrector
-_CONTINUATION_STEPS = 16    # steps across the level segment, before halving
+_CORRECTOR_MAX_ITER = 5     # Jacobians per continuation corrector
+_CONTINUATION_STEPS = 16    # first step is 1/_CONTINUATION_STEPS of the segment
 _RESIDUAL_TOL = 1e-9        # |r| at which a Newton seed has converged
 _CLAMP_MARGIN_REL = 1e-6    # duration clamp margin, as a share of the horizon
 _COND_LIMIT = 1e12          # cond(J) above which a Jacobian counts as degenerate
@@ -490,11 +491,14 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
                     levels_to) -> ContinuationPath:
     """Track a converged orbit as the level offsets move along a segment.
 
-    _CONTINUATION_STEPS (16) steps of linear predictor (tangent solve of
-    the shooting system) plus Levenberg-Marquardt corrector; the step halves
-    on corrector failure down to 1/1024 of the segment, at which point
-    ContinuationStalled carries the partial path. The last step lands on
-    levels_to exactly, and its corrector's solution is the orbit returned.
+    Linear predictor (tangent solve of the shooting system), then a
+    Levenberg-Marquardt corrector of at most 5 Jacobians. The first step is
+    1/16 of the segment and each accepted step doubles the next. A corrector
+    that fails, ends on the duration clamp or lands farther from the
+    predictor than the predictor lies from the current point (a branch jump)
+    halves the step; at 1/1024 of the segment ContinuationStalled carries
+    the partial path. The last step lands on levels_to exactly, and its
+    corrector's solution is the orbit returned.
     Raises ValueError when sv has the wrong shape or levels_to unequal first
     and closing offsets.
     """
@@ -510,28 +514,28 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
 
     lo, hi = _clamp_bounds(system)
     s = 0.0
-    base = 1.0 / _CONTINUATION_STEPS
-    h = base
+    h = 1.0 / _CONTINUATION_STEPS
     cur = sv
     while s < 1.0 - 1e-15:
         h = min(h, 1.0 - s)
         lv_cur = lv_a + s * (lv_b - lv_a)
         lv_next = lv_b if h == 1.0 - s else lv_a + (s + h) * (lv_b - lv_a)
-        dl = lv_next - lv_cur
         try:
             jac = residual_jacobian(system, lv_cur, cur)
-            rhs = np.concatenate([dl[:p], np.zeros(n)])
+            rhs = np.concatenate([(lv_next - lv_cur)[:p], np.zeros(n)])
             tangent = np.linalg.lstsq(jac, rhs, rcond=None)[0]
             z_pred = cur.as_vector() + tangent
             pred = SwitchingVector.of(z_pred[:n], np.clip(z_pred[n:], lo, hi))
             res = _newton(system, lv_next, pred, _CORRECTOR_MAX_ITER)
         except _SOLVE_ERRORS:
             res = None
-        if res is not None and res.converged and not res.on_clamp:
+        if (res is not None and res.converged and not res.on_clamp
+                and np.linalg.norm(res.sv.as_vector() - z_pred)
+                <= np.linalg.norm(tangent)):
             s += h
             cur, rnorm = res.sv, res.residual_norm
             path.append((lv_next.copy(), cur))
-            h = min(2.0 * h, base)
+            h = 2.0 * h
         else:
             h *= 0.5
             if h < 1.0 / 1024.0:

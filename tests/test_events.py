@@ -127,21 +127,28 @@ def test_oracle_equivalence_100_instances(rotor_m, systemb_m):
 
 
 def test_fine_grid_matches_per_step_linspace(rotor_m, systemb_m):
-    # the vectorized grid is pinned bit for bit to the per-step linspace one
+    # the vectorized grid, which drops repeats instead of sorting, is pinned
+    # bit for bit to np.unique of the per-step linspace one, also where a
+    # last step clipped to a few ulps of the end merges points
     rng = np.random.default_rng(12)
-    for system in (rotor_m, systemb_m):
+    end = 3.0
+    merged = SimpleNamespace(ts=np.array([0.0, 1.0, end - 8 * math.ulp(end), end]))
+    arcs = [merged]
+    for system in (rotor_m, systemb_m, make_triangle()):
         for backward in (False, True):
             for _ in range(5):
                 x0 = rng.uniform(-1.5, 1.5, 2)
-                arc = integrate(system.flows[0], 2 * system.flows[0].horizon,
-                                x0, backward=backward)
-                for ns in (8, 16, 32, 64):
-                    pieces = [np.linspace(arc.ts[i], arc.ts[i + 1], ns + 1)[:-1]
-                              for i in range(len(arc.ts) - 1)]
-                    old = np.unique(np.concatenate(pieces + [arc.ts[-1:]]))
-                    new = _fine_grid(arc, ns)
-                    assert new.shape == old.shape
-                    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+                arcs.append(integrate(system.flows[0], 2 * system.flows[0].horizon,
+                                      x0, backward=backward))
+    for arc in arcs:
+        for ns in (8, 16, 32, 64):
+            pieces = [np.linspace(arc.ts[i], arc.ts[i + 1], ns + 1)[:-1]
+                      for i in range(len(arc.ts) - 1)]
+            old = np.unique(np.concatenate(pieces + [arc.ts[-1:]]))
+            new = _fine_grid(arc, ns)
+            assert new.shape == old.shape
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    assert len(_fine_grid(merged, 64)) < 3 * 64 + 1
 
 
 def _scan_roots_by_loops(arc, f, level: float, ns: int) -> list[float]:

@@ -412,15 +412,69 @@ def test_continuation_ends_exactly_on_the_target_levels(systemb_m):
     assert path.orbit.residual_norm == rnorm <= 1e-9
 
 
-def test_continuation_stalls_when_regions_vanish(systemb_m, systemb_orbit,
-                                                 monkeypatch):
+def test_continuation_stalls_when_regions_vanish(systemb_m, systemb_orbit):
     orb = systemb_orbit
     lv0 = systemb_m.levels()
-    monkeypatch.setattr(periodic, "_MAX_ITER", 6)
-    monkeypatch.setattr(periodic, "_CORRECTOR_MAX_ITER", 6)
-    with pytest.raises(ContinuationStalled) as exc:
+    with pytest.raises(ContinuationStalled, match=r"s=0\.9561") as exc:
         continue_levels(systemb_m, orb.sv, lv0, np.full(3, 0.26))
     assert len(exc.value.path) >= 1
+
+
+def _count_jacobians(monkeypatch) -> dict:
+    calls = {"jacobian": 0}
+    jacobian = periodic.residual_jacobian
+
+    def counted(*args):
+        calls["jacobian"] += 1
+        return jacobian(*args)
+
+    monkeypatch.setattr(periodic, "residual_jacobian", counted)
+    return calls
+
+
+def test_continuation_grows_its_step_on_an_easy_path(systemb_m, systemb_orbit,
+                                                     monkeypatch):
+    # every corrector on 0.02 -> 0 converges at once, so the step doubles
+    # from 1/16 and the path reaches the direct orbit in a few entries
+    lv0 = np.full(3, 0.02)
+    start = find_periodic(systemb_m, lv0, opts=SolveOptions(max_seeds=4, seed=1))
+    calls = _count_jacobians(monkeypatch)
+    path = continue_levels(systemb_m, start[0].sv, lv0, systemb_m.levels())
+    assert len(path.steps) <= 6
+    assert calls["jacobian"] <= 13
+    gap = path.orbit.sv.as_vector() - systemb_orbit.sv.as_vector()
+    assert np.abs(gap).max() < 1e-9
+
+
+def test_continuation_stall_work_is_bounded(systemb_m, systemb_orbit,
+                                            monkeypatch):
+    # a corrector that needs more than a few Jacobians halves the step
+    calls = _count_jacobians(monkeypatch)
+    with pytest.raises(ContinuationStalled):
+        continue_levels(systemb_m, systemb_orbit.sv, systemb_m.levels(),
+                        np.full(3, 0.26))
+    assert calls["jacobian"] <= 150
+
+
+def test_continuation_refuses_a_corrector_far_from_its_predictor(
+        systemb_m, systemb_orbit, monkeypatch):
+    # the first corrector converges to a point 0.1 from its predictor, much
+    # farther than the predictor moved: the step is halved and retried
+    newton = periodic._newton
+    far = []
+
+    def jumping(system, levels, sv, max_iter):
+        res = newton(system, levels, sv, max_iter)
+        if not far:
+            far.append(SwitchingVector.of(res.sv.x + 0.1, res.sv.durations))
+            return replace(res, sv=far[0])
+        return res
+
+    monkeypatch.setattr(periodic, "_newton", jumping)
+    lv0 = systemb_m.levels()
+    path = continue_levels(systemb_m, systemb_orbit.sv, lv0, lv0 + 0.01)
+    assert all(sv != far[0] for _, sv in path.steps)
+    assert path.steps[1][0].tolist() == (lv0 + 0.01 / 32).tolist()
 
 
 # every call that takes a switching vector, as call(system, sv)
