@@ -10,7 +10,10 @@ only by rounding.
 
 A state is a tuple of n floats (one trajectory) or of n numpy columns (a
 batch of N points under one joint error norm). Each form has its own step
-and dense-row functions under the one step loop of solve.
+and dense-row functions under the one step loop of solve, which keeps only
+the current state and hands each accepted step to the caller's solout, as
+the SOLOUT of Hairer's DOP853 driver does (Solving ODEs I, sec. II.6): a
+dense row is built only for a step whose caller asks for it.
 
 - Floats: for each state size the two functions are generated as
   straight-line Python with the zero tableau entries dropped, the way
@@ -19,6 +22,7 @@ and dense-row functions under the one step loop of solve.
   preallocated (16, n, N) buffer K. Every stage, solution, error and
   dense-row sum is one matrix product of tableau rows with the flattened
   stages, a[:s] @ K[:s].reshape(s, -1), the arithmetic of scipy's rk_step.
+  Dense rows are written into one preallocated (8, n, N) buffer.
 
 A right-hand side maps the n state entries to a tuple of n entries (a
 column may come back as a scalar); a failing one propagates its own
@@ -206,9 +210,11 @@ def _stacked(n: int, npts: int) -> tuple[Callable, Callable]:
     """The stacked form's step and dense-row functions for a batch of npts
     points of n entries, the same contract as the generated pair over
     (n, npts) arrays. They share one stage buffer K, so the stages passed to
-    the dense rows are those of the last trial step."""
+    the dense rows are those of the last trial step, and every dense row is
+    the one (8, n, npts) buffer, overwritten by the next."""
     K = np.empty((_STAGES + 4, n, npts))
     flat = K.reshape(len(K), n * npts)
+    row = np.empty((8, n, npts))
 
     def put(s: int, entries) -> None:
         """K[s] = the n entries, columns or scalars."""
@@ -241,7 +247,6 @@ def _stacked(n: int, npts: int) -> tuple[Callable, Callable]:
     def dense(fun, y, ks, y_new, f_new, h):
         for s, coefs in enumerate(_EXTRA_ROWS, _STAGES + 1):
             stage(fun, s, y, coefs, h)
-        row = np.empty((8, n, npts))
         row[0] = y
         row[1] = d = y_new - y
         row[2] = h * K[0] - d
@@ -280,16 +285,17 @@ def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
     return min(100 * h0, h1, span)
 
 
-def solve(fun, t_end: float, y0: tuple, dense_from: float):
+def solve(fun, t_end: float, y0: tuple, solout):
     """Integrate y' = fun(*y) from time 0 to the signed time t_end, over
-    floats or, if y0 holds numpy columns, over the stacked columns.
+    floats or, if y0 holds numpy columns, over the stacked columns, and
+    return the end state: a tuple over floats, an (n, N) array over columns.
 
-    Returns (ts, ys, rows): the accepted times (signed, from 0 to t_end),
-    the states there, and for each step ending at |t| >= dense_from (the
-    last len(rows) steps) one row holding its start state and its 7
-    interpolant rows. Over floats a state is a tuple and a row a flat tuple
-    of 8n floats; over columns a state is an (n, N) array and a row an
-    (8, n, N) array. Raises IntegrationError on step underflow.
+    Only the current state is kept. Unless solout is None, each accepted
+    step from t to t_new (signed, from 0 to t_end) calls
+    solout(t, t_new, dense), and dense() builds that step's row: its start
+    state and its 7 interpolant rows, a flat tuple of 8n floats over floats
+    and over columns the (8, n, N) buffer that the next row overwrites.
+    Raises IntegrationError on step underflow.
     """
     if isinstance(y0[0], np.ndarray):
         y0 = np.array(y0, float)
@@ -301,7 +307,10 @@ def solve(fun, t_end: float, y0: tuple, dense_from: float):
     t, y = 0.0, y0
     f = fun(*y)
     h_abs = _initial_step(fun, y, f, abs(t_end), direction, rms)
-    ts, ys, rows = [t], [y], []
+
+    def dense():
+        return dense_rows(fun, y, ks, y_new, f_new, h)
+
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)
         if h_abs < min_step:
@@ -326,9 +335,7 @@ def solve(fun, t_end: float, y0: tuple, dense_from: float):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
-        if abs(t_new) >= dense_from:
-            rows.append(dense_rows(fun, y, ks, y_new, f_new, h))
+        if solout is not None:
+            solout(t, t_new, dense)
         t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-    return ts, ys, rows
+    return y

@@ -5,8 +5,10 @@ at rtol 1e-10, atol 1e-12, which calls the fused kernels directly. A single
 trajectory (flow_map, flow_map_with_jacobian and the dense FlowArc behind
 integrate) is stepped over floats. flow_map_points steps its N points as one
 stacked (n, N) array under one joint norm, taking each stage sum as one
-matrix product of a tableau row with the flattened stages, and evaluates
-all its t_eval rows in one vectorised Horner pass. The dense interpolant is
+matrix product of a tableau row with the flattened stages, and keeps only
+the current state: each t_eval time is one vectorised Horner pass over the
+dense row of the step that holds it, as soon as that step is accepted, so
+its memory does not grow with the duration. The dense interpolant is
 built only where it is read. No stiff path. Backward time is a negative
 time span: the stepper steps the same field with negative steps, so both
 directions use the same compiled kernels.
@@ -145,14 +147,20 @@ class FlowArc:
         self.x0 = x0
         self.duration = duration
         self.backward = backward
-        ts, ys, rows = _run(flow.field._value, "field evaluation",
-                            -duration if backward else duration, x0.tolist(),
-                            dense_from=0.0)
-        self._knots = [abs(t) for t in ts]
+        knots, rows = [0.0], []
+
+        def keep(t, t_new, dense):
+            knots.append(abs(t_new))
+            rows.append(dense())
+
+        end = _run(flow.field._value, "field evaluation",
+                   -duration if backward else duration, x0.tolist(), keep)
+        self._knots = knots
         self._rows = rows
         self._table = np.array(rows)
-        self.ts = np.array(self._knots)
-        self.states = np.array(ys).T
+        self.ts = np.array(knots)
+        # each row starts with its step's start state
+        self.states = np.vstack([self._table[:, :len(end)], end]).T
 
     @property
     def end(self) -> np.ndarray:
@@ -218,18 +226,18 @@ def _start(x, fn: str, n: int, batch: bool = False) -> np.ndarray:
     return x
 
 
-def _run(kernel, what: str, t: float, y0, dense_from: float):
+def _run(kernel, what: str, t: float, y0, solout):
     """Integrate y' = kernel(*y) from 0 to the signed time t on the owned
-    stepper, over the floats or numpy columns of y0: (ts, ys, rows) as
-    _dop853.solve returns them. A kernel failure raises EvalError; a
-    non-finite end state, IntegrationError."""
+    stepper, over the floats or numpy columns of y0, handing each accepted
+    step to solout as _dop853.solve does: the end state. A kernel failure
+    raises EvalError; a non-finite end state, IntegrationError."""
     try:
-        out = _dop853.solve(kernel, t, tuple(y0), dense_from)
+        end = _dop853.solve(kernel, t, tuple(y0), solout)
     except _EVAL_FAILURES as exc:
         raise EvalError(f"{what} failed: {exc}") from exc
-    if not np.isfinite(out[1][-1]).all():
+    if not np.isfinite(end).all():
         raise IntegrationError("non-finite state at the end of integration")
-    return out
+    return end
 
 
 def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> FlowArc:
@@ -248,8 +256,7 @@ def flow_map(flow: Flow, t: float, x) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     _check_cap(flow, t)
-    return np.array(_run(flow.field._value, "field evaluation", t, x.tolist(),
-                         dense_from=math.inf)[1][-1])
+    return np.array(_run(flow.field._value, "field evaluation", t, x.tolist(), None))
 
 
 def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +267,7 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
         return x.copy(), np.eye(n)
     _check_cap(flow, t)
     y0 = x.tolist() + np.eye(n).ravel().tolist()
-    yf = np.array(_run(flow.field._var, "variational right-hand side", t, y0,
-                       dense_from=math.inf)[1][-1])
+    yf = np.array(_run(flow.field._var, "variational right-hand side", t, y0, None))
     return yf[:n], yf[n:].reshape(n, n)
 
 
@@ -270,7 +276,8 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     """Flow many points at once, stepped together as one (n, N) array.
 
     Error control is applied to the joint norm, which is adequate for the
-    margin checks this backs (not for tight per-point tolerances). Returns
+    margin checks this backs (not for tight per-point tolerances). Memory
+    holds the current state and the output, not the trajectory. Returns
     the endpoint batch (N, n), or (len(t_eval), N, n) when t_eval is given;
     t_eval is in elapsed time and must lie in [0, |t|] (else OutOfSpan).
     """
@@ -285,18 +292,25 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     _check_cap(flow, t)
     if t == 0.0 or 0 in shape:   # nothing to integrate
         return np.broadcast_to(pts, shape).copy()
+    # each time lies in the step FlowArc.sample picks for it, from |t0|
+    # exclusive (0 inclusive) to |t1|: one Horner pass over that step's row
+    # covers every entry and point, before the next step overwrites it
+    times = np.empty(0) if t_eval is None else t_eval
+    order = np.argsort(times, kind="stable")
+    upto = times[order]
+    out = np.empty((len(times), n, len(pts)))
+    done = 0
+
+    def horner(t0, t1, dense):
+        nonlocal done
+        lo, hi = abs(t0), abs(t1)
+        stop = int(np.searchsorted(upto, hi, "right"))
+        if stop > done:
+            row = dense()
+            for k in order[done:stop]:
+                out[k] = _interpolate(row, (times[k] - lo) / (hi - lo))
+            done = stop
+
     with np.errstate(all="ignore"):
-        ts, ys, rows = _run(flow.field._value_cols, "field evaluation", t,
-                            pts.T, math.inf if t_eval is None else t_eval.min())
-        if t_eval is None:
-            return ys[-1].T.copy()
-        # step i, picked as FlowArc.sample picks it, has the (8, n, N) row
-        # rows[i - first]; one Horner pass per time covers every entry and
-        # point, without gathering the rows into a copy
-        knots, first = np.abs(ts), len(ts) - 1 - len(rows)
-        steps = np.clip(np.searchsorted(knots, t_eval) - 1, 0, len(ts) - 2)
-        x = (t_eval - knots[steps]) / (knots[steps + 1] - knots[steps])
-        out = np.empty((len(t_eval),) + ys[0].shape)
-        for k, (i, xk) in enumerate(zip(steps, x)):
-            out[k] = _interpolate(rows[i - first], xk)
-        return out.transpose(0, 2, 1)
+        end = _run(flow.field._value_cols, "field evaluation", t, pts.T, horner)
+    return end.T.copy() if t_eval is None else out.transpose(0, 2, 1)

@@ -62,11 +62,13 @@ def sample_boundary(region: Region, box: np.ndarray, m: int,
                     rng: np.random.Generator) -> BoundarySamples:
     """Draw m >= 1 points on {f = region.level} inside the box from rng.
 
-    Random box points are projected onto the level set by up to 80 Newton
-    steps along the gradient; points that leave the box, miss the level by
-    more than 1e-10, or land where the gradient is below the regularity
-    floor are discarded. BoundaryNotFound after 20 batches without m points;
-    ValueError when m < 1.
+    Each batch draws max(4m, 32) random box points. They are projected onto
+    the level set by up to 80 Newton steps along the gradient, in slices of
+    m consecutive points in draw order, until m points are accepted; a
+    slice stops once all its points converge. Points that leave the box,
+    miss the level by more than 1e-10, or land where the gradient is below
+    the regularity floor are discarded. BoundaryNotFound after 20 batches
+    without m points; ValueError when m < 1.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 boundary samples, got {m}")
@@ -78,29 +80,30 @@ def sample_boundary(region: Region, box: np.ndarray, m: int,
     norms: list[np.ndarray] = []
     have = 0
     for _ in range(_SAMPLE_BATCHES):
-        x = rng.uniform(lo, hi, size=(max(4 * m, 32), n))
-        # the residual checked for convergence is the next step's residual
-        r = region.f.evaluate(x) - lv
-        for _ in range(_SAMPLE_NEWTON):
-            g = region.f.gradient(x)
-            gn2 = np.einsum("ij,ij->i", g, g)
-            gn2 = np.where(gn2 > 0, gn2, 1.0)
-            step = (r / gn2)[:, None] * g
-            np.clip(step, -1.0, 1.0, out=step)  # guard wild first steps
-            x = x - step
+        batch = rng.uniform(lo, hi, size=(max(4 * m, 32), n))
+        for x in np.split(batch, range(m, len(batch), m)):
+            # the residual checked for convergence is the next step's residual
             r = region.f.evaluate(x) - lv
-            if np.all(np.abs(r) <= _SAMPLE_TOL):
-                break
-        g = region.f.gradient(x)
-        gn = np.sqrt(np.einsum("ij,ij->i", g, g))
-        ok = (np.abs(r) <= _SAMPLE_TOL) & (gn >= _EPS_REG)
-        ok &= np.all((x >= lo - 1e-12) & (x <= hi + 1e-12), axis=1)
-        take = np.flatnonzero(ok)[:m - have]
-        points.append(x[take])
-        norms.append(gn[take])
-        have += len(take)
-        if have == m:
-            return BoundarySamples(np.concatenate(points), np.concatenate(norms))
+            for _ in range(_SAMPLE_NEWTON):
+                g = region.f.gradient(x)
+                gn2 = np.einsum("ij,ij->i", g, g)
+                gn2 = np.where(gn2 > 0, gn2, 1.0)
+                step = (r / gn2)[:, None] * g
+                np.clip(step, -1.0, 1.0, out=step)  # guard wild first steps
+                x = x - step
+                r = region.f.evaluate(x) - lv
+                if np.all(np.abs(r) <= _SAMPLE_TOL):
+                    break
+            g = region.f.gradient(x)
+            gn = np.sqrt(np.einsum("ij,ij->i", g, g))
+            ok = (np.abs(r) <= _SAMPLE_TOL) & (gn >= _EPS_REG)
+            ok &= np.all((x >= lo - 1e-12) & (x <= hi + 1e-12), axis=1)
+            take = np.flatnonzero(ok)[:m - have]
+            points.append(x[take])
+            norms.append(gn[take])
+            have += len(take)
+            if have == m:
+                return BoundarySamples(np.concatenate(points), np.concatenate(norms))
     raise BoundaryNotFound(
         f"no boundary of region {region.index} at level {lv} found in the box "
         f"after {_SAMPLE_BATCHES} batches")

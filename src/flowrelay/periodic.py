@@ -491,14 +491,14 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
                     levels_to) -> ContinuationPath:
     """Track a converged orbit as the level offsets move along a segment.
 
-    Linear predictor (tangent solve of the shooting system), then a
-    Levenberg-Marquardt corrector of at most 5 Jacobians. The first step is
-    1/16 of the segment and each accepted step doubles the next. A corrector
-    that fails, ends on the duration clamp or lands farther from the
-    predictor than the predictor lies from the current point (a branch jump)
-    halves the step; at 1/1024 of the segment ContinuationStalled carries
-    the partial path. The last step lands on levels_to exactly, and its
-    corrector's solution is the orbit returned.
+    Linear predictor (tangent solve of the shooting system, one Jacobian
+    per accepted point), then a Levenberg-Marquardt corrector of at most 5
+    Jacobians. The first step is 1/16 of the segment and each accepted step
+    doubles the next. A corrector that fails, ends on the duration clamp or
+    lands farther from the predictor than the predictor lies from the
+    current point (a branch jump) halves the step; at 1/1024 of the segment
+    ContinuationStalled carries the partial path. The last step lands on
+    levels_to exactly, and its corrector's solution is the orbit returned.
     Raises ValueError when sv has the wrong shape or levels_to unequal first
     and closing offsets.
     """
@@ -515,13 +515,14 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     lo, hi = _clamp_bounds(system)
     s = 0.0
     h = 1.0 / _CONTINUATION_STEPS
-    cur = sv
+    cur, jac = sv, None
     while s < 1.0 - 1e-15:
         h = min(h, 1.0 - s)
         lv_cur = lv_a + s * (lv_b - lv_a)
         lv_next = lv_b if h == 1.0 - s else lv_a + (s + h) * (lv_b - lv_a)
         try:
-            jac = residual_jacobian(system, lv_cur, cur)
+            if jac is None:
+                jac = residual_jacobian(system, lv_cur, cur)
             rhs = np.concatenate([(lv_next - lv_cur)[:p], np.zeros(n)])
             tangent = np.linalg.lstsq(jac, rhs, rcond=None)[0]
             z_pred = cur.as_vector() + tangent
@@ -533,7 +534,7 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
                 and np.linalg.norm(res.sv.as_vector() - z_pred)
                 <= np.linalg.norm(tangent)):
             s += h
-            cur, rnorm = res.sv, res.residual_norm
+            cur, rnorm, jac = res.sv, res.residual_norm, None
             path.append((lv_next.copy(), cur))
             h = 2.0 * h
         else:

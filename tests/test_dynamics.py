@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flowrelay import expr
+from flowrelay import _dop853, dynamics, expr
 from flowrelay.dynamics import (Flow, VectorField, flow_map, flow_map_points,
                                 flow_map_with_jacobian, integrate)
 from flowrelay.errors import EvalError, IntegrationError, OutOfSpan
@@ -168,6 +169,85 @@ def test_flow_map_points_three_dimensional_linear_field():
         for tau, states in zip(taus, dense):
             want = pts @ expm(math.copysign(tau, t) * M).T
             assert np.all(np.abs(states - want) <= 1e-9 * (1.0 + np.abs(want)))
+
+
+def _keep_everything(fl: Flow, t: float, pts: np.ndarray, t_eval):
+    """flow_map_points as one full solve that keeps every accepted step and
+    a copy of every dense row to the end, then one Horner pass per time at
+    the step searchsorted picks: (the result, the accepted step times in
+    elapsed time, the distinct dense-row buffers)."""
+    ts, rows, buffers = [0.0], [], {}
+
+    def keep(t0, t1, dense):
+        ts.append(t1)
+        row = dense()
+        buffers[id(row)] = row
+        rows.append(row.copy())
+
+    with np.errstate(all="ignore"):
+        end = _dop853.solve(fl.field._value_cols, t, tuple(pts.T), keep)
+        knots = np.abs(ts)
+        if t_eval is None:
+            return end.T.copy(), knots, buffers
+        steps = np.clip(np.searchsorted(knots, t_eval) - 1, 0, len(ts) - 2)
+        x = (t_eval - knots[steps]) / (knots[steps + 1] - knots[steps])
+        out = np.array([dynamics._interpolate(rows[i], xk)
+                        for i, xk in zip(steps, x)])
+    return out.transpose(0, 2, 1), knots, buffers
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("npts", [1, 1000])
+def test_streamed_flow_map_points_is_bit_identical_to_keeping_every_step(npts):
+    # a regression guard: building a row only for a step that holds a
+    # t_eval time, into one reused buffer, changes no bit of the result
+    fields = {2: make_systemb().flows[0].field,
+              3: VectorField([expr.parse(c, 3) for c in
+                              ("-x2 - 0.1*x1", "x1 - 0.1*x2",
+                               "-0.5*x3 + sin(x1)*x2")])}
+    rng = np.random.default_rng(41)
+    for n, field in fields.items():
+        fl = Flow(field, 5.0)
+        pts = rng.uniform(-2.0, 2.0, (npts, n))
+        for t in (3.0, -3.0):
+            want, knots, _ = _keep_everything(fl, t, pts, None)
+            assert _bits(flow_map_points(fl, t, pts)).tolist() == _bits(want).tolist()
+            inner = knots[1:-1]
+            a, b = rng.uniform(0.0, 3.0, 2)
+            cases = [np.sort(rng.uniform(0.0, 3.0, 7)), rng.uniform(0.0, 3.0, 7),
+                     np.array([a, b, a, a, b]),
+                     np.array([3.0, inner[len(inner) // 2], 0.0, inner[0],
+                               inner[-1], 3.0, 0.0])]
+            for t_eval in cases:
+                want, _, buffers = _keep_everything(fl, t, pts, t_eval)
+                assert len(buffers) == 1
+                got = flow_map_points(fl, t, pts, t_eval=t_eval)
+                assert got.shape == (len(t_eval), npts, n)
+                assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_flow_map_points_memory_does_not_grow_with_duration():
+    # only the current state and, with t_eval, the output and one dense row
+    # are held: 40 time units peak within 10 % of 4 (keeping every accepted
+    # state and row took 2.9x)
+    fl = Flow(make_systemb().flows[0].field, 40.0)
+    pts = np.random.default_rng(42).uniform(-2.0, 2.0, (1024, 2))
+
+    def peak(t: float, t_eval) -> int:
+        flow_map_points(fl, t, pts[:4], t_eval)
+        tracemalloc.start()
+        try:
+            flow_map_points(fl, t, pts, t_eval)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40.0, None) <= 1.1 * peak(4.0, None)
+    assert (peak(40.0, np.linspace(20.0, 40.0, 16))
+            <= 1.1 * peak(4.0, np.linspace(2.0, 4.0, 16)))
 
 
 def test_flow_map_points_rejects_t_eval_outside_span():

@@ -53,32 +53,35 @@ def test_sample_boundary_rejects_empty_request(m):
 
 def _sample_boundary_by_loops(region, box, m, rng):
     """sample_boundary with the level evaluated twice per Newton step and
-    the accepted points taken one by one: the reference for its array form.
-    Also returns the number of batches drawn."""
+    the accepted points taken one by one, each slice of m candidates
+    projected on its own: the reference for its array form. Also returns
+    the number of batches drawn."""
     lv, lo, hi = region.level, box[0], box[1]
     points, norms = [], []
     for batches in range(1, geometry._SAMPLE_BATCHES + 1):
-        x = rng.uniform(lo, hi, size=(max(4 * m, 32), len(lo)))
-        for _ in range(geometry._SAMPLE_NEWTON):
-            r = region.f.evaluate(x) - lv
+        batch = rng.uniform(lo, hi, size=(max(4 * m, 32), len(lo)))
+        for start in range(0, len(batch), m):
+            x = batch[start:start + m]
+            for _ in range(geometry._SAMPLE_NEWTON):
+                r = region.f.evaluate(x) - lv
+                g = region.f.gradient(x)
+                gn2 = np.einsum("ij,ij->i", g, g)
+                gn2 = np.where(gn2 > 0, gn2, 1.0)
+                step = (r / gn2)[:, None] * g
+                np.clip(step, -1.0, 1.0, out=step)
+                x = x - step
+                if np.all(np.abs(region.f.evaluate(x) - lv) <= geometry._SAMPLE_TOL):
+                    break
+            r = np.abs(region.f.evaluate(x) - lv)
             g = region.f.gradient(x)
-            gn2 = np.einsum("ij,ij->i", g, g)
-            gn2 = np.where(gn2 > 0, gn2, 1.0)
-            step = (r / gn2)[:, None] * g
-            np.clip(step, -1.0, 1.0, out=step)
-            x = x - step
-            if np.all(np.abs(region.f.evaluate(x) - lv) <= geometry._SAMPLE_TOL):
-                break
-        r = np.abs(region.f.evaluate(x) - lv)
-        g = region.f.gradient(x)
-        gn = np.sqrt(np.einsum("ij,ij->i", g, g))
-        for i in range(len(x)):
-            if (r[i] <= geometry._SAMPLE_TOL and gn[i] >= geometry._EPS_REG
-                    and np.all((x[i] >= lo - 1e-12) & (x[i] <= hi + 1e-12))):
-                points.append(x[i])
-                norms.append(float(gn[i]))
-                if len(points) == m:
-                    return np.array(points), np.array(norms), batches
+            gn = np.sqrt(np.einsum("ij,ij->i", g, g))
+            for i in range(len(x)):
+                if (r[i] <= geometry._SAMPLE_TOL and gn[i] >= geometry._EPS_REG
+                        and np.all((x[i] >= lo - 1e-12) & (x[i] <= hi + 1e-12))):
+                    points.append(x[i])
+                    norms.append(float(gn[i]))
+                    if len(points) == m:
+                        return np.array(points), np.array(norms), batches
     raise BoundaryNotFound("reference loop found too few points")
 
 

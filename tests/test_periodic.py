@@ -456,6 +456,26 @@ def test_continuation_stall_work_is_bounded(systemb_m, systemb_orbit,
     assert calls["jacobian"] <= 150
 
 
+def test_continuation_refused_steps_reuse_the_predictor_jacobian(
+        systemb_m, systemb_orbit, monkeypatch):
+    # a refused step retries from the same point, where the tangent is
+    # linear in the level step: no Jacobian of the stall is computed twice
+    # at one (levels, switching vector)
+    jacobian = periodic.residual_jacobian
+    keys = []
+
+    def keyed(system, levels, sv):
+        keys.append((np.asarray(levels).tobytes(), sv.as_vector().tobytes()))
+        return jacobian(system, levels, sv)
+
+    monkeypatch.setattr(periodic, "residual_jacobian", keyed)
+    with pytest.raises(ContinuationStalled, match=r"s=0\.9561") as exc:
+        continue_levels(systemb_m, systemb_orbit.sv, systemb_m.levels(),
+                        np.full(3, 0.26))
+    assert len(exc.value.path) == 10
+    assert len(keys) == len(set(keys)) == 107
+
+
 def test_continuation_refuses_a_corrector_far_from_its_predictor(
         systemb_m, systemb_orbit, monkeypatch):
     # the first corrector converges to a point 0.1 from its predictor, much
