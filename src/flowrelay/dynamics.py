@@ -134,11 +134,11 @@ class FlowArc:
     the accepted steps in tau and states the states there, shape
     (n, len(ts)). A backward arc is solved over the negative span
     [0, -duration], so its solver time is -tau; this class is the one place
-    that maps between the two. Each step keeps its start state and the 7
-    rows of DOP853's interpolant, which depends on tau only through the step
-    fraction (tau - ts[i]) / (ts[i+1] - ts[i]), the same in either time. At
-    an accepted step time the lower step is used, as scipy's OdeSolution
-    does.
+    that maps between the two. Each step keeps, as one row of a float array,
+    its start state and the 7 rows of DOP853's interpolant, which depends on
+    tau only through the step fraction (tau - ts[i]) / (ts[i+1] - ts[i]),
+    the same in either time. At an accepted step time the lower step is
+    used, as scipy's OdeSolution does.
     """
 
     def __init__(self, flow: Flow, x0: np.ndarray, duration: float,
@@ -156,7 +156,6 @@ class FlowArc:
         end = _run(flow.field._value, "field evaluation",
                    -duration if backward else duration, x0.tolist(), keep)
         self._knots = knots
-        self._rows = rows
         self._table = np.array(rows)
         self.ts = np.array(knots)
         # each row starts with its step's start state
@@ -174,9 +173,9 @@ class FlowArc:
         if tau < 0.0 or tau > self.duration:
             raise OutOfSpan(f"tau={tau} outside [0, {self.duration}]")
         knots = self._knots
-        i = min(max(bisect_left(knots, tau) - 1, 0), len(self._rows) - 1)
+        i = min(max(bisect_left(knots, tau) - 1, 0), len(self._table) - 1)
         x = (tau - knots[i]) / (knots[i + 1] - knots[i])
-        row, n = self._rows[i], self.flow.field.n
+        row, n = self._table[i].tolist(), self.flow.field.n
         return [_interpolate(row[j::n], x) for j in range(n)]
 
     def sample(self, taus) -> np.ndarray:
@@ -188,7 +187,7 @@ class FlowArc:
         if taus.min() < 0.0 or taus.max() > self.duration:
             raise OutOfSpan("sample parameters outside the integrated span")
         ts = self.ts
-        i = np.clip(np.searchsorted(ts, taus) - 1, 0, len(self._rows) - 1)
+        i = np.clip(np.searchsorted(ts, taus) - 1, 0, len(self._table) - 1)
         x = ((taus - ts[i]) / (ts[i + 1] - ts[i]))[:, None]
         blocks = self._table[i].reshape(len(taus), 8, n).transpose(1, 0, 2)
         return _interpolate(blocks, x)

@@ -5,10 +5,11 @@ one adaptive integration (event location as in Shampine & Thompson, "Event
 location for ordinary differential equations", 2000): every accepted step is
 cut into ns and 2*ns equal pieces, both scans read g and its time derivative
 from one sampling pass at 2*ns (the ns grid is every other point of it), sign
-changes are bracketed and polished over floats by Brent's method (_brentq, a
-port of scipy's brentq), and near-tangent structure (grazing extrema, root
-pairs closer than the separation floor) aborts with DegenerateCrossing so
-callers can perturb the level offsets.
+changes are bracketed and the confirming scan's brackets are polished over
+floats by Brent's method (_brentq, a port of scipy's brentq), and
+near-tangent structure (grazing extrema, root pairs closer than the
+separation floor) aborts with DegenerateCrossing so callers can perturb the
+level offsets.
 """
 from __future__ import annotations
 
@@ -180,12 +181,12 @@ def _samples(arc: FlowArc, f: Expression, level: float,
     return ts, g, gdot
 
 
-def _scan_roots(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
-                gfun: Callable[[float], float],
-                gdfun: Callable[[float], float]) -> list[float]:
-    """Root times of g on the span of the samples (ts, g, gdot), including
-    pairs recovered from near-zero extrema, polished on gfun (g) and gdfun
-    (its derivative); raises on grazes."""
+def _scan_brackets(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
+                   gfun: Callable[[float], float],
+                   gdfun: Callable[[float], float]) -> list[tuple[float, float]]:
+    """Sorted brackets of the roots of g on the span of the samples (ts, g,
+    gdot), including pairs split at near-zero extrema, which are polished on
+    gdfun (the derivative of g) and valued on gfun (g); raises on grazes."""
     # signs are compared, never products, which underflow for tiny values; a
     # zero sample is left to the level-tolerance precondition / root polish
     sig = np.sign(g)
@@ -212,8 +213,15 @@ def _scan_roots(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
             brackets.append((ts[i], t_ext))
             brackets.append((t_ext, ts[i + 1]))
 
+    return sorted(brackets)
+
+
+def _scan_roots(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
+                gfun: Callable[[float], float],
+                gdfun: Callable[[float], float]) -> list[float]:
+    """Root times of g in the brackets of _scan_brackets, polished on gfun."""
     return sorted(_brentq(gfun, a, b, xtol=1e-14, rtol=1e-15)
-                  for a, b in sorted(brackets))
+                  for a, b in _scan_brackets(ts, g, gdot, gfun, gdfun))
 
 
 def find_crossings(flow: Flow, region: Region, level: float | None, x,
@@ -226,7 +234,8 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     floor); disagreement at the densest scan is treated as unresolved
     tangency. The arc is sampled once per confirming density: the first
     pass, at 2*ns, also serves the ns scan, whose grid is every other point
-    of it.
+    of it. The ns scan keeps its brackets unpolished: the 2*ns roots agree
+    with it when each lies in its bracket.
     """
     lv = region.level if level is None else float(level)
     f = region.f
@@ -244,16 +253,21 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     # exactly, so the ns grid is every other point of the 2*ns grid; it is
     # looked up by value, which holds also where rounding merged two points
     coarse = np.searchsorted(ts, _fine_grid(arc, ns))
-    roots = _scan_roots(ts[coarse], g[coarse], gdot[coarse], gfun, gdfun)
-    while True:
+    brackets = _scan_brackets(ts[coarse], g[coarse], gdot[coarse], gfun, gdfun)
+    tol = max(t_sep, 1e-9)
+    roots = _scan_roots(ts, g, gdot, gfun, gdfun)
+    # the ns scan is not polished: it agrees when each root of the 2*ns
+    # scan lies in its bracket, widened by the separation floor
+    agreed = len(roots) == len(brackets) and all(
+        a - tol <= r <= b + tol for (a, b), r in zip(brackets, roots))
+    ns *= 2
+    while not agreed and ns < DEFAULT_EVENTS.ns_max:
         ns *= 2
+        ts, g, gdot = _samples(arc, f, lv, ns)
         confirm = _scan_roots(ts, g, gdot, gfun, gdfun)
         agreed = len(confirm) == len(roots) and all(
-            abs(a - b) <= max(t_sep, 1e-9) for a, b in zip(roots, confirm))
+            abs(a - b) <= tol for a, b in zip(roots, confirm))
         roots = confirm
-        if agreed or ns >= DEFAULT_EVENTS.ns_max:
-            break
-        ts, g, gdot = _samples(arc, f, lv, 2 * ns)
     if not agreed:
         raise DegenerateCrossing(
             f"crossing structure unresolved at {DEFAULT_EVENTS.ns_max} "

@@ -7,7 +7,8 @@ plus the n-vector x_p - x_0, so a zero residual is exactly a p-periodic
 switching trajectory. That needs equal first and closing level offsets
 (the orbit leaves and re-enters boundary 0 at one level); the solvers
 reject unequal ones with ValueError. Level continuation tracks an orbit
-with steps that double while its corrector succeeds and halve when it fails.
+from a first step over the whole segment, with steps that double while its
+corrector succeeds and halve when it fails.
 """
 from __future__ import annotations
 
@@ -156,7 +157,6 @@ class SolveOptions:
 
 _MAX_ITER = 40              # Jacobians per Newton solve
 _CORRECTOR_MAX_ITER = 5     # Jacobians per continuation corrector
-_CONTINUATION_STEPS = 16    # first step is 1/_CONTINUATION_STEPS of the segment
 _RESIDUAL_TOL = 1e-9        # |r| at which a Newton seed has converged
 _CLAMP_MARGIN_REL = 1e-6    # duration clamp margin, as a share of the horizon
 _COND_LIMIT = 1e12          # cond(J) above which a Jacobian counts as degenerate
@@ -493,7 +493,7 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
 
     Linear predictor (tangent solve of the shooting system, one Jacobian
     per accepted point), then a Levenberg-Marquardt corrector of at most 5
-    Jacobians. The first step is 1/16 of the segment and each accepted step
+    Jacobians. The first step tries the whole segment and each accepted step
     doubles the next. A corrector that fails, ends on the duration clamp or
     lands farther from the predictor than the predictor lies from the
     current point (a branch jump) halves the step; at 1/1024 of the segment
@@ -513,8 +513,7 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
         return ContinuationPath(path, _package(system, lv_a, sv, rnorm))
 
     lo, hi = _clamp_bounds(system)
-    s = 0.0
-    h = 1.0 / _CONTINUATION_STEPS
+    s, h = 0.0, 1.0
     cur, jac = sv, None
     while s < 1.0 - 1e-15:
         h = min(h, 1.0 - s)

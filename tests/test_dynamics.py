@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -111,6 +112,42 @@ def test_dense_eval_out_of_span():
         arc(1.5)
     with pytest.raises(OutOfSpan):
         arc(-0.1)
+
+
+def _point_from_tuple_rows(fl: Flow, x0, duration: float, backward: bool, taus):
+    """FlowArc._point over the tuples DOP853's dense output builds, kept as
+    a list: the form the array of rows replaced."""
+    knots, rows = [0.0], []
+
+    def keep(t, t_new, dense):
+        knots.append(abs(t_new))
+        rows.append(dense())
+
+    dynamics._run(fl.field._value, "field evaluation",
+                  -duration if backward else duration, list(x0), keep)
+    n, out = fl.field.n, []
+    for tau in taus:
+        i = min(max(bisect_left(knots, tau) - 1, 0), len(rows) - 1)
+        x = (tau - knots[i]) / (knots[i + 1] - knots[i])
+        out.append([dynamics._interpolate(rows[i][j::n], x) for j in range(n)])
+    return out
+
+
+def test_arc_point_reads_its_array_row_as_the_tuple_rows_bit_for_bit():
+    # FlowArc keeps each dense row once, as a row of one float array
+    rng = np.random.default_rng(21)
+    field3 = VectorField([expr.parse(c, 3) for c in
+                          ("-0.3*x1 + 2*x2", "-0.5*x2 + sin(x3)", "0.4*x1*x2 - 0.2*x3")])
+    cases = [(make_systemb().flows[0], [1.5, 0.3], 8.0),
+             (rotation_flow(), [1.0, 0.0], math.pi),
+             (Flow(field3, horizon=2.0), [0.5, -0.2, 0.8], 2.0)]
+    for fl, x0, duration in cases:
+        for backward in (False, True):
+            arc = integrate(fl, duration, np.array(x0), backward=backward)
+            taus = [0.0, *arc.ts.tolist(), *rng.uniform(0.0, duration, 200).tolist()]
+            want = _point_from_tuple_rows(fl, x0, duration, backward, taus)
+            got = [arc._point(tau) for tau in taus]
+            assert _bits(np.array(got)).tolist() == _bits(np.array(want)).tolist()
 
 
 def test_group_property_and_backward_consistency():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from flowrelay import expr
+from flowrelay import events, expr
 from flowrelay.dynamics import FlowArc, integrate
 from flowrelay.errors import DegenerateCrossing, EvalError, VanishingImage
 from flowrelay.events import (DEFAULT_EVENTS, _brentq, _fine_grid, _g_scalar,
@@ -287,6 +287,24 @@ def test_agreeing_scan_samples_the_arc_once(rotor_m, sample_calls):
                          [1.3, 0.0], 3.0)
     assert [e.t for e in evs] == pytest.approx([ROTOR_CROSS_T], abs=1e-9)
     assert len(sample_calls) == 1
+
+
+def test_agreeing_scan_polishes_each_crossing_once(rotor_m, monkeypatch):
+    # the ns = 8 scan of an agreeing pass keeps its brackets: only the 16
+    # scan's roots are polished, one Brent solve per crossing
+    brentq, polished = events._brentq, []
+
+    def counted(f, xa, xb, xtol, rtol):
+        polished.append((xa, xb))
+        return brentq(f, xa, xb, xtol, rtol)
+
+    monkeypatch.setattr(events, "_brentq", counted)
+    for t_end, count in ((3.0, 1), (2 * math.pi, 2)):
+        del polished[:]
+        evs = find_crossings(rotor_m.flows[0], rotor_m.regions[1], 0.0,
+                             [1.3, 0.0], t_end)
+        assert len(evs) == len(polished) == count
+        assert all(a <= e.t <= b for e, (a, b) in zip(evs, polished))
 
 
 def _roots_by_density(arc, f, level: float, t_end: float) -> tuple[list[float], int]:

@@ -434,16 +434,19 @@ def _count_jacobians(monkeypatch) -> dict:
 
 def test_continuation_grows_its_step_on_an_easy_path(systemb_m, systemb_orbit,
                                                      monkeypatch):
-    # every corrector on 0.02 -> 0 converges at once, so the step doubles
-    # from 1/16 and the path reaches the direct orbit in a few entries
-    lv0 = np.full(3, 0.02)
-    start = find_periodic(systemb_m, lv0, opts=SolveOptions(max_seeds=4, seed=1))
+    # the corrector over the whole of 0.02 -> 0 or 0.1 -> 0 converges, so
+    # the first step is the last: the path is its start and the direct orbit
     calls = _count_jacobians(monkeypatch)
-    path = continue_levels(systemb_m, start[0].sv, lv0, systemb_m.levels())
-    assert len(path.steps) <= 6
-    assert calls["jacobian"] <= 13
-    gap = path.orbit.sv.as_vector() - systemb_orbit.sv.as_vector()
-    assert np.abs(gap).max() < 1e-9
+    for offset, jacobians in ((0.02, 3), (0.1, 5)):
+        lv0 = np.full(3, offset)
+        start = find_periodic(systemb_m, lv0,
+                              opts=SolveOptions(max_seeds=4, seed=1))
+        calls["jacobian"] = 0
+        path = continue_levels(systemb_m, start[0].sv, lv0, systemb_m.levels())
+        assert len(path.steps) == 2
+        assert calls["jacobian"] <= jacobians
+        gap = path.orbit.sv.as_vector() - systemb_orbit.sv.as_vector()
+        assert np.abs(gap).max() < 1e-9
 
 
 def test_continuation_stall_work_is_bounded(systemb_m, systemb_orbit,
@@ -472,8 +475,8 @@ def test_continuation_refused_steps_reuse_the_predictor_jacobian(
     with pytest.raises(ContinuationStalled, match=r"s=0\.9561") as exc:
         continue_levels(systemb_m, systemb_orbit.sv, systemb_m.levels(),
                         np.full(3, 0.26))
-    assert len(exc.value.path) == 10
-    assert len(keys) == len(set(keys)) == 107
+    assert len(exc.value.path) == 8
+    assert len(keys) == len(set(keys)) == 105
 
 
 def test_continuation_refuses_a_corrector_far_from_its_predictor(
@@ -494,7 +497,7 @@ def test_continuation_refuses_a_corrector_far_from_its_predictor(
     lv0 = systemb_m.levels()
     path = continue_levels(systemb_m, systemb_orbit.sv, lv0, lv0 + 0.01)
     assert all(sv != far[0] for _, sv in path.steps)
-    assert path.steps[1][0].tolist() == (lv0 + 0.01 / 32).tolist()
+    assert path.steps[1][0].tolist() == (lv0 + 0.01 / 2).tolist()
 
 
 # every call that takes a switching vector, as call(system, sv)
