@@ -285,8 +285,8 @@ def _cmd_crossings(args, system, levels, outdir: Path):
         raise ConfigError("--window", f"must lie in (0, {cap:g}], the time cap "
                                       f"of flow {args.flow}; got {args.window}")
     region = system.chain_region(args.region, levels)
-    evs = ev.find_crossings(flow, region, float(levels[args.region]), x0,
-                            args.window, backward=args.backward)
+    evs = ev.find_crossings(flow, region, None, x0, args.window,
+                            backward=args.backward)
     rows = [[e.t, *e.point, e.direction, e.margin] for e in evs]
     count = _write_csv(outdir / "crossings.csv",
                        ["t"] + [f"x{i + 1}" for i in range(system.n)]

@@ -9,15 +9,18 @@ matrix product of a tableau row with the flattened stages, and keeps only
 the current state: each t_eval time is one vectorised Horner pass over the
 dense row of the step that holds it, as soon as that step is accepted, so
 its memory does not grow with the duration. The dense interpolant is
-built only where it is read. No stiff path. Backward time is a negative
-time span: the stepper steps the same field with negative steps, so both
-directions use the same compiled kernels.
+built only where it is read. A FlowArc samples its steps cut into equal
+pieces (_grid) as one product of a table of Horner weights with its rows.
+No stiff path. Backward time is a negative time span: the stepper steps
+the same field with negative steps, so both directions use the same
+compiled kernels.
 
 Each VectorField is compiled once into fused kernels (value, Jacobian,
 variational right-hand side) that the stepper calls on the state directly.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -168,15 +171,42 @@ class FlowArc:
     def __call__(self, tau: float) -> np.ndarray:
         return np.array(self._point(tau))
 
-    def _point(self, tau: float) -> list[float]:
-        """The dense state at one parameter as a list of n floats."""
+    def _step(self, tau: float) -> int:
+        """The index of the step whose row serves tau: the lower one at an
+        accepted step time, the first at 0."""
         if tau < 0.0 or tau > self.duration:
             raise OutOfSpan(f"tau={tau} outside [0, {self.duration}]")
-        knots = self._knots
-        i = min(max(bisect_left(knots, tau) - 1, 0), len(self._table) - 1)
-        x = (tau - knots[i]) / (knots[i + 1] - knots[i])
+        return min(max(bisect_left(self._knots, tau) - 1, 0), len(self._table) - 1)
+
+    def _row(self, i: int) -> tuple[float, float, list[list[float]]]:
+        """(t0, t1, coeffs): step i's bounds in tau and its row as floats,
+        the 8 interpolant coefficients of each entry."""
         row, n = self._table[i].tolist(), self.flow.field.n
-        return [_interpolate(row[j::n], x) for j in range(n)]
+        return self._knots[i], self._knots[i + 1], [row[j::n] for j in range(n)]
+
+    def _point(self, tau: float) -> list[float]:
+        """The dense state at one parameter as a list of n floats."""
+        t0, t1, coeffs = self._row(self._step(tau))
+        x = (tau - t0) / (t1 - t0)
+        return [_interpolate(c, x) for c in coeffs]
+
+    def _grid(self, ns: int) -> tuple[np.ndarray, np.ndarray]:
+        """(taus, states): every step cut into ns equal pieces plus the end,
+        as _cut_steps gives them with merged points dropped, and the dense
+        states there, shape (len(taus), n).
+
+        The pieces sit at the step fractions j/ns, so the states are one
+        product of the (ns + 1, 8) table of Horner weights with the steps'
+        rows: _interpolate at x = j/ns to a few ulps. sample, which reads
+        x from the rounded time, also differs by that rounding. A step
+        start is its own row's start state (sample takes the lower step at
+        x = 1 there), the end is the last step at x = 1."""
+        taus, keep = _cut_steps(self.ts, ns)
+        w = _horner_weights(ns)
+        n = self.flow.field.n
+        rows = self._table.reshape(len(self._table), 8, n)
+        states = np.concatenate([(w[:ns] @ rows).reshape(-1, n), w[ns:] @ rows[-1]])
+        return taus[keep], states[keep]
 
     def sample(self, taus) -> np.ndarray:
         """Dense states at many parameters, shape (len(taus), n)."""
@@ -201,6 +231,41 @@ def _interpolate(c, x):
     for k, w in ((7, x), (6, u), (5, x), (4, u), (3, x), (2, u), (1, x)):
         v = (v + c[k]) * w
     return v + c[0]
+
+
+@functools.cache
+def _horner_weights(ns: int) -> np.ndarray:
+    """The (ns + 1, 8) weights of c = (y_old, F0, ..., F6) in _interpolate
+    at x = j/ns, j = 0..ns: 1, x, xu, x²u, x²u², x³u², x³u³, x⁴u³ with
+    u = 1 - x; read-only, built on first use per ns. x = j/ns rounds alike
+    for every ns that holds the fraction, so the table at ns is every
+    other row of the one at 2*ns, bit for bit."""
+    x = np.arange(ns + 1) / ns
+    xu = x * (1 - x)
+    x2u2 = xu * xu
+    x3u3 = xu * x2u2
+    w = np.stack([np.ones_like(x), x, xu, x * xu, x2u2, x * x2u2, x3u3,
+                  x * x3u3], axis=1)
+    w.flags.writeable = False
+    return w
+
+
+def _cut_steps(ts: np.ndarray, ns: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, keep): each step of ts cut into ns equal pieces, plus the
+    final time, with the same floats as np.linspace(ts[i], ts[i + 1],
+    ns + 1)[:-1] per step, and the mask that drops a point equal to the one
+    before it. ts rises and no piece rounds past its step's end, so repeats
+    are adjacent; they occur where a last step clipped to a few ulps of
+    the end merges pieces."""
+    step = (ts[1:] - ts[:-1]) / ns
+    grid = np.empty(len(step) * ns + 1)
+    np.add(np.arange(ns) * step[:, None], ts[:-1, None],
+           out=grid[:-1].reshape(-1, ns))
+    grid[-1] = ts[-1]
+    keep = np.empty(len(grid), bool)
+    keep[0] = True
+    np.not_equal(grid[1:], grid[:-1], out=keep[1:])
+    return grid, keep
 
 
 def _check_cap(flow: Flow, t: float) -> None:

@@ -10,6 +10,13 @@ floats by Brent's method (_brentq, a port of scipy's brentq), and
 near-tangent structure (grazing extrema, root pairs closer than the
 separation floor) aborts with DegenerateCrossing so callers can perturb the
 level offsets.
+
+A sampling pass is FlowArc._grid: the pieces sit at the step fractions
+j/ns, so the states there are one product of a cached table of DOP853's
+Horner weights with the steps' dense rows (Hairer, Norsett & Wanner,
+Solving ODEs I, sec. II.6), and f, its gradient and the field are evaluated
+on them in one batch each. The polish's g keeps its bracket's step, so a
+Brent solve reads that step's row once.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import Flow, FlowArc, integrate
+from .dynamics import Flow, FlowArc, _cut_steps, _interpolate, integrate
 from .errors import DegenerateCrossing, StartOnBoundary, VanishingImage
 from .expr import Expression
 from .geometry import Region, RelaySystem, sample_boundary
@@ -67,8 +74,21 @@ class CrossingEvent:
 
 
 def _g_scalar(arc: FlowArc, f: Expression, level: float) -> Callable[[float], float]:
+    """g(tau) = f(arc(tau)) - level over floats, bit for bit
+    f._value_at(arc._point(tau)) - level. g keeps the step of its last
+    parameter (arc._row: its bounds and its row as floats), so a Brent
+    polish inside one bracket reads the row once: a tau in (ts[i],
+    ts[i + 1]] is interpolated from the kept step i, any other tau takes
+    the step arc._step picks, the lower one at a step time."""
+    t0 = t1 = math.nan
+    coeffs: list[list[float]] = []
+
     def g(tau: float) -> float:
-        return f._value_at(arc._point(tau)) - level
+        nonlocal t0, t1, coeffs
+        if not t0 < tau <= t1:
+            t0, t1, coeffs = arc._row(arc._step(tau))
+        x = (tau - t0) / (t1 - t0)
+        return f._value_at([_interpolate(c, x) for c in coeffs]) - level
     return g
 
 
@@ -87,12 +107,10 @@ def _gdot_scalar(arc: FlowArc, f: Expression) -> Callable[[float], float]:
 
 def _fine_grid(arc: FlowArc, ns: int) -> np.ndarray:
     """Each accepted step cut into ns equal pieces, plus the final time;
-    the same floats as np.linspace(ts[i], ts[i + 1], ns + 1)[:-1] per step."""
-    ts = arc.ts
-    step = (ts[1:] - ts[:-1]) / ns
-    grid = np.append(np.arange(ns) * step[:, None] + ts[:-1, None], ts[-1:])
-    # ts rises and no piece rounds past its step's end: repeats are adjacent
-    return grid[np.r_[True, grid[1:] != grid[:-1]]]
+    the same floats as np.linspace(ts[i], ts[i + 1], ns + 1)[:-1] per step,
+    with repeats dropped (the times of FlowArc._grid)."""
+    grid, keep = _cut_steps(arc.ts, ns)
+    return grid[keep]
 
 
 _BRENT_ITER = 100
@@ -171,9 +189,8 @@ def _brentq(f: Callable[[float], float], xa, xb, xtol: float,
 def _samples(arc: FlowArc, f: Expression, level: float,
              ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ts, g, gdot): the grid _fine_grid(arc, ns), and g and its time
-    derivative there, from one sampling pass."""
-    ts = _fine_grid(arc, ns)
-    pts = arc.sample(ts)
+    derivative there, from one sampling pass (FlowArc._grid)."""
+    ts, pts = arc._grid(ns)
     g = f.evaluate(pts) - level
     sign = -1.0 if arc.backward else 1.0
     gdot = sign * np.einsum("ij,ij->i", f.gradient(pts),
@@ -188,20 +205,25 @@ def _scan_brackets(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
     gdot), including pairs split at near-zero extrema, which are polished on
     gdfun (the derivative of g) and valued on gfun (g); raises on grazes."""
     # signs are compared, never products, which underflow for tiny values; a
-    # zero sample is left to the level-tolerance precondition / root polish
+    # zero sample is left to the level-tolerance precondition / root polish.
+    # Flips are rare, so the masks only find candidates and the few found
+    # are tested one by one.
     sig = np.sign(g)
-    s0, s1 = sig[:-1], sig[1:]
-    crossed = np.flatnonzero((s0 != 0.0) & (s1 != 0.0) & (s0 != s1))
-    brackets = [(ts[i], ts[i + 1]) for i in crossed]
+    flips = sig[:-1] != sig[1:]
+    brackets = [(ts[i], ts[i + 1]) for i in np.flatnonzero(flips).tolist()
+                if sig[i] != 0.0 and sig[i + 1] != 0.0]
 
-    # grazing detection: extrema of g near zero that the sign scan cannot see
-    g_range = float(g.max() - g.min()) if len(g) else 0.0
-    band = max(DEFAULT_EVENTS.graze_band * g_range, 10.0 * DEFAULT_EVENTS.tol_level)
-    d0, d1 = np.sign(gdot[:-1]), np.sign(gdot[1:])
-    turns = np.flatnonzero((d0 != 0.0) & (d1 != 0.0) & (d0 != d1)
-                           & (s0 != 0.0) & (s0 == s1)
-                           & (np.minimum(abs(g[:-1]), abs(g[1:])) <= band))
+    # grazing detection: extrema of g near zero that the sign scan cannot
+    # see, where the sign of gdot flips and that of g does not
+    dsig = np.sign(gdot)
+    turns = np.flatnonzero((dsig[:-1] != dsig[1:]) & ~flips).tolist()
+    if turns:
+        band = max(DEFAULT_EVENTS.graze_band * float(g.max() - g.min()),
+                   10.0 * DEFAULT_EVENTS.tol_level)
     for i in turns:
+        if (dsig[i] == 0.0 or dsig[i + 1] == 0.0 or sig[i] == 0.0
+                or min(abs(g[i]), abs(g[i + 1])) > band):
+            continue
         t_ext = _brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
         g_ext = gfun(t_ext)
         if abs(g_ext) <= DEFAULT_EVENTS.graze_tol:
@@ -232,10 +254,11 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     The scan is confirmed by doubling the oversampling density until two
     consecutive densities agree on the root set (up to the separation
     floor); disagreement at the densest scan is treated as unresolved
-    tangency. The arc is sampled once per confirming density: the first
+    tangency. The arc is sampled once per confirming density, by one
+    weight-table product over its dense rows (FlowArc._grid): the first
     pass, at 2*ns, also serves the ns scan, whose grid is every other point
     of it. The ns scan keeps its brackets unpolished: the 2*ns roots agree
-    with it when each lies in its bracket.
+    with it when each lies in its bracket. level=None reads region.level.
     """
     lv = region.level if level is None else float(level)
     f = region.f
@@ -348,8 +371,8 @@ def _expand_tree(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
         next_nodes: list[TreeNode] = []
         for node in stages[-1]:
             try:
-                evs = find_crossings(flow, region_t, float(levels[target]),
-                                     node.point, window_factor * flow.horizon,
+                evs = find_crossings(flow, region_t, None, node.point,
+                                     window_factor * flow.horizon,
                                      backward=not forward)
             except DegenerateCrossing as exc:
                 raise DegenerateCrossing(str(exc), stage=target) from exc

@@ -112,8 +112,7 @@ def _watched_events(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
     for factor in _WINDOW_GROWTH:
         window = factor * flow.horizon
         arc = integrate(flow, window, x)
-        evs = find_crossings(flow, region, float(levels[watch]), x, window,
-                             arc=arc)
+        evs = find_crossings(flow, region, None, x, window, arc=arc)
         if len(evs) >= need:
             return evs, arc
     raise NoCrossingWithinHorizon(

@@ -4,13 +4,14 @@ from __future__ import annotations
 import math
 import tracemalloc
 from bisect import bisect_left
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from flowrelay import _dop853, dynamics, expr
-from flowrelay.dynamics import (Flow, VectorField, flow_map, flow_map_points,
+from flowrelay.dynamics import (Flow, FlowArc, VectorField, flow_map, flow_map_points,
                                 flow_map_with_jacobian, integrate)
 from flowrelay.errors import EvalError, IntegrationError, OutOfSpan
 
@@ -148,6 +149,84 @@ def test_arc_point_reads_its_array_row_as_the_tuple_rows_bit_for_bit():
             want = _point_from_tuple_rows(fl, x0, duration, backward, taus)
             got = [arc._point(tau) for tau in taus]
             assert _bits(np.array(got)).tolist() == _bits(np.array(want)).tolist()
+
+
+def _grid_arcs() -> list:
+    """systemb, rotor and triangle arcs over two horizons, forward and
+    backward."""
+    rng = np.random.default_rng(22)
+    arcs = []
+    for system in (make_systemb(), make_rotor(), make_triangle()):
+        for backward in (False, True):
+            for k in range(system.p):
+                fl = system.flows[k]
+                arcs.append(integrate(fl, 2 * fl.horizon, rng.uniform(-2.0, 2.0, 2),
+                                      backward=backward))
+    return arcs
+
+
+def _linspace_grid(ts: np.ndarray, ns: int) -> np.ndarray:
+    pieces = [np.linspace(ts[i], ts[i + 1], ns + 1)[:-1] for i in range(len(ts) - 1)]
+    return np.unique(np.concatenate(pieces + [ts[-1:]]))
+
+
+@pytest.mark.parametrize("ns", [8, 16, 32, 64])
+def test_grid_states_agree_with_sample(ns):
+    # the weight-table product is the Horner form at x = j/ns to a few ulps
+    # of the rows; sample reads the rounded time, so it also differs by
+    # |V| times the rounding of tau; a step start is the solver's state
+    for arc in _grid_arcs():
+        n = arc.flow.field.n
+        rows = arc._table.reshape(-1, 8, n)
+        ulp = np.spacing(np.abs(rows).max(axis=(0, 1)))
+        taus, states = arc._grid(ns)
+        assert _bits(taus).tolist() == _bits(_linspace_grid(arc.ts, ns)).tolist()
+        x = np.arange(ns)[:, None] / ns
+        horner = [dynamics._interpolate(row, x) for row in rows]
+        horner = np.vstack(horner + [dynamics._interpolate(rows[-1], 1.0)])
+        assert (np.abs(states - horner[dynamics._cut_steps(arc.ts, ns)[1]])
+                <= 8 * ulp).all()
+        speed = np.abs(arc.flow.field.value_batch(states))
+        gap = 4 * ulp + 4 * speed * np.spacing(taus)[:, None]
+        assert (np.abs(states - arc.sample(taus)) <= gap).all()
+        starts = np.searchsorted(taus, arc.ts[:-1])
+        assert np.array_equal(states[starts], arc.states[:, :-1].T)
+        assert np.array_equal(states[0], arc.x0)
+
+
+@pytest.mark.parametrize("ns", [8, 16, 32])
+def test_grid_at_ns_is_every_other_row_at_twice_ns(ns):
+    for arc in _grid_arcs():
+        taus, states = arc._grid(ns)
+        fine_taus, fine_states = arc._grid(2 * ns)
+        assert _bits(fine_taus[::2]).tolist() == _bits(taus).tolist()
+        assert _bits(fine_states[::2]).tolist() == _bits(states).tolist()
+
+
+def test_grid_where_a_clipped_last_step_merges_points():
+    # a last step a few ulps long rounds its pieces onto each other and onto
+    # the end: the grid keeps each time once, at its first piece, whose state
+    # is that step's interpolant at the piece's fraction j/ns
+    rng = np.random.default_rng(23)
+    end = 3.0
+    ts = np.array([0.0, 1.0, end - 2 * math.ulp(end), end])
+    arc = SimpleNamespace(ts=ts, _table=rng.uniform(-1.0, 1.0, (3, 16)),
+                          flow=SimpleNamespace(field=SimpleNamespace(n=2)))
+    ulp = np.spacing(np.abs(arc._table).max())
+    for ns in (8, 16, 32, 64):
+        taus, states = FlowArc._grid(arc, ns)
+        assert _bits(taus).tolist() == _bits(_linspace_grid(ts, ns)).tolist()
+        assert len(taus) < 3 * ns + 1
+        step = (ts[1:] - ts[:-1]) / ns
+        first = {}
+        for i in range(3):
+            for j in range(ns):
+                first.setdefault(float(ts[i] + j * step[i]), (i, j / ns))
+        first.setdefault(end, (2, 1.0))
+        for tau, got in zip(taus.tolist(), states):
+            i, x = first[tau]
+            want = dynamics._interpolate(arc._table[i].reshape(8, 2), x)
+            assert (np.abs(got - want) <= 4 * ulp).all()
 
 
 def test_group_property_and_backward_consistency():

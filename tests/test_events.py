@@ -13,7 +13,8 @@ from scipy.optimize import brentq
 
 from flowrelay import events, expr
 from flowrelay.dynamics import FlowArc, integrate
-from flowrelay.errors import DegenerateCrossing, EvalError, VanishingImage
+from flowrelay.errors import (DegenerateCrossing, EvalError, OutOfSpan,
+                              VanishingImage)
 from flowrelay.events import (DEFAULT_EVENTS, _brentq, _fine_grid, _g_scalar,
                               _gdot_scalar, _samples,
                               _scan_roots, backward_leaf_parity, backward_tree,
@@ -270,15 +271,16 @@ def test_float_g_raises_eval_error_as_evaluate_does(rotor_m, text):
 
 @pytest.fixture
 def sample_calls(monkeypatch) -> list:
-    """The number of points of each FlowArc.sample call, in call order."""
+    """The density of each sampling pass (FlowArc._grid call), in call
+    order."""
     calls = []
-    sample = FlowArc.sample
+    grid = FlowArc._grid
 
-    def counted(self, taus):
-        calls.append(len(taus))
-        return sample(self, taus)
+    def counted(self, ns):
+        calls.append(ns)
+        return grid(self, ns)
 
-    monkeypatch.setattr(FlowArc, "sample", counted)
+    monkeypatch.setattr(FlowArc, "_grid", counted)
     return calls
 
 
@@ -344,6 +346,44 @@ def test_doubling_samples_once_per_further_density(rotor_m, sample_calls):
             assert len(sample_calls) == scanned - 1
             passes.add(scanned - 1)
     assert passes == {1, 2}
+
+
+def test_polish_g_reads_the_point_bit_for_bit(rotor_m, systemb_m):
+    # g keeps the step of its last parameter: in sorted runs (the Brent
+    # polish's case) and in jumps across steps, at knots, 0 and the end, it
+    # gives f._value_at(arc._point(tau)) - level to the bit
+    rng = np.random.default_rng(15)
+    cases = [(systemb_m, False), (systemb_m, True), (rotor_m, False),
+             (make_triangle(), True)]
+    for system, backward in cases:
+        arc = integrate(system.flows[0], 6.0, rng.uniform(-2.0, 2.0, 2),
+                        backward=backward)
+        region = system.regions[1]
+        g = _g_scalar(arc, region.f, region.level)
+        taus = rng.uniform(0.0, arc.duration, 3000)
+        taus[::50] = rng.choice(arc.ts, len(taus[::50]))
+        taus[:3] = 0.0, arc.duration, 0.0
+        taus[1000:2000].sort()
+        taus = taus.tolist() + arc.ts.tolist()
+        for tau in taus:
+            want = region.f._value_at(arc._point(tau)) - region.level
+            assert _same_bits(g(tau), want)
+        with pytest.raises(OutOfSpan):
+            g(arc.duration * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sqrt(x1 + 0.5) - 0.3", "non-finite value in batched evaluation"),
+    ("exp(-exp(800*x2))", "non-finite gradient"),
+], ids=["value", "gradient"])
+def test_non_finite_level_function_on_the_arc_raises_eval_error(rotor_m, text,
+                                                                message):
+    # finite at the start and non-finite on part of the arc: the sampling
+    # pass raises Expression.evaluate's or Expression.gradient's error (past
+    # x2 = 0.89 the value underflows to 0 while its gradient is 0 * inf)
+    f = expr.parse(text, 2)
+    with pytest.raises(EvalError, match=message):
+        find_crossings(rotor_m.flows[0], Region(f, 0.25), None, [1.0, 0.0], 3.0)
 
 
 def _step(root: float, at: float = math.inf):
