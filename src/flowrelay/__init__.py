@@ -3,7 +3,7 @@
 Core pieces: an expression language for fields and level functions (expr),
 level-set regions and system hypothesis validation (geometry), adaptive flow
 integration with variational Jacobians (dynamics), boundary-crossing location
-and parity/winding checks (events), switching-trajectory simulation and
+and parity checks (events), switching-trajectory simulation and
 reachability clouds (relay), and a shooting/continuation solver for periodic
 switching orbits (periodic).
 """
@@ -15,7 +15,7 @@ from . import errors
 from .dynamics import Flow, FlowArc, VectorField, flow_map
 from .events import (CrossingEvent, CrossingTree, backward_leaf_parity,
                      backward_tree, degree_check, find_crossings,
-                     forward_leaf_parity, forward_tree, winding_degree)
+                     forward_leaf_parity, forward_tree)
 from .expr import Expression, parse
 from .geometry import Region, RelaySystem, sample_boundary, validate_system
 from .periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
@@ -33,7 +33,7 @@ __all__ = [
     "VectorField", "Flow", "FlowArc", "flow_map",
     "CrossingEvent", "CrossingTree", "find_crossings", "forward_tree",
     "backward_tree", "forward_leaf_parity", "backward_leaf_parity",
-    "degree_check", "winding_degree",
+    "degree_check",
     "FirstHit", "NthHit", "RandomHit", "Trajectory", "simulate",
     "accessible_set", "check_connected", "strict_mode_check",
     "SwitchingVector", "PeriodicOrbit", "SolveOptions", "shooting_residual",

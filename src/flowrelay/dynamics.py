@@ -9,11 +9,12 @@ matrix product of a tableau row with the flattened stages, and keeps only
 the current state: each t_eval time is one vectorised Horner pass over the
 dense row of the step that holds it, as soon as that step is accepted, so
 its memory does not grow with the duration. The dense interpolant is
-built only where it is read. A FlowArc samples its steps cut into equal
-pieces (_grid) as one product of a table of Horner weights with its rows.
-No stiff path. Backward time is a negative time span: the stepper steps
-the same field with negative steps, so both directions use the same
-compiled kernels.
+built only where it is read. A FlowArc is the one reader of its rows: a
+point at a time through the step it read last (_point), or its steps cut
+into equal pieces (_grid) as one product of a table of Horner weights with
+its rows. No stiff path. Backward time is a negative time span: the
+stepper steps the same field with negative steps, so both directions use
+the same compiled kernels.
 
 Each VectorField is compiled once into fused kernels (value, Jacobian,
 variational right-hand side) that the stepper calls on the state directly.
@@ -134,14 +135,14 @@ class FlowArc:
     """An integrated trajectory piece with dense output, built by integrate.
 
     The arc is parameterized by elapsed time tau in [0, duration]: ts holds
-    the accepted steps in tau and states the states there, shape
-    (n, len(ts)). A backward arc is solved over the negative span
-    [0, -duration], so its solver time is -tau; this class is the one place
-    that maps between the two. Each step keeps, as one row of a float array,
-    its start state and the 7 rows of DOP853's interpolant, which depends on
-    tau only through the step fraction (tau - ts[i]) / (ts[i+1] - ts[i]),
-    the same in either time. At an accepted step time the lower step is
-    used, as scipy's OdeSolution does.
+    the accepted steps in tau. A backward arc is solved over the negative
+    span [0, -duration], so its solver time is -tau; this class is the one
+    place that maps between the two and the one reader of the dense rows.
+    Each step keeps, as one row of a float array, its start state and the 7
+    rows of DOP853's interpolant, which depends on tau only through the step
+    fraction (tau - ts[i]) / (ts[i+1] - ts[i]), the same in either time. At
+    an accepted step time the lower step is used, as scipy's OdeSolution
+    does.
     """
 
     def __init__(self, flow: Flow, x0: np.ndarray, duration: float,
@@ -156,17 +157,16 @@ class FlowArc:
             knots.append(abs(t_new))
             rows.append(dense())
 
-        end = _run(flow.field._value, "field evaluation",
-                   -duration if backward else duration, x0.tolist(), keep)
+        self._end = _run(flow.field._value, "field evaluation",
+                         -duration if backward else duration, x0.tolist(), keep)
         self._knots = knots
         self._table = np.array(rows)
         self.ts = np.array(knots)
-        # each row starts with its step's start state
-        self.states = np.vstack([self._table[:, :len(end)], end]).T
+        self._last = (math.nan, math.nan, [])
 
     @property
     def end(self) -> np.ndarray:
-        return self.states[:, -1].copy()
+        return np.array(self._end)
 
     def __call__(self, tau: float) -> np.ndarray:
         return np.array(self._point(tau))
@@ -174,26 +174,33 @@ class FlowArc:
     def _step(self, tau: float) -> int:
         """The index of the step whose row serves tau: the lower one at an
         accepted step time, the first at 0."""
-        if tau < 0.0 or tau > self.duration:
+        if not 0.0 <= tau <= self.duration:
             raise OutOfSpan(f"tau={tau} outside [0, {self.duration}]")
         return min(max(bisect_left(self._knots, tau) - 1, 0), len(self._table) - 1)
 
-    def _row(self, i: int) -> tuple[float, float, list[list[float]]]:
-        """(t0, t1, coeffs): step i's bounds in tau and its row as floats,
-        the 8 interpolant coefficients of each entry."""
-        row, n = self._table[i].tolist(), self.flow.field.n
-        return self._knots[i], self._knots[i + 1], [row[j::n] for j in range(n)]
-
     def _point(self, tau: float) -> list[float]:
-        """The dense state at one parameter as a list of n floats."""
-        t0, t1, coeffs = self._row(self._step(tau))
+        """The dense state at one parameter as a list of n floats.
+
+        The step of the last parameter is kept (its bounds in tau and its
+        row as floats, the 8 interpolant coefficients of each entry), so a
+        Brent polish inside one step reads the row once: a tau in (ts[i],
+        ts[i + 1]] is interpolated from the kept step i, any other tau takes
+        the step _step picks."""
+        t0, t1, coeffs = self._last
+        if not t0 < tau <= t1:
+            i, n = self._step(tau), self.flow.field.n
+            row = self._table[i].tolist()
+            t0, t1 = self._knots[i], self._knots[i + 1]
+            coeffs = [row[j::n] for j in range(n)]
+            self._last = t0, t1, coeffs
         x = (tau - t0) / (t1 - t0)
         return [_interpolate(c, x) for c in coeffs]
 
-    def _grid(self, ns: int) -> tuple[np.ndarray, np.ndarray]:
-        """(taus, states): every step cut into ns equal pieces plus the end,
-        as _cut_steps gives them with merged points dropped, and the dense
-        states there, shape (len(taus), n).
+    def _grid(self, ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(taus, states, half): every step cut into ns equal pieces plus the
+        end, as _cut_steps gives them with merged points dropped, the dense
+        states there, shape (len(taus), n), and _cut_steps' indices of the
+        ns/2 cut in taus.
 
         The pieces sit at the step fractions j/ns, so the states are one
         product of the (ns + 1, 8) table of Horner weights with the steps'
@@ -201,12 +208,12 @@ class FlowArc:
         x from the rounded time, also differs by that rounding. A step
         start is its own row's start state (sample takes the lower step at
         x = 1 there), the end is the last step at x = 1."""
-        taus, keep = _cut_steps(self.ts, ns)
+        taus, keep, half = _cut_steps(self.ts, ns)
         w = _horner_weights(ns)
         n = self.flow.field.n
         rows = self._table.reshape(len(self._table), 8, n)
         states = np.concatenate([(w[:ns] @ rows).reshape(-1, n), w[ns:] @ rows[-1]])
-        return taus[keep], states[keep]
+        return taus[keep], states[keep], half
 
     def sample(self, taus) -> np.ndarray:
         """Dense states at many parameters, shape (len(taus), n)."""
@@ -214,7 +221,7 @@ class FlowArc:
         n = self.flow.field.n
         if taus.size == 0:
             return np.empty((0, n))
-        if taus.min() < 0.0 or taus.max() > self.duration:
+        if not 0.0 <= taus.min() <= taus.max() <= self.duration:
             raise OutOfSpan("sample parameters outside the integrated span")
         ts = self.ts
         i = np.clip(np.searchsorted(ts, taus) - 1, 0, len(self._table) - 1)
@@ -250,13 +257,19 @@ def _horner_weights(ns: int) -> np.ndarray:
     return w
 
 
-def _cut_steps(ts: np.ndarray, ns: int) -> tuple[np.ndarray, np.ndarray]:
-    """(grid, keep): each step of ts cut into ns equal pieces, plus the
-    final time, with the same floats as np.linspace(ts[i], ts[i + 1],
-    ns + 1)[:-1] per step, and the mask that drops a point equal to the one
-    before it. ts rises and no piece rounds past its step's end, so repeats
-    are adjacent; they occur where a last step clipped to a few ulps of
-    the end merges pieces."""
+def _cut_steps(ts: np.ndarray, ns: int) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+    """(grid, keep, half): each step of ts cut into ns equal pieces, plus
+    the final time, with the same floats as np.linspace(ts[i], ts[i + 1],
+    ns + 1)[:-1] per step; the mask that drops a point equal to the one
+    before it; and, for even ns, the indices in grid[keep] of the cut into
+    ns/2 pieces with its own repeats dropped. ts rises and no piece rounds
+    past its step's end, so repeats are adjacent; they occur where a last
+    step clipped to a few ulps of the end merges pieces.
+
+    A piece k*(h/(ns/2)) is 2k*(h/ns) exactly, so the ns/2 cut is every
+    other grid point; a point dropped by keep shares the index of the kept
+    one before it, which is its value."""
     step = (ts[1:] - ts[:-1]) / ns
     grid = np.empty(len(step) * ns + 1)
     np.add(np.arange(ns) * step[:, None], ts[:-1, None],
@@ -265,10 +278,17 @@ def _cut_steps(ts: np.ndarray, ns: int) -> tuple[np.ndarray, np.ndarray]:
     keep = np.empty(len(grid), bool)
     keep[0] = True
     np.not_equal(grid[1:], grid[:-1], out=keep[1:])
-    return grid, keep
+    at = np.cumsum(keep)[::2] - 1
+    first = np.empty(len(at), bool)
+    first[0] = True
+    np.not_equal(at[1:], at[:-1], out=first[1:])
+    return grid, keep, at[first]
 
 
 def _check_cap(flow: Flow, t: float) -> None:
+    """ValueError for a NaN time, IntegrationError for |t| past the cap."""
+    if math.isnan(t):
+        raise ValueError(f"time {t} is not a number")
     if abs(t) > TIME_CAP_FACTOR * flow.horizon:
         raise IntegrationError(
             f"|t|={abs(t)} exceeds the {TIME_CAP_FACTOR}x horizon cap "
@@ -308,8 +328,8 @@ def integrate(flow: Flow, duration: float, x0, *, backward: bool = False) -> Flo
     """Integrate the flow from x0 for the given duration, backward in time
     if asked."""
     x0 = _start(x0, "integrate", flow.field.n)
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not duration > 0:
+        raise ValueError(f"duration must be positive, got {duration}")
     _check_cap(flow, duration)
     return FlowArc(flow, x0, duration, backward)
 
@@ -348,12 +368,12 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     n = flow.field.n
     pts = _start(points, "flow_map_points", n, batch=True)
     shape = pts.shape
+    _check_cap(flow, t)
     if t_eval is not None:
         t_eval = np.asarray(t_eval, float)
-        if t_eval.size and (t_eval.min() < 0.0 or t_eval.max() > abs(t)):
+        if t_eval.size and not 0.0 <= t_eval.min() <= t_eval.max() <= abs(t):
             raise OutOfSpan(f"t_eval outside the integrated span [0, {abs(t)}]")
         shape = (len(t_eval),) + shape
-    _check_cap(flow, t)
     if t == 0.0 or 0 in shape:   # nothing to integrate
         return np.broadcast_to(pts, shape).copy()
     # each time lies in the step FlowArc.sample picks for it, from |t0|

@@ -63,10 +63,6 @@ class NoCrossingWithinHorizon(FlowRelayError):
     """The watched boundary was never reached within the search cap."""
 
 
-class VanishingImage(FlowRelayError):
-    """A circle map passed through (numerically) zero, so no winding is defined."""
-
-
 class NoConvergence(FlowRelayError):
     """Every seed of the periodic-orbit solver was exhausted without a root."""
 

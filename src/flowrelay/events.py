@@ -1,4 +1,4 @@
-"""Boundary-crossing location, crossing trees, and parity/winding checks.
+"""Boundary-crossing location, crossing trees, and parity checks.
 
 Crossings of g(t) = f(F^t(x)) - level are found on the dense interpolant of
 one adaptive integration (event location as in Shampine & Thompson, "Event
@@ -11,12 +11,13 @@ near-tangent structure (grazing extrema, root pairs closer than the
 separation floor) aborts with DegenerateCrossing so callers can perturb the
 level offsets.
 
-A sampling pass is FlowArc._grid: the pieces sit at the step fractions
-j/ns, so the states there are one product of a cached table of DOP853's
-Horner weights with the steps' dense rows (Hairer, Norsett & Wanner,
-Solving ODEs I, sec. II.6), and f, its gradient and the field are evaluated
-on them in one batch each. The polish's g keeps its bracket's step, so a
-Brent solve reads that step's row once.
+FlowArc reads the dense rows (Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.6); this module only evaluates f on what it returns. A sampling
+pass is FlowArc._grid: the states at the step fractions j/ns as one product
+of a cached table of DOP853's Horner weights with the rows, and the indices
+of the ns/2 scan among them; f, its gradient and the field are evaluated
+on the states in one batch each. The polish reads FlowArc._point, which
+keeps the step it read last, so a Brent solve reads its step's row once.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import Flow, FlowArc, _cut_steps, _interpolate, integrate
-from .errors import DegenerateCrossing, StartOnBoundary, VanishingImage
+from .dynamics import Flow, FlowArc, integrate
+from .errors import DegenerateCrossing, StartOnBoundary
 from .expr import Expression
 from .geometry import Region, RelaySystem, sample_boundary
 from ._util import seeded_rng
@@ -44,7 +45,6 @@ __all__ = [
     "backward_leaf_parity",
     "degree_check",
     "DegreeCheckResult",
-    "winding_degree",
 ]
 
 
@@ -73,44 +73,11 @@ class CrossingEvent:
     margin: float     # |d/dt [f(F^t(x))]|, the transversality margin
 
 
-def _g_scalar(arc: FlowArc, f: Expression, level: float) -> Callable[[float], float]:
-    """g(tau) = f(arc(tau)) - level over floats, bit for bit
-    f._value_at(arc._point(tau)) - level. g keeps the step of its last
-    parameter (arc._row: its bounds and its row as floats), so a Brent
-    polish inside one bracket reads the row once: a tau in (ts[i],
-    ts[i + 1]] is interpolated from the kept step i, any other tau takes
-    the step arc._step picks, the lower one at a step time."""
-    t0 = t1 = math.nan
-    coeffs: list[list[float]] = []
-
-    def g(tau: float) -> float:
-        nonlocal t0, t1, coeffs
-        if not t0 < tau <= t1:
-            t0, t1, coeffs = arc._row(arc._step(tau))
-        x = (tau - t0) / (t1 - t0)
-        return f._value_at([_interpolate(c, x) for c in coeffs]) - level
-    return g
-
-
 def _gdot_at(arc: FlowArc, f: Expression, x: np.ndarray) -> float:
     """d/dtau f along the arc at its state x: grad f(x) . V(x), negated on a
     backward arc."""
     sign = -1.0 if arc.backward else 1.0
     return sign * float(f.gradient(x) @ arc.flow.field(x))
-
-
-def _gdot_scalar(arc: FlowArc, f: Expression) -> Callable[[float], float]:
-    def gdot(tau: float) -> float:
-        return _gdot_at(arc, f, arc(tau))
-    return gdot
-
-
-def _fine_grid(arc: FlowArc, ns: int) -> np.ndarray:
-    """Each accepted step cut into ns equal pieces, plus the final time;
-    the same floats as np.linspace(ts[i], ts[i + 1], ns + 1)[:-1] per step,
-    with repeats dropped (the times of FlowArc._grid)."""
-    grid, keep = _cut_steps(arc.ts, ns)
-    return grid[keep]
 
 
 _BRENT_ITER = 100
@@ -186,16 +153,17 @@ def _brentq(f: Callable[[float], float], xa, xb, xtol: float,
                        f"value is {xcur}")
 
 
-def _samples(arc: FlowArc, f: Expression, level: float,
-             ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ts, g, gdot): the grid _fine_grid(arc, ns), and g and its time
-    derivative there, from one sampling pass (FlowArc._grid)."""
-    ts, pts = arc._grid(ns)
+def _samples(arc: FlowArc, f: Expression, level: float, ns: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ts, g, gdot, half): one sampling pass (FlowArc._grid), every step
+    cut into ns pieces, g and its time derivative there, and the indices of
+    the ns/2 scan among them."""
+    ts, pts, half = arc._grid(ns)
     g = f.evaluate(pts) - level
     sign = -1.0 if arc.backward else 1.0
     gdot = sign * np.einsum("ij,ij->i", f.gradient(pts),
                             arc.flow.field.value_batch(pts))
-    return ts, g, gdot
+    return ts, g, gdot, half
 
 
 def _scan_brackets(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
@@ -257,8 +225,9 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     tangency. The arc is sampled once per confirming density, by one
     weight-table product over its dense rows (FlowArc._grid): the first
     pass, at 2*ns, also serves the ns scan, whose grid is every other point
-    of it. The ns scan keeps its brackets unpolished: the 2*ns roots agree
-    with it when each lies in its bracket. level=None reads region.level.
+    of it (the indices FlowArc._grid returns with the cut). The ns scan
+    keeps its brackets unpolished: the 2*ns roots agree with it when each
+    lies in its bracket. level=None reads region.level.
     """
     lv = region.level if level is None else float(level)
     f = region.f
@@ -269,13 +238,15 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
         raise StartOnBoundary("start point lies on the watched boundary")
 
     t_sep = DEFAULT_EVENTS.t_sep_rel * t_end
-    gfun, gdfun = _g_scalar(arc, f, lv), _gdot_scalar(arc, f)
+
+    def gfun(tau: float) -> float:
+        return f._value_at(arc._point(tau)) - lv
+
+    def gdfun(tau: float) -> float:
+        return _gdot_at(arc, f, arc(tau))
+
     ns = DEFAULT_EVENTS.ns
-    ts, g, gdot = _samples(arc, f, lv, 2 * ns)
-    # a step cut in ns or 2*ns pieces gives k*(h/ns) == 2k*(h/(2*ns))
-    # exactly, so the ns grid is every other point of the 2*ns grid; it is
-    # looked up by value, which holds also where rounding merged two points
-    coarse = np.searchsorted(ts, _fine_grid(arc, ns))
+    ts, g, gdot, coarse = _samples(arc, f, lv, 2 * ns)
     brackets = _scan_brackets(ts[coarse], g[coarse], gdot[coarse], gfun, gdfun)
     tol = max(t_sep, 1e-9)
     roots = _scan_roots(ts, g, gdot, gfun, gdfun)
@@ -286,7 +257,7 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     ns *= 2
     while not agreed and ns < DEFAULT_EVENTS.ns_max:
         ns *= 2
-        ts, g, gdot = _samples(arc, f, lv, ns)
+        ts, g, gdot, _ = _samples(arc, f, lv, ns)
         confirm = _scan_roots(ts, g, gdot, gfun, gdfun)
         agreed = len(confirm) == len(roots) and all(
             abs(a - b) <= tol for a, b in zip(roots, confirm))
@@ -452,37 +423,3 @@ def degree_check(system: RelaySystem, levels=None, samples: int = 20,
         except DegenerateCrossing:
             end.append(None)
     return DegreeCheckResult(start, end)
-
-
-# ---------------------------------------------------------------------------
-# Winding number of a planar map restricted to the unit circle
-# ---------------------------------------------------------------------------
-
-def winding_degree(fx: Expression, fy: Expression, samples: int = 256,
-                   tol: float = 1e-12) -> int:
-    """Total winding number of t -> (fx, fy)(cos t, sin t) around the origin.
-
-    The image is radially normalized; accumulated angle increments must each
-    stay below pi, which m >= 64 guarantees for the maps this backs.
-    """
-    if samples < 64:
-        raise ValueError("need at least 64 samples")
-    if fx.n != 2 or fy.n != 2:
-        raise ValueError("winding maps must be planar (n = 2)")
-    theta = np.linspace(0.0, 2.0 * np.pi, samples + 1)
-    pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    u = fx.evaluate(pts)
-    v = fy.evaluate(pts)
-    r = np.hypot(u, v)
-    if r.min() <= tol:
-        raise VanishingImage(f"image radius fell to {r.min():.2e}")
-    ang = np.arctan2(v, u)
-    dang = np.diff(ang)
-    dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
-    if np.any(np.abs(dang) >= np.pi * (1.0 - 1e-9)):
-        raise VanishingImage("angle increment reached pi; sample the map more densely")
-    total = dang.sum() / (2.0 * np.pi)
-    deg = int(np.rint(total))
-    if abs(total - deg) > 1e-6:
-        raise VanishingImage(f"winding sum {total} is not close to an integer")
-    return deg

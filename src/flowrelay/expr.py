@@ -456,23 +456,16 @@ class Expression:
     # -- evaluation ---------------------------------------------------------
 
     def _compiled(self, array: bool, grad: bool) -> Callable:
-        fn = self._fns.get((array, grad))
+        """The compiled function of floats, or with array of numpy columns
+        (constant parts come back as plain floats): the value, or with grad
+        the tuple of the n partials. Built on first use."""
+        fn =self._fns.get((array, grad))
         if fn is None:
             body = (tuple(derive(self.root, j) for j in range(1, self.n + 1))
                     if grad else self.root)
             fn = self._fns[array, grad] = _compile(
                 body, self.n, _ARRAY_NS if array else _SCALAR_NS)
         return fn
-
-    def _scalar(self, grad: bool = False) -> Callable:
-        """Compiled math function of floats: the value, or with ``grad`` the
-        tuple of the n partials."""
-        return self._compiled(False, grad)
-
-    def _array(self, grad: bool = False) -> Callable:
-        """Like :meth:`_scalar` over numpy columns; constant parts come back
-        as plain floats."""
-        return self._compiled(True, grad)
 
     def _check_point(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -484,7 +477,7 @@ class Expression:
         """The value at one point given as a list of n floats: evaluate's
         one-point path, for callers that already hold floats."""
         try:
-            out = self._scalar()(*xs)
+            out = self._compiled(False, False)(*xs)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalError(f"evaluation failed: {exc}") from exc
         if not math.isfinite(out):
@@ -498,7 +491,7 @@ class Expression:
             return self._value_at(arr.tolist())
         cols = [arr[..., j] for j in range(self.n)]
         with np.errstate(all="ignore"):
-            out = self._array()(*cols)
+            out = self._compiled(True, False)(*cols)
         out = np.asarray(out, dtype=float)
         if out.shape != arr.shape[:-1]:
             out = np.broadcast_to(out, arr.shape[:-1]).copy()
@@ -511,7 +504,7 @@ class Expression:
         arr = self._check_point(x)
         if arr.ndim == 1:
             try:
-                g = self._scalar(grad=True)(*arr.tolist())
+                g = self._compiled(False, True)(*arr.tolist())
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise EvalError(f"gradient failed: {exc}") from exc
             if not all(map(math.isfinite, g)):
@@ -519,7 +512,7 @@ class Expression:
             return np.array(g, dtype=float)
         cols = [arr[..., j] for j in range(self.n)]
         with np.errstate(all="ignore"):
-            parts = self._array(grad=True)(*cols)
+            parts = self._compiled(True, True)(*cols)
         g = np.stack([np.broadcast_to(d, arr.shape[:-1]) for d in parts], axis=-1)
         if not np.all(np.isfinite(g)):
             raise EvalError("non-finite gradient")

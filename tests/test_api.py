@@ -20,7 +20,7 @@ EXPORTS = {
         "VectorField", "Flow", "FlowArc", "flow_map",
         "CrossingEvent", "CrossingTree", "find_crossings", "forward_tree",
         "backward_tree", "forward_leaf_parity", "backward_leaf_parity",
-        "degree_check", "winding_degree",
+        "degree_check",
         "FirstHit", "NthHit", "RandomHit", "Trajectory", "simulate",
         "accessible_set", "check_connected", "strict_mode_check",
         "SwitchingVector", "PeriodicOrbit", "SolveOptions", "shooting_residual",
@@ -36,7 +36,7 @@ EXPORTS = {
         "DEFAULT_EVENTS", "CrossingEvent", "TreeNode", "CrossingTree",
         "find_crossings", "forward_tree", "backward_tree",
         "forward_leaf_parity", "backward_leaf_parity", "degree_check",
-        "DegreeCheckResult", "winding_degree",
+        "DegreeCheckResult",
     ],
     "flowrelay.expr": [
         "Expression", "Node", "Num", "Var", "Neg", "Fun", "Add", "Sub", "Mul",

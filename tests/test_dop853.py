@@ -195,6 +195,7 @@ def test_dense_point_and_sample_agree(backward):
         taus = np.concatenate([rng.uniform(0.0, arc.duration, 40), arc.ts])
         for tau in taus:
             assert np.array_equal(arc(tau), arc.sample([tau])[0])
+        starts = np.vstack([arc._table[:, :2], arc.end])
         for i, tau in enumerate(arc.ts):
-            want = arc.states[:, i]
+            want = starts[i]
             assert np.abs(arc(tau) - want).max() <= 1e-14 * np.abs(want).max()

@@ -113,6 +113,11 @@ def test_dense_eval_out_of_span():
         arc(1.5)
     with pytest.raises(OutOfSpan):
         arc(-0.1)
+    # a NaN parameter lies in no span
+    with pytest.raises(OutOfSpan):
+        arc(math.nan)
+    with pytest.raises(OutOfSpan):
+        arc.sample([0.5, math.nan])
 
 
 def _point_from_tuple_rows(fl: Flow, x0, duration: float, backward: bool, taus):
@@ -179,7 +184,7 @@ def test_grid_states_agree_with_sample(ns):
         n = arc.flow.field.n
         rows = arc._table.reshape(-1, 8, n)
         ulp = np.spacing(np.abs(rows).max(axis=(0, 1)))
-        taus, states = arc._grid(ns)
+        taus, states, _ = arc._grid(ns)
         assert _bits(taus).tolist() == _bits(_linspace_grid(arc.ts, ns)).tolist()
         x = np.arange(ns)[:, None] / ns
         horner = [dynamics._interpolate(row, x) for row in rows]
@@ -190,15 +195,16 @@ def test_grid_states_agree_with_sample(ns):
         gap = 4 * ulp + 4 * speed * np.spacing(taus)[:, None]
         assert (np.abs(states - arc.sample(taus)) <= gap).all()
         starts = np.searchsorted(taus, arc.ts[:-1])
-        assert np.array_equal(states[starts], arc.states[:, :-1].T)
+        assert np.array_equal(states[starts], arc._table[:, :n])
         assert np.array_equal(states[0], arc.x0)
 
 
 @pytest.mark.parametrize("ns", [8, 16, 32])
 def test_grid_at_ns_is_every_other_row_at_twice_ns(ns):
     for arc in _grid_arcs():
-        taus, states = arc._grid(ns)
-        fine_taus, fine_states = arc._grid(2 * ns)
+        taus, states, _ = arc._grid(ns)
+        fine_taus, fine_states, half = arc._grid(2 * ns)
+        assert np.array_equal(half, np.arange(0, len(fine_taus), 2))
         assert _bits(fine_taus[::2]).tolist() == _bits(taus).tolist()
         assert _bits(fine_states[::2]).tolist() == _bits(states).tolist()
 
@@ -214,7 +220,7 @@ def test_grid_where_a_clipped_last_step_merges_points():
                           flow=SimpleNamespace(field=SimpleNamespace(n=2)))
     ulp = np.spacing(np.abs(arc._table).max())
     for ns in (8, 16, 32, 64):
-        taus, states = FlowArc._grid(arc, ns)
+        taus, states, _ = FlowArc._grid(arc, ns)
         assert _bits(taus).tolist() == _bits(_linspace_grid(ts, ns)).tolist()
         assert len(taus) < 3 * ns + 1
         step = (ts[1:] - ts[:-1]) / ns
@@ -256,6 +262,15 @@ def test_time_cap_enforced():
     fl = rotation_flow()
     with pytest.raises(IntegrationError):
         flow_map(fl, 11 * math.pi, [1.0, 0.0])
+    # a NaN time is refused, not flowed
+    x, pts = [1.0, 0.0], np.array([[1.0, 0.0]])
+    for call in (lambda: flow_map(fl, math.nan, x),
+                 lambda: flow_map_with_jacobian(fl, math.nan, x),
+                 lambda: flow_map_points(fl, math.nan, pts),
+                 lambda: flow_map_points(fl, math.nan, pts, t_eval=[0.0]),
+                 lambda: integrate(fl, math.nan, x)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_flow_map_points_matches_pointwise():
@@ -372,7 +387,8 @@ def test_flow_map_points_rejects_t_eval_outside_span():
     inside = flow_map_points(fl, -2.0, pts, t_eval=[0.0, 1.0, 2.0])
     assert inside.shape == (3, 2, 2)
     assert np.abs(inside[-1] - flow_map_points(fl, -2.0, pts)).max() < 1e-8
-    for t, t_eval in ((2.0, [1.0, 2.5]), (-2.0, [-0.5, 1.0]), (1.0, [0.0, 1.0 + 1e-9])):
+    for t, t_eval in ((2.0, [1.0, 2.5]), (-2.0, [-0.5, 1.0]), (1.0, [0.0, 1.0 + 1e-9]),
+                      (2.0, [1.0, math.nan])):
         with pytest.raises(OutOfSpan):
             flow_map_points(fl, t, pts, t_eval=t_eval)
 

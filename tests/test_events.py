@@ -1,5 +1,5 @@
 """Crossing detection against closed forms and a brute-force scan oracle;
-crossing trees, parities, winding numbers."""
+crossing trees, parities."""
 from __future__ import annotations
 
 import inspect
@@ -11,16 +11,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from flowrelay import events, expr
-from flowrelay.dynamics import FlowArc, integrate
-from flowrelay.errors import (DegenerateCrossing, EvalError, OutOfSpan,
-                              VanishingImage)
-from flowrelay.events import (DEFAULT_EVENTS, _brentq, _fine_grid, _g_scalar,
-                              _gdot_scalar, _samples,
+from flowrelay import dynamics, events, expr
+from flowrelay.dynamics import FlowArc, _cut_steps, integrate
+from flowrelay.errors import DegenerateCrossing, EvalError, OutOfSpan
+from flowrelay.events import (DEFAULT_EVENTS, _brentq, _gdot_at, _samples,
                               _scan_roots, backward_leaf_parity, backward_tree,
                               degree_check, find_crossings,
-                              forward_leaf_parity, forward_tree,
-                              winding_degree)
+                              forward_leaf_parity, forward_tree)
 from flowrelay.geometry import Region, sample_boundary
 
 from conftest import ROTOR_CROSS_T, make_rotor, make_systemb, rotor_periodic_start
@@ -146,21 +143,34 @@ def test_fine_grid_matches_per_step_linspace(rotor_m, systemb_m):
             pieces = [np.linspace(arc.ts[i], arc.ts[i + 1], ns + 1)[:-1]
                       for i in range(len(arc.ts) - 1)]
             old = np.unique(np.concatenate(pieces + [arc.ts[-1:]]))
-            new = _fine_grid(arc, ns)
+            new = _kept_cut(arc.ts, ns)
             assert new.shape == old.shape
             assert np.array_equal(new.view(np.int64), old.view(np.int64))
-    assert len(_fine_grid(merged, 64)) < 3 * 64 + 1
+    assert len(_kept_cut(merged.ts, 64)) < 3 * 64 + 1
+
+
+def _kept_cut(ts: np.ndarray, ns: int) -> np.ndarray:
+    """The times of a sampling pass (FlowArc._grid) over the steps ts."""
+    grid, keep, _ = _cut_steps(ts, ns)
+    return grid[keep]
+
+
+def _scalars(arc, f, level: float):
+    """(g, gdot) over floats as find_crossings polishes them, on the arc's
+    single-point read."""
+    return (lambda tau: f._value_at(arc._point(tau)) - level,
+            lambda tau: _gdot_at(arc, f, arc(tau)))
 
 
 def _scan_roots_by_loops(arc, f, level: float, ns: int) -> list[float]:
     """The element-by-element scan that _scan_roots replaced: the reference
     for its numpy masks."""
-    ts = _fine_grid(arc, ns)
+    ts = arc._grid(ns)[0]
     pts = arc.sample(ts)
     g = f.evaluate(pts) - level
     gdot = (-1.0 if arc.backward else 1.0) * np.einsum(
         "ij,ij->i", f.gradient(pts), arc.flow.field.value_batch(pts))
-    gfun, gdfun = _g_scalar(arc, f, level), _gdot_scalar(arc, f)
+    gfun, gdfun = _scalars(arc, f, level)
     sig = np.sign(g)
     brackets = [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)
                 if sig[i] != 0.0 and sig[i + 1] != 0.0 and sig[i] != sig[i + 1]]
@@ -192,17 +202,17 @@ def test_scan_masks_match_the_loops(rotor_m, systemb_m):
         for backward in (False, True):
             arc = integrate(fl, t, x, backward=backward)
             for region in system.regions:
-                scalars = (_g_scalar(arc, region.f, region.level),
-                           _gdot_scalar(arc, region.f))
+                scalars = _scalars(arc, region.f, region.level)
                 for ns in (8, 16, 64):
                     args = (arc, region.f, region.level, ns)
+                    samples = _samples(*args)[:3]
                     try:
                         want = _scan_roots_by_loops(*args)
                     except DegenerateCrossing:
                         with pytest.raises(DegenerateCrossing):
-                            _scan_roots(*_samples(*args), *scalars)
+                            _scan_roots(*samples, *scalars)
                         continue
-                    assert _scan_roots(*_samples(*args), *scalars) == want
+                    assert _scan_roots(*samples, *scalars) == want
 
 
 def _same_bits(a, b) -> bool:
@@ -212,8 +222,9 @@ def _same_bits(a, b) -> bool:
 
 def test_coarse_scan_reads_every_other_fine_sample(rotor_m, systemb_m):
     # find_crossings takes its ns scan from the samples of its 2*ns pass:
-    # every other fine point is the ns grid, and g and its derivative there
-    # are the bits a pass of its own at ns gives
+    # every other fine point is the ns grid, the pass returns its indices,
+    # and g and its derivative there are the bits a pass of its own at ns
+    # gives
     rng = np.random.default_rng(13)
     for system in (rotor_m, systemb_m, make_triangle()):
         for backward in (False, True):
@@ -223,10 +234,11 @@ def test_coarse_scan_reads_every_other_fine_sample(rotor_m, systemb_m):
                                 rng.uniform(-2.0, 2.0, 2), backward=backward)
                 region = system.regions[(k + 1) % system.p]
                 for ns in (8, 16, 32):
-                    ts, g, gdot = _samples(arc, region.f, region.level, 2 * ns)
+                    ts, g, gdot, coarse = _samples(arc, region.f, region.level,
+                                                   2 * ns)
                     want = _samples(arc, region.f, region.level, ns)
                     assert _same_bits(ts[::2], want[0])
-                    coarse = np.searchsorted(ts, want[0])
+                    assert np.array_equal(coarse, np.searchsorted(ts, want[0]))
                     assert _same_bits(arc.sample(ts)[coarse], arc.sample(want[0]))
                     assert _same_bits(g[coarse], want[1])
                     assert _same_bits(gdot[coarse], want[2])
@@ -235,14 +247,16 @@ def test_coarse_scan_reads_every_other_fine_sample(rotor_m, systemb_m):
 def test_coarse_grid_lies_in_the_fine_grid_where_points_merge():
     # a last step clipped to a few ulps of the end merges fine points, so
     # every other fine point is no longer the coarse grid; each coarse point
-    # still is a fine point, which find_crossings looks up by value
+    # still is a fine point, at the index the cut gives it by arithmetic:
+    # the one a lookup by value finds
     end = 3.0
     ts = np.array([0.0, 1.0, end - 8 * math.ulp(end), end])
-    arc = SimpleNamespace(ts=ts)
     for ns in (8, 16, 32):
-        fine, coarse = _fine_grid(arc, 2 * ns), _fine_grid(arc, ns)
+        grid, keep, half = _cut_steps(ts, 2 * ns)
+        fine, coarse = grid[keep], _kept_cut(ts, ns)
         assert len(fine) < 2 * len(coarse) - 1
-        assert _same_bits(fine[np.searchsorted(fine, coarse)], coarse)
+        assert np.array_equal(half, np.searchsorted(fine, coarse))
+        assert _same_bits(fine[half], coarse)
 
 
 def test_float_g_matches_evaluate_bit_for_bit(systemb_m):
@@ -250,7 +264,7 @@ def test_float_g_matches_evaluate_bit_for_bit(systemb_m):
     for backward in (False, True):
         arc = integrate(systemb_m.flows[0], 5.0, [1.5, 0.3], backward=backward)
         for region in systemb_m.regions:
-            g = _g_scalar(arc, region.f, region.level)
+            g = _scalars(arc, region.f, region.level)[0]
             for tau in rng.uniform(0.0, arc.duration, 500).tolist():
                 assert arc._point(tau) == arc(tau).tolist()
                 want = float(region.f.evaluate(arc(tau))) - region.level
@@ -266,7 +280,7 @@ def test_float_g_raises_eval_error_as_evaluate_does(rotor_m, text):
     with pytest.raises(EvalError):
         f.evaluate(arc(0.5))
     with pytest.raises(EvalError):
-        _g_scalar(arc, f, 0.0)(0.5)
+        _scalars(arc, f, 0.0)[0](0.5)
 
 
 @pytest.fixture
@@ -313,13 +327,13 @@ def _roots_by_density(arc, f, level: float, t_end: float) -> tuple[list[float], 
     """The confirmation loop with a sampling pass of its own per density:
     the reference for find_crossings' shared first pass. Returns the roots
     inside the window and the number of densities scanned."""
-    scalars = (_g_scalar(arc, f, level), _gdot_scalar(arc, f))
+    scalars = _scalars(arc, f, level)
     t_sep = DEFAULT_EVENTS.t_sep_rel * t_end
     ns = DEFAULT_EVENTS.ns
-    roots, scanned = _scan_roots(*_samples(arc, f, level, ns), *scalars), 1
+    roots, scanned = _scan_roots(*_samples(arc, f, level, ns)[:3], *scalars), 1
     while ns < DEFAULT_EVENTS.ns_max:
         ns *= 2
-        confirm = _scan_roots(*_samples(arc, f, level, ns), *scalars)
+        confirm = _scan_roots(*_samples(arc, f, level, ns)[:3], *scalars)
         scanned += 1
         agreed = len(confirm) == len(roots) and all(
             abs(a - b) <= max(t_sep, 1e-9) for a, b in zip(roots, confirm))
@@ -348,10 +362,19 @@ def test_doubling_samples_once_per_further_density(rotor_m, sample_calls):
     assert passes == {1, 2}
 
 
+def _uncached_point(arc, tau: float) -> list[float]:
+    """The Horner read of the row of the step arc._step picks for tau."""
+    i, n = arc._step(tau), arc.flow.field.n
+    row, t0, t1 = arc._table[i].tolist(), arc._knots[i], arc._knots[i + 1]
+    return [dynamics._interpolate(row[j::n], (tau - t0) / (t1 - t0))
+            for j in range(n)]
+
+
 def test_polish_g_reads_the_point_bit_for_bit(rotor_m, systemb_m):
-    # g keeps the step of its last parameter: in sorted runs (the Brent
-    # polish's case) and in jumps across steps, at knots, 0 and the end, it
-    # gives f._value_at(arc._point(tau)) - level to the bit
+    # arc._point keeps the step of its last parameter: in sorted runs (the
+    # Brent polish's case) and in jumps across steps, at knots, 0 and the
+    # end, in any call order, it reads the bits of an uncached Horner read,
+    # and so does the polish's g
     rng = np.random.default_rng(15)
     cases = [(systemb_m, False), (systemb_m, True), (rotor_m, False),
              (make_triangle(), True)]
@@ -359,17 +382,28 @@ def test_polish_g_reads_the_point_bit_for_bit(rotor_m, systemb_m):
         arc = integrate(system.flows[0], 6.0, rng.uniform(-2.0, 2.0, 2),
                         backward=backward)
         region = system.regions[1]
-        g = _g_scalar(arc, region.f, region.level)
+        g = _scalars(arc, region.f, region.level)[0]
         taus = rng.uniform(0.0, arc.duration, 3000)
         taus[::50] = rng.choice(arc.ts, len(taus[::50]))
         taus[:3] = 0.0, arc.duration, 0.0
         taus[1000:2000].sort()
         taus = taus.tolist() + arc.ts.tolist()
-        for tau in taus:
-            want = region.f._value_at(arc._point(tau)) - region.level
-            assert _same_bits(g(tau), want)
-        with pytest.raises(OutOfSpan):
-            g(arc.duration * (1.0 + 1e-12))
+        for order in (taus, taus[::-1], rng.permutation(taus).tolist()):
+            for tau in order:
+                want = _uncached_point(arc, tau)
+                assert _same_bits(arc._point(tau), want)
+                assert _same_bits(g(tau), region.f._value_at(want) - region.level)
+        for bad in (arc.duration * (1.0 + 1e-12), -1e-300, math.nan):
+            with pytest.raises(OutOfSpan):
+                arc._point(bad)
+    # on rows of random numbers a step's end is not the next step's start,
+    # so a knot read from the step above it would show
+    arc = integrate(rotor_m.flows[0], 6.0, [1.3, 0.0])
+    arc._table = rng.uniform(-1.0, 1.0, arc._table.shape)
+    taus = rng.uniform(0.0, arc.duration, 200).tolist() + arc.ts.tolist()
+    for order in (taus, taus[::-1], rng.permutation(taus).tolist()):
+        for tau in order:
+            assert _same_bits(arc._point(tau), _uncached_point(arc, tau))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -489,7 +523,7 @@ def test_root_pair_between_scan_samples_is_found(rotor_m):
     x = radius * np.array([math.cos(-phi), math.sin(-phi)])
     arc = integrate(fl, 1.0, x)
     for ns in (8, 16):
-        assert not np.any(np.abs(_fine_grid(arc, ns) - phi) < half)
+        assert not np.any(np.abs(arc._grid(ns)[0] - phi) < half)
     evs = find_crossings(fl, region, None, x, 1.0, arc=arc)
     assert [e.direction for e in evs] == [1, -1]
     assert np.abs(np.array([e.t for e in evs]) - [phi - half, phi + half]).max() < 1e-8
@@ -554,23 +588,6 @@ def test_parity_constant_across_samples(systemb_m):
     res = degree_check(systemb_m, samples=10, seed=12)
     vals = {v for v in res.start_parities if v is not None}
     assert vals == {1}
-
-
-def test_winding_degrees():
-    assert winding_degree(expr.parse("x1", 2), expr.parse("x2", 2)) == 1
-    assert winding_degree(expr.parse("1", 2), expr.parse("0", 2)) == 0
-    assert winding_degree(expr.parse("x1^2 - x2^2", 2), expr.parse("2*x1*x2", 2)) == 2
-    assert winding_degree(expr.parse("x1", 2), expr.parse("0 - x2", 2)) == -1
-
-
-def test_winding_vanishing_image():
-    with pytest.raises(VanishingImage):
-        winding_degree(expr.parse("x1 - x1", 2), expr.parse("x2 - x2", 2))
-
-
-def test_winding_minimum_samples():
-    with pytest.raises(ValueError):
-        winding_degree(expr.parse("x1", 2), expr.parse("x2", 2), samples=32)
 
 
 def test_tree_degenerate_carries_stage():
