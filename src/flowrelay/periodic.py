@@ -6,7 +6,10 @@ Closure is solved as a square (n+p) root-finding problem: p level equations
 plus the n-vector x_p - x_0, so a zero residual is exactly a p-periodic
 switching trajectory. That needs equal first and closing level offsets
 (the orbit leaves and re-enters boundary 0 at one level); the solvers
-reject unequal ones with ValueError. Level continuation tracks an orbit
+reject unequal ones with ValueError. Newton is Levenberg-Marquardt on a
+four-rung damping ladder (mu in 0, 1e-2, 1e-1, 1) with one SVD per
+Jacobian, so a seed costs at most max_iter Jacobians and 2*max_iter + 5
+residual chains. Level continuation tracks an orbit
 from a first step over the whole segment, with steps that double while its
 corrector succeeds and halve when it fails.
 """
@@ -160,6 +163,7 @@ _CORRECTOR_MAX_ITER = 5     # Jacobians per continuation corrector
 _RESIDUAL_TOL = 1e-9        # |r| at which a Newton seed has converged
 _CLAMP_MARGIN_REL = 1e-6    # duration clamp margin, as a share of the horizon
 _COND_LIMIT = 1e12          # cond(J) above which a Jacobian counts as degenerate
+_DAMPING = (0.0, 1e-2, 1e-1, 1.0)  # the Levenberg-Marquardt ladder of mu
 
 
 # failures a seed or a continuation step may hit; anything else is a bug
@@ -183,15 +187,20 @@ def _clamp_bounds(system: RelaySystem) -> tuple[np.ndarray, np.ndarray]:
 
 def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
             max_iter: int) -> _NewtonResult:
-    """Levenberg-Marquardt with one adaptive damping parameter mu.
+    """Levenberg-Marquardt on a four-rung damping ladder, one SVD per Jacobian.
 
-    Each trial solves [J; sqrt(mu*s) I] dz = [-r; 0] in the least-squares
-    sense, s = trace(J^T J)/(n+p), so mu = 0 is the minimum-norm
-    Gauss-Newton step. A trial is accepted only if it lowers |r|; acceptance
-    divides mu by 10 (to 0 below 1e-8), rejection multiplies it by 10
-    (from 1e-8). The seed is given up once mu passes 1, which bounds the
-    work to max_iter (_MAX_ITER, or _CORRECTOR_MAX_ITER in a continuation
-    corrector) Jacobians and 2*max_iter + 11 residuals.
+    Each Jacobian is factored once, J = U diag(sig) V^T. That gives the
+    degeneracy test cond(J) = sig_1/sig_n > _COND_LIMIT, the scale
+    s = trace(J^T J)/(n+p) and every trial step
+    dz = -V diag(sig/(sig^2 + mu*s)) U^T r, the least-squares solution of
+    [J; sqrt(mu*s) I] dz = [-r; 0]. At mu = 0 it is the minimum-norm
+    Gauss-Newton step: the sig at or below lstsq's cut-off on that stacked
+    matrix, eps*2(n+p)*sig_1, are dropped. mu takes the rungs of _DAMPING =
+    (0, 1e-2, 1e-1, 1). A trial is accepted only if it lowers |r|;
+    acceptance moves mu one rung down, rejection one rung up. The seed is
+    given up once a trial at mu = 1 is rejected, which bounds the work to
+    max_iter (_MAX_ITER, or _CORRECTOR_MAX_ITER in a continuation corrector)
+    Jacobians and 2*max_iter + 5 residuals.
     """
     n, p = system.n, system.p
     lo, hi = _clamp_bounds(system)
@@ -203,18 +212,19 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
 
     r = shooting_residual(system, levels, split(z))
     rnorm = float(np.linalg.norm(r))
-    mu = 0.0
+    rung = 0
     for _ in range(max_iter):
-        if rnorm <= _RESIDUAL_TOL or mu > 1.0:
+        if rnorm <= _RESIDUAL_TOL or rung == len(_DAMPING):
             break
-        jac = residual_jacobian(system, levels, split(z))
-        if np.linalg.cond(jac) > _COND_LIMIT:
-            degenerate = True
-        scale = float(np.trace(jac.T @ jac)) / (n + p)
-        rhs = np.concatenate([-r, np.zeros(n + p)])
-        while mu <= 1.0:
-            aug = np.vstack([jac, np.sqrt(mu * scale) * np.eye(n + p)])
-            z_try = z + np.linalg.lstsq(aug, rhs, rcond=None)[0]
+        u, sig, vt = np.linalg.svd(residual_jacobian(system, levels, split(z)))
+        degenerate |= bool(sig[0] > _COND_LIMIT * sig[-1])
+        scale, ur = float(sig @ sig) / (n + p), u.T @ r
+        gauss = np.divide(1.0, sig, out=np.zeros(n + p),
+                          where=sig > np.finfo(float).eps * 2 * (n + p) * sig[0])
+        while rung < len(_DAMPING):
+            damp = _DAMPING[rung] * scale
+            w = sig / (sig * sig + damp) if damp else gauss
+            z_try = z - vt.T @ (w * ur)
             z_try[n:] = np.clip(z_try[n:], lo, hi)
             try:
                 r_try = shooting_residual(system, levels, split(z_try))
@@ -223,9 +233,9 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
                 rnorm_try = np.inf
             if rnorm_try < rnorm:
                 z, r, rnorm = z_try, r_try, rnorm_try
-                mu = mu / 10.0 if mu > 1e-8 else 0.0
+                rung = max(rung - 1, 0)
                 break
-            mu = max(10.0 * mu, 1e-8)
+            rung += 1
     converged = rnorm <= _RESIDUAL_TOL
     on_clamp = bool(np.any(z[n:] <= lo * 1.5) or np.any(z[n:] >= hi - 0.5 * lo))
     return _NewtonResult(split(z), rnorm, converged, on_clamp, degenerate)

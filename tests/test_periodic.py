@@ -207,7 +207,7 @@ def test_hopeless_seed_work_is_bounded(rotor_m, monkeypatch):
     with pytest.raises(NoConvergence):
         find_periodic(rotor_m, seeds=[SwitchingVector.of([0, 0.05], (0.01, 6.2))])
     assert calls["jacobian"] <= periodic._MAX_ITER
-    assert calls["residual"] <= 2 * periodic._MAX_ITER + 11
+    assert calls["residual"] <= 2 * periodic._MAX_ITER + 5
 
 
 def test_newton_counts_a_failed_trial_as_a_rejection(rotor_m, monkeypatch):
@@ -231,16 +231,120 @@ def test_newton_counts_a_failed_trial_as_a_rejection(rotor_m, monkeypatch):
     assert len(calls) > 2
 
 
-def test_singular_relay_raises_degenerate_jacobian():
-    # two equal unit translations: x_2 - x_0 = (t_1 + t_2, 0) never vanishes,
-    # and with identity leg Jacobians the x2 closure row of the shooting
-    # Jacobian is zero at every iterate
+def _stacked_step(jac: np.ndarray, r: np.ndarray, mu: float) -> np.ndarray:
+    """The damped step as the least-squares solve [J; sqrt(mu*s) I] dz = [-r; 0],
+    s = trace(J^T J)/(n+p): minimum norm at mu = 0."""
+    m = len(r)
+    scale = float(np.trace(jac.T @ jac)) / m
+    aug = np.vstack([jac, math.sqrt(mu * scale) * np.eye(m)])
+    return np.linalg.lstsq(aug, np.concatenate([-r, np.zeros(m)]), rcond=None)[0]
+
+
+def _rejected_trials(monkeypatch, system, seed, jac=None, r0=None):
+    """Run _newton from seed with every trial worse than the start, and
+    return the Jacobians it computed (jac, when given, replaces each), the
+    start residual (r0, when given, replaces it), the steps it tried and
+    its result."""
+    residual, jacobian = periodic.shooting_residual, periodic.residual_jacobian
+    points, jacs = [], []
+
+    def worse(system, levels, sv):
+        points.append(sv.as_vector())
+        if len(points) == 1:
+            worse.r0 = residual(system, levels, sv) if r0 is None else r0
+            return worse.r0
+        return 2.0 * worse.r0
+
+    def recorded(*args):
+        jacs.append(jacobian(*args) if jac is None else jac)
+        return jacs[-1]
+
+    monkeypatch.setattr(periodic, "shooting_residual", worse)
+    monkeypatch.setattr(periodic, "residual_jacobian", recorded)
+    res = periodic._newton(system, system.levels(), seed, periodic._MAX_ITER)
+    z0, *tried = points
+    return jacs, worse.r0, [z - z0 for z in tried], res
+
+
+def _rough_systemb_seed(orbit) -> SwitchingVector:
+    sv = orbit.sv
+    return SwitchingVector.of(sv.x + np.array([0.0, 1e-3]),
+                              (sv.durations[0] + 0.05, sv.durations[1] - 0.02))
+
+
+LADDER = (0.0, 1e-2, 1e-1, 1.0)
+
+
+def test_newton_gives_a_seed_up_after_four_rejected_rungs(systemb_m, systemb_orbit,
+                                                          monkeypatch):
+    # every trial is worse than the start: one Jacobian, then one trial on
+    # each rung mu = 0, 1e-2, 1e-1, 1 of the ladder, and the seed is given up
+    seed = _rough_systemb_seed(systemb_orbit)
+    jacs, r0, steps, res = _rejected_trials(monkeypatch, systemb_m, seed)
+    assert not res.converged and res.sv == seed
+    assert len(jacs) == 1
+    assert len(steps) == len(LADDER)
+    for mu, step in zip(LADDER, steps):
+        want = _stacked_step(jacs[0], r0, mu)
+        assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _translation_relay() -> RelaySystem:
+    """Two equal unit translations: x_2 - x_0 = (t_1 + t_2, 0) never
+    vanishes, and with identity leg Jacobians the x2 closure row of the
+    shooting Jacobian is zero at every iterate."""
     drift = VectorField([expr.parse("1", 2), expr.parse("0", 2)])
-    relay = RelaySystem(
+    return RelaySystem(
         n=2, p=2, flows=(Flow(drift, horizon=1.0), Flow(drift, horizon=1.0)),
         regions=(Region(expr.parse("-x1", 2), index=0),
                  Region(expr.parse("x1 - 1", 2), index=1)),
         box=[[-2.0, -2.0], [2.0, 2.0]])
+
+
+def _test_jacobians() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(5)
+    full = rng.standard_normal((4, 4))
+    rank_two = full.copy()
+    rank_two[:, 2:] = full[:, :2]  # two equal column pairs
+    return {
+        "full rank": full,
+        "rank deficient": rank_two,
+        "zero row": residual_jacobian(_translation_relay(), None,
+                                      SwitchingVector.of([0.0, 0.0], (1.0, 1.0))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["full rank", "rank deficient", "zero row"])
+def test_svd_steps_match_the_stacked_least_squares_solve(systemb_m, systemb_orbit,
+                                                         monkeypatch, kind):
+    # the trials from one SVD of J are the stacked lstsq solutions on every
+    # rung, and the degeneracy flag is the condition-number test
+    jac = _test_jacobians()[kind]
+    r0 = 1e-3 * np.random.default_rng(6).standard_normal(4)
+    seed = _rough_systemb_seed(systemb_orbit)
+    _, _, steps, res = _rejected_trials(monkeypatch, systemb_m, seed, jac, r0)
+    assert len(steps) == len(LADDER)
+    for mu, step in zip(LADDER, steps):
+        want = _stacked_step(jac, r0, mu)
+        assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want), mu
+    assert res.degenerate == (np.linalg.cond(jac) > periodic._COND_LIMIT)
+
+
+@pytest.mark.parametrize("small", [1e-3, 1e-11, 1e-13, 0.0])
+def test_degeneracy_flag_is_the_condition_number_test(systemb_m, systemb_orbit,
+                                                      monkeypatch, small):
+    rng = np.random.default_rng(7)
+    q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    jac = q1 @ np.diag([2.0, 1.0, 0.5, small]) @ q2
+    seed = _rough_systemb_seed(systemb_orbit)
+    _, _, _, res = _rejected_trials(monkeypatch, systemb_m, seed, jac,
+                                    np.full(4, 1e-3))
+    assert res.degenerate == (np.linalg.cond(jac) > periodic._COND_LIMIT)
+
+
+def test_singular_relay_raises_degenerate_jacobian():
+    relay = _translation_relay()
     sv = SwitchingVector.of([0.0, 0.0], (1.0, 1.0))
     assert np.abs(residual_jacobian(relay, None, sv)[3]).max() == 0.0
     with pytest.raises(DegenerateJacobian):
