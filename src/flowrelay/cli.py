@@ -332,12 +332,11 @@ def _cmd_find_periodic(args, system, levels, outdir: Path):
 def _cmd_degree_check(args, system, levels, outdir: Path):
     res = ev.degree_check(system, levels, samples=args.samples, seed=args.seed)
     payload = res.to_dict()
-    start = [v for v in res.start_parities if v is not None]
-    end = [v for v in res.end_parities if v is not None]
-    payload["start_parity_uniform"] = sorted(set(start))
-    payload["end_parity_uniform"] = sorted(set(end))
+    start = sorted(set(res.start_parities) - {None})
+    end = sorted(set(res.end_parities) - {None})
+    payload.update(start_parity_uniform=start, end_parity_uniform=end)
     _write_json(outdir / "degree_check.json", payload)
-    print(f"start parities {sorted(set(start))}, end parities {sorted(set(end))}, "
+    print(f"start parities {start}, end parities {end}, "
           f"degenerate rate {res.degenerate_rate:.3f}")
     return 0, payload, ["degree_check.json"]
 
@@ -462,7 +461,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except FlowRelayError as exc:
+    except (FlowRelayError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -16,8 +16,9 @@ its rows. No stiff path. Backward time is a negative time span: the
 stepper steps the same field with negative steps, so both directions use
 the same compiled kernels.
 
-Each VectorField is compiled once into fused kernels (value, Jacobian,
-variational right-hand side) that the stepper calls on the state directly.
+Each VectorField is compiled once into three fused kernels that the stepper
+calls on the state directly: the value, the variational right-hand side and
+the value over numpy columns.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 TIME_CAP_FACTOR = 10.0  # |t| may not exceed this multiple of the flow horizon
-_EVAL_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
 
 
 def _variational_body(roots: tuple[ex.Node, ...],
@@ -66,12 +66,12 @@ def _variational_body(roots: tuple[ex.Node, ...],
 class VectorField:
     """An autonomous field on R^n given by n component expressions.
 
-    Compiled at construction into functions of floats that each return one
-    tuple: the value (n entries), the Jacobian (n², row-major) and the
-    variational right-hand side (n + n² entries); the value also over numpy
-    columns. They evaluate the same trees as
-    Expression.evaluate/gradient. Immutable after construction; evaluation
-    is pure and thread-safe.
+    Compiled at construction into three kernels: the value (n entries) and
+    the variational right-hand side (n + n² entries), each a function of
+    floats returning one tuple, and the value over numpy columns. They
+    evaluate the same trees as Expression.evaluate/gradient, which jacobian
+    and value_batch read. Immutable after construction; evaluation is pure
+    and thread-safe.
     """
 
     def __init__(self, components: Sequence[ex.Expression]):
@@ -90,31 +90,22 @@ class VectorField:
         self._value = ex._compile(roots, n, ex._SCALAR_NS)
         self._var = ex._compile(_variational_body(roots, jac), n + n * n,
                                 ex._SCALAR_NS)
-        self._jac = ex._compile(jac, n, ex._SCALAR_NS)
         self._value_cols = ex._compile(roots, n, ex._ARRAY_NS)
 
     def __call__(self, x) -> np.ndarray:
         xs = [float(v) for v in x]
         try:
             return np.array(self._value(*xs))
-        except _EVAL_FAILURES as exc:
+        except ex._EVAL_FAILURES as exc:
             raise EvalError(f"field evaluation failed: {exc}") from exc
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at a batch of points (N, n) -> (N, n)."""
-        cols = [pts[:, j] for j in range(self.n)]
-        with np.errstate(all="ignore"):
-            out = np.stack([np.broadcast_to(c, pts.shape[0])
-                            for c in self._value_cols(*cols)], axis=1)
-        return out.astype(float)
+        return np.stack([c.evaluate(pts) for c in self.components], axis=1)
 
     def jacobian(self, x) -> np.ndarray:
         """Space derivative DV(x) as an (n, n) matrix, exact."""
-        xs = [float(v) for v in x]
-        try:
-            return np.array(self._jac(*xs)).reshape(self.n, self.n)
-        except _EVAL_FAILURES as exc:
-            raise EvalError(f"field Jacobian failed: {exc}") from exc
+        return np.array([c.gradient(x) for c in self.components])
 
 
 @dataclass
@@ -317,7 +308,7 @@ def _run(kernel, what: str, t: float, y0, solout):
     raises EvalError; a non-finite end state, IntegrationError."""
     try:
         end = _dop853.solve(kernel, t, tuple(y0), solout)
-    except _EVAL_FAILURES as exc:
+    except ex._EVAL_FAILURES as exc:
         raise EvalError(f"{what} failed: {exc}") from exc
     if not np.isfinite(end).all():
         raise IntegrationError("non-finite state at the end of integration")

@@ -406,20 +406,16 @@ def degree_check(system: RelaySystem, levels=None, samples: int = 20,
     recorded as None rather than retried; their rate is part of the result.
     """
     lv = system.levels(levels)
-    bs0 = sample_boundary(system.chain_region(0, lv), system.box, samples,
-                          seeded_rng(seed, "degree", "start"))
-    bsp = sample_boundary(system.chain_region(system.p, lv), system.box, samples,
-                          seeded_rng(seed, "degree", "end"))
-    start: list[int | None] = []
-    end: list[int | None] = []
-    for pt in bs0.points:
-        try:
-            start.append(forward_leaf_parity(system, lv, pt))
-        except DegenerateCrossing:
-            start.append(None)
-    for pt in bsp.points:
-        try:
-            end.append(backward_leaf_parity(system, lv, pt))
-        except DegenerateCrossing:
-            end.append(None)
-    return DegreeCheckResult(start, end)
+    parities = []
+    for k, stream, parity in ((0, "start", forward_leaf_parity),
+                              (system.p, "end", backward_leaf_parity)):
+        bs = sample_boundary(system.chain_region(k, lv), system.box, samples,
+                             seeded_rng(seed, "degree", stream))
+        found: list[int | None] = []
+        for pt in bs.points:
+            try:
+                found.append(parity(system, lv, pt))
+            except DegenerateCrossing:
+                found.append(None)
+        parities.append(found)
+    return DegreeCheckResult(*parities)

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "tanh")
+_EVAL_FAILURES = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class Node:
@@ -478,7 +479,7 @@ class Expression:
         one-point path, for callers that already hold floats."""
         try:
             out = self._compiled(False, False)(*xs)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except _EVAL_FAILURES as exc:
             raise EvalError(f"evaluation failed: {exc}") from exc
         if not math.isfinite(out):
             raise EvalError(f"non-finite value {out!r}")
@@ -505,7 +506,7 @@ class Expression:
         if arr.ndim == 1:
             try:
                 g = self._compiled(False, True)(*arr.tolist())
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            except _EVAL_FAILURES as exc:
                 raise EvalError(f"gradient failed: {exc}") from exc
             if not all(map(math.isfinite, g)):
                 raise EvalError("non-finite gradient")

@@ -156,28 +156,25 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
     switches: list[SwitchEvent] = []
     arcs: list[FlowArc] = []
 
-    while True:
-        if max_switches is not None and len(switches) >= max_switches:
-            break
-        need = policy.n if isinstance(policy, NthHit) else 1
+    need = policy.n if isinstance(policy, NthHit) else 1
+    # t_abs < t_max holds inside the loop: a run that reaches t_max stops
+    while max_switches is None or len(switches) < max_switches:
         try:
             events, arc = _watched_events(system, lv, x, mode, need)
         except NoCrossingWithinHorizon:
-            if t_max is not None and t_abs < t_max:
-                # park the trajectory at the time cap instead of failing
-                flow = system.flows[mode]
-                dur = min(t_max - t_abs, _WINDOW_GROWTH[-1] * flow.horizon)
-                arc = integrate(flow, dur, x)
-                xe = arc.end
-                segments.append(Segment(mode, t_abs, dur, x, xe))
-                arcs.append(arc)
-                break
-            raise
+            if t_max is None:
+                raise
+            # park the trajectory at the time cap instead of failing
+            flow = system.flows[mode]
+            dur = min(t_max - t_abs, _WINDOW_GROWTH[-1] * flow.horizon)
+            arc = integrate(flow, dur, x)
+            segments.append(Segment(mode, t_abs, dur, x, arc.end))
+            arcs.append(arc)
+            break
         idx, ev = _pick(policy, events, len(switches))
         if t_max is not None and t_abs + ev.t > t_max:
             dur = t_max - t_abs
-            xe = arc(dur) if dur > 0 else x.copy()
-            segments.append(Segment(mode, t_abs, dur, x, xe))
+            segments.append(Segment(mode, t_abs, dur, x, arc(dur)))
             arcs.append(arc)
             break
         segments.append(Segment(mode, t_abs, ev.t, x, ev.point))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from flowrelay import periodic
 from flowrelay.cli import load_config, main
 from flowrelay.errors import ConfigError
 
@@ -193,6 +194,20 @@ def test_bad_config_exit_code(tmp_path, capsys):
     rc = main(["validate", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_sample_count_beyond_memory_is_a_one_line_error(tmp_path, capsys,
+                                                       monkeypatch):
+    # --seeds 1000000000 asks sample_boundary for a 4m x n batch of 59.6 GiB
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 59.6 GiB")
+
+    monkeypatch.setattr(periodic, "sample_boundary", too_large)
+    rc = main(["find-periodic", "--config", str(SYSTEMB_CONFIG), "--seeds",
+               "1000000000", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError: Unable to allocate 59.6 GiB\n"
 
 
 def test_crossings_command_matches_closed_form(tmp_path):

@@ -424,6 +424,16 @@ def test_field_kernels_match_component_expressions():
                                   np.stack([e.evaluate(batch) for e in exprs], axis=1))
 
 
+def test_field_jacobian_and_batch_raise_on_a_non_finite_entry():
+    # both read the component expressions, so an entry that overflows is an
+    # EvalError rather than a silent inf
+    f = VectorField([expr.parse("1e300*1e300*x1", 2), expr.parse("x2", 2)])
+    with pytest.raises(EvalError, match="non-finite gradient"):
+        f.jacobian([1.0, 0.0])
+    with pytest.raises(EvalError, match="non-finite value"):
+        f.value_batch(np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+
 def test_variational_kernel_is_value_and_jacobian_product():
     f = VectorField([expr.parse("sin(x1)*x2 + x1^2*x3", 3),
                      expr.parse("exp(-x1*x2) - x3^3", 3),

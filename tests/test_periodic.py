@@ -22,6 +22,7 @@ from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                                 verify_periodic)
 
 from conftest import make_rotor, make_systemb, rotor_periodic_start
+from spiral_relay import SpiralRelay
 
 
 @pytest.fixture(scope="module")
@@ -516,12 +517,36 @@ def test_continuation_ends_exactly_on_the_target_levels(systemb_m):
     assert path.orbit.residual_norm == rnorm <= 1e-9
 
 
-def test_continuation_stalls_when_regions_vanish(systemb_m, systemb_orbit):
+def _closed_form_legs(offset: float) -> list[float]:
+    """Leg durations of systemb's one orbit with every level offset equal."""
+    (_, durations), = SpiralRelay([(-1.0, 0.0), (1.0, 0.0)],
+                                  np.full(3, offset)).fixed_points()
+    return durations
+
+
+def test_continuation_stalls_at_the_duration_window(systemb_m, systemb_orbit):
+    # on 0 -> 0.26 the disks vanish only at s = 0.25 / 0.26 = 0.9615; the
+    # stall comes first, where the orbit's longer leg reaches the duration
+    # window, found here by bisecting the closed form
     orb = systemb_orbit
     lv0 = systemb_m.levels()
     with pytest.raises(ContinuationStalled, match=r"s=0\.9561") as exc:
         continue_levels(systemb_m, orb.sv, lv0, np.full(3, 0.26))
     assert len(exc.value.path) >= 1
+    window = SolveOptions.window_factor * systemb_m.flows[0].horizon
+    assert window == 8.0
+    lo, hi = 0.0, 0.25 / 0.26
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if max(_closed_form_legs(0.26 * mid)) < window:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(lo - 0.956352) < 1e-6
+    levels, sv = exc.value.path[-1]
+    s = levels[0] / 0.26
+    assert lo - 1.0 / 1024.0 < s < lo
+    assert all(7.9 < d < window for d in sv.durations)
 
 
 def _count_jacobians(monkeypatch) -> dict:

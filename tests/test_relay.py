@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from flowrelay import relay
-from flowrelay.dynamics import flow_map
+from flowrelay.dynamics import flow_map, integrate
 from flowrelay.errors import NoCrossingWithinHorizon
 from flowrelay.relay import (FirstHit, NthHit, PointCloud,
                              RandomHit, _pairs_within, accessible_set,
@@ -64,13 +64,38 @@ def test_t_max_before_first_crossing_single_segment(rotor_m):
 
 def test_t_max_parks_a_run_that_meets_no_boundary(rotor_m):
     # the radius-2.5 circle never meets boundary 1: the run ends at t_max on
-    # the rotated start point instead of failing
-    traj = simulate(rotor_m, [2.5, 0.0], 0, t_max=5.0)
+    # the rotated start point instead of failing, on the end of one arc
+    x0 = np.array([2.5, 0.0])
+    traj = simulate(rotor_m, x0, 0, t_max=5.0)
     assert len(traj.segments) == 1
     assert traj.switches == []
     assert traj.final_time == 5.0
     assert np.allclose(traj.final_state, [2.5 * math.cos(5.0), 2.5 * math.sin(5.0)],
                        atol=1e-8)
+    assert np.array_equal(traj.final_state, integrate(rotor_m.flows[0], 5.0, x0).end)
+    # past the largest crossing window the run parks at that window's end
+    traj = simulate(rotor_m, x0, 0, t_max=100.0)
+    cap = relay._WINDOW_GROWTH[-1] * rotor_m.flows[0].horizon
+    assert cap == 31.41592653589793
+    assert traj.switches == []
+    assert traj.final_time == cap
+
+
+def test_t_max_on_a_switch_time_keeps_that_switch(systemb_m):
+    free = simulate(systemb_m, [1.5, 0.0], 0, max_switches=6)
+    t3 = free.switches[2].time
+    traj = simulate(systemb_m, [1.5, 0.0], 0, t_max=t3)
+    assert [s.time for s in traj.switches] == [s.time for s in free.switches[:3]]
+    assert len(traj.segments) == 3
+    assert traj.final_time == t3
+
+
+def test_t_max_cuts_the_last_arc(systemb_m):
+    traj = simulate(systemb_m, [1.5, 0.0], 0, t_max=20.0)
+    last = traj.segments[-1]
+    assert len(traj.segments) == len(traj.switches) + 1
+    assert last.t0 < 20.0 < last.t0 + traj.arcs[-1].duration
+    assert np.array_equal(traj.final_state, traj.arcs[-1](20.0 - last.t0))
 
 
 def test_replay_reproduces_segment_endpoints(systemb_m):
