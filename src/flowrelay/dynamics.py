@@ -10,9 +10,10 @@ the current state: each t_eval time is one vectorised Horner pass over the
 dense row of the step that holds it, as soon as that step is accepted, so
 its memory does not grow with the duration. The dense interpolant is
 built only where it is read. A FlowArc is the one reader of its rows: a
-point at a time through the step it read last (_point), or its steps cut
+point at a time through the step it read last (_point), its steps cut
 into equal pieces (_grid) as one product of a table of Horner weights with
-its rows. No stiff path. Backward time is a negative time span: the
+its rows, or any parameters (sample) as one Horner pass in the (n, N)
+layout. No stiff path. Backward time is a negative time span: the
 stepper steps the same field with negative steps, so both directions use
 the same compiled kernels.
 
@@ -70,8 +71,9 @@ class VectorField:
     the variational right-hand side (n + n² entries), each a function of
     floats returning one tuple, and the value over numpy columns. They
     evaluate the same trees as Expression.evaluate/gradient, which jacobian
-    and value_batch read. Immutable after construction; evaluation is pure
-    and thread-safe.
+    and value_batch read; the library calls neither, and the crossing scan
+    reads the components through Expression._lie. Immutable after
+    construction; evaluation is pure and thread-safe.
     """
 
     def __init__(self, components: Sequence[ex.Expression]):
@@ -146,12 +148,12 @@ class FlowArc:
 
         def keep(t, t_new, dense):
             knots.append(abs(t_new))
-            rows.append(dense())
+            rows.extend(dense())
 
         self._end = _run(flow.field._value, "field evaluation",
                          -duration if backward else duration, x0.tolist(), keep)
         self._knots = knots
-        self._table = np.array(rows)
+        self._table = np.array(rows).reshape(len(knots) - 1, -1)
         self.ts = np.array(knots)
         self._last = (math.nan, math.nan, [])
 
@@ -207,7 +209,9 @@ class FlowArc:
         return taus[keep], states[keep], half
 
     def sample(self, taus) -> np.ndarray:
-        """Dense states at many parameters, shape (len(taus), n)."""
+        """Dense states at many parameters, shape (len(taus), n): one Horner
+        pass over all of them in the (n, N) layout, whose operations each
+        run over contiguous memory, returned transposed."""
         taus = np.asarray(taus, float)
         n = self.flow.field.n
         if taus.size == 0:
@@ -216,9 +220,20 @@ class FlowArc:
             raise OutOfSpan("sample parameters outside the integrated span")
         ts = self.ts
         i = np.clip(np.searchsorted(ts, taus) - 1, 0, len(self._table) - 1)
-        x = ((taus - ts[i]) / (ts[i + 1] - ts[i]))[:, None]
-        blocks = self._table[i].reshape(len(taus), 8, n).transpose(1, 0, 2)
-        return _interpolate(blocks, x)
+        x = (taus - ts[i]) / (ts[i + 1] - ts[i])
+        levels = self._table.reshape(-1, 8, n).transpose(1, 2, 0).copy()
+        return _interpolate(_Gathered(levels, i), x).T
+
+
+class _Gathered:
+    """c of _interpolate at the samples of steps i: c[k] is level k of
+    their rows, gathered when read as one (n, N) array."""
+
+    def __init__(self, levels: np.ndarray, i: np.ndarray):
+        self.levels, self.i = levels, i
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.levels[k].take(self.i, axis=1)
 
 
 def _interpolate(c, x):

@@ -15,9 +15,11 @@ FlowArc reads the dense rows (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.6); this module only evaluates f on what it returns. A sampling
 pass is FlowArc._grid: the states at the step fractions j/ns as one product
 of a cached table of DOP853's Horner weights with the rows, and the indices
-of the ns/2 scan among them; f, its gradient and the field are evaluated
-on the states in one batch each. The polish reads FlowArc._point, which
-keeps the step it read last, so a Brent solve reads its step's row once.
+of the ns/2 scan among them. One compiled kernel over the states' columns
+(Expression._lie) returns f and its time derivative there, the Lie
+derivative L_V f = sum_j df/dx_j * V_j of f along the field. The polish
+reads FlowArc._point, which keeps the step it read last, so a Brent solve
+reads its step's row once.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Flow, FlowArc, integrate
-from .errors import DegenerateCrossing, StartOnBoundary
+from .errors import DegenerateCrossing, EvalError, StartOnBoundary
 from .expr import Expression
 from .geometry import Region, RelaySystem, sample_boundary
 from ._util import seeded_rng
@@ -159,11 +161,14 @@ def _samples(arc: FlowArc, f: Expression, level: float, ns: int
     cut into ns pieces, g and its time derivative there, and the indices of
     the ns/2 scan among them."""
     ts, pts, half = arc._grid(ns)
-    g = f.evaluate(pts) - level
-    sign = -1.0 if arc.backward else 1.0
-    gdot = sign * np.einsum("ij,ij->i", f.gradient(pts),
-                            arc.flow.field.value_batch(pts))
-    return ts, g, gdot, half
+    with np.errstate(all="ignore"):
+        g, gdot = (v if np.ndim(v) else np.full(len(ts), v)
+                   for v in f._lie(arc.flow.field)(*pts.T))
+    if not np.isfinite(g).all():
+        raise EvalError("non-finite value in batched evaluation")
+    if not np.isfinite(gdot).all():
+        raise EvalError("non-finite gradient along the field")
+    return ts, g - level, -gdot if arc.backward else gdot, half
 
 
 def _scan_brackets(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,

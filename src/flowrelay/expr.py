@@ -460,12 +460,24 @@ class Expression:
         """The compiled function of floats, or with array of numpy columns
         (constant parts come back as plain floats): the value, or with grad
         the tuple of the n partials. Built on first use."""
-        fn =self._fns.get((array, grad))
+        fn = self._fns.get((array, grad))
         if fn is None:
             body = (tuple(derive(self.root, j) for j in range(1, self.n + 1))
                     if grad else self.root)
             fn = self._fns[array, grad] = _compile(
                 body, self.n, _ARRAY_NS if array else _SCALAR_NS)
+        return fn
+
+    def _lie(self, field) -> Callable:
+        """(f, L_V f) over numpy columns: the value and the Lie derivative
+        sum_j df/dx_j * V_j, summed in index order, along the field V of
+        field.components. Built on first use per field object."""
+        fn = self._fns.get(field)
+        if fn is None:
+            lie: Node = Num(0.0)
+            for j, c in enumerate(field.components, 1):
+                lie = _n_add(lie, _n_mul(derive(self.root, j), c.root))
+            fn = self._fns[field] = _compile((self.root, lie), self.n, _ARRAY_NS)
         return fn
 
     def _check_point(self, x) -> np.ndarray:

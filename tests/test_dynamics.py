@@ -235,6 +235,48 @@ def test_grid_where_a_clipped_last_step_merges_points():
             assert (np.abs(got - want) <= 4 * ulp).all()
 
 
+def _sample_by_gather(arc, taus) -> np.ndarray:
+    """The row gather FlowArc.sample replaced, the bit-for-bit reference:
+    each parameter's step row gathered into an (N, 8n) array and Horner run
+    on its strided (N, n) blocks."""
+    taus = np.asarray(taus, float)
+    n, ts = arc.flow.field.n, arc.ts
+    i = np.clip(np.searchsorted(ts, taus) - 1, 0, len(arc._table) - 1)
+    x = ((taus - ts[i]) / (ts[i + 1] - ts[i]))[:, None]
+    blocks = arc._table[i].reshape(len(taus), 8, n).transpose(1, 0, 2)
+    return dynamics._interpolate(blocks, x)
+
+
+def test_sample_matches_the_row_gather_bit_for_bit():
+    # sorted, unsorted and repeated parameters, the step times themselves
+    # (each read from the lower step), 0 and the end, on 2-D arcs both ways
+    # and a 3-D one
+    rng = np.random.default_rng(24)
+    field3 = VectorField([expr.parse(c, 3) for c in
+                          ("-0.3*x1 + 2*x2", "-0.5*x2 + 1.5*x3", "0.4*x1 - 0.2*x3")])
+    arcs = _grid_arcs() + [integrate(Flow(field3, horizon=2.0), 3.0,
+                                     [0.5, -0.2, 1.0], backward=backward)
+                           for backward in (False, True)]
+    for arc in arcs:
+        d = arc.duration
+        spread = rng.uniform(0.0, d, 400)
+        cases = [np.sort(spread), spread, np.repeat(spread[:40], 3),
+                 rng.permutation(np.repeat(spread[:40], 3)), arc.ts,
+                 arc.ts[::-1], [0.0], [d], [d, 0.0, d],
+                 np.linspace(0.0, d, 256)]
+        for taus in cases:
+            got = arc.sample(taus)
+            assert got.shape == (len(taus), arc.flow.field.n)
+            assert _bits(got).tolist() == _bits(_sample_by_gather(arc, taus)).tolist()
+    assert arcs[0].sample([]).shape == (0, 2)
+    # on rows of random numbers a step's end is not the next step's start,
+    # so a step time read from the step above it would show
+    arc = integrate(rotation_flow(), 6.0, [1.3, 0.0])
+    arc._table = rng.uniform(-1.0, 1.0, arc._table.shape)
+    for taus in (arc.ts, rng.permutation(np.concatenate([arc.ts, spread]))):
+        assert _bits(arc.sample(taus)).tolist() == _bits(_sample_by_gather(arc, taus)).tolist()
+
+
 def test_group_property_and_backward_consistency():
     fl = sink_flow()
     rng = np.random.default_rng(0)

@@ -12,13 +12,13 @@ import pytest
 from scipy.optimize import brentq
 
 from flowrelay import dynamics, events, expr
-from flowrelay.dynamics import FlowArc, _cut_steps, integrate
+from flowrelay.dynamics import Flow, FlowArc, VectorField, _cut_steps, integrate
 from flowrelay.errors import DegenerateCrossing, EvalError, OutOfSpan
 from flowrelay.events import (DEFAULT_EVENTS, _brentq, _gdot_at, _samples,
                               _scan_roots, backward_leaf_parity, backward_tree,
                               degree_check, find_crossings,
                               forward_leaf_parity, forward_tree)
-from flowrelay.geometry import Region, sample_boundary
+from flowrelay.geometry import Region, RelaySystem, sample_boundary
 
 from conftest import ROTOR_CROSS_T, make_rotor, make_systemb, rotor_periodic_start
 from test_three_mode import make_triangle
@@ -242,6 +242,117 @@ def test_coarse_scan_reads_every_other_fine_sample(rotor_m, systemb_m):
                     assert _same_bits(arc.sample(ts)[coarse], arc.sample(want[0]))
                     assert _same_bits(g[coarse], want[1])
                     assert _same_bits(gdot[coarse], want[2])
+
+
+def _samples_by_composition(arc, f, level: float, ns: int):
+    """The sampling pass as the batch reads the fused kernel replaced: the
+    reference for _samples. f.evaluate, then the einsum of f.gradient with
+    VectorField.value_batch, negated on a backward arc."""
+    ts, pts, half = arc._grid(ns)
+    g = f.evaluate(pts) - level
+    gdot = (-1.0 if arc.backward else 1.0) * np.einsum(
+        "ij,ij->i", f.gradient(pts), arc.flow.field.value_batch(pts))
+    return ts, g, gdot, half
+
+
+def test_fused_pass_matches_the_composition_bit_for_bit(rotor_m, systemb_m):
+    # at n = 2 the Lie derivative sums the same two products in the same
+    # order as the einsum
+    rng = np.random.default_rng(16)
+    for system in (rotor_m, systemb_m, make_triangle()):
+        for backward in (False, True):
+            for k in range(system.p):
+                fl = system.flows[k]
+                arc = integrate(fl, 2 * fl.horizon, rng.uniform(-2.0, 2.0, 2),
+                                backward=backward)
+                for region in system.regions:
+                    for ns in (8, 16, 32, 64):
+                        got = _samples(arc, region.f, region.level, ns)
+                        want = _samples_by_composition(arc, region.f,
+                                                       region.level, ns)
+                        for a, b in zip(got, want):
+                            assert _same_bits(a, b)
+    # a constant value or derivative comes out of the kernel as one float
+    drift = Flow(VectorField([expr.parse("1", 2), expr.parse("0", 2)]), 2.0)
+    for backward in (False, True):
+        arc = integrate(drift, 1.5, [0.2, 0.1], backward=backward)
+        for text in ("0.5", "x1", "x2"):
+            f = expr.parse(text, 2)
+            got = _samples(arc, f, 0.25, 8)
+            for a, b in zip(got, _samples_by_composition(arc, f, 0.25, 8)):
+                assert _same_bits(a, b)
+
+
+def _lifted_systemb() -> RelaySystem:
+    """systemb in R^3: both flows gain x3' = -x3, both disks become balls."""
+    def sink(c: str) -> VectorField:
+        return VectorField([expr.parse(f"-0.5*(x1{c}) - x2", 3),
+                            expr.parse(f"(x1{c}) - 0.5*x2", 3),
+                            expr.parse("-x3", 3)])
+
+    def ball(c: str, i: int) -> Region:
+        return Region(expr.parse(f"0.25 - ((x1{c})^2 + x2^2 + x3^2)", 3), index=i)
+
+    return RelaySystem(n=3, p=2, flows=(Flow(sink("+1"), 4.0), Flow(sink("-1"), 4.0)),
+                       regions=(ball("-1", 0), ball("+1", 1)),
+                       box=[[-4.0] * 3, [4.0] * 3], beta=1)
+
+
+def test_fused_pass_in_three_dimensions_matches_the_composition():
+    # at n = 3 the einsum may sum its three products in another order, so
+    # the derivative is compared to the rounding of that sum
+    system = _lifted_systemb()
+    rng = np.random.default_rng(17)
+    for backward in (False, True):
+        for k in range(system.p):
+            fl = system.flows[k]
+            arc = integrate(fl, 2 * fl.horizon, rng.uniform(-2.0, 2.0, 3),
+                            backward=backward)
+            for region in system.regions:
+                for ns in (8, 16, 32, 64):
+                    ts, g, gdot, half = _samples(arc, region.f, region.level, ns)
+                    want = _samples_by_composition(arc, region.f, region.level, ns)
+                    assert _same_bits(ts, want[0]) and _same_bits(g, want[1])
+                    assert np.array_equal(half, want[3])
+                    _, pts, _ = arc._grid(ns)
+                    scale = np.einsum("ij,ij->i", np.abs(region.f.gradient(pts)),
+                                      np.abs(fl.field.value_batch(pts)))
+                    assert (np.abs(gdot - want[2]) <= 1e-15 * scale).all()
+
+
+def test_one_level_function_along_two_fields_reads_each_fields_derivative(
+        rotor_m, systemb_m):
+    # the kernel is cached per field: one keyed on f alone would hand the
+    # second flow the first flow's derivative
+    f = expr.parse("0.25 - ((x1-1)^2 + x2^2)", 2)
+    arcs = [integrate(fl, 3.0, [1.5, 0.3])
+            for fl in (rotor_m.flows[0], systemb_m.flows[0], rotor_m.flows[0])]
+    gdots = []
+    for arc in arcs:
+        got = _samples(arc, f, 0.0, 16)
+        assert _same_bits(got[2], _samples_by_composition(arc, f, 0.0, 16)[2])
+        gdots.append(got[2][0])
+    assert gdots[0] == gdots[2] != gdots[1]
+
+
+def test_repeated_scans_compile_the_lie_kernel_once(rotor_m, monkeypatch):
+    # the kernel over numpy columns is the one array compile a scan makes
+    compiled = []
+    compile_ = expr._compile
+
+    def counted(body, n, ns):
+        compiled.append(ns is expr._ARRAY_NS)
+        return compile_(body, n, ns)
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    region = Region(expr.parse("0.16 - ((x1+1)^2 + x2^2)", 2))
+    counts = []
+    for _ in range(3):
+        evs = find_crossings(rotor_m.flows[0], region, None, [1.3, 0.0], 3.0)
+        assert [e.t for e in evs] == pytest.approx([ROTOR_CROSS_T], abs=1e-9)
+        counts.append(len(compiled))
+    assert compiled.count(True) == 1
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_coarse_grid_lies_in_the_fine_grid_where_points_merge():
