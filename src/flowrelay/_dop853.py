@@ -31,6 +31,7 @@ inf or nan and rejects the step instead of raising.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -132,10 +133,6 @@ _E_ROWS = (np.array(_E5), np.array(_E3))
 _EXTRA_ROWS = [np.array(row[:s]) for s, row in enumerate(_A_EXTRA, _STAGES + 1)]
 _D_ROWS = np.array(_D)
 
-# (step, dense rows) of the float form per state size: pure functions, so
-# one cache serves all
-_GENERATED: dict[int, tuple[Callable, Callable]] = {}
-
 
 def _comb(coefs, i: int) -> str:
     """sum_j coefs[j] * k<j>_<i> over the nonzero coefficients, in order."""
@@ -194,16 +191,15 @@ def _dense_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _generated(n: int) -> tuple[Callable, Callable]:
     """The float form's step and dense-row functions for states of n
-    entries, generated on first use."""
-    got = _GENERATED.get(n)
-    if got is None:
-        scope = {"_sqrt": math.sqrt}
-        src = _step_source(n) + _dense_source(n)
-        exec(compile(src, f"<flowrelay-dop853-{n}>", "exec"), scope)
-        got = _GENERATED[n] = (scope["_step"], scope["_dense"])
-    return got
+    entries, generated on first use: pure functions, so one cache serves
+    all."""
+    scope = {"_sqrt": math.sqrt}
+    src = _step_source(n) + _dense_source(n)
+    exec(compile(src, f"<flowrelay-dop853-{n}>", "exec"), scope)
+    return scope["_step"], scope["_dense"]
 
 
 def _stacked(n: int, npts: int) -> tuple[Callable, Callable]:

@@ -108,13 +108,17 @@ def load_config(path: str | Path) -> geo.RelaySystem:
         if len(comps) != n:
             raise ConfigError(f"{prefix}field", f"expected {n} components, got {len(comps)}")
         exprs = [_parse_field(c, n, f"{prefix}field[{j}]") for j, c in enumerate(comps)]
+        try:
+            field = VectorField(exprs)
+        except ValueError as exc:
+            raise ConfigError(f"{prefix}field", str(exc)) from exc
         horizon = _req(fd, "T", float, prefix)
         if "integrator" in fd:
             raise ConfigError(f"{prefix}integrator",
                               "not supported: every flow is integrated with "
                               "DOP853 at rtol 1e-10, atol 1e-12")
         try:
-            flows.append(Flow(VectorField(exprs), horizon))
+            flows.append(Flow(field, horizon))
         except ValueError as exc:
             raise ConfigError(f"{prefix}T", str(exc)) from exc
 

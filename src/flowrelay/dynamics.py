@@ -10,12 +10,12 @@ the current state: each t_eval time is one vectorised Horner pass over the
 dense row of the step that holds it, as soon as that step is accepted, so
 its memory does not grow with the duration. The dense interpolant is
 built only where it is read. A FlowArc is the one reader of its rows: a
-point at a time through the step it read last (_point), its steps cut
-into equal pieces (_grid) as one product of a table of Horner weights with
-its rows, or any parameters (sample) as one Horner pass in the (n, N)
-layout. No stiff path. Backward time is a negative time span: the
-stepper steps the same field with negative steps, so both directions use
-the same compiled kernels.
+point at a time through the step it read last (_point) and a float kernel
+there (_read), its steps cut into equal pieces (_grid) as one product of
+a table of Horner weights with its rows, or any parameters (sample) as
+one Horner pass in the (n, N) layout. No stiff path. Backward time is a
+negative time span: the stepper steps the same field with negative steps,
+so both directions use the same compiled kernels.
 
 Each VectorField is compiled once into three fused kernels that the stepper
 calls on the state directly: the value, the variational right-hand side and
@@ -71,7 +71,7 @@ class VectorField:
     the variational right-hand side (n + n² entries), each a function of
     floats returning one tuple, and the value over numpy columns. They
     evaluate the same trees as Expression.evaluate/gradient, which jacobian
-    and value_batch read; the library calls neither, and the crossing scan
+    and value_batch read; the library calls neither, and crossing location
     reads the components through Expression._lie. Immutable after
     construction; evaluation is pure and thread-safe.
     """
@@ -95,11 +95,10 @@ class VectorField:
         self._value_cols = ex._compile(roots, n, ex._ARRAY_NS)
 
     def __call__(self, x) -> np.ndarray:
-        xs = [float(v) for v in x]
-        try:
-            return np.array(self._value(*xs))
-        except ex._EVAL_FAILURES as exc:
-            raise EvalError(f"field evaluation failed: {exc}") from exc
+        """The value at a point (n,) -> (n,); EvalError when an entry fails
+        or is not finite."""
+        return np.array(ex._floats(self._value, [float(v) for v in x],
+                                   "field evaluation"))
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at a batch of points (N, n) -> (N, n)."""
@@ -188,6 +187,11 @@ class FlowArc:
             self._last = t0, t1, coeffs
         x = (tau - t0) / (t1 - t0)
         return [_interpolate(c, x) for c in coeffs]
+
+    def _read(self, kernel, tau: float) -> tuple[float, ...]:
+        """kernel(*_point(tau)) for a kernel compiled over floats: EvalError
+        when it fails or returns a non-finite entry."""
+        return ex._floats(kernel, self._point(tau), "evaluation")
 
     def _grid(self, ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(taus, states, half): every step cut into ns equal pieces plus the

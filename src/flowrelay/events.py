@@ -15,11 +15,11 @@ FlowArc reads the dense rows (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.6); this module only evaluates f on what it returns. A sampling
 pass is FlowArc._grid: the states at the step fractions j/ns as one product
 of a cached table of DOP853's Horner weights with the rows, and the indices
-of the ns/2 scan among them. One compiled kernel over the states' columns
-(Expression._lie) returns f and its time derivative there, the Lie
-derivative L_V f = sum_j df/dx_j * V_j of f along the field. The polish
-reads FlowArc._point, which keeps the step it read last, so a Brent solve
-reads its step's row once.
+of the ns/2 scan among them. Expression._lie compiles one pair of trees,
+f and its Lie derivative L_V f = sum_j df/dx_j * V_j along the field,
+over the states' columns for the scan and over floats for FlowArc._read,
+the polish's, start check's and margins' read; FlowArc._point keeps the
+step it read last, so a Brent solve reads its step's row once.
 """
 from __future__ import annotations
 
@@ -73,13 +73,6 @@ class CrossingEvent:
     point: np.ndarray
     direction: int    # sign of d/dt [f(F^t(x))] at the crossing
     margin: float     # |d/dt [f(F^t(x))]|, the transversality margin
-
-
-def _gdot_at(arc: FlowArc, f: Expression, x: np.ndarray) -> float:
-    """d/dtau f along the arc at its state x: grad f(x) . V(x), negated on a
-    backward arc."""
-    sign = -1.0 if arc.backward else 1.0
-    return sign * float(f.gradient(x) @ arc.flow.field(x))
 
 
 _BRENT_ITER = 100
@@ -163,7 +156,7 @@ def _samples(arc: FlowArc, f: Expression, level: float, ns: int
     ts, pts, half = arc._grid(ns)
     with np.errstate(all="ignore"):
         g, gdot = (v if np.ndim(v) else np.full(len(ts), v)
-                   for v in f._lie(arc.flow.field)(*pts.T))
+                   for v in f._lie(arc.flow.field)[1](*pts.T))
     if not np.isfinite(g).all():
         raise EvalError("non-finite value in batched evaluation")
     if not np.isfinite(gdot).all():
@@ -238,17 +231,17 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     f = region.f
     if arc is None:
         arc = integrate(flow, t_end, np.asarray(x, float), backward=backward)
-    g0 = float(f.evaluate(arc.x0)) - lv
-    if abs(g0) <= DEFAULT_EVENTS.tol_level:
+    lie, sign = f._lie(arc.flow.field)[0], -1.0 if arc.backward else 1.0
+    if abs(arc._read(lie, 0.0)[0] - lv) <= DEFAULT_EVENTS.tol_level:
         raise StartOnBoundary("start point lies on the watched boundary")
 
     t_sep = DEFAULT_EVENTS.t_sep_rel * t_end
 
     def gfun(tau: float) -> float:
-        return f._value_at(arc._point(tau)) - lv
+        return arc._read(lie, tau)[0] - lv
 
     def gdfun(tau: float) -> float:
-        return _gdot_at(arc, f, arc(tau))
+        return sign * arc._read(lie, tau)[1]
 
     ns = DEFAULT_EVENTS.ns
     ts, g, gdot, coarse = _samples(arc, f, lv, 2 * ns)
@@ -281,16 +274,16 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
 
     events = []
     for r in roots:
-        y = arc(r)
-        resid = abs(float(f.evaluate(y)) - lv)
+        g_r, gdot_r = arc._read(lie, r)
+        resid = abs(g_r - lv)
         if resid > DEFAULT_EVENTS.tol_level:
             raise DegenerateCrossing(
                 f"root polish stalled at |g|={resid:.2e}", time=float(r))
-        slope = _gdot_at(arc, f, y)
+        slope = sign * gdot_r
         if abs(slope) <= DEFAULT_EVENTS.eps_tan:
             raise DegenerateCrossing(
                 f"tangential crossing, margin {abs(slope):.2e}", time=float(r))
-        events.append(CrossingEvent(float(r), y, int(np.sign(slope)), abs(slope)))
+        events.append(CrossingEvent(float(r), arc(r), int(np.sign(slope)), abs(slope)))
     return events
 
 

@@ -468,17 +468,20 @@ class Expression:
                 body, self.n, _ARRAY_NS if array else _SCALAR_NS)
         return fn
 
-    def _lie(self, field) -> Callable:
-        """(f, L_V f) over numpy columns: the value and the Lie derivative
-        sum_j df/dx_j * V_j, summed in index order, along the field V of
-        field.components. Built on first use per field object."""
-        fn = self._fns.get(field)
-        if fn is None:
+    def _lie(self, field) -> tuple[Callable, Callable]:
+        """(f, L_V f), the value and the Lie derivative sum_j df/dx_j * V_j,
+        summed in index order, along the field V of field.components: one
+        pair of trees compiled over floats and over numpy columns, in that
+        order. Built on first use per field object."""
+        fns = self._fns.get(field)
+        if fns is None:
             lie: Node = Num(0.0)
             for j, c in enumerate(field.components, 1):
                 lie = _n_add(lie, _n_mul(derive(self.root, j), c.root))
-            fn = self._fns[field] = _compile((self.root, lie), self.n, _ARRAY_NS)
-        return fn
+            fns = self._fns[field] = tuple(
+                _compile((self.root, lie), self.n, ns)
+                for ns in (_SCALAR_NS, _ARRAY_NS))
+        return fns
 
     def _check_point(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -486,22 +489,17 @@ class Expression:
             raise ValueError(f"point has dimension {arr.shape[-1:]}, expected {self.n}")
         return arr
 
-    def _value_at(self, xs: list[float]) -> float:
-        """The value at one point given as a list of n floats: evaluate's
-        one-point path, for callers that already hold floats."""
-        try:
-            out = self._compiled(False, False)(*xs)
-        except _EVAL_FAILURES as exc:
-            raise EvalError(f"evaluation failed: {exc}") from exc
-        if not math.isfinite(out):
-            raise EvalError(f"non-finite value {out!r}")
-        return out
-
     def evaluate(self, x) -> float | np.ndarray:
         """Evaluate at a point (n,) -> float, or a batch (..., n) -> (...,) array."""
         arr = self._check_point(x)
         if arr.ndim == 1:
-            return self._value_at(arr.tolist())
+            try:
+                out = self._compiled(False, False)(*arr.tolist())
+            except _EVAL_FAILURES as exc:
+                raise EvalError(f"evaluation failed: {exc}") from exc
+            if not math.isfinite(out):
+                raise EvalError(f"non-finite value {out!r}")
+            return out
         cols = [arr[..., j] for j in range(self.n)]
         with np.errstate(all="ignore"):
             out = self._compiled(True, False)(*cols)
@@ -516,13 +514,8 @@ class Expression:
         """Exact gradient at a point (n,) -> (n,), or a batch (..., n) -> (..., n)."""
         arr = self._check_point(x)
         if arr.ndim == 1:
-            try:
-                g = self._compiled(False, True)(*arr.tolist())
-            except _EVAL_FAILURES as exc:
-                raise EvalError(f"gradient failed: {exc}") from exc
-            if not all(map(math.isfinite, g)):
-                raise EvalError("non-finite gradient")
-            return np.array(g, dtype=float)
+            return np.array(_floats(self._compiled(False, True), arr.tolist(),
+                                    "gradient"), dtype=float)
         cols = [arr[..., j] for j in range(self.n)]
         with np.errstate(all="ignore"):
             parts = self._compiled(True, True)(*cols)
@@ -530,6 +523,18 @@ class Expression:
         if not np.all(np.isfinite(g)):
             raise EvalError("non-finite gradient")
         return g
+
+
+def _floats(fn: Callable, xs: list[float], what: str) -> tuple[float, ...]:
+    """fn(*xs) for a function compiled over floats that returns a tuple:
+    EvalError naming what when it fails or returns a non-finite entry."""
+    try:
+        out = fn(*xs)
+    except _EVAL_FAILURES as exc:
+        raise EvalError(f"{what} failed: {exc}") from exc
+    if not all(map(math.isfinite, out)):
+        raise EvalError(f"non-finite {what} {out!r}")
+    return out
 
 
 def _check_tree(node: Node, n: int) -> None:

@@ -14,9 +14,8 @@ from typing import Union
 import numpy as np
 
 from .dynamics import TIME_CAP_FACTOR, Flow, FlowArc, integrate
-from .errors import EvalError, NoCrossingWithinHorizon
+from .errors import NoCrossingWithinHorizon
 from .events import CrossingEvent, find_crossings
-from .expr import _EVAL_FAILURES
 from .geometry import RelaySystem
 from ._util import seeded_rng
 
@@ -213,14 +212,11 @@ def _arc_sample_times(arc: FlowArc, flow: Flow, delta_s: float,
     """Arc-length paced parameters plus mandatory event times, sorted."""
     ts = [0.0]
     t = 0.0
-    try:
-        while t < arc.duration:
-            speed = math.sqrt(sum(v * v for v in flow.field._value(*arc._point(t))))
-            dt = delta_s / max(speed, delta_s / arc.duration)
-            t = min(t + dt, arc.duration)
-            ts.append(t)
-    except _EVAL_FAILURES as exc:
-        raise EvalError(f"field evaluation failed: {exc}") from exc
+    while t < arc.duration:
+        speed = math.sqrt(sum(v * v for v in arc._read(flow.field._value, t)))
+        dt = delta_s / max(speed, delta_s / arc.duration)
+        t = min(t + dt, arc.duration)
+        ts.append(t)
     ts.extend(e for e in extra if 0.0 <= e <= arc.duration)
     return np.unique(np.asarray(ts))
 

@@ -67,6 +67,24 @@ def test_integrator_block_rejected(tmp_path, capsys):
     assert "config error: flows[0].integrator" in capsys.readouterr().err
 
 
+def test_field_without_components_names_the_field(tmp_path, capsys):
+    # dimension 0 admits empty fields, which VectorField refuses: the error
+    # names the field, not the horizon read next to it
+    doc = json.loads(SYSTEMB_CONFIG.read_text())
+    doc["dimension"] = 0
+    for fd in doc["flows"]:
+        fd["field"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc:
+        load_config(bad)
+    assert exc.value.keypath == "flows[0].field"
+    rc = main(["validate", "--config", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("config error: flows[0].field: vector "
+                                       "field needs at least one component\n")
+
+
 def _set_key(doc, path, value):
     *parents, last = path
     for key in parents:

@@ -476,6 +476,18 @@ def test_field_jacobian_and_batch_raise_on_a_non_finite_entry():
         f.value_batch(np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+def test_field_value_raises_on_a_non_finite_entry():
+    # the float kernel returns inf for 1e300*1e300*x1 at (1, 0); like
+    # jacobian and value_batch, the value refuses it
+    f = VectorField([expr.parse("1e300*1e300*x1", 2), expr.parse("x2", 2)])
+    with pytest.raises(EvalError, match="non-finite field evaluation"):
+        f([1.0, 0.0])
+    g = VectorField([expr.parse("sqrt(x1)", 2), expr.parse("x2", 2)])
+    with pytest.raises(EvalError, match="field evaluation failed"):
+        g([-1.0, 0.0])
+    assert g([4.0, 3.0]).tolist() == [2.0, 3.0]
+
+
 def test_variational_kernel_is_value_and_jacobian_product():
     f = VectorField([expr.parse("sin(x1)*x2 + x1^2*x3", 3),
                      expr.parse("exp(-x1*x2) - x3^3", 3),

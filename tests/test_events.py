@@ -14,8 +14,8 @@ from scipy.optimize import brentq
 from flowrelay import dynamics, events, expr
 from flowrelay.dynamics import Flow, FlowArc, VectorField, _cut_steps, integrate
 from flowrelay.errors import DegenerateCrossing, EvalError, OutOfSpan
-from flowrelay.events import (DEFAULT_EVENTS, _brentq, _gdot_at, _samples,
-                              _scan_roots, backward_leaf_parity, backward_tree,
+from flowrelay.events import (DEFAULT_EVENTS, _brentq, _samples, _scan_roots,
+                              backward_leaf_parity, backward_tree,
                               degree_check, find_crossings,
                               forward_leaf_parity, forward_tree)
 from flowrelay.geometry import Region, RelaySystem, sample_boundary
@@ -157,9 +157,10 @@ def _kept_cut(ts: np.ndarray, ns: int) -> np.ndarray:
 
 def _scalars(arc, f, level: float):
     """(g, gdot) over floats as find_crossings polishes them, on the arc's
-    single-point read."""
-    return (lambda tau: f._value_at(arc._point(tau)) - level,
-            lambda tau: _gdot_at(arc, f, arc(tau)))
+    single-point read of the float Lie kernel."""
+    lie, sign = f._lie(arc.flow.field)[0], -1.0 if arc.backward else 1.0
+    return (lambda tau: arc._read(lie, tau)[0] - level,
+            lambda tau: sign * arc._read(lie, tau)[1])
 
 
 def _scan_roots_by_loops(arc, f, level: float, ns: int) -> list[float]:
@@ -318,6 +319,39 @@ def test_fused_pass_in_three_dimensions_matches_the_composition():
                     scale = np.einsum("ij,ij->i", np.abs(region.f.gradient(pts)),
                                       np.abs(fl.field.value_batch(pts)))
                     assert (np.abs(gdot - want[2]) <= 1e-15 * scale).all()
+
+
+@pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+def test_margin_is_the_column_kernels_rate_bit_for_bit(rotor_m, systemb_m,
+                                                       backward):
+    # the scan, the polish and the reported crossing read one tree for the
+    # derivative: each margin is |L_V f| of the column kernel at the event
+    # point, bit for bit, and the direction is its sign along the arc
+    rng = np.random.default_rng(25)
+    sign = -1.0 if backward else 1.0
+    for system, want in ((systemb_m, 40), (rotor_m, 100), (_lifted_systemb(), 20)):
+        seen = 0
+        for _ in range(60):
+            k = int(rng.integers(system.p))
+            # a start within 0.8 of a boundary's centre (+-1, 0, ...)
+            x = rng.normal(size=system.n)
+            x *= rng.uniform(0.2, 0.8) / np.linalg.norm(x)
+            x[0] += rng.choice([-1.0, 1.0])
+            fl = system.flows[k]
+            for region in system.regions:
+                try:
+                    evs = find_crossings(fl, region, None, x, 2 * fl.horizon,
+                                         backward=backward)
+                except DegenerateCrossing:
+                    continue
+                if not evs:
+                    continue
+                pts = np.array([e.point for e in evs])
+                gdot = region.f._lie(fl.field)[1](*pts.T)[1]
+                assert _same_bits([e.margin for e in evs], np.abs(gdot))
+                assert [e.direction for e in evs] == (sign * np.sign(gdot)).tolist()
+                seen += len(evs)
+        assert seen >= want
 
 
 def test_one_level_function_along_two_fields_reads_each_fields_derivative(
@@ -503,7 +537,7 @@ def test_polish_g_reads_the_point_bit_for_bit(rotor_m, systemb_m):
             for tau in order:
                 want = _uncached_point(arc, tau)
                 assert _same_bits(arc._point(tau), want)
-                assert _same_bits(g(tau), region.f._value_at(want) - region.level)
+                assert _same_bits(g(tau), region.f.evaluate(want) - region.level)
         for bad in (arc.duration * (1.0 + 1e-12), -1e-300, math.nan):
             with pytest.raises(OutOfSpan):
                 arc._point(bad)
