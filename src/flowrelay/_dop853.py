@@ -18,11 +18,12 @@ dense row is built only for a step whose caller asks for it.
 - Floats: for each state size the two functions are generated as
   straight-line Python with the zero tableau entries dropped, the way
   expr._compile builds the field kernels.
-- Columns are stacked into one (n, N) array, with the stages in one
-  preallocated (16, n, N) buffer K. Every stage, solution, error and
-  dense-row sum is one matrix product of tableau rows with the flattened
-  stages, a[:s] @ K[:s].reshape(s, -1), the arithmetic of scipy's rk_step.
-  Dense rows are written into one preallocated (8, n, N) buffer.
+- Columns are stacked into one (n, N) array. The state y and the stages
+  K0..K15 are the rows of one preallocated buffer S. Once per step h times
+  the tableau rows, behind a column of ones, makes each stage argument,
+  the solution and each dense extra stage, y + h * (a @ K), one product
+  [1, h*a] @ S[:s + 1] into a preallocated buffer; the two error estimates
+  and the dense rows F3..F6 are one product each.
 
 A right-hand side maps the n state entries to a tuple of n entries (a
 column may come back as a scalar); a failing one propagates its own
@@ -126,12 +127,12 @@ _D = [
 ]
 _STAGES = len(_B)
 
-# the same coefficients as arrays, for the stacked form's matrix products
-_A_ROWS = [np.array(row[:s]) for s, row in enumerate(_A)]
-_B_ROW = np.array(_B)
-_E_ROWS = (np.array(_E5), np.array(_E3))
-_EXTRA_ROWS = [np.array(row[:s]) for s, row in enumerate(_A_EXTRA, _STAGES + 1)]
-_D_ROWS = np.array(_D)
+# the stacked form's tables: [1, h * _TABLE[r]] @ [y, K0..K15] is the
+# argument of K(r + 1) for r < 15, h * _TABLE[r] @ K the dense row F(r - 12)
+# after; _ERRORS maps K0..K12 to the E5 and E3 estimates
+_TABLE = np.array([row + [0.0] * (_STAGES + 4 - len(row))
+                   for row in _A[1:] + [_B] + _A_EXTRA + _D])
+_ERRORS = np.array([_E5, _E3])
 
 
 def _comb(coefs, i: int) -> str:
@@ -205,49 +206,53 @@ def _generated(n: int) -> tuple[Callable, Callable]:
 def _stacked(n: int, npts: int) -> tuple[Callable, Callable]:
     """The stacked form's step and dense-row functions for a batch of npts
     points of n entries, the same contract as the generated pair over
-    (n, npts) arrays. They share one stage buffer K, so the stages passed to
+    (n, npts) arrays. They share one stage buffer, so the stages passed to
     the dense rows are those of the last trial step, and every dense row is
     the one (8, n, npts) buffer, overwritten by the next."""
-    K = np.empty((_STAGES + 4, n, npts))
-    flat = K.reshape(len(K), n * npts)
+    S = np.empty((_STAGES + 5, n * npts))    # y, then the stages K0..K15
+    K = S[1:].reshape(_STAGES + 4, n, npts)
+    coefs = np.ones((len(_TABLE), _STAGES + 5))
+    z = np.empty(n * npts)                   # a stage argument, then the scale
+    Z = z.reshape(n, npts)
+    errs = np.empty((2, n * npts))
     row = np.empty((8, n, npts))
+    # the argument of K[s] is coefs[s - 1, :s + 1] @ S[:s + 1]
+    args = [(coefs[s - 1, :s + 1], S[:s + 1]) for s in range(1, _STAGES + 4)]
 
-    def put(s: int, entries) -> None:
-        """K[s] = the n entries, columns or scalars."""
-        for i, v in enumerate(entries):
-            K[s, i] = v
-
-    def stage(fun, s: int, y, coefs, h: float) -> None:
-        """K[s] = fun(y + (coefs @ K[:len(coefs)]) * h)."""
-        z = (coefs @ flat[:len(coefs)]).reshape(n, npts)
-        z *= h
-        z += y
-        put(s, fun(*z))
+    def stages(fun, first: int, stop: int) -> None:
+        """K[s] = fun(*argument of K[s]) for s in first..stop-1."""
+        for s in range(first, stop):
+            np.matmul(*args[s - 1], out=z)
+            for i, v in enumerate(fun(*Z)):
+                K[s, i] = v
 
     def step(fun, y, k0, h):
-        put(0, k0)
-        for s in range(1, _STAGES):
-            stage(fun, s, y, _A_ROWS[s], h)
-        y_new = y + (_B_ROW @ flat[:_STAGES]).reshape(n, npts) * h
-        put(_STAGES, fun(*y_new))
-        scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+        np.multiply(_TABLE, h, out=coefs[:, 1:])
+        S[0] = y.reshape(-1)
+        for i, v in enumerate(k0):
+            K[0, i] = v
+        stages(fun, 1, _STAGES + 1)          # the last argument is y_new
+        y_new = Z.copy()
         # each the mean over points of the scaled squares summed over
         # entries, as in the float form; e5 == 0 gives a zero norm whatever
         # e3 is, as in scipy
-        e5, e3 = (np.mean(np.sum(np.square(
-            (row @ flat[:_STAGES + 1]).reshape(n, npts) / scale), axis=0))
-            for row in _E_ROWS)
+        scale = np.maximum(np.abs(S[0], out=errs[0]), np.abs(z, out=errs[1]), out=z)
+        scale *= RTOL
+        scale += ATOL
+        np.matmul(_ERRORS, S[1:_STAGES + 2], out=errs)
+        np.divide(errs, scale, out=errs)
+        e5, e3 = np.add.reduce(np.square(errs, out=errs), axis=1) / npts
         err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
         return err, y_new, K[_STAGES].copy(), K
 
     def dense(fun, y, ks, y_new, f_new, h):
-        for s, coefs in enumerate(_EXTRA_ROWS, _STAGES + 1):
-            stage(fun, s, y, coefs, h)
+        stages(fun, _STAGES + 1, _STAGES + 4)
         row[0] = y
         row[1] = d = y_new - y
         row[2] = h * K[0] - d
         row[3] = 2 * d - h * (K[_STAGES] + K[0])
-        row[4:] = h * (_D_ROWS @ flat).reshape(len(_D), n, npts)
+        np.matmul(coefs[_STAGES + 3:, 1:], S[1:],
+                  out=row[4:].reshape(len(_D), n * npts))
         return row
 
     return step, dense

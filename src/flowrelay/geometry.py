@@ -248,6 +248,10 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
     - regular (j=0..p): gradient norms on sampled boundaries stay above
       the regularity floor.
 
+    Flow beta is solved once, for absorb, on the interior samples of region
+    beta-1 and boundary beta-1; entry[beta] reads those boundary rows at
+    the first grid time, the horizon.
+
     Margins are oriented so that positive means the condition holds with
     room; these are open conditions, so sampling + margins is the check. A
     condition whose boundary or interior samples cannot be drawn fails with
@@ -273,6 +277,26 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
             conditions.append(ConditionResult("regular", j, False,
                                               float("-inf"), note=str(exc)))
 
+    b = system.beta
+    if b is not None:
+        # at_grid[g, i]: the region-beta margin of batch row i at grid time g
+        batch = [boundary[b - 1].points] if b - 1 in boundary else []
+        absorb = None
+        try:
+            batch.insert(0, _interior_samples(system.chain_region(b - 1, lv), system.box,
+                                              m, seeded_rng(seed, "validate-absorb")))
+        except BoundaryNotFound as exc:
+            absorb = ConditionResult("absorb", b, False, float("-inf"), note=str(exc))
+        if batch:
+            pts, horizon = np.vstack(batch), system.flows[b - 1].horizon
+            states = flow_map_points(system.flows[b - 1], 2.0 * horizon, pts,
+                                     t_eval=np.linspace(horizon, 2.0 * horizon, grid))
+            at_grid = (system.chain_region(b, lv).f.evaluate(
+                states.reshape(-1, system.n)) - lv[b]).reshape(grid, len(pts))
+            if absorb is None:
+                absorb = ConditionResult("absorb", b, bool(at_grid.min() > 0.0),
+                                         float(at_grid.min()))
+
     for k in range(1, system.p + 1):
         region_k = system.chain_region(k, lv)
         src = boundary.get(k - 1)
@@ -285,32 +309,15 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
         vals = region_k.f.evaluate(src.points) - lv[k]
         conditions.append(ConditionResult(
             "disjoint", k, bool(vals.max() < 0.0), float(-vals.max())))
-
-        flow_k = system.flows[k - 1]
-        mapped = flow_map_points(flow_k, flow_k.horizon, src.points)
-        vals_T = region_k.f.evaluate(mapped) - lv[k]
+        if k == b:
+            vals_T = at_grid[0, -len(src):]
+        else:
+            flow_k = system.flows[k - 1]
+            mapped = flow_map_points(flow_k, flow_k.horizon, src.points)
+            vals_T = region_k.f.evaluate(mapped) - lv[k]
         conditions.append(ConditionResult(
             "entry", k, bool(vals_T.min() > 0.0), float(vals_T.min())))
 
-    if system.beta is not None:
-        b = system.beta
-        flow_b = system.flows[b - 1]
-        region_b = system.chain_region(b, lv)
-        src_region = system.chain_region(b - 1, lv)
-        rng = seeded_rng(seed, "validate-absorb")
-        try:
-            pts = _interior_samples(src_region, system.box, m, rng)
-        except BoundaryNotFound as exc:
-            conditions.append(ConditionResult("absorb", b, False, float("-inf"),
-                                              note=str(exc)))
-        else:
-            if b - 1 in boundary:
-                pts = np.vstack([pts, boundary[b - 1].points])
-            tm = 2.0 * flow_b.horizon
-            t_eval = np.linspace(flow_b.horizon, tm, grid)
-            states = flow_map_points(flow_b, tm, pts, t_eval=t_eval)
-            vals = region_b.f.evaluate(states.reshape(-1, system.n)) - lv[b]
-            conditions.append(ConditionResult(
-                "absorb", b, bool(vals.min() > 0.0), float(vals.min())))
-
+    if b is not None:
+        conditions.append(absorb)
     return ValidationReport(conditions, lv, m)

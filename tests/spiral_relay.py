@@ -47,6 +47,15 @@ class SpiralRelay:
         return t, self.foci[i] + shrink * np.array(
             [cos_t * d[0] - sin_t * d[1], sin_t * d[0] + cos_t * d[1]])
 
+    def flow(self, i: int, x: np.ndarray, t: float) -> np.ndarray:
+        """The states at time t under flow i from the rows of x:
+        x(t) - c_i = e^{-t/2} R(t) (x - c_i)."""
+        d = np.asarray(x, float) - self.foci[i]
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        turned = np.stack([cos_t * d[..., 0] - sin_t * d[..., 1],
+                           sin_t * d[..., 0] + cos_t * d[..., 1]], axis=-1)
+        return self.foci[i] + math.exp(-0.5 * t) * turned
+
     def point(self, theta: float) -> np.ndarray:
         """The boundary-0 point at angle theta about its center c_{p-1}."""
         return self.foci[-1] + self.rho[0] * np.array(

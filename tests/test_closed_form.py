@@ -1,17 +1,21 @@
-"""find_periodic against the exact orbits of systemb and the p = 3 triangle.
+"""find_periodic and validate_system against the exact flows of systemb and
+the p = 3 triangle.
 
 Both relays are linear spiral sinks with circular boundaries about the foci,
-so their return maps are explicit (tests/spiral_relay.py) and the exact
-orbit comes from no integrator."""
+so their flows and return maps are explicit (tests/spiral_relay.py), and the
+exact orbit and margins come from no integrator."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
 
+from flowrelay._util import seeded_rng
 from flowrelay.cli import load_config
+from flowrelay.geometry import _interior_samples, sample_boundary, validate_system
 from flowrelay.periodic import SolveOptions, continue_levels, find_periodic
 
 from conftest import REPO_ROOT, make_systemb
@@ -101,3 +105,37 @@ def test_continuation_path_follows_the_exact_orbits(offset_from, offset_to):
         (x0, durations), = SpiralRelay(exact.foci, levels).fixed_points()
         assert np.abs(sv.x - x0).max() < PATH_TOL
         assert np.abs(sv.t - durations).max() < PATH_TOL
+
+
+# the triangle copy with beta = 2 takes its absorb batch from region 1 and
+# boundary 1, which a mix-up of the beta - 1 and beta indices would miss
+@pytest.mark.parametrize("name, beta", [("systemb", 1), ("triangle", 1),
+                                        ("triangle", 2)])
+def test_validate_margins_match_the_closed_form(name, beta):
+    # validate_system's samples redrawn from its own streams, flowed by the
+    # closed form: entry[k] is region k's worst margin over boundary k - 1
+    # at horizon k, absorb[beta] the worst over the interior of region
+    # beta - 1 and boundary beta - 1 at each of the 16 grid times
+    system, exact, _ = _relay(name)
+    system = dataclasses.replace(system, beta=beta)
+    lv, m = system.levels(), 256
+
+    def worst(k: int, pts: np.ndarray, t: float) -> float:
+        states = exact.flow(k - 1, pts, t)
+        return float((system.chain_region(k, lv).f.evaluate(states) - lv[k]).min())
+
+    for seed in range(4):
+        got = {(c.name, c.index): c.margin
+               for c in validate_system(system, m=m, seed=seed).conditions}
+        boundary = [sample_boundary(system.chain_region(j, lv), system.box, m,
+                                    seeded_rng(seed, "validate", str(j))).points
+                    for j in range(system.p + 1)]
+        for k in range(1, system.p + 1):
+            want = worst(k, boundary[k - 1], system.flows[k - 1].horizon)
+            assert abs(got["entry", k] - want) < TOL
+        interior = _interior_samples(system.chain_region(beta - 1, lv), system.box,
+                                     m, seeded_rng(seed, "validate-absorb"))
+        pts = np.vstack([interior, boundary[beta - 1]])
+        horizon = system.flows[beta - 1].horizon
+        want = min(worst(beta, pts, t) for t in np.linspace(horizon, 2 * horizon, 16))
+        assert abs(got["absorb", beta] - want) < TOL

@@ -82,11 +82,16 @@ def _stacked(field: VectorField, t: float, pts: np.ndarray):
 
 @pytest.mark.parametrize("npts", [1, 7, 256])
 def test_batch_matches_stacked_solve_ivp(npts):
-    flows = [*make_systemb().flows, make_rotor().flows[0], *make_triangle().flows]
+    # a linear field forgives an error in a stage argument, so the pendulum
+    # and van der Pol run too; van der Pol's reversed flow escapes from
+    # outside its limit cycle, so its points start inside it, in |x_i| < 1
+    flows = [(fl, 2.0) for fl in (*make_systemb().flows, make_rotor().flows[0],
+                                  *make_triangle().flows)]
+    flows += [(Flow(_field(PENDULUM), 3.0), 2.0), (Flow(_field(VAN_DER_POL), 3.0), 1.0)]
     rng = np.random.default_rng(23)
-    for fl in flows:
+    for fl, width in flows:
         for sign in (1.0, -1.0):
-            pts = rng.uniform(-2.0, 2.0, (npts, 2))
+            pts = rng.uniform(-width, width, (npts, 2))
             t = float(rng.uniform(0.5, fl.horizon))
             ref = _stacked(fl.field, sign * t, pts)
             assert ref.success

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from flowrelay import dynamics, events, expr, geometry, periodic, relay
+from flowrelay import _dop853, dynamics, events, expr, geometry, periodic, relay
 from flowrelay.dynamics import Flow, VectorField, integrate
 from flowrelay.errors import BoundaryNotFound
 from flowrelay.geometry import (Region, RelaySystem, sample_boundary,
@@ -218,6 +218,35 @@ def test_validate_without_interior_fails_absorb():
     assert absorb[0].margin == -math.inf
     assert absorb[0].note == "region 0 has no interior in the box"
     assert all(c.passed for c in report.conditions if c.name == "regular")
+
+
+@pytest.mark.parametrize("make", [make_systemb, make_triangle])
+def test_validate_absorb_margin_is_at_most_entry(make):
+    # absorb[beta] takes its minimum over a superset of entry[beta]'s values:
+    # every grid time, from the first, the horizon, and interior and
+    # boundary points alike
+    system = make()
+    for seed in range(4):
+        got = {(c.name, c.index): c.margin
+               for c in validate_system(system, seed=seed).conditions}
+        assert got["absorb", system.beta] <= got["entry", system.beta]
+
+
+@pytest.mark.parametrize("make", [make_systemb, make_triangle, make_rotor])
+def test_validate_flows_each_batch_once(make, monkeypatch):
+    # one stacked solve per flow: flow beta's entry check reads its batch
+    # from the absorb solve
+    solve, stacked = _dop853.solve, []
+
+    def counted(fun, t_end, y0, solout):
+        if isinstance(y0[0], np.ndarray):
+            stacked.append(t_end)
+        return solve(fun, t_end, y0, solout)
+
+    monkeypatch.setattr(_dop853, "solve", counted)
+    system = make()
+    validate_system(system, m=64, seed=0)
+    assert len(stacked) == system.p
 
 
 _SV = periodic.SwitchingVector.of([1.5, 0.0], (2.0, 2.0))
