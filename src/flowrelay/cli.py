@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -199,17 +200,6 @@ def _resolve_levels(system: geo.RelaySystem, args) -> np.ndarray:
     return _parse_vector(args.levels, "--lambda", system.p + 1)
 
 
-def _sample_trajectory(traj: relay.Trajectory, per_segment: int = 256):
-    """Rows (t, mode, x1..xn) sampled uniformly inside each segment."""
-    rows = []
-    for seg, arc in zip(traj.segments, traj.arcs):
-        taus = np.linspace(0.0, seg.duration, per_segment)
-        states = arc.sample(taus) if seg.duration > 0 else np.array([seg.x0])
-        for tau, state in zip(taus, states):
-            rows.append([seg.t0 + tau, seg.mode, *state])
-    return rows
-
-
 def _write_csv(path: Path, header: list[str], rows) -> int:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -259,15 +249,13 @@ def _cmd_simulate(args, system, levels, outdir: Path):
     traj = relay.simulate(system, x0, args.k0, levels, policy,
                           max_switches=args.max_switches, t_max=args.t_max)
     strict, strict_excess = relay.strict_mode_check(system, traj)
-    rows = _sample_trajectory(traj)
+    rows = [[seg.t0 + tau, seg.mode, *state] for seg in traj.segments
+            for tau, state in zip(*seg.samples)]
     count = _write_csv(outdir / "trajectory.csv",
                        ["t", "mode"] + [f"x{i + 1}" for i in range(system.n)],
                        rows)
-    switches = [{"time": s.time, "point": list(s.point),
-                 "mode_before": s.mode_before, "mode_after": s.mode_after,
-                 "crossing_index": s.crossing_index, "margin": s.margin}
-                for s in traj.switches]
-    _write_json(outdir / "switches.json", switches)
+    _write_json(outdir / "switches.json",
+                [dataclasses.asdict(s) for s in traj.switches])
     print(f"{len(traj.switches)} switches, final time {traj.final_time:.6g}")
     return (0, {"switches": len(traj.switches), "rows": count,
                 "final_time": traj.final_time,

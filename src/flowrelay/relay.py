@@ -4,16 +4,19 @@ In mode k the state evolves under flow k and only boundary (k+1 mod p) is
 watched; which of its crossings triggers the switch is the policy's choice
 (trajectories are nonunique by design). Crossing search windows grow from
 one horizon up to the ten-horizon cap before the run is declared stuck.
+A simulated run is its segments; simulate samples none of their arcs, and
+the CSV export and the strict-mode check share each segment's samples.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .dynamics import TIME_CAP_FACTOR, Flow, FlowArc, integrate
+from .dynamics import TIME_CAP_FACTOR, FlowArc, integrate
 from .errors import NoCrossingWithinHorizon
 from .events import CrossingEvent, find_crossings
 from .geometry import RelaySystem
@@ -36,6 +39,7 @@ __all__ = [
 ]
 
 _WINDOW_GROWTH = (1.0, 2.0, 4.0, TIME_CAP_FACTOR)  # multiples of the horizon
+_SEGMENT_SAMPLES = 256  # per segment, even times over [0, duration], ends too
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,22 @@ SwitchPolicy = Union[FirstHit, NthHit, RandomHit]
 
 @dataclass
 class Segment:
+    """Flow `mode` carries x0 to x1 over duration > 0. arc, integrated from
+    x0, spans the crossing search's window, which can pass duration, or a
+    parked run's last duration; it is read only on [0, duration]."""
+
     mode: int
     t0: float          # absolute start time
     duration: float
     x0: np.ndarray
     x1: np.ndarray
+    arc: FlowArc = field(repr=False, compare=False)
+
+    @cached_property
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """(taus, states) at _SEGMENT_SAMPLES times, computed once."""
+        taus = np.linspace(0.0, self.duration, _SEGMENT_SAMPLES)
+        return taus, self.arc.sample(taus)
 
 
 @dataclass
@@ -81,18 +96,15 @@ class SwitchEvent:
 
 @dataclass
 class Trajectory:
-    """A mode-tagged switching trajectory.
-
-    Within each segment the state follows a single flow; at each switch the
-    mode increments cyclically and the switch point lies on the watched
-    boundary to level tolerance. Segments share endpoint arrays bit-for-bit.
+    """A mode-tagged switching trajectory: its segments, and the switch
+    that ends each but a run's cut or parked last one. The mode increments
+    cyclically at each switch, whose point lies on the watched boundary to
+    level tolerance. Segments share endpoint arrays bit-for-bit.
     """
 
-    k0: int
     levels: np.ndarray
     segments: list[Segment]
     switches: list[SwitchEvent]
-    arcs: list[FlowArc] = field(default_factory=list, repr=False)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -121,15 +133,13 @@ def _watched_events(system: RelaySystem, levels: np.ndarray, x: np.ndarray,
         f"{_WINDOW_GROWTH[-1]} horizons of flow {mode}")
 
 
-def _pick(policy: SwitchPolicy, events: list[CrossingEvent],
-          switch_count: int) -> tuple[int, CrossingEvent]:
-    if isinstance(policy, FirstHit):
-        return 0, events[0]
-    if isinstance(policy, NthHit):
-        return policy.n - 1, events[policy.n - 1]
-    rng = seeded_rng(policy.seed, "switch", str(switch_count))  # RandomHit
-    idx = int(rng.integers(0, len(events)))
-    return idx, events[idx]
+def _pick(policy: SwitchPolicy, events: list[CrossingEvent], need: int,
+          switch_count: int) -> int:
+    """The switching crossing's index: the need-th, or RandomHit's draw."""
+    if isinstance(policy, RandomHit):
+        rng = seeded_rng(policy.seed, "switch", str(switch_count))
+        return int(rng.integers(0, len(events)))
+    return need - 1
 
 
 def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
@@ -155,7 +165,6 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
     t_abs = 0.0
     segments: list[Segment] = []
     switches: list[SwitchEvent] = []
-    arcs: list[FlowArc] = []
 
     need = policy.n if isinstance(policy, NthHit) else 1
     # t_abs < t_max holds inside the loop: a run that reaches t_max stops
@@ -169,17 +178,15 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
             flow = system.flows[mode]
             dur = min(t_max - t_abs, _WINDOW_GROWTH[-1] * flow.horizon)
             arc = integrate(flow, dur, x)
-            segments.append(Segment(mode, t_abs, dur, x, arc.end))
-            arcs.append(arc)
+            segments.append(Segment(mode, t_abs, dur, x, arc.end, arc))
             break
-        idx, ev = _pick(policy, events, len(switches))
+        idx = _pick(policy, events, need, len(switches))
+        ev = events[idx]
         if t_max is not None and t_abs + ev.t > t_max:
             dur = t_max - t_abs
-            segments.append(Segment(mode, t_abs, dur, x, arc(dur)))
-            arcs.append(arc)
+            segments.append(Segment(mode, t_abs, dur, x, arc(dur), arc))
             break
-        segments.append(Segment(mode, t_abs, ev.t, x, ev.point))
-        arcs.append(arc)
+        segments.append(Segment(mode, t_abs, ev.t, x, ev.point, arc))
         switches.append(SwitchEvent(t_abs + ev.t, ev.point, mode,
                                     (mode + 1) % system.p, idx, ev.margin))
         x = ev.point
@@ -188,7 +195,7 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
         if t_max is not None and t_abs >= t_max:
             break
 
-    return Trajectory(k0, lv, segments, switches, arcs)
+    return Trajectory(lv, segments, switches)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +214,13 @@ class PointCloud:
         return len(self.points)
 
 
-def _arc_sample_times(arc: FlowArc, flow: Flow, delta_s: float,
+def _arc_sample_times(arc: FlowArc, delta_s: float,
                       extra: list[float]) -> np.ndarray:
     """Arc-length paced parameters plus mandatory event times, sorted."""
     ts = [0.0]
     t = 0.0
     while t < arc.duration:
-        speed = math.sqrt(sum(v * v for v in arc._read(flow.field._value, t)))
+        speed = math.sqrt(sum(v * v for v in arc._read(arc.flow.field._value, t)))
         dt = delta_s / max(speed, delta_s / arc.duration)
         t = min(t + dt, arc.duration)
         ts.append(t)
@@ -270,8 +277,7 @@ def accessible_set(system: RelaySystem, x0, k0: int = 0, levels=None,
             except NoCrossingWithinHorizon:
                 # stuck branch: keep one horizon of its arc, spawn nothing
                 evs, arc = [], integrate(flow, flow.horizon, br.x)
-            ev_times = [e.t for e in evs]
-            ts = _arc_sample_times(arc, flow, delta_s, ev_times)
+            ts = _arc_sample_times(arc, delta_s, [e.t for e in evs])
             base = len(pts)
             pts.extend(arc.sample(ts))
             depths.extend([level] * len(ts))
@@ -288,7 +294,6 @@ def accessible_set(system: RelaySystem, x0, k0: int = 0, levels=None,
     return PointCloud(np.array(pts), edges, np.asarray(depths, dtype=int))
 
 
-_STRICT_SAMPLES = 256   # samples per segment for the strict-mode check
 _STRICT_TOL = 1e-9      # interior excess the strict-mode check forgives
 
 
@@ -297,18 +302,15 @@ def strict_mode_check(system: RelaySystem,
     """Post-hoc check of the stricter trajectory notion: while in mode k the
     state never enters the interior of the watched region.
 
-    Returns (holds, worst interior excess). Reported only; no simulation
+    Read at each segment's samples, the states the CSV export writes.
+    Returns (holds, worst interior excess or 0). Reported only; no simulation
     path filters on it (first-hit runs satisfy it by construction, later-hit
     policies generally do not).
     """
     worst = 0.0
-    for seg, arc in zip(traj.segments, traj.arcs):
-        if seg.duration <= 0:
-            continue
-        watch = (seg.mode + 1) % system.p
-        region = system.chain_region(watch, traj.levels)
-        taus = np.linspace(0.0, seg.duration, _STRICT_SAMPLES)
-        vals = region.f.evaluate(arc.sample(taus)) - float(traj.levels[watch])
+    for seg in traj.segments:
+        region = system.chain_region((seg.mode + 1) % system.p, traj.levels)
+        vals = region.f.evaluate(seg.samples[1]) - region.level
         worst = max(worst, float(vals.max()))
     return worst <= _STRICT_TOL, worst
 

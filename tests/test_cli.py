@@ -10,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowrelay import periodic
 from flowrelay.cli import load_config, main
+from flowrelay.dynamics import FlowArc
 from flowrelay.errors import ConfigError
 
 from conftest import REPO_ROOT, ROTOR_CONFIG, SYSTEMB_CONFIG, ROTOR_CROSS_T
@@ -253,6 +255,45 @@ def test_simulate_command_files(tmp_path):
     assert list(rows[0].keys()) == ["t", "mode", "x1", "x2"]
     switches = json.loads((tmp_path / "switches.json").read_text())
     assert len(switches) == 3
+
+
+def test_simulate_samples_each_segment_once(tmp_path, monkeypatch):
+    # the CSV rows and the strict-mode check read one table per segment
+    calls = []
+    sample = FlowArc.sample
+
+    def counted(self, taus):
+        calls.append(len(taus))
+        return sample(self, taus)
+
+    monkeypatch.setattr(FlowArc, "sample", counted)
+    rc = main(["simulate", "--config", str(SYSTEMB_CONFIG), "--x0", "1.5,0",
+               "--max-switches", "10", "--out", str(tmp_path)])
+    assert rc == 0
+    assert calls == [256] * 10
+
+
+@pytest.mark.parametrize("config, flags, strict", [
+    (ROTOR_CONFIG, ["--x0", "1.0,0", "--policy", "nth:2", "--max-switches", "4"],
+     False),
+    (SYSTEMB_CONFIG, ["--x0", "1.5,0", "--max-switches", "10"], True),
+])
+def test_strict_mode_reads_the_csv_states(tmp_path, config, flags, strict):
+    rc = main(["simulate", "--config", str(config), *flags,
+               "--out", str(tmp_path)])
+    assert rc == 0
+    metrics = json.loads((tmp_path / "simulate_report.json").read_text())["metrics"]
+    with (tmp_path / "trajectory.csv").open() as fh:
+        rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+    system = load_config(config)
+    levels = system.levels()
+    excess = 0.0
+    for mode in range(system.p):
+        states = np.array([row[2:] for row in rows if row[1] == mode])
+        region = system.chain_region((mode + 1) % system.p, levels)
+        excess = max(excess, float((region.f.evaluate(states) - region.level).max()))
+    assert metrics["strict_mode"] is strict
+    assert metrics["strict_mode_excess"] == excess
 
 
 def test_simulate_requires_stop_flag(tmp_path):

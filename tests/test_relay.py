@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from flowrelay import relay
-from flowrelay.dynamics import flow_map, integrate
+from flowrelay.dynamics import FlowArc, flow_map, integrate
 from flowrelay.errors import NoCrossingWithinHorizon
 from flowrelay.relay import (FirstHit, NthHit, PointCloud,
                              RandomHit, _pairs_within, accessible_set,
@@ -94,8 +94,26 @@ def test_t_max_cuts_the_last_arc(systemb_m):
     traj = simulate(systemb_m, [1.5, 0.0], 0, t_max=20.0)
     last = traj.segments[-1]
     assert len(traj.segments) == len(traj.switches) + 1
-    assert last.t0 < 20.0 < last.t0 + traj.arcs[-1].duration
-    assert np.array_equal(traj.final_state, traj.arcs[-1](20.0 - last.t0))
+    assert last.t0 < 20.0 < last.t0 + traj.segments[-1].arc.duration
+    assert np.array_equal(traj.final_state, traj.segments[-1].arc(20.0 - last.t0))
+
+
+def test_simulate_samples_no_arc(systemb_m, rotor_m, monkeypatch):
+    # the benchmark's switching runs stay free of per-segment tables: only
+    # the callers that read Segment.samples pay for them
+    def refuse(self, taus):
+        raise AssertionError("simulate sampled an arc")
+
+    monkeypatch.setattr(FlowArc, "sample", refuse)
+    ten = simulate(systemb_m, [1.5, 0.0], 0, max_switches=10)
+    assert len(ten.segments) == 10
+    cut = simulate(systemb_m, [1.5, 0.0], 0, t_max=20.0)
+    assert len(cut.segments) == len(cut.switches) + 1
+    assert cut.final_time == 20.0
+    nth = simulate(rotor_m, [1.0, 0.0], 0, policy=NthHit(2), max_switches=4)
+    assert [s.crossing_index for s in nth.switches] == [1, 1, 1, 1]
+    parked = simulate(rotor_m, [2.5, 0.0], 0, t_max=5.0)
+    assert parked.switches == [] and parked.final_time == 5.0
 
 
 def test_replay_reproduces_segment_endpoints(systemb_m):
