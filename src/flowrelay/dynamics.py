@@ -72,7 +72,7 @@ class VectorField:
     floats returning one tuple, and the value over numpy columns. They
     evaluate the same trees as Expression.evaluate/gradient, which jacobian
     and value_batch read; the library calls neither, and crossing location
-    reads the components through Expression._lie. Immutable after
+    reads the components through Expression._kernels. Immutable after
     construction; evaluation is pure and thread-safe.
     """
 
@@ -214,8 +214,8 @@ class FlowArc:
 
     def sample(self, taus) -> np.ndarray:
         """Dense states at many parameters, shape (len(taus), n): one Horner
-        pass over all of them in the (n, N) layout, whose operations each
-        run over contiguous memory, returned transposed."""
+        pass over their steps' rows, taken as one (8, n, N) array, whose
+        operations each run over contiguous memory, returned transposed."""
         taus = np.asarray(taus, float)
         n = self.flow.field.n
         if taus.size == 0:
@@ -225,19 +225,8 @@ class FlowArc:
         ts = self.ts
         i = np.clip(np.searchsorted(ts, taus) - 1, 0, len(self._table) - 1)
         x = (taus - ts[i]) / (ts[i + 1] - ts[i])
-        levels = self._table.reshape(-1, 8, n).transpose(1, 2, 0).copy()
-        return _interpolate(_Gathered(levels, i), x).T
-
-
-class _Gathered:
-    """c of _interpolate at the samples of steps i: c[k] is level k of
-    their rows, gathered when read as one (n, N) array."""
-
-    def __init__(self, levels: np.ndarray, i: np.ndarray):
-        self.levels, self.i = levels, i
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.levels[k].take(self.i, axis=1)
+        levels = self._table.reshape(-1, 8, n).transpose(1, 2, 0)
+        return _interpolate(levels.take(i, axis=2), x).T
 
 
 def _interpolate(c, x):

@@ -15,11 +15,13 @@ FlowArc reads the dense rows (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.6); this module only evaluates f on what it returns. A sampling
 pass is FlowArc._grid: the states at the step fractions j/ns as one product
 of a cached table of DOP853's Horner weights with the rows, and the indices
-of the ns/2 scan among them. Expression._lie compiles one pair of trees,
-f and its Lie derivative L_V f = sum_j df/dx_j * V_j along the field,
-over the states' columns for the scan and over floats for FlowArc._read,
-the polish's, start check's and margins' read; FlowArc._point keeps the
-step it read last, so a Brent solve reads its step's row once.
+of the ns/2 scan among them. g and ġ come from one kernel of the level
+function (expr's kernel contract): f and L_V f = sum_j df/dx_j * V_j along
+the arc's field, negated on a backward arc, so ġ is the rate in elapsed
+time either way. The scan calls it over the states' columns (expr._columns),
+FlowArc._read over floats for the polish, start check and margins;
+FlowArc._point keeps the step it read last, so a Brent solve reads its
+step's row once.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Flow, FlowArc, integrate
-from .errors import DegenerateCrossing, EvalError, StartOnBoundary
-from .expr import Expression
+from . import expr as ex
+from .errors import DegenerateCrossing, StartOnBoundary
 from .geometry import Region, RelaySystem, sample_boundary
 from ._util import seeded_rng
 
@@ -148,20 +150,14 @@ def _brentq(f: Callable[[float], float], xa, xb, xtol: float,
                        f"value is {xcur}")
 
 
-def _samples(arc: FlowArc, f: Expression, level: float, ns: int
+def _samples(arc: FlowArc, f: ex.Expression, level: float, ns: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(ts, g, gdot, half): one sampling pass (FlowArc._grid), every step
     cut into ns pieces, g and its time derivative there, and the indices of
     the ns/2 scan among them."""
     ts, pts, half = arc._grid(ns)
-    with np.errstate(all="ignore"):
-        g, gdot = (v if np.ndim(v) else np.full(len(ts), v)
-                   for v in f._lie(arc.flow.field)[1](*pts.T))
-    if not np.isfinite(g).all():
-        raise EvalError("non-finite value in batched evaluation")
-    if not np.isfinite(gdot).all():
-        raise EvalError("non-finite gradient along the field")
-    return ts, g - level, -gdot if arc.backward else gdot, half
+    g, gdot = ex._columns(f._kernels[arc.flow.field, arc.backward], pts.T)
+    return ts, g - level, gdot, half
 
 
 def _scan_brackets(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
@@ -231,7 +227,7 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     f = region.f
     if arc is None:
         arc = integrate(flow, t_end, np.asarray(x, float), backward=backward)
-    lie, sign = f._lie(arc.flow.field)[0], -1.0 if arc.backward else 1.0
+    lie = f._kernels[arc.flow.field, arc.backward].floats
     if abs(arc._read(lie, 0.0)[0] - lv) <= DEFAULT_EVENTS.tol_level:
         raise StartOnBoundary("start point lies on the watched boundary")
 
@@ -241,7 +237,7 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
         return arc._read(lie, tau)[0] - lv
 
     def gdfun(tau: float) -> float:
-        return sign * arc._read(lie, tau)[1]
+        return arc._read(lie, tau)[1]
 
     ns = DEFAULT_EVENTS.ns
     ts, g, gdot, coarse = _samples(arc, f, lv, 2 * ns)
@@ -274,12 +270,11 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
 
     events = []
     for r in roots:
-        g_r, gdot_r = arc._read(lie, r)
+        g_r, slope = arc._read(lie, r)
         resid = abs(g_r - lv)
         if resid > DEFAULT_EVENTS.tol_level:
             raise DegenerateCrossing(
                 f"root polish stalled at |g|={resid:.2e}", time=float(r))
-        slope = sign * gdot_r
         if abs(slope) <= DEFAULT_EVENTS.eps_tan:
             raise DegenerateCrossing(
                 f"tangential crossing, margin {abs(slope):.2e}", time=float(r))

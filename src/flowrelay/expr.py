@@ -9,19 +9,23 @@ Grammar (whitespace-insensitive)::
     atom   := number | var | func "(" expr ")" | "(" expr ")"
     var    := "x" digit+            (1-based, up to the declared dimension)
     func   := "sin"|"cos"|"exp"|"sqrt"|"tanh"
+    number := a decimal literal that is finite (1e999 is a ParseError)
 
 An :class:`Expression` is immutable after :func:`parse`; evaluation and
 differentiation are pure, so one instance may be shared across workers.
 Derivatives are exact: :func:`derive` applies the forward-mode chain rule
-to the AST once, and the n partials compile into one gradient function,
-like the value (no finite differences).
+to the AST once (no finite differences). The kernel contract: each body an
+Expression reads (its value, its n partials, (f, L_V f) along a field) is
+compiled on first use over floats and over numpy columns into one cache,
+and called only through _floats and _columns, which raise EvalError on a
+failed or non-finite entry.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -204,6 +208,9 @@ class _Parser:
     def _atom(self) -> Node:
         kind, value, pos = self._advance()
         if kind == "num":
+            if not math.isfinite(float(value)):
+                raise ParseError(f"literal {value} is not finite", pos,
+                                 expected="a finite number")
             return Num(float(value))
         if kind == "name":
             if value in FUNCTIONS:
@@ -272,7 +279,8 @@ def _wrap(s: str, prec: int, ctx: int) -> str:
 
 def _emit(node: Node) -> str:
     if isinstance(node, Num):
-        return repr(node.value)
+        # folding in derive may overflow a constant; inf and nan are no literals
+        return repr(node.value) if math.isfinite(node.value) else f"float('{node.value}')"
     if isinstance(node, Var):
         return f"x{node.index}"
     if isinstance(node, Neg):
@@ -303,19 +311,80 @@ _ARRAY_NS = {
 }
 
 
-def _compile(body: Node | tuple[Node, ...], n: int, ns: dict) -> Callable:
-    """Compile one tree to a function of x1..xn, or a tuple of trees to a
-    function returning the tuple of their values, with the functions of ns
-    (_SCALAR_NS over floats, _ARRAY_NS over numpy columns)."""
+def _compile(body: tuple[Node, ...], n: int, ns: dict) -> Callable:
+    """Compile a tuple of trees to a function of x1..xn returning the tuple
+    of their values, with the functions of ns (_SCALAR_NS over floats,
+    _ARRAY_NS over numpy columns)."""
     args = ", ".join(f"x{i}" for i in range(1, n + 1))
-    if isinstance(body, Node):
-        ret = _emit(body)
-    else:
-        ret = "(" + "".join(f"{_emit(b)}, " for b in body) + ")"
+    ret = "(" + "".join(f"{_emit(b)}, " for b in body) + ")"
     src = f"def _fn({args}):\n    return {ret}\n"
     scope = dict(ns)
     exec(compile(src, "<flowrelay-expr>", "exec"), scope)
     return scope["_fn"]
+
+
+class _Kernel(NamedTuple):
+    floats: Callable    # over floats, for _floats
+    columns: Callable   # over numpy columns, for _columns
+    names: tuple[str, ...]   # of the entries, for errors
+
+
+class _Kernels(dict):
+    """An expression's kernel cache: kernels[key] compiles one body on first
+    use. "value" is (f,), "gradient" the n exact partials, (field, backward)
+    is (f, L_V f) along field.components, L_V f = sum_j df/dx_j * V_j in
+    index order, negated (exactly) when backward: the rate in elapsed time."""
+
+    __slots__ = ("root", "n")
+
+    def __init__(self, root: Node, n: int):
+        super().__init__()
+        self.root, self.n = root, n
+
+    def __missing__(self, key) -> _Kernel:
+        root, n = self.root, self.n
+        if key == "value":
+            body, names = (root,), ("value",)
+        elif key == "gradient":
+            body = tuple(derive(root, j) for j in range(1, n + 1))
+            names = tuple(f"gradient (d/dx{j})" for j in range(1, n + 1))
+        else:
+            field, backward = key
+            lie: Node = Num(0.0)
+            for j, c in enumerate(field.components, 1):
+                lie = _n_add(lie, _n_mul(derive(root, j), c.root))
+            body = (root, Neg(lie) if backward else lie)
+            names = ("value", "gradient along the field")
+        kernel = self[key] = _Kernel(_compile(body, n, _SCALAR_NS),
+                                     _compile(body, n, _ARRAY_NS), names)
+        return kernel
+
+
+def _floats(fn: Callable, xs: list[float], what: str) -> tuple[float, ...]:
+    """fn(*xs) for a function compiled over floats: EvalError naming what
+    when it fails or returns a non-finite entry."""
+    try:
+        out = fn(*xs)
+    except _EVAL_FAILURES as exc:
+        raise EvalError(f"{what} failed: {exc}") from exc
+    if not all(map(math.isfinite, out)):
+        raise EvalError(f"non-finite {what} {out!r}")
+    return out
+
+
+def _columns(kernel: _Kernel, cols) -> list[np.ndarray]:
+    """kernel.columns(*cols) over numpy columns of one shape, without
+    numpy's warnings: each entry as an array of that shape (a constant one
+    is broadcast, the others are passed through uncopied), EvalError naming
+    the first entry that is not finite."""
+    with np.errstate(all="ignore"):
+        out = kernel.columns(*cols)
+    shape = np.shape(cols[0])
+    out = [v if np.shape(v) == shape else np.full(shape, v) for v in out]
+    for v, name in zip(out, kernel.names):
+        if not np.isfinite(v).all():
+            raise EvalError(f"non-finite {name} in batched evaluation")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +500,7 @@ def derive(node: Node, index: int) -> Node:
 class Expression:
     """An immutable parsed expression over variables x1..xn."""
 
-    __slots__ = ("root", "n", "_fns")
+    __slots__ = ("root", "n", "_kernels")
 
     def __init__(self, root: Node, n: int):
         if n < 1:
@@ -439,7 +508,7 @@ class Expression:
         _check_tree(root, n)
         self.root = root
         self.n = n
-        self._fns: dict = {}
+        self._kernels = _Kernels(root, n)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Expression)
@@ -456,85 +525,26 @@ class Expression:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _compiled(self, array: bool, grad: bool) -> Callable:
-        """The compiled function of floats, or with array of numpy columns
-        (constant parts come back as plain floats): the value, or with grad
-        the tuple of the n partials. Built on first use."""
-        fn = self._fns.get((array, grad))
-        if fn is None:
-            body = (tuple(derive(self.root, j) for j in range(1, self.n + 1))
-                    if grad else self.root)
-            fn = self._fns[array, grad] = _compile(
-                body, self.n, _ARRAY_NS if array else _SCALAR_NS)
-        return fn
-
-    def _lie(self, field) -> tuple[Callable, Callable]:
-        """(f, L_V f), the value and the Lie derivative sum_j df/dx_j * V_j,
-        summed in index order, along the field V of field.components: one
-        pair of trees compiled over floats and over numpy columns, in that
-        order. Built on first use per field object."""
-        fns = self._fns.get(field)
-        if fns is None:
-            lie: Node = Num(0.0)
-            for j, c in enumerate(field.components, 1):
-                lie = _n_add(lie, _n_mul(derive(self.root, j), c.root))
-            fns = self._fns[field] = tuple(
-                _compile((self.root, lie), self.n, ns)
-                for ns in (_SCALAR_NS, _ARRAY_NS))
-        return fns
-
-    def _check_point(self, x) -> np.ndarray:
+    def _call(self, key, x) -> tuple[float, ...] | list[np.ndarray]:
+        """The entries of a body at a point (n,), as floats, or at a batch
+        (..., n), as arrays of shape (...,)."""
         arr = np.asarray(x, dtype=float)
         if arr.shape[-1:] != (self.n,):
             raise ValueError(f"point has dimension {arr.shape[-1:]}, expected {self.n}")
-        return arr
+        if arr.ndim == 1:
+            return _floats(self._kernels[key].floats, arr.tolist(), key)
+        return _columns(self._kernels[key], [arr[..., j] for j in range(self.n)])
 
     def evaluate(self, x) -> float | np.ndarray:
         """Evaluate at a point (n,) -> float, or a batch (..., n) -> (...,) array."""
-        arr = self._check_point(x)
-        if arr.ndim == 1:
-            try:
-                out = self._compiled(False, False)(*arr.tolist())
-            except _EVAL_FAILURES as exc:
-                raise EvalError(f"evaluation failed: {exc}") from exc
-            if not math.isfinite(out):
-                raise EvalError(f"non-finite value {out!r}")
-            return out
-        cols = [arr[..., j] for j in range(self.n)]
-        with np.errstate(all="ignore"):
-            out = self._compiled(True, False)(*cols)
-        out = np.asarray(out, dtype=float)
-        if out.shape != arr.shape[:-1]:
-            out = np.broadcast_to(out, arr.shape[:-1]).copy()
-        if not np.all(np.isfinite(out)):
-            raise EvalError("non-finite value in batched evaluation")
-        return out
+        return self._call("value", x)[0]
 
     def gradient(self, x) -> np.ndarray:
         """Exact gradient at a point (n,) -> (n,), or a batch (..., n) -> (..., n)."""
-        arr = self._check_point(x)
-        if arr.ndim == 1:
-            return np.array(_floats(self._compiled(False, True), arr.tolist(),
-                                    "gradient"), dtype=float)
-        cols = [arr[..., j] for j in range(self.n)]
-        with np.errstate(all="ignore"):
-            parts = self._compiled(True, True)(*cols)
-        g = np.stack([np.broadcast_to(d, arr.shape[:-1]) for d in parts], axis=-1)
-        if not np.all(np.isfinite(g)):
-            raise EvalError("non-finite gradient")
-        return g
-
-
-def _floats(fn: Callable, xs: list[float], what: str) -> tuple[float, ...]:
-    """fn(*xs) for a function compiled over floats that returns a tuple:
-    EvalError naming what when it fails or returns a non-finite entry."""
-    try:
-        out = fn(*xs)
-    except _EVAL_FAILURES as exc:
-        raise EvalError(f"{what} failed: {exc}") from exc
-    if not all(map(math.isfinite, out)):
-        raise EvalError(f"non-finite {what} {out!r}")
-    return out
+        parts = self._call("gradient", x)
+        if isinstance(parts, tuple):   # a point: _floats' tuple
+            return np.array(parts, dtype=float)
+        return np.stack(parts, axis=-1)
 
 
 def _check_tree(node: Node, n: int) -> None:
@@ -543,6 +553,8 @@ def _check_tree(node: Node, n: int) -> None:
             raise UnknownVariableError(f"variable x{node.index} outside x1..x{n}", -1)
         return
     if isinstance(node, Num):
+        if not math.isfinite(node.value):
+            raise ValueError(f"constant {node.value} is not finite")
         return
     if isinstance(node, (Neg,)):
         _check_tree(node.arg, n)

@@ -109,6 +109,10 @@ _BAD_VALUES = {
     "box inverted": (("bounding_box", 1), [-5, 4], "bounding box"),
     "beta fractional": (("beta",), 1.7, "beta"),
     "beta bool": (("beta",), True, "beta"),
+    "field literal overflow": (("flows", 0, "field", 0), "1e999*x1",
+                               "flows[0].field[0]"),
+    "level literal overflow": (("regions", 1, "f"), "0.25 - 1e400*x1^2",
+                               "regions[1].f"),
 }
 
 
@@ -188,6 +192,32 @@ def test_validate_without_interior_is_a_failed_validation(tmp_path, capsys):
                             parse_constant=strict)
     absorb, = [c for c in validation["conditions"] if c["name"] == "absorb"]
     assert absorb["margin"] is None
+
+
+def test_validate_with_an_unsampled_boundary_fails_with_null_margins(tmp_path,
+                                                                     capsys):
+    # boundary 1 is a circle around (10, 0), outside the box [-4, 4]^2
+    doc = json.loads(SYSTEMB_CONFIG.read_text())
+    doc["regions"][1]["f"] = "0.25 - ((x1-10)^2 + x2^2)"
+    config = tmp_path / "far_disk.json"
+    config.write_text(json.dumps(doc))
+    rc = main(["validate", "--config", str(config), "--samples", "16",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    out = capsys.readouterr().out
+    note = ("no boundary of region 1 at level 0.0 found in the box after "
+            "20 batches")
+    assert f"regular[1] FAIL margin=-inf {note}" in out
+    for name in ("disjoint", "entry"):
+        assert f"{name}[2] FAIL margin=-inf no source boundary samples" in out
+    validation = json.loads((tmp_path / "validation.json").read_text())
+    unsampled = {(c["name"], c["index"]): c for c in validation["conditions"]
+                 if c["margin"] is None}
+    assert sorted(unsampled) == [("disjoint", 2), ("entry", 2), ("regular", 1)]
+    assert unsampled["regular", 1]["note"] == note
+    assert not any(c["passed"] for c in unsampled.values())
+    report = json.loads((tmp_path / "validate_report.json").read_text())
+    assert report["outcome"] == "validation_failed"
 
 
 def test_validate_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -401,6 +431,20 @@ def test_module_entrypoint_runs():
     assert proc.stdout.strip()
 
 
+def test_random_policy_rerun_is_byte_identical(tmp_path):
+    outputs = []
+    for d in ("a", "b"):
+        rc = main(["simulate", "--config", str(SYSTEMB_CONFIG), "--x0", "1.5,0",
+                   "--policy", "random", "--seed", "5", "--max-switches", "10",
+                   "--out", str(tmp_path / d)])
+        assert rc == 0
+        outputs.append([(tmp_path / d / name).read_bytes() for name in
+                        ("trajectory.csv", "switches.json", "simulate_report.json")])
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0][2])
+    assert report["seed"] == 5 and report["metrics"]["switches"] == 10
+
+
 def test_reports_byte_identical(tmp_path):
     for d in ("a", "b"):
         rc = main(["degree-check", "--config", str(SYSTEMB_CONFIG),
@@ -468,8 +512,14 @@ BAD_INPUTS = [
     _SIM + ["--x0", "1.5,0", "--t-max", "-1"],
     _SIM + ["--x0", "1.5,0", "--t-max", "inf"],
     _SIM + ["--x0", "1.5,0", "--max-switches", "1", "--k0", "2"],
+    _SIM + ["--x0", "a,b", "--max-switches", "1"],
+    _SIM + ["--x0", "1.5,0", "--policy", "last", "--max-switches", "1"],
     _CROSS + ["--window", "0"],
     _CROSS + ["--window", "100"],   # past the ten-horizon time cap
+    ["crossings", "--config", str(ROTOR_CONFIG), "--flow", "3", "--region", "1",
+     "--x0", "1.3,0", "--window", "3"],
+    ["crossings", "--config", str(ROTOR_CONFIG), "--flow", "1", "--region", "3",
+     "--x0", "1.3,0", "--window", "3"],
     _ACC + ["--depth", "-1"],
     _ACC + ["--breadth", "0"],
     _ACC + ["--k0", "5"],

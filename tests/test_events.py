@@ -77,6 +77,80 @@ def test_tangential_crossing_degenerate(rotor_m):
                        [0.0, 1.3], 2 * math.pi)
 
 
+# level functions on the rotor flow from (1.3, 0), window 3, that reach each
+# DegenerateCrossing of find_crossings past the scan's grazing test, as
+# (f, message, time of the failure or None)
+_DEGENERATE_RELAYS = {
+    # roots 0.0024 apart in time or more, closer than 64 pieces of a 0.33 step:
+    # each density finds another set
+    "unresolved": ("cos(1000*x2)", "unresolved at 64 subsamples", None),
+    # a band 2e-7 wide in x2 at x2 = 0.5, crossed in 1.7e-7 <= t_sep = 3e-7;
+    # its peak 1e-8 stays above the graze floor 1e-9
+    "root pair": ("1e6*(1e-14 - (x2 - 0.5)^2)", "root pair separated",
+                  math.asin(0.5 / 1.3)),
+    # the rotor's boundary-1 crossing with |ġ| scaled below eps_tan = 1e-8
+    "tangential": ("1e-9*(0.16 - ((x1+1)^2 + x2^2))", "tangential crossing",
+                   ROTOR_CROSS_T),
+    # and scaled so that the root's rounding leaves |g| above tol_level
+    "polish stalled": ("1e10*(0.16 - ((x1+1)^2 + x2^2))",
+                       "root polish stalled", ROTOR_CROSS_T),
+}
+
+
+@pytest.mark.parametrize("case", list(_DEGENERATE_RELAYS))
+def test_degenerate_crossing_is_raised_for_each_cause(rotor_m, case):
+    text, message, time = _DEGENERATE_RELAYS[case]
+    region = Region(expr.parse(text, 2))
+    with pytest.raises(DegenerateCrossing, match=message) as exc:
+        find_crossings(rotor_m.flows[0], region, None, [1.3, 0.0], 3.0)
+    if time is None:
+        assert exc.value.time is None
+    else:
+        assert exc.value.time == pytest.approx(time, abs=1e-6)
+
+
+def test_folded_non_finite_lie_derivative_is_an_eval_error():
+    # d/dx1 (1e200*x1) times the constant field entry 1e200 folds to the
+    # constant inf in the Lie kernel, which still runs and is refused
+    flow = Flow(VectorField([expr.parse("1e200", 2), expr.parse("0", 2)]), 1.0)
+    region = Region(expr.parse("1e200*x1", 2), 1.0)
+    with pytest.raises(EvalError, match="non-finite evaluation"):
+        find_crossings(flow, region, None, [0.0, 0.0], 0.5)
+
+
+def test_backward_lie_kernel_is_the_exact_negation(rotor_m, systemb_m):
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-2.0, 2.0, (64, 2))
+    for system in (rotor_m, systemb_m):
+        for region in system.regions:
+            for fl in system.flows:
+                fwd, bwd = (region.f._kernels[fl.field, b] for b in (False, True))
+                for kernel in (lambda k: k.columns(*pts.T),
+                               lambda k: np.array([k.floats(*p) for p in pts.tolist()]).T):
+                    (g, gdot), (g_b, gdot_b) = kernel(fwd), kernel(bwd)
+                    assert _same_bits(g_b, g) and _same_bits(gdot_b, -gdot)
+
+
+def _partly_degenerate_rotor() -> RelaySystem:
+    """The rotor with boundary 1's level function scaled by exp(40*(|x|^2 -
+    1)): the same zero set, but the scale runs from 1e-9 at radius 0.7 to
+    1e12 at radius 1.3, so crossings near either radius are degenerate
+    (tangential or stalled) and the ones between are not."""
+    base = make_rotor()
+    f = expr.parse("(0.16 - ((x1+1)^2 + x2^2))*exp(40*(x1^2 + x2^2 - 1))", 2)
+    return RelaySystem(n=2, p=2, flows=base.flows,
+                       regions=(base.regions[0], Region(f, index=1)), box=base.box)
+
+
+def test_degree_check_records_a_degenerate_sample_as_none():
+    res = degree_check(_partly_degenerate_rotor(), samples=12, seed=3)
+    for parities in (res.start_parities, res.end_parities):
+        assert None in parities
+        assert any(v is not None for v in parities)
+    nones = (res.start_parities + res.end_parities).count(None)
+    assert res.degenerate_rate == nones / 24
+
+
 def test_direction_signs_alternate(systemb_m):
     # backward flow from a boundary-0 point pierces region 1: enter then exit
     x = rotor_periodic_start(1.0)
@@ -157,8 +231,10 @@ def _kept_cut(ts: np.ndarray, ns: int) -> np.ndarray:
 
 def _scalars(arc, f, level: float):
     """(g, gdot) over floats as find_crossings polishes them, on the arc's
-    single-point read of the float Lie kernel."""
-    lie, sign = f._lie(arc.flow.field)[0], -1.0 if arc.backward else 1.0
+    single-point read of the forward float Lie kernel, negated for a
+    backward arc."""
+    lie = f._kernels[arc.flow.field, False].floats
+    sign = -1.0 if arc.backward else 1.0
     return (lambda tau: arc._read(lie, tau)[0] - level,
             lambda tau: sign * arc._read(lie, tau)[1])
 
@@ -347,7 +423,7 @@ def test_margin_is_the_column_kernels_rate_bit_for_bit(rotor_m, systemb_m,
                 if not evs:
                     continue
                 pts = np.array([e.point for e in evs])
-                gdot = region.f._lie(fl.field)[1](*pts.T)[1]
+                gdot = region.f._kernels[fl.field, False].columns(*pts.T)[1]
                 assert _same_bits([e.margin for e in evs], np.abs(gdot))
                 assert [e.direction for e in evs] == (sign * np.sign(gdot)).tolist()
                 seen += len(evs)

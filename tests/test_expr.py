@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from flowrelay import expr
 from flowrelay.errors import EvalError, ParseError, UnknownVariableError
-from flowrelay.expr import Add, Div, Fun, Mul, Neg, Num, Pow, Sub, Var
+from flowrelay.expr import Add, Div, Fun, Mul, Neg, Num, Pow, Sub, Var, derive
 
 from conftest import GRADIENT_CORPUS, fd_gradient, gradient_corpus_max_relerr
 
@@ -205,3 +206,48 @@ def test_negative_literal_prints_and_reparses():
     text = str(e)
     re = expr.parse(text, 1)
     assert re.evaluate([2.0]) == pytest.approx(-0.6)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1e999*x1", 0), ("x1 + 1e400", 5), ("2^1e309", 2)])
+def test_non_finite_literal_is_a_parse_error_at_its_position(text, position):
+    # float("1e999") is inf, which would print as "inf" and never parse back
+    with pytest.raises(ParseError, match="not finite") as exc:
+        expr.parse(text, 2)
+    assert exc.value.position == position
+
+
+@pytest.mark.parametrize("root", [Num(math.inf), Mul(Num(math.nan), Var(1)),
+                                  Neg(Num(-math.inf))])
+def test_expression_refuses_a_non_finite_constant(root):
+    with pytest.raises(ValueError, match="not finite"):
+        expr.Expression(root, 2)
+
+
+def test_folded_non_finite_constant_evaluates_to_an_eval_error():
+    # derive folds d/dx1 of 1e308*x1 + 1e308*x1 to the constant inf, which
+    # has no literal: the gradient kernel still runs and reports it
+    e = expr.parse("1e308*x1 + 1e308*x1", 2)
+    with pytest.raises(EvalError, match="non-finite gradient"):
+        e.gradient([1.0, 2.0])
+    with pytest.raises(EvalError, match=re.escape("non-finite gradient (d/dx1)")):
+        e.gradient(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    # inf - inf folds to nan
+    e = expr.parse("(1e308*x1 + 1e308*x1) - (1e308*x1 + 1e308*x1)", 2)
+    assert math.isnan(derive(e.root, 1).value)
+    with pytest.raises(EvalError, match="non-finite gradient"):
+        e.gradient(np.zeros((3, 2)))
+
+
+def test_batch_names_the_first_non_finite_entry_and_broadcasts_constants():
+    e = expr.parse("3*x1 + sqrt(x2)", 2)
+    pts = np.array([[1.0, 4.0], [2.0, -1.0]])
+    with pytest.raises(EvalError, match=re.escape("non-finite gradient (d/dx2)")):
+        e.gradient(pts)
+    # d/dx1 is the constant 3: broadcast over the batch, whatever its shape
+    grid = np.ones((2, 3, 2))
+    assert e.gradient(grid).shape == (2, 3, 2)
+    assert np.array_equal(e.gradient(grid)[..., 0], np.full((2, 3), 3.0))
+    c = expr.parse("2.5", 2)
+    assert np.array_equal(c.evaluate(grid), np.full((2, 3), 2.5))
+    assert c.gradient(np.empty((0, 2))).shape == (0, 2)

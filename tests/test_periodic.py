@@ -11,10 +11,11 @@ from scipy.spatial import cKDTree
 
 from flowrelay import expr, periodic
 from flowrelay.dynamics import Flow, VectorField, flow_map
-from flowrelay.errors import (ContinuationStalled, DegenerateJacobian,
-                              IntegrationError, NoConvergence, NotInWindow,
-                              ReplayMismatch)
-from flowrelay.events import forward_tree, backward_tree
+from flowrelay._util import seeded_rng
+from flowrelay.errors import (ContinuationStalled, DegenerateCrossing,
+                              DegenerateJacobian, IntegrationError,
+                              NoConvergence, NotInWindow, ReplayMismatch)
+from flowrelay.events import _expand_tree, backward_tree, forward_tree
 from flowrelay.geometry import Region, RelaySystem, sample_boundary
 from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                                 chain_points, continue_levels, find_periodic,
@@ -23,6 +24,7 @@ from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
 
 from conftest import make_rotor, make_systemb, rotor_periodic_start
 from spiral_relay import SpiralRelay
+from test_events import _partly_degenerate_rotor
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +452,27 @@ def test_find_periodic_samples_no_orbit_curves(rotor_m, monkeypatch):
     orbits = find_periodic(rotor_m, opts=SolveOptions(max_seeds=32, seed=7))
     assert len(orbits) == 30
     assert len(calls) == 0
+
+
+def test_auto_seeds_skip_a_degenerate_sample_and_go_on():
+    system = _partly_degenerate_rotor()
+    lv, opts = system.levels(), SolveOptions(max_seeds=12, seed=0)
+    drawn = sample_boundary(system.chain_region(0, lv), system.box, 12,
+                            seeded_rng(0, "find-periodic"))
+    degenerate = []
+    for i, pt in enumerate(drawn.points):
+        try:
+            _expand_tree(system, lv, pt, True, SolveOptions.window_factor)
+        except DegenerateCrossing:
+            degenerate.append(i)
+    assert 0 < len(degenerate) < len(drawn)
+    seeds = periodic._auto_seeds(system, lv, opts)
+    starts = [sv.x.tolist() for sv in seeds]
+    assert len(seeds) == 12
+    assert not any(drawn.points[i].tolist() in starts for i in degenerate)
+    # seeds from a sample drawn after the first degenerate one: the loop
+    # went on past it
+    assert any(pt in starts for pt in drawn.points[degenerate[0] + 1:].tolist())
 
 
 def test_tree_leaves_are_consistent_switching_vectors(systemb_m):
