@@ -15,10 +15,10 @@ An :class:`Expression` is immutable after :func:`parse`; evaluation and
 differentiation are pure, so one instance may be shared across workers.
 Derivatives are exact: :func:`derive` applies the forward-mode chain rule
 to the AST once (no finite differences). The kernel contract: each body an
-Expression reads (its value, its n partials, (f, L_V f) along a field) is
-compiled on first use over floats and over numpy columns into one cache,
-and called only through _floats and _columns, which raise EvalError on a
-failed or non-finite entry.
+Expression reads (its value, its n partials, both at once, (f, L_V f)
+along a field) is compiled on first use over floats and over numpy columns
+into one cache, and called only through _floats and _columns, which raise
+EvalError on a failed or non-finite entry.
 """
 from __future__ import annotations
 
@@ -331,9 +331,10 @@ class _Kernel(NamedTuple):
 
 class _Kernels(dict):
     """An expression's kernel cache: kernels[key] compiles one body on first
-    use. "value" is (f,), "gradient" the n exact partials, (field, backward)
-    is (f, L_V f) along field.components, L_V f = sum_j df/dx_j * V_j in
-    index order, negated (exactly) when backward: the rate in elapsed time."""
+    use. "value" is (f,), "gradient" the n exact partials, "value and
+    gradient" (f, df/dx_1, ..., df/dx_n), (field, backward) is (f, L_V f)
+    along field.components, L_V f = sum_j df/dx_j * V_j in index order,
+    negated (exactly) when backward: the rate in elapsed time."""
 
     __slots__ = ("root", "n")
 
@@ -345,9 +346,11 @@ class _Kernels(dict):
         root, n = self.root, self.n
         if key == "value":
             body, names = (root,), ("value",)
-        elif key == "gradient":
+        elif key in ("gradient", "value and gradient"):
             body = tuple(derive(root, j) for j in range(1, n + 1))
             names = tuple(f"gradient (d/dx{j})" for j in range(1, n + 1))
+            if key == "value and gradient":
+                body, names = (root, *body), ("value", *names)
         else:
             field, backward = key
             lie: Node = Num(0.0)
@@ -374,13 +377,16 @@ def _floats(fn: Callable, xs: list[float], what: str) -> tuple[float, ...]:
 
 def _columns(kernel: _Kernel, cols) -> list[np.ndarray]:
     """kernel.columns(*cols) over numpy columns of one shape, without
-    numpy's warnings: each entry as an array of that shape (a constant one
-    is broadcast, the others are passed through uncopied), EvalError naming
-    the first entry that is not finite."""
+    numpy's warnings: each entry as a new array of that shape (a constant
+    one is broadcast, an input column, a bare variable's value, copied; the
+    others are the kernel's own results), EvalError naming the first entry
+    that is not finite."""
+    cols = tuple(cols)
     with np.errstate(all="ignore"):
         out = kernel.columns(*cols)
     shape = np.shape(cols[0])
-    out = [v if np.shape(v) == shape else np.full(shape, v) for v in out]
+    out = [np.full(shape, v) if np.shape(v) != shape
+           else v.copy() if any(v is c for c in cols) else v for v in out]
     for v, name in zip(out, kernel.names):
         if not np.isfinite(v).all():
             raise EvalError(f"non-finite {name} in batched evaluation")

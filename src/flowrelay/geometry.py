@@ -53,9 +53,20 @@ class BoundarySamples:
         return len(self.points)
 
 
-_SAMPLE_TOL = 1e-10    # |f - level| at an accepted boundary sample
-_SAMPLE_BATCHES = 20   # random batches drawn before BoundaryNotFound
-_SAMPLE_NEWTON = 80    # Newton steps per batch
+_SAMPLE_TOL = 1e-10      # |f - level| at an accepted boundary sample
+_SAMPLE_BATCHES = 20     # random batches drawn before BoundaryNotFound
+_SAMPLE_NEWTON = 80      # Newton steps per batch
+_INTERIOR_BATCHES = 200  # random batches drawn before an interior is given up
+
+
+def _box_columns(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
+                 count: int) -> list[np.ndarray]:
+    """count uniform points of the box [lo, hi] as its n contiguous
+    coordinate columns: column j is Generator.uniform(lo, hi, (count, n))[:, j]
+    bit for bit, and rng is left where that call leaves it."""
+    u = rng.random((count, len(lo)))
+    return [a + (b - a) * u[:, j]
+            for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))]
 
 
 def sample_boundary(region: Region, box: np.ndarray, m: int,
@@ -65,41 +76,49 @@ def sample_boundary(region: Region, box: np.ndarray, m: int,
     Each batch draws max(4m, 32) random box points. They are projected onto
     the level set by up to 80 Newton steps along the gradient, in slices of
     m consecutive points in draw order, until m points are accepted; a
-    slice stops once all its points converge. Points that leave the box,
-    miss the level by more than 1e-10, or land where the gradient is below
-    the regularity floor are discarded. BoundaryNotFound after 20 batches
-    without m points; ValueError when m < 1.
+    slice stops once all its points converge. A slice is stepped as its n
+    coordinate columns: each step reads f and its n partials in one call of
+    one compiled kernel, and the squared gradient norm is summed in
+    coordinate order. Points that leave the box, miss the level by more
+    than 1e-10, or land where the gradient is below the regularity floor
+    are discarded. BoundaryNotFound after 20 batches without m points;
+    ValueError when m < 1.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 boundary samples, got {m}")
     lv = region.level
     box = np.asarray(box, float)
     lo, hi = box[0], box[1]
-    n = len(lo)
+    bounds = list(zip((lo - 1e-12).tolist(), (hi + 1e-12).tolist()))
+    kernel = region.f._kernels["value and gradient"]
     points: list[np.ndarray] = []
     norms: list[np.ndarray] = []
     have = 0
     for _ in range(_SAMPLE_BATCHES):
-        batch = rng.uniform(lo, hi, size=(max(4 * m, 32), n))
-        for x in np.split(batch, range(m, len(batch), m)):
+        batch = _box_columns(rng, lo, hi, max(4 * m, 32))
+        for start in range(0, len(batch[0]), m):
+            xs = [c[start:start + m] for c in batch]
             # the residual checked for convergence is the next step's residual
-            r = region.f.evaluate(x) - lv
+            r, *g = ex._columns(kernel, xs)
+            r -= lv
             for _ in range(_SAMPLE_NEWTON):
-                g = region.f.gradient(x)
-                gn2 = np.einsum("ij,ij->i", g, g)
-                gn2 = np.where(gn2 > 0, gn2, 1.0)
-                step = (r / gn2)[:, None] * g
-                np.clip(step, -1.0, 1.0, out=step)  # guard wild first steps
-                x = x - step
-                r = region.f.evaluate(x) - lv
-                if np.all(np.abs(r) <= _SAMPLE_TOL):
+                gn2 = sum(v * v for v in g)   # >= 0, never NaN: g is finite
+                gn2[gn2 == 0.0] = 1.0
+                q = r / gn2
+                for x, gj in zip(xs, g):
+                    # each entry clipped to [-1, 1]: a guard against wild first steps
+                    step = q * gj
+                    x -= np.minimum(np.maximum(step, -1.0, out=step), 1.0, out=step)
+                r, *g = ex._columns(kernel, xs)
+                r -= lv
+                if np.abs(r).max() <= _SAMPLE_TOL:   # r is never NaN
                     break
-            g = region.f.gradient(x)
-            gn = np.sqrt(np.einsum("ij,ij->i", g, g))
+            gn = np.sqrt(sum(v * v for v in g))
             ok = (np.abs(r) <= _SAMPLE_TOL) & (gn >= _EPS_REG)
-            ok &= np.all((x >= lo - 1e-12) & (x <= hi + 1e-12), axis=1)
+            for x, (a, b) in zip(xs, bounds):
+                ok &= (x >= a) & (x <= b)
             take = np.flatnonzero(ok)[:m - have]
-            points.append(x[take])
+            points.append(np.stack([x[take] for x in xs], axis=1))
             norms.append(gn[take])
             have += len(take)
             if have == m:
@@ -223,16 +242,20 @@ class ValidationReport:
 
 def _interior_samples(region: Region, box: np.ndarray, m: int,
                       rng: np.random.Generator) -> np.ndarray:
-    lo, hi = box[0], box[1]
-    keep: list[np.ndarray] = []
+    """The first m points, in draw order, of batches of max(4m, 64) random
+    box points (drawn and evaluated as coordinate columns) that lie in the
+    region, as an (m, n) array. BoundaryNotFound after 200 batches without
+    m points."""
+    kernel = region.f._kernels["value"]
+    keep: list[list[np.ndarray]] = []
     have = 0
-    for _ in range(200):
-        batch = rng.uniform(lo, hi, size=(max(4 * m, 64), len(lo)))
-        vals = region.f.evaluate(batch) - region.level
-        keep.append(batch[vals >= 0.0])
-        have += len(keep[-1])
+    for _ in range(_INTERIOR_BATCHES):
+        cols = _box_columns(rng, box[0], box[1], max(4 * m, 64))
+        inside = ex._columns(kernel, cols)[0] - region.level >= 0.0
+        keep.append([c[inside] for c in cols])
+        have += len(keep[-1][0])
         if have >= m:
-            return np.concatenate(keep)[:m]
+            return np.stack([np.concatenate(c)[:m] for c in zip(*keep)], axis=1)
     raise BoundaryNotFound(f"region {region.index} has no interior in the box")
 
 
@@ -250,7 +273,9 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
 
     Flow beta is solved once, for absorb, on the interior samples of region
     beta-1 and boundary beta-1; entry[beta] reads those boundary rows at
-    the first grid time, the horizon.
+    the first grid time, the horizon. Both samplers work on the box's
+    coordinate columns, the layout the stacked stepper steps, and a
+    boundary point's squared gradient norm is summed in coordinate order.
 
     Margins are oriented so that positive means the condition holds with
     room; these are open conditions, so sampling + margins is the check. A
@@ -291,8 +316,7 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
             pts, horizon = np.vstack(batch), system.flows[b - 1].horizon
             states = flow_map_points(system.flows[b - 1], 2.0 * horizon, pts,
                                      t_eval=np.linspace(horizon, 2.0 * horizon, grid))
-            at_grid = (system.chain_region(b, lv).f.evaluate(
-                states.reshape(-1, system.n)) - lv[b]).reshape(grid, len(pts))
+            at_grid = system.chain_region(b, lv).f.evaluate(states) - lv[b]
             if absorb is None:
                 absorb = ConditionResult("absorb", b, bool(at_grid.min() > 0.0),
                                          float(at_grid.min()))

@@ -251,3 +251,20 @@ def test_batch_names_the_first_non_finite_entry_and_broadcasts_constants():
     c = expr.parse("2.5", 2)
     assert np.array_equal(c.evaluate(grid), np.full((2, 3), 2.5))
     assert c.gradient(np.empty((0, 2))).shape == (0, 2)
+
+
+def test_batch_results_are_not_views_of_the_batch():
+    # a bare variable's value, or a partial that is one, is a copy of the
+    # input column: writing into a result leaves the caller's batch alone
+    B = np.ones((3, 2))
+    v = expr.parse("x1", 2).evaluate(B)
+    v[0] = 5.0
+    g = expr.parse("x1*x2", 2).gradient(B)
+    g[...] = 7.0
+    assert np.array_equal(B, np.ones((3, 2)))
+    # also when the columns are handed over as the rows of a transposed array
+    value, d1, d2 = expr._columns(expr.parse("x1*x2", 2)._kernels["value and gradient"],
+                                  B.T)
+    for out in (value, d1, d2):
+        out[:] = 9.0
+    assert np.array_equal(B, np.ones((3, 2)))

@@ -1,18 +1,21 @@
 """Region queries, boundary sampling, saturation, hypothesis validation."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from flowrelay import _dop853, dynamics, events, expr, geometry, periodic, relay
 from flowrelay.dynamics import Flow, VectorField, integrate
-from flowrelay.errors import BoundaryNotFound
+from flowrelay.errors import BoundaryNotFound, EvalError
 from flowrelay.geometry import (Region, RelaySystem, sample_boundary,
                                 validate_system)
 
 from conftest import make_rotor, make_systemb, rotation_field
+from test_events import _lifted_systemb
 from test_three_mode import make_triangle
 
 BOX = np.array([[-3.0, -3.0], [3.0, 3.0]])
@@ -51,6 +54,14 @@ def test_sample_boundary_rejects_empty_request(m):
         sample_boundary(rotor_region0(), BOX, m, np.random.default_rng(0))
 
 
+def _square_norms_by_loop(g):
+    """The squared norms of the rows of g, summed in coordinate order."""
+    out = g[:, 0] * g[:, 0]
+    for j in range(1, g.shape[1]):
+        out = out + g[:, j] * g[:, j]
+    return out
+
+
 def _sample_boundary_by_loops(region, box, m, rng):
     """sample_boundary with the level evaluated twice per Newton step and
     the accepted points taken one by one, each slice of m candidates
@@ -65,7 +76,7 @@ def _sample_boundary_by_loops(region, box, m, rng):
             for _ in range(geometry._SAMPLE_NEWTON):
                 r = region.f.evaluate(x) - lv
                 g = region.f.gradient(x)
-                gn2 = np.einsum("ij,ij->i", g, g)
+                gn2 = _square_norms_by_loop(g)
                 gn2 = np.where(gn2 > 0, gn2, 1.0)
                 step = (r / gn2)[:, None] * g
                 np.clip(step, -1.0, 1.0, out=step)
@@ -74,7 +85,7 @@ def _sample_boundary_by_loops(region, box, m, rng):
                     break
             r = np.abs(region.f.evaluate(x) - lv)
             g = region.f.gradient(x)
-            gn = np.sqrt(np.einsum("ij,ij->i", g, g))
+            gn = np.sqrt(_square_norms_by_loop(g))
             for i in range(len(x)):
                 if (r[i] <= geometry._SAMPLE_TOL and gn[i] >= geometry._EPS_REG
                         and np.all((x[i] >= lo - 1e-12) & (x[i] <= hi + 1e-12))):
@@ -89,7 +100,7 @@ def _interior_samples_by_loops(region, box, m, rng):
     """_interior_samples taking the inside points one by one, and the
     number of batches drawn."""
     keep = []
-    for batches in range(1, 201):
+    for batches in range(1, geometry._INTERIOR_BATCHES + 1):
         batch = rng.uniform(box[0], box[1], size=(max(4 * m, 64), len(box[0])))
         vals = region.f.evaluate(batch) - region.level
         for x, v in zip(batch, vals):
@@ -106,6 +117,13 @@ def test_samplers_match_the_loops():
     # rotor's box keeps only the piece of this line with |x1 - x2| <= 0.6,
     # where about a fifth of the projected points land: several batches
     cases.append((systems[1], Region(expr.parse("x1 + x2 - 5.4", 2), index=0)))
+    # partials that are the columns x2 and x1, which each Newton step updates
+    # in place
+    cases.append((systems[0], Region(expr.parse("x1*x2 - 1", 2), index=0)))
+    # in R^3, where an einsum may sum the three squares in another order; a
+    # box that leaves the balls room for 1024 interior samples
+    lifted = dataclasses.replace(_lifted_systemb(), box=[[-2.0] * 3, [2.0] * 3])
+    cases += [(lifted, lifted.chain_region(j)) for j in range(lifted.p + 1)]
     most_batches = [0, 0]
     for system, region in cases:
         for m in (1, 7, 1024):
@@ -124,6 +142,34 @@ def test_samplers_match_the_loops():
             most_batches = [max(most_batches[0], batches),
                             max(most_batches[1], inside_batches)]
     assert most_batches[0] > 1 and most_batches[1] > 1
+
+
+@pytest.mark.parametrize("box", [[[-3.0, 0.5], [1.0, 250.0]],
+                                 [[-1e-3, 2.0, -7.5], [4e-3, 2.25, 1e4]]],
+                         ids=["n2", "n3"])
+@pytest.mark.parametrize("count", [1, 33, 4096])
+def test_box_columns_are_uniforms_columns(box, count):
+    # the same bits as rng.uniform with array bounds, and the generator
+    # left at the same position
+    lo, hi = np.array(box)
+    for seed in range(5):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        cols = geometry._box_columns(rngs[0], lo, hi, count)
+        want = rngs[1].uniform(lo, hi, size=(count, len(lo)))
+        assert len(cols) == len(lo)
+        for j, col in enumerate(cols):
+            assert col.flags.c_contiguous
+            assert np.array_equal(col, want[:, j])
+        assert rngs[0].random() == rngs[1].random()
+
+
+def test_sample_boundary_names_a_non_finite_level_value():
+    # sqrt of the negative half of the box: the value, read before any
+    # partial, is the entry named
+    r = Region(expr.parse("sqrt(x1) - 1", 2))
+    box = np.array([[-1.0, -1.0], [3.0, 3.0]])
+    with pytest.raises(EvalError, match=re.escape("non-finite value in batched evaluation")):
+        sample_boundary(r, box, 16, np.random.default_rng(0))
 
 
 def _saturated(f: str, eps: float, n: int) -> expr.Expression:
