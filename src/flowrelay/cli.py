@@ -216,8 +216,7 @@ def _write_csv(path: Path, header: list[str], rows) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args, system, levels, outdir: Path):
-    report = geo.validate_system(system, levels, m=args.samples,
-                                 grid=args.grid, seed=args.seed)
+    report = geo.validate_system(system, levels, m=args.samples, seed=args.seed)
     payload = report.to_dict()
     _write_json(outdir / "validation.json", payload)
     for c in report.conditions:
@@ -385,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="check the switching hypotheses")
     common(sp)
     sp.add_argument("--samples", type=int, default=256)
-    sp.add_argument("--grid", type=int, default=16)
 
     sp = sub.add_parser("simulate", help="run the switching dynamics")
     common(sp)
@@ -425,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # the lowest value of each integer flag
-_FLAG_FLOORS = {"seed": 0, "samples": 1, "grid": 1, "seeds": 1,
+_FLAG_FLOORS = {"seed": 0, "samples": 1, "seeds": 1,
                 "max_switches": 1, "depth": 0, "breadth": 1}
 
 

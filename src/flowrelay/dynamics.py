@@ -17,9 +17,10 @@ one Horner pass in the (n, N) layout. No stiff path. Backward time is a
 negative time span: the stepper steps the same field with negative steps,
 so both directions use the same compiled kernels.
 
-Each VectorField is compiled once into three fused kernels that the stepper
-calls on the state directly: the value, the variational right-hand side and
-the value over numpy columns.
+This module builds and compiles no tree: the stepper calls the kernels of
+each VectorField's cache in expr directly on the state, the value over
+floats or numpy columns and, for flow_map_with_jacobian alone, the
+variational right-hand side.
 """
 from __future__ import annotations
 
@@ -48,32 +49,15 @@ __all__ = [
 TIME_CAP_FACTOR = 10.0  # |t| may not exceed this multiple of the flow horizon
 
 
-def _variational_body(roots: tuple[ex.Node, ...],
-                      jac: tuple[ex.Node, ...]) -> tuple[ex.Node, ...]:
-    """(V(x), DV(x)·M) as trees over the n + n² entries of (x, M), M
-    row-major in x<n+1>..x<n+n²>; each product sums over k in order."""
-    n = len(roots)
-    dm = []
-    for i in range(n):
-        for j in range(n):
-            acc: ex.Node = ex.Num(0.0)
-            for k in range(n):
-                acc = ex._n_add(acc, ex._n_mul(jac[i * n + k],
-                                               ex.Var(n + k * n + j + 1)))
-            dm.append(acc)
-    return roots + tuple(dm)
-
-
 class VectorField:
     """An autonomous field on R^n given by n component expressions.
 
-    Compiled at construction into three kernels: the value (n entries) and
-    the variational right-hand side (n + n² entries), each a function of
-    floats returning one tuple, and the value over numpy columns. They
-    evaluate the same trees as Expression.evaluate/gradient, which jacobian
-    and value_batch read; the library calls neither, and crossing location
-    reads the components through Expression._kernels. Immutable after
-    construction; evaluation is pure and thread-safe.
+    Its kernels are expr's cache over the n component roots, each compiled
+    on first use: the value, which every integration steps, the variational
+    right-hand side (n + n² entries), which only flow_map_with_jacobian
+    reads, and the partials behind jacobian. Crossing location reads the
+    roots from that cache. Immutable after construction; evaluation is
+    pure and thread-safe.
     """
 
     def __init__(self, components: Sequence[ex.Expression]):
@@ -87,26 +71,20 @@ class VectorField:
             raise ValueError(f"{len(components)} components for dimension {n}")
         self.components = components
         self.n = n
-        roots = tuple(c.root for c in components)
-        jac = tuple(ex.derive(r, k) for r in roots for k in range(1, n + 1))
-        self._value = ex._compile(roots, n, ex._SCALAR_NS)
-        self._var = ex._compile(_variational_body(roots, jac), n + n * n,
-                                ex._SCALAR_NS)
-        self._value_cols = ex._compile(roots, n, ex._ARRAY_NS)
+        self._kernels = ex._Kernels(tuple(c.root for c in components), n)
 
     def __call__(self, x) -> np.ndarray:
         """The value at a point (n,) -> (n,); EvalError when an entry fails
         or is not finite."""
-        return np.array(ex._floats(self._value, [float(v) for v in x],
-                                   "field evaluation"))
+        return np.array(self._kernels.call("value", x, "field evaluation"))
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate at a batch of points (N, n) -> (N, n)."""
-        return np.stack([c.evaluate(pts) for c in self.components], axis=1)
+        return np.stack(self._kernels.call("value", pts), axis=-1)
 
     def jacobian(self, x) -> np.ndarray:
         """Space derivative DV(x) as an (n, n) matrix, exact."""
-        return np.array([c.gradient(x) for c in self.components])
+        return np.array(self._kernels.call("gradient", x)).reshape(self.n, self.n)
 
 
 @dataclass
@@ -149,7 +127,7 @@ class FlowArc:
             knots.append(abs(t_new))
             rows.extend(dense())
 
-        self._end = _run(flow.field._value, "field evaluation",
+        self._end = _run(flow.field._kernels["value"].floats, "field evaluation",
                          -duration if backward else duration, x0.tolist(), keep)
         self._knots = knots
         self._table = np.array(rows).reshape(len(knots) - 1, -1)
@@ -339,7 +317,8 @@ def flow_map(flow: Flow, t: float, x) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     _check_cap(flow, t)
-    return np.array(_run(flow.field._value, "field evaluation", t, x.tolist(), None))
+    return np.array(_run(flow.field._kernels["value"].floats, "field evaluation",
+                         t, x.tolist(), None))
 
 
 def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +329,8 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
         return x.copy(), np.eye(n)
     _check_cap(flow, t)
     y0 = x.tolist() + np.eye(n).ravel().tolist()
-    yf = np.array(_run(flow.field._var, "variational right-hand side", t, y0, None))
+    yf = np.array(_run(flow.field._kernels["variational"].floats,
+                       "variational right-hand side", t, y0, None))
     return yf[:n], yf[n:].reshape(n, n)
 
 
@@ -395,5 +375,6 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
             done = stop
 
     with np.errstate(all="ignore"):
-        end = _run(flow.field._value_cols, "field evaluation", t, pts.T, horner)
+        end = _run(flow.field._kernels["value"].columns, "field evaluation", t,
+                   pts.T, horner)
     return end.T.copy() if t_eval is None else out.transpose(0, 2, 1)

@@ -14,11 +14,13 @@ Grammar (whitespace-insensitive)::
 An :class:`Expression` is immutable after :func:`parse`; evaluation and
 differentiation are pure, so one instance may be shared across workers.
 Derivatives are exact: :func:`derive` applies the forward-mode chain rule
-to the AST once (no finite differences). The kernel contract: each body an
-Expression reads (its value, its n partials, both at once, (f, L_V f)
-along a field) is compiled on first use over floats and over numpy columns
-into one cache, and called only through _floats and _columns, which raise
-EvalError on a failed or non-finite entry.
+to the AST once (no finite differences). The kernel contract: this module
+alone builds and compiles trees. Each body an Expression or a field reads
+(its value, its partials, both at once, (f, L_V f) along a field, a
+field's variational right-hand side) is compiled on first use over floats
+and over numpy columns into one cache per tuple of roots, _Kernels, and
+called through _floats and _columns, which raise EvalError on a failed or
+non-finite entry, or by the stepper of _dop853 on the state directly.
 """
 from __future__ import annotations
 
@@ -330,37 +332,64 @@ class _Kernel(NamedTuple):
 
 
 class _Kernels(dict):
-    """An expression's kernel cache: kernels[key] compiles one body on first
-    use. "value" is (f,), "gradient" the n exact partials, "value and
-    gradient" (f, df/dx_1, ..., df/dx_n), (field, backward) is (f, L_V f)
-    along field.components, L_V f = sum_j df/dx_j * V_j in index order,
-    negated (exactly) when backward: the rate in elapsed time."""
+    """The kernel cache of a tuple of roots over x1..xn, an expression's one
+    root f or a field's n components V: kernels[key] compiles one body on
+    first use. "value" is the roots, "gradient" their exact partials, root
+    by root, "value and gradient" both (f, df/dx_1, ..., df/dx_n). For a
+    field, "variational" is (V, DV·M) over the n + n² entries of (x, M), M
+    row-major in x<n+1>..x<n+n²>, each product summed over k in order. For
+    an expression, (field, backward) is (f, L_V f) along the roots of
+    field._kernels, L_V f = sum_j df/dx_j * V_j in index order, negated
+    (exactly) when backward: the rate in elapsed time."""
 
-    __slots__ = ("root", "n")
+    __slots__ = ("roots", "n")
 
-    def __init__(self, root: Node, n: int):
+    def __init__(self, roots: tuple[Node, ...], n: int):
         super().__init__()
-        self.root, self.n = root, n
+        self.roots, self.n = roots, n
 
     def __missing__(self, key) -> _Kernel:
-        root, n = self.root, self.n
+        roots, n, width = self.roots, self.n, self.n
+        values = ("value",) * len(roots)
+        jac = tuple(derive(r, j) for r in roots for j in range(1, n + 1))
         if key == "value":
-            body, names = (root,), ("value",)
+            body, names = roots, values
         elif key in ("gradient", "value and gradient"):
-            body = tuple(derive(root, j) for j in range(1, n + 1))
-            names = tuple(f"gradient (d/dx{j})" for j in range(1, n + 1))
+            body = jac
+            names = tuple(f"gradient (d/dx{j})" for _ in roots for j in range(1, n + 1))
             if key == "value and gradient":
-                body, names = (root, *body), ("value", *names)
+                body, names = (*roots, *body), values + names
+        elif key == "variational":
+            body, width = roots, n + n * n
+            for i in range(n):
+                for j in range(n):
+                    acc: Node = Num(0.0)
+                    for k in range(n):
+                        acc = _n_add(acc, _n_mul(jac[i * n + k], Var(n + k * n + j + 1)))
+                    body += (acc,)
+            names = values + ("variational",) * (n * n)
         else:
             field, backward = key
             lie: Node = Num(0.0)
-            for j, c in enumerate(field.components, 1):
-                lie = _n_add(lie, _n_mul(derive(root, j), c.root))
-            body = (root, Neg(lie) if backward else lie)
+            for j, v in enumerate(field._kernels.roots):
+                lie = _n_add(lie, _n_mul(jac[j], v))
+            body = (roots[0], Neg(lie) if backward else lie)
             names = ("value", "gradient along the field")
-        kernel = self[key] = _Kernel(_compile(body, n, _SCALAR_NS),
-                                     _compile(body, n, _ARRAY_NS), names)
+        kernel = self[key] = _Kernel(_compile(body, width, _SCALAR_NS),
+                                     _compile(body, width, _ARRAY_NS), names)
         return kernel
+
+    def call(self, key, x,
+             what: str | None = None) -> tuple[float, ...] | list[np.ndarray]:
+        """The entries of a body at a point (n,), as floats (an EvalError
+        names what, by default the key), or at a batch (..., n), as arrays
+        of shape (...,); ValueError on a point of another dimension."""
+        arr = np.asarray(x, dtype=float)
+        if arr.shape[-1:] != (self.n,):
+            raise ValueError(f"point has dimension {arr.shape[-1:]}, expected {self.n}")
+        if arr.ndim == 1:
+            return _floats(self[key].floats, arr.tolist(), what or key)
+        return _columns(self[key], [arr[..., j] for j in range(self.n)])
 
 
 def _floats(fn: Callable, xs: list[float], what: str) -> tuple[float, ...]:
@@ -514,7 +543,7 @@ class Expression:
         _check_tree(root, n)
         self.root = root
         self.n = n
-        self._kernels = _Kernels(root, n)
+        self._kernels = _Kernels((root,), n)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Expression)
@@ -531,23 +560,13 @@ class Expression:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _call(self, key, x) -> tuple[float, ...] | list[np.ndarray]:
-        """The entries of a body at a point (n,), as floats, or at a batch
-        (..., n), as arrays of shape (...,)."""
-        arr = np.asarray(x, dtype=float)
-        if arr.shape[-1:] != (self.n,):
-            raise ValueError(f"point has dimension {arr.shape[-1:]}, expected {self.n}")
-        if arr.ndim == 1:
-            return _floats(self._kernels[key].floats, arr.tolist(), key)
-        return _columns(self._kernels[key], [arr[..., j] for j in range(self.n)])
-
     def evaluate(self, x) -> float | np.ndarray:
         """Evaluate at a point (n,) -> float, or a batch (..., n) -> (...,) array."""
-        return self._call("value", x)[0]
+        return self._kernels.call("value", x)[0]
 
     def gradient(self, x) -> np.ndarray:
         """Exact gradient at a point (n,) -> (n,), or a batch (..., n) -> (..., n)."""
-        parts = self._call("gradient", x)
+        parts = self._kernels.call("gradient", x)
         if isinstance(parts, tuple):   # a point: _floats' tuple
             return np.array(parts, dtype=float)
         return np.stack(parts, axis=-1)

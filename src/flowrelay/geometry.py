@@ -259,32 +259,33 @@ def _interior_samples(region: Region, box: np.ndarray, m: int,
     raise BoundaryNotFound(f"region {region.index} has no interior in the box")
 
 
+_ABSORB_TIMES = 16  # even times in [horizon, 2 * horizon] the absorb check reads
+
+
 def validate_system(system: RelaySystem, levels=None, m: int = 256,
-                    grid: int = 16, seed: int = 0) -> ValidationReport:
+                    seed: int = 0) -> ValidationReport:
     """Check the switching hypotheses by sampling, reporting worst margins.
 
     - disjoint (k=1..p): boundary k-1 stays strictly outside region k;
     - entry   (k=1..p): flow k carries boundary k-1 into the interior of
       region k at its horizon;
     - absorb (if beta set): flow beta keeps all of region beta-1 inside
-      region beta at grid times spread evenly over [horizon, 2 * horizon];
+      region beta at _ABSORB_TIMES times spread evenly over [horizon,
+      2 * horizon];
     - regular (j=0..p): gradient norms on sampled boundaries stay above
       the regularity floor.
 
     Flow beta is solved once, for absorb, on the interior samples of region
     beta-1 and boundary beta-1; entry[beta] reads those boundary rows at
-    the first grid time, the horizon. Both samplers work on the box's
+    the first of those times, the horizon. Both samplers work on the box's
     coordinate columns, the layout the stacked stepper steps, and a
     boundary point's squared gradient norm is summed in coordinate order.
 
     Margins are oriented so that positive means the condition holds with
     room; these are open conditions, so sampling + margins is the check. A
     condition whose boundary or interior samples cannot be drawn fails with
-    margin -inf and the sampler's message as its note. Raises ValueError
-    when grid is below 1.
+    margin -inf and the sampler's message as its note.
     """
-    if grid < 1:
-        raise ValueError(f"grid={grid} must be at least 1")
     lv = system.levels(levels)
     conditions: list[ConditionResult] = []
 
@@ -304,7 +305,7 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
 
     b = system.beta
     if b is not None:
-        # at_grid[g, i]: the region-beta margin of batch row i at grid time g
+        # at_grid[g, i]: the region-beta margin of batch row i at time g
         batch = [boundary[b - 1].points] if b - 1 in boundary else []
         absorb = None
         try:
@@ -315,7 +316,8 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
         if batch:
             pts, horizon = np.vstack(batch), system.flows[b - 1].horizon
             states = flow_map_points(system.flows[b - 1], 2.0 * horizon, pts,
-                                     t_eval=np.linspace(horizon, 2.0 * horizon, grid))
+                                     t_eval=np.linspace(horizon, 2.0 * horizon,
+                                                        _ABSORB_TIMES))
             at_grid = system.chain_region(b, lv).f.evaluate(states) - lv[b]
             if absorb is None:
                 absorb = ConditionResult("absorb", b, bool(at_grid.min() > 0.0),

@@ -204,10 +204,9 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
 
 @dataclass
 class PointCloud:
-    """Sampled trajectory points with recorded along-arc adjacency."""
+    """Sampled trajectory points and the switches before each."""
 
     points: np.ndarray                  # (N, n)
-    edges: list[tuple[int, int]]
     depths: np.ndarray                  # switches completed before each point
 
     def __len__(self) -> int:
@@ -217,10 +216,11 @@ class PointCloud:
 def _arc_sample_times(arc: FlowArc, delta_s: float,
                       extra: list[float]) -> np.ndarray:
     """Arc-length paced parameters plus mandatory event times, sorted."""
+    value = arc.flow.field._kernels["value"].floats
     ts = [0.0]
     t = 0.0
     while t < arc.duration:
-        speed = math.sqrt(sum(v * v for v in arc._read(arc.flow.field._value, t)))
+        speed = math.sqrt(sum(v * v for v in arc._read(value, t)))
         dt = delta_s / max(speed, delta_s / arc.duration)
         t = min(t + dt, arc.duration)
         ts.append(t)
@@ -232,7 +232,6 @@ def _arc_sample_times(arc: FlowArc, delta_s: float,
 class _Branch:
     x: np.ndarray
     mode: int
-    parent_point: int | None   # cloud index the branch grew from
     order: tuple[int, ...]     # (crossing indices along the ancestry), for pruning
 
 
@@ -262,8 +261,7 @@ def accessible_set(system: RelaySystem, x0, k0: int = 0, levels=None,
     delta_s = cloud_spacing(system)
     pts: list[np.ndarray] = []
     depths: list[int] = []
-    edges: list[tuple[int, int]] = []
-    level_branches = [_Branch(np.asarray(x0, float), k0, None, ())]
+    level_branches = [_Branch(np.asarray(x0, float), k0, ())]
 
     for level in range(depth + 1):
         level_branches.sort(key=lambda b: b.order)
@@ -278,20 +276,14 @@ def accessible_set(system: RelaySystem, x0, k0: int = 0, levels=None,
                 # stuck branch: keep one horizon of its arc, spawn nothing
                 evs, arc = [], integrate(flow, flow.horizon, br.x)
             ts = _arc_sample_times(arc, delta_s, [e.t for e in evs])
-            base = len(pts)
             pts.extend(arc.sample(ts))
             depths.extend([level] * len(ts))
-            edges.extend((base + i, base + i + 1) for i in range(len(ts) - 1))
-            if br.parent_point is not None:
-                edges.append((br.parent_point, base))
             if level < depth:
-                for ci, e in enumerate(evs):
-                    j = min(int(np.searchsorted(ts, e.t)), len(ts) - 1)
-                    next_branches.append(_Branch(e.point, watch, base + j,
-                                                 br.order + (ci,)))
+                next_branches.extend(_Branch(e.point, watch, br.order + (ci,))
+                                     for ci, e in enumerate(evs))
         level_branches = next_branches
 
-    return PointCloud(np.array(pts), edges, np.asarray(depths, dtype=int))
+    return PointCloud(np.array(pts), np.asarray(depths, dtype=int))
 
 
 _STRICT_TOL = 1e-9      # interior excess the strict-mode check forgives
@@ -371,7 +363,7 @@ def _pairs_within(points: np.ndarray, delta: float) -> np.ndarray:
 def check_connected(cloud: PointCloud, delta: float) -> tuple[bool, int]:
     """Is the cloud one component when points within delta are joined?
 
-    Recorded along-arc adjacencies count as edges regardless of distance.
+    Distance alone joins points, consecutive samples of one arc too.
     Raises ValueError on an empty cloud or a delta that is not positive.
     """
     n = len(cloud)
@@ -392,8 +384,6 @@ def check_connected(cloud: PointCloud, delta: float) -> tuple[bool, int]:
         if ra != rb:
             parent[ra] = rb
 
-    for a, b in cloud.edges:
-        union(a, b)
     for a, b in _pairs_within(np.asarray(cloud.points, float), delta).T.tolist():
         union(a, b)
     roots = {find(i) for i in range(n)}

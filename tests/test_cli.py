@@ -523,7 +523,6 @@ BAD_INPUTS = [
     _ACC + ["--depth", "-1"],
     _ACC + ["--breadth", "0"],
     _ACC + ["--k0", "5"],
-    ["validate", "--config", str(SYSTEMB_CONFIG), "--grid", "0"],
     ["validate", "--config", str(SYSTEMB_CONFIG), "--samples", "0"],
     ["validate", "--config", str(SYSTEMB_CONFIG), "--seed", "-1"],
     ["find-periodic", "--config", str(SYSTEMB_CONFIG), "--seeds", "0"],

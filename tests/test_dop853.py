@@ -49,8 +49,9 @@ def test_core_matches_solve_ivp(name):
         x = rng.uniform(-1.0, 1.0, 2)
         t = float(rng.uniform(0.5, 3.0))
         for sign in (1.0, -1.0):
-            for kernel, y0 in ((field._value, x),
-                               (field._var, np.concatenate([x, np.eye(2).ravel()]))):
+            for kernel, y0 in ((field._kernels["value"].floats, x),
+                               (field._kernels["variational"].floats,
+                                np.concatenate([x, np.eye(2).ravel()]))):
                 ref = _scipy(kernel, sign * t, y0)
                 assert ref.success
                 ts, end = _solve(kernel, sign * t, y0.tolist())
@@ -58,7 +59,7 @@ def test_core_matches_solve_ivp(name):
                 assert _close(np.array(end), ref.y[:, -1], 1e-12)
             arc = integrate(Flow(field, 3.0), t, x, backward=sign < 0)
             taus = np.linspace(0.0, t, 25)
-            ref = _scipy(field._value, sign * t, x, dense=True)
+            ref = _scipy(field._kernels["value"].floats, sign * t, x, dense=True)
             assert _close(arc.sample(taus), ref.sol(sign * taus).T, 1e-11)
 
 
@@ -96,7 +97,7 @@ def test_batch_matches_stacked_solve_ivp(npts):
             ref = _stacked(fl.field, sign * t, pts)
             assert ref.success
             with np.errstate(all="ignore"):
-                ts, _ = _solve(fl.field._value_cols, sign * t, pts.T.copy())
+                ts, _ = _solve(fl.field._kernels["value"].columns, sign * t, pts.T.copy())
             assert abs(len(ts) - len(ref.t)) <= 1
             want = ref.y[:, -1].reshape(npts, 2)
             assert _close_points(flow_map_points(fl, sign * t, pts), want, 1e-12)
@@ -120,9 +121,10 @@ def test_one_row_batch_matches_the_float_stepper():
                 want = flow_map(fl, sign * t, x)
                 got = flow_map_points(fl, sign * t, x[None])[0]
                 assert _close_points(got[None], want[None], 1e-13)
-                floats, _ = _solve(fl.field._value, sign * t, x.tolist())
+                floats, _ = _solve(fl.field._kernels["value"].floats, sign * t, x.tolist())
                 with np.errstate(all="ignore"):
-                    stacked, _ = _solve(fl.field._value_cols, sign * t, x[:, None])
+                    stacked, _ = _solve(fl.field._kernels["value"].columns, sign * t,
+                                        x[:, None])
                 assert len(stacked) == len(floats)
 
 
@@ -142,7 +144,7 @@ def test_backward_van_der_pol_blow_up_fails_in_both():
     # outside the limit cycle the reversed flow escapes to infinity in finite time
     field = _field(VAN_DER_POL)
     x = np.array([3.0, 3.0])
-    assert not _scipy(field._value, -5.0, x).success
+    assert not _scipy(field._kernels["value"].floats, -5.0, x).success
     fl = Flow(field, 5.0)
     with pytest.raises(IntegrationError, match="step size"):
         flow_map(fl, -5.0, x)

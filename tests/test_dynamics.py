@@ -129,7 +129,7 @@ def _point_from_tuple_rows(fl: Flow, x0, duration: float, backward: bool, taus):
         knots.append(abs(t_new))
         rows.append(dense())
 
-    dynamics._run(fl.field._value, "field evaluation",
+    dynamics._run(fl.field._kernels["value"].floats, "field evaluation",
                   -duration if backward else duration, list(x0), keep)
     n, out = fl.field.n, []
     for tau in taus:
@@ -358,7 +358,8 @@ def _keep_everything(fl: Flow, t: float, pts: np.ndarray, t_eval):
         rows.append(row.copy())
 
     with np.errstate(all="ignore"):
-        end = _dop853.solve(fl.field._value_cols, t, tuple(pts.T), keep)
+        end = _dop853.solve(fl.field._kernels["value"].columns, t, tuple(pts.T),
+                            keep)
         knots = np.abs(ts)
         if t_eval is None:
             return end.T.copy(), knots, buffers
@@ -467,8 +468,8 @@ def test_field_kernels_match_component_expressions():
 
 
 def test_field_jacobian_and_batch_raise_on_a_non_finite_entry():
-    # both read the component expressions, so an entry that overflows is an
-    # EvalError rather than a silent inf
+    # both read the field's kernel cache, which checks every entry, so an
+    # entry that overflows is an EvalError rather than a silent inf
     f = VectorField([expr.parse("1e300*1e300*x1", 2), expr.parse("x2", 2)])
     with pytest.raises(EvalError, match="non-finite gradient"):
         f.jacobian([1.0, 0.0])
@@ -488,6 +489,15 @@ def test_field_value_raises_on_a_non_finite_entry():
     assert g([4.0, 3.0]).tolist() == [2.0, 3.0]
 
 
+def test_field_reads_refuse_a_point_of_another_dimension():
+    # the value, the Jacobian and the batch share the expressions' shape check
+    f = make_systemb().flows[0].field
+    for read, x in ((f, [1.0, 2.0, 3.0]), (f.jacobian, [1.0, 2.0, 3.0]),
+                    (f.value_batch, np.ones((4, 3)))):
+        with pytest.raises(ValueError, match=r"point has dimension \(3,\), expected 2"):
+            read(x)
+
+
 def test_variational_kernel_is_value_and_jacobian_product():
     f = VectorField([expr.parse("sin(x1)*x2 + x1^2*x3", 3),
                      expr.parse("exp(-x1*x2) - x3^3", 3),
@@ -505,7 +515,7 @@ def test_variational_kernel_is_value_and_jacobian_product():
                     dm[i][j] += jac[i][k] * m[k, j]
         want = np.concatenate([f(x), np.ravel(dm)])
         y = np.concatenate([x, m.ravel()]).tolist()
-        assert np.array_equal(np.array(f._var(*y)), want)
+        assert np.array_equal(np.array(f._kernels["variational"].floats(*y)), want)
         assert np.abs(want[3:] - (f.jacobian(x) @ m).ravel()).max() < 1e-14
 
 

@@ -240,17 +240,6 @@ def test_validate_monotone_in_level():
     assert m1 >= m0
 
 
-@pytest.mark.parametrize("grid", [0, -1])
-def test_validate_rejects_empty_absorb_grid(systemb, monkeypatch, grid):
-    # an empty time grid would leave the absorb check nothing to reduce
-    def unreachable(*args):
-        raise AssertionError("sampled before checking the grid")
-
-    monkeypatch.setattr(geometry, "sample_boundary", unreachable)
-    with pytest.raises(ValueError, match="grid=.* must be at least 1"):
-        validate_system(systemb, grid=grid)
-
-
 def test_validate_without_interior_fails_absorb():
     # disks of radius 0.1 in the 8 x 8 box: the interior sampler's 200
     # batches hold too few interior points, so absorb fails with its note

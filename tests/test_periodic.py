@@ -15,12 +15,13 @@ from flowrelay._util import seeded_rng
 from flowrelay.errors import (ContinuationStalled, DegenerateCrossing,
                               DegenerateJacobian, IntegrationError,
                               NoConvergence, NotInWindow, ReplayMismatch)
-from flowrelay.events import _expand_tree, backward_tree, forward_tree
-from flowrelay.geometry import Region, RelaySystem, sample_boundary
+from flowrelay.events import _expand_tree, backward_tree, find_crossings, forward_tree
+from flowrelay.geometry import Region, RelaySystem, sample_boundary, validate_system
 from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                                 chain_points, continue_levels, find_periodic,
                                 orbit_hausdorff, residual_jacobian, shooting_residual,
                                 verify_periodic)
+from flowrelay.relay import accessible_set, simulate
 
 from conftest import make_rotor, make_systemb, rotor_periodic_start
 from spiral_relay import SpiralRelay
@@ -684,3 +685,19 @@ def test_switching_vector_shape_checked_before_integrating(systemb_m,
                 SwitchingVector.of([1.5, 0.0, 0.0], (2.0, 2.0))):
         with pytest.raises(ValueError, match="2 start coordinates and 2 durations"):
             call(systemb_m, bad)
+
+
+def test_only_shooting_compiles_the_variational_kernel():
+    # validation, simulation, reach clouds and crossing location step the
+    # field's value alone; shooting flows every leg with its Jacobian, so
+    # each flow's cache compiles the variational right-hand side then
+    system = make_systemb()
+    x0 = np.array([1.5, 0.0])
+    validate_system(system, m=64)
+    simulate(system, x0, max_switches=2 * system.p)
+    accessible_set(system, x0, depth=2)
+    for fl in system.flows:
+        find_crossings(fl, system.chain_region(1), None, x0, fl.horizon)
+    assert ["variational" in fl.field._kernels for fl in system.flows] == [False] * system.p
+    find_periodic(system, opts=SolveOptions(max_seeds=4, seed=1))
+    assert ["variational" in fl.field._kernels for fl in system.flows] == [True] * system.p

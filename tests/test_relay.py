@@ -254,7 +254,7 @@ def test_check_connected_two_far_clouds():
     pts = np.vstack([np.zeros((5, 2)), np.full((5, 2), 10.0)])
     pts[:5] += np.linspace(0, 0.01, 5)[:, None]
     pts[5:] += np.linspace(0, 0.01, 5)[:, None]
-    cloud = PointCloud(pts, [], np.zeros(10, dtype=int))
+    cloud = PointCloud(pts, np.zeros(10, dtype=int))
     ok, ncomp = check_connected(cloud, 0.1)
     assert not ok and ncomp == 2
 
@@ -269,7 +269,7 @@ def _kdtree_connected(cloud: PointCloud, delta: float) -> tuple[bool, int]:
             a = parent[a]
         return a
 
-    for a, b in list(cloud.edges) + list(cKDTree(cloud.points).query_pairs(delta)):
+    for a, b in cKDTree(cloud.points).query_pairs(delta):
         parent[find(a)] = find(b)
     roots = {find(i) for i in range(len(cloud))}
     return len(roots) == 1, len(roots)
@@ -291,7 +291,7 @@ def test_neighbour_search_matches_query_pairs_on_random_clouds():
         for rel in (1e-9, 0.02, 0.2, 1.0):
             delta = rel * scale
             _same_pairs_as_kdtree(pts, delta)
-            cloud = PointCloud(pts, [], np.zeros(n, dtype=int))
+            cloud = PointCloud(pts, np.zeros(n, dtype=int))
             assert check_connected(cloud, delta) == _kdtree_connected(cloud, delta)
 
 
@@ -304,16 +304,16 @@ def test_points_exactly_delta_apart_are_joined(delta):
     grid = np.stack(np.meshgrid(i[:25], i[:25]), axis=-1).reshape(-1, 2)
     for pts in (line, grid, grid + 1e6 * delta):
         _same_pairs_as_kdtree(pts, delta)
-        cloud = PointCloud(pts, [], np.zeros(len(pts), dtype=int))
+        cloud = PointCloud(pts, np.zeros(len(pts), dtype=int))
         assert check_connected(cloud, delta) == _kdtree_connected(cloud, delta)
     # a pair at distance exactly delta is joined
     for pair in ([[0.0, 0.0], [delta, 0.0]], [[0.0, -delta], [0.0, 0.0]]):
-        cloud = PointCloud(np.array(pair), [], np.zeros(2, dtype=int))
+        cloud = PointCloud(np.array(pair), np.zeros(2, dtype=int))
         assert check_connected(cloud, delta) == (True, 1)
 
 
 def test_check_connected_rejects_nonpositive_delta():
-    cloud = PointCloud(np.zeros((2, 2)), [], np.zeros(2, dtype=int))
+    cloud = PointCloud(np.zeros((2, 2)), np.zeros(2, dtype=int))
     for delta in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError):
             check_connected(cloud, delta)
@@ -324,9 +324,7 @@ def test_depth5_cloud_connectivity_matches_query_pairs(systemb_m):
     for factor in (0.5, 1.0, 2.0):
         delta = factor * systemb_m.diameter / 512
         _same_pairs_as_kdtree(cloud.points, delta)
-        bare = PointCloud(cloud.points, [], cloud.depths)
-        for c in (cloud, bare):
-            assert check_connected(c, delta) == _kdtree_connected(c, delta)
+        assert check_connected(cloud, delta) == _kdtree_connected(cloud, delta)
 
 
 def test_systemb_accessible_connected(systemb_m):
