@@ -9,21 +9,24 @@ step-underflow failure are that class's, so results differ from scipy's
 only by rounding.
 
 A state is a tuple of n floats (one trajectory) or of n numpy columns (a
-batch of N points under one joint error norm). Each form has its own step
-and dense-row functions under the one step loop of solve, which keeps only
-the current state and hands each accepted step to the caller's solout, as
-the SOLOUT of Hairer's DOP853 driver does (Solving ODEs I, sec. II.6): a
-dense row is built only for a step whose caller asks for it.
+batch of N points under one joint error norm), each form with its own step
+function under the one step loop of solve. That loop keeps only the
+current state and hands each accepted step to the caller's solout, as the
+SOLOUT of Hairer's DOP853 driver does (Solving ODEs I, sec. II.6). A step
+that would pass the next requested stop time ends there, as the last step
+ends at the final time, so the state at each stop is a step end, the
+stop-time input of ODE codes (Hindmarsh, ODEPACK, 1983).
 
-- Floats: for each state size the two functions are generated as
-  straight-line Python with the zero tableau entries dropped, the way
-  expr._compile builds the field kernels.
-- Columns are stacked into one (n, N) array. The state y and the stages
-  K0..K15 are the rows of one preallocated buffer S. Once per step h times
-  the tableau rows, behind a column of ones, makes each stage argument,
-  the solution and each dense extra stage, y + h * (a @ K), one product
-  [1, h*a] @ S[:s + 1] into a preallocated buffer; the two error estimates
-  and the dense rows F3..F6 are one product each.
+- Floats: for each state size the step function and the dense-row
+  function, which builds a step's interpolant only for a caller that asks
+  for it, are generated as straight-line Python with the zero tableau
+  entries dropped, the way expr._compile builds the field kernels.
+- Columns are stacked into one (n, N) array and have no dense output. The
+  state y and the stages K0..K12 are the rows of one preallocated buffer
+  S. Once per step h times the tableau rows, behind a column of ones,
+  makes each stage argument and the solution, y + h * (a @ K), one
+  product [1, h*a] @ S[:s + 1] into a preallocated buffer; the two error
+  estimates are one product.
 
 A right-hand side maps the n state entries to a tuple of n entries (a
 column may come back as a scalar); a failing one propagates its own
@@ -127,11 +130,10 @@ _D = [
 ]
 _STAGES = len(_B)
 
-# the stacked form's tables: [1, h * _TABLE[r]] @ [y, K0..K15] is the
-# argument of K(r + 1) for r < 15, h * _TABLE[r] @ K the dense row F(r - 12)
-# after; _ERRORS maps K0..K12 to the E5 and E3 estimates
-_TABLE = np.array([row + [0.0] * (_STAGES + 4 - len(row))
-                   for row in _A[1:] + [_B] + _A_EXTRA + _D])
+# the stacked form's tables: [1, h * _TABLE[r]] @ [y, K0..K11] is the
+# argument of K(r + 1), the last the solution; _ERRORS maps K0..K12 to the
+# E5 and E3 estimates
+_TABLE = np.array(_A[1:] + [_B])
 _ERRORS = np.array([_E5, _E3])
 
 
@@ -203,35 +205,28 @@ def _generated(n: int) -> tuple[Callable, Callable]:
     return scope["_step"], scope["_dense"]
 
 
-def _stacked(n: int, npts: int) -> tuple[Callable, Callable]:
-    """The stacked form's step and dense-row functions for a batch of npts
-    points of n entries, the same contract as the generated pair over
-    (n, npts) arrays. They share one stage buffer, so the stages passed to
-    the dense rows are those of the last trial step, and every dense row is
-    the one (8, n, npts) buffer, overwritten by the next."""
-    S = np.empty((_STAGES + 5, n * npts))    # y, then the stages K0..K15
-    K = S[1:].reshape(_STAGES + 4, n, npts)
-    coefs = np.ones((len(_TABLE), _STAGES + 5))
+def _stacked(n: int, npts: int) -> Callable:
+    """The stacked form's step function for a batch of npts points of n
+    entries, the same contract as the generated one over (n, npts) arrays.
+    Its stages are the one buffer that the next trial step overwrites."""
+    S = np.empty((_STAGES + 2, n * npts))    # y, then the stages K0..K12
+    K = S[1:].reshape(_STAGES + 1, n, npts)
+    coefs = np.ones((len(_TABLE), _STAGES + 1))
     z = np.empty(n * npts)                   # a stage argument, then the scale
     Z = z.reshape(n, npts)
     errs = np.empty((2, n * npts))
-    row = np.empty((8, n, npts))
     # the argument of K[s] is coefs[s - 1, :s + 1] @ S[:s + 1]
-    args = [(coefs[s - 1, :s + 1], S[:s + 1]) for s in range(1, _STAGES + 4)]
-
-    def stages(fun, first: int, stop: int) -> None:
-        """K[s] = fun(*argument of K[s]) for s in first..stop-1."""
-        for s in range(first, stop):
-            np.matmul(*args[s - 1], out=z)
-            for i, v in enumerate(fun(*Z)):
-                K[s, i] = v
+    args = [(coefs[s - 1, :s + 1], S[:s + 1]) for s in range(1, _STAGES + 1)]
 
     def step(fun, y, k0, h):
         np.multiply(_TABLE, h, out=coefs[:, 1:])
         S[0] = y.reshape(-1)
         for i, v in enumerate(k0):
             K[0, i] = v
-        stages(fun, 1, _STAGES + 1)          # the last argument is y_new
+        for s in range(1, _STAGES + 1):      # the last argument is y_new
+            np.matmul(*args[s - 1], out=z)
+            for i, v in enumerate(fun(*Z)):
+                K[s, i] = v
         y_new = Z.copy()
         # each the mean over points of the scaled squares summed over
         # entries, as in the float form; e5 == 0 gives a zero norm whatever
@@ -239,23 +234,13 @@ def _stacked(n: int, npts: int) -> tuple[Callable, Callable]:
         scale = np.maximum(np.abs(S[0], out=errs[0]), np.abs(z, out=errs[1]), out=z)
         scale *= RTOL
         scale += ATOL
-        np.matmul(_ERRORS, S[1:_STAGES + 2], out=errs)
+        np.matmul(_ERRORS, S[1:], out=errs)
         np.divide(errs, scale, out=errs)
         e5, e3 = np.add.reduce(np.square(errs, out=errs), axis=1) / npts
         err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
         return err, y_new, K[_STAGES].copy(), K
 
-    def dense(fun, y, ks, y_new, f_new, h):
-        stages(fun, _STAGES + 1, _STAGES + 4)
-        row[0] = y
-        row[1] = d = y_new - y
-        row[2] = h * K[0] - d
-        row[3] = 2 * d - h * (K[_STAGES] + K[0])
-        np.matmul(coefs[_STAGES + 3:, 1:], S[1:],
-                  out=row[4:].reshape(len(_D), n * npts))
-        return row
-
-    return step, dense
+    return step
 
 
 # the initial RMS norm of a state of floats and of a stacked state
@@ -286,21 +271,23 @@ def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
     return min(100 * h0, h1, span)
 
 
-def solve(fun, t_end: float, y0: tuple, solout):
+def solve(fun, t_end: float, y0: tuple, solout, stops=()):
     """Integrate y' = fun(*y) from time 0 to the signed time t_end, over
     floats or, if y0 holds numpy columns, over the stacked columns, and
     return the end state: a tuple over floats, an (n, N) array over columns.
 
-    Only the current state is kept. Unless solout is None, each accepted
-    step from t to t_new (signed, from 0 to t_end) calls
-    solout(t, t_new, dense), and dense() builds that step's row: its start
-    state and its 7 interpolant rows, a flat tuple of 8n floats over floats
-    and over columns the (8, n, N) buffer that the next row overwrites.
-    Raises IntegrationError on step underflow.
+    Only the current state is kept. stops are signed times strictly
+    ordered from 0 toward t_end, none before 0 or past t_end: a step that
+    would pass the next of them ends on it exactly. Unless solout is None,
+    each accepted step from t to t_new (signed, from 0 to t_end) calls
+    solout(t, t_new, y_new, dense) with its end state. Over floats dense()
+    builds that step's row, its start state and its 7 interpolant rows as
+    a flat tuple of 8n floats; over columns dense is None. Raises
+    IntegrationError on step underflow.
     """
     if isinstance(y0[0], np.ndarray):
         y0 = np.array(y0, float)
-        (step, dense_rows), rms = _stacked(*y0.shape), _rms_stacked
+        step, dense_rows, rms = _stacked(*y0.shape), None, _rms_stacked
     else:
         (step, dense_rows), rms = _generated(len(y0)), _rms_floats
     direction = 1.0 if t_end > 0 else -1.0
@@ -308,9 +295,14 @@ def solve(fun, t_end: float, y0: tuple, solout):
     t, y = 0.0, y0
     f = fun(*y)
     h_abs = _initial_step(fun, y, f, abs(t_end), direction, rms)
+    ahead = iter(stops)
+    stop = next(ahead, t_end)
 
     def dense():
         return dense_rows(fun, y, ks, y_new, f_new, h)
+
+    if dense_rows is None:    # columns have no dense output
+        dense = None
 
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)
@@ -322,8 +314,8 @@ def solve(fun, t_end: float, y0: tuple, solout):
                 raise IntegrationError("integration failed: Required step size "
                                        "is less than spacing between numbers.")
             t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0:
-                t_new = t_end
+            if direction * (t_new - stop) > 0:
+                t_new = stop
             h = t_new - t
             h_abs = abs(h)
             err, y_new, f_new, ks = step(fun, y, f, h)
@@ -336,7 +328,9 @@ def solve(fun, t_end: float, y0: tuple, solout):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
+        if t_new == stop:
+            stop = next(ahead, t_end)
         if solout is not None:
-            solout(t, t_new, dense)
+            solout(t, t_new, y_new, dense)
         t, y, f = t_new, y_new, f_new
     return y

@@ -6,10 +6,10 @@ trajectory (flow_map, flow_map_with_jacobian and the dense FlowArc behind
 integrate) is stepped over floats. flow_map_points steps its N points as one
 stacked (n, N) array under one joint norm, taking each stage sum as one
 matrix product of a tableau row with the flattened stages, and keeps only
-the current state: each t_eval time is one vectorised Horner pass over the
-dense row of the step that holds it, as soon as that step is accepted, so
-its memory does not grow with the duration. The dense interpolant is
-built only where it is read. A FlowArc is the one reader of its rows: a
+the current state: each t_eval time is a stop time of the stepper, so the
+state there is a step end, copied out as that step is accepted, and its
+memory does not grow with the duration. The dense interpolant is built
+only where it is read. A FlowArc is the one reader of its rows: a
 point at a time through the step it read last (_point) and a float kernel
 there (_read), its steps cut into equal pieces (_grid) as one product of
 a table of Horner weights with its rows, or any parameters (sample) as
@@ -123,7 +123,7 @@ class FlowArc:
         self.backward = backward
         knots, rows = [0.0], []
 
-        def keep(t, t_new, dense):
+        def keep(t, t_new, y, dense):
             knots.append(abs(t_new))
             rows.extend(dense())
 
@@ -287,13 +287,14 @@ def _start(x, fn: str, n: int, batch: bool = False) -> np.ndarray:
     return x
 
 
-def _run(kernel, what: str, t: float, y0, solout):
+def _run(kernel, what: str, t: float, y0, solout, stops=()):
     """Integrate y' = kernel(*y) from 0 to the signed time t on the owned
-    stepper, over the floats or numpy columns of y0, handing each accepted
-    step to solout as _dop853.solve does: the end state. A kernel failure
-    raises EvalError; a non-finite end state, IntegrationError."""
+    stepper, over the floats or numpy columns of y0, ending a step at each
+    of the signed stops and handing each accepted step to solout as
+    _dop853.solve does: the end state. A kernel failure raises EvalError; a
+    non-finite end state, IntegrationError."""
     try:
-        end = _dop853.solve(kernel, t, tuple(y0), solout)
+        end = _dop853.solve(kernel, t, tuple(y0), solout, stops)
     except ex._EVAL_FAILURES as exc:
         raise EvalError(f"{what} failed: {exc}") from exc
     if not np.isfinite(end).all():
@@ -343,6 +344,8 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
     holds the current state and the output, not the trajectory. Returns
     the endpoint batch (N, n), or (len(t_eval), N, n) when t_eval is given;
     t_eval is in elapsed time and must lie in [0, |t|] (else OutOfSpan).
+    Each distinct nonzero t_eval time ends a step, and its rows are the
+    state at that step end; a time 0 reads the start points.
     """
     n = flow.field.n
     pts = _start(points, "flow_map_points", n, batch=True)
@@ -355,26 +358,20 @@ def flow_map_points(flow: Flow, t: float, points: np.ndarray,
         shape = (len(t_eval),) + shape
     if t == 0.0 or 0 in shape:   # nothing to integrate
         return np.broadcast_to(pts, shape).copy()
-    # each time lies in the step FlowArc.sample picks for it, from |t0|
-    # exclusive (0 inclusive) to |t1|: one Horner pass over that step's row
-    # covers every entry and point, before the next step overwrites it
-    times = np.empty(0) if t_eval is None else t_eval
-    order = np.argsort(times, kind="stable")
-    upto = times[order]
+    # the output rows of each distinct time
+    times = [] if t_eval is None else t_eval.tolist()
+    rows: dict[float, list[int]] = {}
+    for k, tau in enumerate(times):
+        rows.setdefault(tau, []).append(k)
     out = np.empty((len(times), n, len(pts)))
-    done = 0
+    out[rows.pop(0.0, [])] = pts.T
 
-    def horner(t0, t1, dense):
-        nonlocal done
-        lo, hi = abs(t0), abs(t1)
-        stop = int(np.searchsorted(upto, hi, "right"))
-        if stop > done:
-            row = dense()
-            for k in order[done:stop]:
-                out[k] = _interpolate(row, (times[k] - lo) / (hi - lo))
-            done = stop
+    def keep(t0, t1, y, dense):
+        if abs(t1) in rows:
+            out[rows[abs(t1)]] = y
 
     with np.errstate(all="ignore"):
         end = _run(flow.field._kernels["value"].columns, "field evaluation", t,
-                   pts.T, horner)
+                   pts.T, keep if rows else None,
+                   [math.copysign(tau, t) for tau in sorted(rows)])
     return end.T.copy() if t_eval is None else out.transpose(0, 2, 1)

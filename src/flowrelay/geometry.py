@@ -276,8 +276,9 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
       the regularity floor.
 
     Flow beta is solved once, for absorb, on the interior samples of region
-    beta-1 and boundary beta-1; entry[beta] reads those boundary rows at
-    the first of those times, the horizon. Both samplers work on the box's
+    beta-1 and boundary beta-1, with a step ending at each of those times;
+    entry[beta] reads those boundary rows at the first of them, the
+    horizon. Both samplers work on the box's
     coordinate columns, the layout the stacked stepper steps, and a
     boundary point's squared gradient norm is summed in coordinate order.
 

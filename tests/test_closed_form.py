@@ -24,6 +24,7 @@ from spiral_relay import SpiralRelay
 SYSTEMB_PERIOD = 6.434876493228312
 TRIANGLE_PERIOD = 11.425467788177968
 TOL = 1e-9
+STEP_END_TOL = 3e-11   # validate's margins read at stop times of the stepper
 
 
 def _triangle_foci() -> list[tuple[float, float]]:
@@ -115,7 +116,9 @@ def test_validate_margins_match_the_closed_form(name, beta):
     # validate_system's samples redrawn from its own streams, flowed by the
     # closed form: entry[k] is region k's worst margin over boundary k - 1
     # at horizon k, absorb[beta] the worst over the interior of region
-    # beta - 1 and boundary beta - 1 at each of the 16 grid times
+    # beta - 1 and boundary beta - 1 at each of the 16 grid times. Flow
+    # beta's states there are step ends, not interpolated, so absorb[beta]
+    # and entry[beta] hold the tighter STEP_END_TOL
     system, exact, _ = _relay(name)
     system = dataclasses.replace(system, beta=beta)
     lv, m = system.levels(), 256
@@ -132,10 +135,10 @@ def test_validate_margins_match_the_closed_form(name, beta):
                     for j in range(system.p + 1)]
         for k in range(1, system.p + 1):
             want = worst(k, boundary[k - 1], system.flows[k - 1].horizon)
-            assert abs(got["entry", k] - want) < TOL
+            assert abs(got["entry", k] - want) < (STEP_END_TOL if k == beta else TOL)
         interior = _interior_samples(system.chain_region(beta - 1, lv), system.box,
                                      m, seeded_rng(seed, "validate-absorb"))
         pts = np.vstack([interior, boundary[beta - 1]])
         horizon = system.flows[beta - 1].horizon
         want = min(worst(beta, pts, t) for t in np.linspace(horizon, 2 * horizon, 16))
-        assert abs(got["absorb", beta] - want) < TOL
+        assert abs(got["absorb", beta] - want) < STEP_END_TOL

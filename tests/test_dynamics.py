@@ -125,7 +125,7 @@ def _point_from_tuple_rows(fl: Flow, x0, duration: float, backward: bool, taus):
     a list: the form the array of rows replaced."""
     knots, rows = [0.0], []
 
-    def keep(t, t_new, dense):
+    def keep(t, t_new, y, dense):
         knots.append(abs(t_new))
         rows.append(dense())
 
@@ -345,29 +345,25 @@ def test_flow_map_points_three_dimensional_linear_field():
 
 
 def _keep_everything(fl: Flow, t: float, pts: np.ndarray, t_eval):
-    """flow_map_points as one full solve that keeps every accepted step and
-    a copy of every dense row to the end, then one Horner pass per time at
-    the step searchsorted picks: (the result, the accepted step times in
-    elapsed time, the distinct dense-row buffers)."""
-    ts, rows, buffers = [0.0], [], {}
+    """flow_map_points as one full solve with the same stop times that keeps
+    every accepted state to the end, then reads the states at the requested
+    times, the start points at 0: (the result, the accepted step times in
+    elapsed time)."""
+    ts, states = [0.0], [pts.T]
+    stops = [] if t_eval is None else sorted(set(np.abs(t_eval).tolist()) - {0.0})
 
-    def keep(t0, t1, dense):
+    def keep(t0, t1, y, dense):
         ts.append(t1)
-        row = dense()
-        buffers[id(row)] = row
-        rows.append(row.copy())
+        states.append(y.copy())
 
     with np.errstate(all="ignore"):
         end = _dop853.solve(fl.field._kernels["value"].columns, t, tuple(pts.T),
-                            keep)
-        knots = np.abs(ts)
-        if t_eval is None:
-            return end.T.copy(), knots, buffers
-        steps = np.clip(np.searchsorted(knots, t_eval) - 1, 0, len(ts) - 2)
-        x = (t_eval - knots[steps]) / (knots[steps + 1] - knots[steps])
-        out = np.array([dynamics._interpolate(rows[i], xk)
-                        for i, xk in zip(steps, x)])
-    return out.transpose(0, 2, 1), knots, buffers
+                            keep, [math.copysign(s, t) for s in stops])
+    knots = np.abs(ts)
+    if t_eval is None:
+        return end.T.copy(), knots
+    steps = [knots.tolist().index(tau) for tau in t_eval]
+    return np.array([states[i] for i in steps]).transpose(0, 2, 1), knots
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -376,8 +372,9 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("npts", [1, 1000])
 def test_streamed_flow_map_points_is_bit_identical_to_keeping_every_step(npts):
-    # a regression guard: building a row only for a step that holds a
-    # t_eval time, into one reused buffer, changes no bit of the result
+    # a regression guard: copying out the state of each step that ends at a
+    # t_eval time, instead of keeping every state, changes no bit of the
+    # result
     fields = {2: make_systemb().flows[0].field,
               3: VectorField([expr.parse(c, 3) for c in
                               ("-x2 - 0.1*x1", "x1 - 0.1*x2",
@@ -387,7 +384,7 @@ def test_streamed_flow_map_points_is_bit_identical_to_keeping_every_step(npts):
         fl = Flow(field, 5.0)
         pts = rng.uniform(-2.0, 2.0, (npts, n))
         for t in (3.0, -3.0):
-            want, knots, _ = _keep_everything(fl, t, pts, None)
+            want, knots = _keep_everything(fl, t, pts, None)
             assert _bits(flow_map_points(fl, t, pts)).tolist() == _bits(want).tolist()
             inner = knots[1:-1]
             a, b = rng.uniform(0.0, 3.0, 2)
@@ -396,17 +393,47 @@ def test_streamed_flow_map_points_is_bit_identical_to_keeping_every_step(npts):
                      np.array([3.0, inner[len(inner) // 2], 0.0, inner[0],
                                inner[-1], 3.0, 0.0])]
             for t_eval in cases:
-                want, _, buffers = _keep_everything(fl, t, pts, t_eval)
-                assert len(buffers) == 1
+                want, _ = _keep_everything(fl, t, pts, t_eval)
                 got = flow_map_points(fl, t, pts, t_eval=t_eval)
                 assert got.shape == (len(t_eval), npts, n)
                 assert np.array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_flow_map_points_stops_at_crowded_times(sign):
+    # times a few ulps apart, a few ulps below |t|, repeated, and 0: each
+    # distinct one ends a step, however short, and none underflows the
+    # stepper; equal times read equal states, 0 the start points
+    fl = Flow(make_systemb().flows[0].field, 5.0)
+    pts = np.random.default_rng(43).uniform(-2.0, 2.0, (6, 2))
+    t, a = 3.0, 1.7
+
+    def ulps(x: float, k: int) -> float:
+        for _ in range(abs(k)):
+            x = math.nextafter(x, math.copysign(math.inf, k))
+        return x
+
+    cases = [[ulps(a, k) for k in (0, 1, 2, 5, 3)],
+             [ulps(t, -3), t, ulps(t, -1)],
+             [a, 0.0, a, t, a, t, 0.0],
+             [0.0, 0.0],
+             [0.0, ulps(0.0, 1), ulps(a, 1), a, ulps(t, -2), t, 0.0, t]]
+    for t_eval in cases:
+        got = flow_map_points(fl, sign * t, pts, t_eval)
+        assert got.shape == (len(t_eval), 6, 2)
+        for i, tau in enumerate(t_eval):
+            same = [j for j, other in enumerate(t_eval) if other == tau]
+            assert all(np.array_equal(got[j], got[i]) for j in same)
+            if tau == 0.0:
+                assert np.array_equal(got[i], pts)
+            want = np.array([flow_map(fl, math.copysign(tau, sign), x) for x in pts])
+            assert np.abs(got[i] - want).max() < 1e-9
+
+
 def test_flow_map_points_memory_does_not_grow_with_duration():
-    # only the current state and, with t_eval, the output and one dense row
-    # are held: 40 time units peak within 10 % of 4 (keeping every accepted
-    # state and row took 2.9x)
+    # only the current state and, with t_eval, the output are held: 40
+    # time units peak within 10 % of 4 (keeping every accepted state and
+    # row took 2.9x)
     fl = Flow(make_systemb().flows[0].field, 40.0)
     pts = np.random.default_rng(42).uniform(-2.0, 2.0, (1024, 2))
 
