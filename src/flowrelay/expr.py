@@ -351,16 +351,19 @@ class _Kernels(dict):
     def __missing__(self, key) -> _Kernel:
         roots, n, width = self.roots, self.n, self.n
         values = ("value",) * len(roots)
-        jac = tuple(derive(r, j) for r in roots for j in range(1, n + 1))
+
+        def partials() -> tuple[Node, ...]:   # root by root, derived on demand
+            return tuple(derive(r, j) for r in roots for j in range(1, n + 1))
+
         if key == "value":
             body, names = roots, values
         elif key in ("gradient", "value and gradient"):
-            body = jac
+            body = partials()
             names = tuple(f"gradient (d/dx{j})" for _ in roots for j in range(1, n + 1))
             if key == "value and gradient":
                 body, names = (*roots, *body), values + names
         elif key == "variational":
-            body, width = roots, n + n * n
+            body, width, jac = roots, n + n * n, partials()
             for i in range(n):
                 for j in range(n):
                     acc: Node = Num(0.0)
@@ -371,6 +374,7 @@ class _Kernels(dict):
         else:
             field, backward = key
             lie: Node = Num(0.0)
+            jac = partials()
             for j, v in enumerate(field._kernels.roots):
                 lie = _n_add(lie, _n_mul(jac[j], v))
             body = (roots[0], Neg(lie) if backward else lie)

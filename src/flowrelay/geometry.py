@@ -34,8 +34,8 @@ _EPS_REG = 1e-6  # floor on |grad f| at regular boundary points
 
 @dataclass
 class Region:
-    """Superlevel-set region {f >= level} with boundary {f = level}; a
-    boundary point is regular where |grad f| >= _EPS_REG (1e-6)."""
+    """Superlevel-set region {f >= level} with boundary {f = level};
+    validate measures |grad f| on sampled boundary points against _EPS_REG."""
 
     f: ex.Expression
     level: float = 0.0
@@ -79,10 +79,10 @@ def sample_boundary(region: Region, box: np.ndarray, m: int,
     slice stops once all its points converge. A slice is stepped as its n
     coordinate columns: each step reads f and its n partials in one call of
     one compiled kernel, and the squared gradient norm is summed in
-    coordinate order. Points that leave the box, miss the level by more
-    than 1e-10, or land where the gradient is below the regularity floor
-    are discarded. BoundaryNotFound after 20 batches without m points;
-    ValueError when m < 1.
+    coordinate order. Every point that converges to within 1e-10 of the
+    level inside the box is kept, whatever its gradient norm, which is
+    returned for validate to measure. BoundaryNotFound after 20 batches
+    without m points; ValueError when m < 1.
     """
     if m < 1:
         raise ValueError(f"need m >= 1 boundary samples, got {m}")
@@ -114,7 +114,7 @@ def sample_boundary(region: Region, box: np.ndarray, m: int,
                 if np.abs(r).max() <= _SAMPLE_TOL:   # r is never NaN
                     break
             gn = np.sqrt(sum(v * v for v in g))
-            ok = (np.abs(r) <= _SAMPLE_TOL) & (gn >= _EPS_REG)
+            ok = np.abs(r) <= _SAMPLE_TOL
             for x, (a, b) in zip(xs, bounds):
                 ok &= (x >= a) & (x <= b)
             take = np.flatnonzero(ok)[:m - have]
@@ -272,15 +272,14 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
     - absorb (if beta set): flow beta keeps all of region beta-1 inside
       region beta at _ABSORB_TIMES times spread evenly over [horizon,
       2 * horizon];
-    - regular (j=0..p): gradient norms on sampled boundaries stay above
-      the regularity floor.
+    - regular (j=0..p): the smallest gradient norm over boundary j's
+      samples is at least the regularity floor.
 
-    Flow beta is solved once, for absorb, on the interior samples of region
-    beta-1 and boundary beta-1, with a step ending at each of those times;
-    entry[beta] reads those boundary rows at the first of them, the
-    horizon. Both samplers work on the box's
-    coordinate columns, the layout the stacked stepper steps, and a
-    boundary point's squared gradient norm is summed in coordinate order.
+    Each flow k is solved once, on boundary k-1's samples stopped at the
+    horizon; for beta the interior samples of region beta-1 go in front,
+    with a stop at each absorb time, and entry[beta] reads the boundary
+    rows at the first, the horizon. Both samplers work on the box's
+    coordinate columns, the layout the stacked stepper steps.
 
     Margins are oriented so that positive means the condition holds with
     room; these are open conditions, so sampling + margins is the check. A
@@ -304,46 +303,37 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
             conditions.append(ConditionResult("regular", j, False,
                                               float("-inf"), note=str(exc)))
 
-    b = system.beta
-    if b is not None:
-        # at_grid[g, i]: the region-beta margin of batch row i at time g
-        batch = [boundary[b - 1].points] if b - 1 in boundary else []
-        absorb = None
-        try:
-            batch.insert(0, _interior_samples(system.chain_region(b - 1, lv), system.box,
-                                              m, seeded_rng(seed, "validate-absorb")))
-        except BoundaryNotFound as exc:
-            absorb = ConditionResult("absorb", b, False, float("-inf"), note=str(exc))
-        if batch:
-            pts, horizon = np.vstack(batch), system.flows[b - 1].horizon
-            states = flow_map_points(system.flows[b - 1], 2.0 * horizon, pts,
-                                     t_eval=np.linspace(horizon, 2.0 * horizon,
-                                                        _ABSORB_TIMES))
-            at_grid = system.chain_region(b, lv).f.evaluate(states) - lv[b]
-            if absorb is None:
-                absorb = ConditionResult("absorb", b, bool(at_grid.min() > 0.0),
-                                         float(at_grid.min()))
-
+    b, absorb = system.beta, None
     for k in range(1, system.p + 1):
-        region_k = system.chain_region(k, lv)
+        region_k, flow_k = system.chain_region(k, lv), system.flows[k - 1]
         src = boundary.get(k - 1)
-        if src is None:
-            conditions.append(ConditionResult("disjoint", k, False, float("-inf"),
-                                              note="no source boundary samples"))
-            conditions.append(ConditionResult("entry", k, False, float("-inf"),
-                                              note="no source boundary samples"))
-            continue
-        vals = region_k.f.evaluate(src.points) - lv[k]
-        conditions.append(ConditionResult(
-            "disjoint", k, bool(vals.max() < 0.0), float(-vals.max())))
+        batch = [] if src is None else [src.points]
+        times = [flow_k.horizon]
         if k == b:
-            vals_T = at_grid[0, -len(src):]
+            times = np.linspace(flow_k.horizon, 2.0 * flow_k.horizon, _ABSORB_TIMES)
+            try:
+                batch.insert(0, _interior_samples(system.chain_region(k - 1, lv), system.box,
+                                                  m, seeded_rng(seed, "validate-absorb")))
+            except BoundaryNotFound as exc:
+                absorb = ConditionResult("absorb", b, False, float("-inf"), note=str(exc))
+        if batch:
+            # margins[g, i]: the region-k margin of batch row i at times[g]
+            states = flow_map_points(flow_k, float(times[-1]), np.vstack(batch),
+                                     t_eval=times)
+            margins = region_k.f.evaluate(states) - lv[k]
+        if src is None:
+            conditions += [ConditionResult(name, k, False, float("-inf"),
+                                           note="no source boundary samples")
+                           for name in ("disjoint", "entry")]
         else:
-            flow_k = system.flows[k - 1]
-            mapped = flow_map_points(flow_k, flow_k.horizon, src.points)
-            vals_T = region_k.f.evaluate(mapped) - lv[k]
-        conditions.append(ConditionResult(
-            "entry", k, bool(vals_T.min() > 0.0), float(vals_T.min())))
+            vals = region_k.f.evaluate(src.points) - lv[k]
+            entry = margins[0, -len(src):].min()
+            conditions += [
+                ConditionResult("disjoint", k, bool(vals.max() < 0.0), float(-vals.max())),
+                ConditionResult("entry", k, bool(entry > 0.0), float(entry))]
+        if k == b and absorb is None:
+            absorb = ConditionResult("absorb", b, bool(margins.min() > 0.0),
+                                     float(margins.min()))
 
     if b is not None:
         conditions.append(absorb)

@@ -1,9 +1,11 @@
-"""find_periodic and validate_system against the exact flows of systemb and
-the p = 3 triangle.
+"""find_periodic and validate_system against the exact flows of systemb, the
+p = 3 triangle and slow spirals.
 
-Both relays are linear spiral sinks with circular boundaries about the foci,
-so their flows and return maps are explicit (tests/spiral_relay.py), and the
-exact orbit and margins come from no integrator."""
+All three relays are linear spiral sinks with circular boundaries about the
+foci, so their flows and return maps are explicit (tests/spiral_relay.py),
+and the exact orbits and margins come from no integrator. Slow spirals is
+systemb at spiral rate 1/4 with both horizons 8, whose return map has three
+fixed points."""
 from __future__ import annotations
 
 import dataclasses
@@ -35,21 +37,25 @@ def _triangle_foci() -> list[tuple[float, float]]:
     return [centers[(i + 1) % 3] for i in range(3)]
 
 
+# the relays with one orbit
 CASES = {
     "systemb": (make_systemb, [(-1.0, 0.0), (1.0, 0.0)], SYSTEMB_PERIOD),
     "triangle": (lambda: load_config(REPO_ROOT / "perfbench" / "triangle.json"),
                  _triangle_foci(), TRIANGLE_PERIOD),
 }
+SLOW_SPIRALS = (lambda: load_config(REPO_ROOT / "configs" / "slow_spirals.json"),
+                [(-1.0, 0.0), (1.0, 0.0)], None)
+RATES = {"slow_spirals": 0.25}   # the spiral rate, where it is not 1/2
 
 
 @functools.cache
 def _relay(name: str):
-    make, foci, period = CASES[name]
+    make, foci, period = {**CASES, "slow_spirals": SLOW_SPIRALS}[name]
     system = make()
-    return system, SpiralRelay(foci, system.levels()), period
+    return system, SpiralRelay(foci, system.levels(), RATES.get(name, 0.5)), period
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", [*sorted(CASES), "slow_spirals"])
 def test_closed_form_describes_the_system(name):
     # each flow rests at its focus, and boundary i + 1 is the circle of
     # radius rho_{i+1} about focus i
@@ -108,10 +114,11 @@ def test_continuation_path_follows_the_exact_orbits(offset_from, offset_to):
         assert np.abs(sv.t - durations).max() < PATH_TOL
 
 
-# the triangle copy with beta = 2 takes its absorb batch from region 1 and
+# the copies with beta = 2 take their absorb batch from region 1 and
 # boundary 1, which a mix-up of the beta - 1 and beta indices would miss
 @pytest.mark.parametrize("name, beta", [("systemb", 1), ("triangle", 1),
-                                        ("triangle", 2)])
+                                        ("triangle", 2), ("slow_spirals", 1),
+                                        ("slow_spirals", 2)])
 def test_validate_margins_match_the_closed_form(name, beta):
     # validate_system's samples redrawn from its own streams, flowed by the
     # closed form: entry[k] is region k's worst margin over boundary k - 1
@@ -128,8 +135,9 @@ def test_validate_margins_match_the_closed_form(name, beta):
         return float((system.chain_region(k, lv).f.evaluate(states) - lv[k]).min())
 
     for seed in range(4):
-        got = {(c.name, c.index): c.margin
-               for c in validate_system(system, m=m, seed=seed).conditions}
+        report = validate_system(system, m=m, seed=seed)
+        assert report.passed
+        got = {(c.name, c.index): c.margin for c in report.conditions}
         boundary = [sample_boundary(system.chain_region(j, lv), system.box, m,
                                     seeded_rng(seed, "validate", str(j))).points
                     for j in range(system.p + 1)]
@@ -142,3 +150,39 @@ def test_validate_margins_match_the_closed_form(name, beta):
         horizon = system.flows[beta - 1].horizon
         want = min(worst(beta, pts, t) for t in np.linspace(horizon, 2 * horizon, 16))
         assert abs(got["absorb", beta] - want) < STEP_END_TOL
+
+
+# dP/dtheta at each fixed point: systemb, the triangle, and slow spirals'
+# outer pair and middle orbit, in the order of their angles about c_{p-1}
+SLOPES = {"systemb": [0.0286413195], "triangle": [-0.0315803466],
+          "slow_spirals": [0.4784690633, 1.3377090785, 0.4784690633]}
+
+
+@pytest.mark.parametrize("name", sorted(SLOPES))
+def test_slope_matches_a_central_difference(name):
+    _, exact, _ = _relay(name)
+    fixed = exact.fixed_points()
+    assert len(fixed) == len(SLOPES[name])
+    h = 1e-6
+    for (start, _), want in zip(fixed, SLOPES[name]):
+        d = start - exact.foci[-1]
+        theta = math.atan2(d[1], d[0])
+        slope = exact.slope(theta)
+        central = (exact.displacement(theta + h)
+                   - exact.displacement(theta - h)) / (2.0 * h) + 1.0
+        assert abs(slope - central) < 1e-8
+        assert abs(slope - want) < 1e-9
+
+
+def test_find_periodic_finds_the_three_slow_spiral_orbits():
+    system, exact, _ = _relay("slow_spirals")
+    orbits = find_periodic(system, opts=SolveOptions(max_seeds=32, seed=7))
+    fixed = exact.fixed_points()
+    assert len(orbits) == len(fixed) == 3
+    nearest = [min(fixed, key=lambda f: np.abs(orbit.sv.x - f[0]).max())
+               for orbit in orbits]
+    assert len({tuple(start) for start, _ in nearest}) == 3
+    for orbit, (start, durations) in zip(orbits, nearest):
+        assert np.abs(orbit.sv.x - start).max() < 1e-8
+        assert np.abs(orbit.sv.t - durations).max() < 1e-8
+        assert abs(orbit.period - sum(durations)) < 1e-8

@@ -179,6 +179,16 @@ def test_overflowing_start_derivative_fails_as_underflow():
             call(fl, 0.5, [1e80, 1.0])
 
 
+def test_a_start_at_rest_stays_put():
+    # V(x0) = 0 at systemb's first focus: the first step comes from the
+    # zero-derivative branch of the step size choice, and no step moves
+    fl = make_systemb().flows[0]
+    focus = np.array([-1.0, 0.0])
+    assert not np.any(fl.field(focus))
+    for t in (4.0, -4.0):
+        assert np.array_equal(flow_map(fl, t, focus), focus)
+
+
 _TABLEAU = ("A", "B", "E3", "E5", "A_EXTRA", "D")
 
 

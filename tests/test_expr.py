@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from flowrelay import expr
+from flowrelay.dynamics import VectorField
 from flowrelay.errors import EvalError, ParseError, UnknownVariableError
 from flowrelay.expr import Add, Div, Fun, Mul, Neg, Num, Pow, Sub, Var, derive
 
@@ -268,3 +269,42 @@ def test_batch_results_are_not_views_of_the_batch():
     for out in (value, d1, d2):
         out[:] = 9.0
     assert np.array_equal(B, np.ones((3, 2)))
+
+
+
+def test_only_bodies_that_read_partials_derive_them(monkeypatch):
+    # a value kernel derives nothing; every other kernel derives each of
+    # its roots' n partials once, root by root (derive's recursion into
+    # subtrees is not counted)
+    derive, depth, top = expr.derive, [0], []
+
+    def counted(node, index):
+        if depth[0] == 0:
+            top.append(index)
+        depth[0] += 1
+        try:
+            return derive(node, index)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "derive", counted)
+
+    def derived(kernels, key) -> list[int]:
+        top.clear()
+        kernels[key]
+        return list(top)
+
+    def fresh():
+        return (expr.parse("0.25 - ((x1+1)^2 + x2^2)", 2),
+                VectorField([expr.parse("-0.5*(x1+1) - x2", 2),
+                             expr.parse("(x1+1) - 0.5*x2", 2)]))
+
+    for key, want in (("value", []), ("gradient", [1, 2]),
+                      ("value and gradient", [1, 2])):
+        f, field = fresh()
+        assert derived(f._kernels, key) == want
+        assert derived(field._kernels, key) == want * 2
+    f, field = fresh()
+    assert derived(field._kernels, "variational") == [1, 2, 1, 2]
+    for backward in (False, True):
+        assert derived(f._kernels, (field, backward)) == [1, 2]

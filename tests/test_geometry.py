@@ -87,7 +87,7 @@ def _sample_boundary_by_loops(region, box, m, rng):
             g = region.f.gradient(x)
             gn = np.sqrt(_square_norms_by_loop(g))
             for i in range(len(x)):
-                if (r[i] <= geometry._SAMPLE_TOL and gn[i] >= geometry._EPS_REG
+                if (r[i] <= geometry._SAMPLE_TOL
                         and np.all((x[i] >= lo - 1e-12) & (x[i] <= hi + 1e-12))):
                     points.append(x[i])
                     norms.append(float(gn[i]))
@@ -120,6 +120,11 @@ def test_samplers_match_the_loops():
     # partials that are the columns x2 and x1, which each Newton step updates
     # in place
     cases.append((systems[0], Region(expr.parse("x1*x2 - 1", 2), index=0)))
+    # a region that is one point, c, with no interior: a sample within
+    # 1e-10 of the level lies within 1e-5 of c, where |grad f| = 2|x - c|,
+    # and one below the regularity floor is kept all the same
+    point = systems[0].chain_region(1, [0.0, 0.25, 0.0])
+    cases.append((systems[0], point))
     # in R^3, where an einsum may sum the three squares in another order; a
     # box that leaves the balls room for 1024 interior samples
     lifted = dataclasses.replace(_lifted_systemb(), box=[[-2.0] * 3, [2.0] * 3])
@@ -133,14 +138,18 @@ def test_samplers_match_the_loops():
                                                                m, rngs[1])
             assert np.array_equal(got.points, points)
             assert np.array_equal(got.grad_norms, norms)
+            assert rngs[0].random() == rngs[1].random()
+            most_batches[0] = max(most_batches[0], batches)
+            if region is point:
+                assert got.grad_norms.max() <= 2e-5
+                assert m < 1024 or got.grad_norms.min() < geometry._EPS_REG
+                continue
             inside = geometry._interior_samples(region, system.box, m, rngs[2])
             want, inside_batches = _interior_samples_by_loops(region, system.box,
                                                               m, rngs[3])
             assert np.array_equal(inside, want)
-            assert rngs[0].random() == rngs[1].random()
             assert rngs[2].random() == rngs[3].random()
-            most_batches = [max(most_batches[0], batches),
-                            max(most_batches[1], inside_batches)]
+            most_batches[1] = max(most_batches[1], inside_batches)
     assert most_batches[0] > 1 and most_batches[1] > 1
 
 
@@ -253,6 +262,17 @@ def test_validate_without_interior_fails_absorb():
     assert absorb[0].margin == -math.inf
     assert absorb[0].note == "region 0 has no interior in the box"
     assert all(c.passed for c in report.conditions if c.name == "regular")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_validate_point_region_fails_regular(seed):
+    # at level offset 0.25 region 1 of systemb is the one point (-1, 0),
+    # where grad f vanishes: regular[1] reads the smallest gradient norm
+    # over the samples, which lies below the floor
+    report = validate_system(make_systemb(), levels=[0.0, 0.25, 0.0], seed=seed)
+    regular = {c.index: c for c in report.conditions if c.name == "regular"}
+    assert not regular[1].passed and 0.0 < regular[1].margin < geometry._EPS_REG
+    assert regular[0].passed and regular[2].passed
 
 
 @pytest.mark.parametrize("make", [make_systemb, make_triangle])

@@ -186,6 +186,34 @@ def test_find_periodic_lets_programming_errors_through(rotor_m, monkeypatch):
         find_periodic(rotor_m, seeds=[rotor_closed_form_sv()])
 
 
+def test_find_periodic_skips_a_seed_whose_solve_fails(rotor_m, monkeypatch):
+    # the first seed's Newton run raises a solver error: that seed is given
+    # up, and the second still gives the orbit
+    newton, calls = periodic._newton, []
+
+    def failing_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise IntegrationError("injected seed failure")
+        return newton(*args)
+
+    monkeypatch.setattr(periodic, "_newton", failing_first)
+    sv = rotor_closed_form_sv()
+    orbits = find_periodic(rotor_m, seeds=[sv, sv])
+    assert len(calls) == 2 and len(orbits) == 1
+    assert abs(orbits[0].period - 2 * math.pi) < 1e-6
+
+
+def test_find_periodic_fails_when_every_replay_fails(rotor_m, monkeypatch):
+    # Newton converges, but no candidate survives its replay
+    def mismatch(system, orbit):
+        raise ReplayMismatch("injected replay failure")
+
+    monkeypatch.setattr(periodic, "verify_periodic", mismatch)
+    with pytest.raises(NoConvergence, match="failed replay verification"):
+        find_periodic(rotor_m, seeds=[rotor_closed_form_sv()])
+
+
 def test_find_periodic_converges_systemb_seed_at_angle_pi(systemb_m):
     # the boundary-0 point at angle pi, on the far side of the disk from the
     # orbit's start: the seed's first chain leaf must still reach the root
@@ -504,6 +532,14 @@ def test_verify_rejects_corrupted_orbit(systemb_m, systemb_orbit):
         verify_periodic(systemb_m, corrupted)
 
 
+def test_verify_rejects_a_leg_without_crossings(rotor_m):
+    # rotor's radius-2.5 circle never meets boundary 1
+    orbit = PeriodicOrbit(SwitchingVector.of([2.5, 0.0], (1.0, 1.0)),
+                          rotor_m.levels(), 0.0, np.eye(2))
+    with pytest.raises(ReplayMismatch, match="no crossings on leg 1"):
+        verify_periodic(rotor_m, orbit)
+
+
 def test_verify_rejects_unequal_closing_level(systemb_m, systemb_orbit):
     shifted = replace(systemb_orbit, levels=np.array([0.0, 0.0, 0.01]))
     with pytest.raises(ValueError, match="closing level"):
@@ -651,6 +687,25 @@ def test_continuation_refuses_a_corrector_far_from_its_predictor(
     path = continue_levels(systemb_m, systemb_orbit.sv, lv0, lv0 + 0.01)
     assert all(sv != far[0] for _, sv in path.steps)
     assert path.steps[1][0].tolist() == (lv0 + 0.01 / 2).tolist()
+
+
+def test_continuation_halves_the_step_when_a_corrector_raises(
+        systemb_m, systemb_orbit, monkeypatch):
+    # the first corrector fails with a solver error: the step is halved and
+    # retried, not the whole continuation given up
+    newton, calls = periodic._newton, []
+
+    def failing_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise IntegrationError("injected corrector failure")
+        return newton(*args)
+
+    monkeypatch.setattr(periodic, "_newton", failing_first)
+    lv0 = systemb_m.levels()
+    path = continue_levels(systemb_m, systemb_orbit.sv, lv0, lv0 + 0.01)
+    assert path.steps[1][0].tolist() == (lv0 + 0.01 / 2).tolist()
+    assert path.steps[-1][0].tolist() == (lv0 + 0.01).tolist()
 
 
 # every call that takes a switching vector, as call(system, sv)

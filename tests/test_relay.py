@@ -149,6 +149,17 @@ def test_nth_hit_picks_later_crossing(rotor_m):
     assert second.switches[0].crossing_index == 1
 
 
+def test_nth_hit_needs_a_positive_index():
+    with pytest.raises(ValueError, match="n >= 1"):
+        NthHit(0)
+
+
+@pytest.mark.parametrize("k0", [-1, 2])
+def test_simulate_rejects_mode_outside_range(rotor_m, k0):
+    with pytest.raises(ValueError, match="k0"):
+        simulate(rotor_m, rotor_periodic_start(1.0), k0, max_switches=1)
+
+
 def test_simulate_requires_stop_rule(rotor_m):
     with pytest.raises(ValueError):
         simulate(rotor_m, rotor_periodic_start(1.0), 0)
@@ -310,6 +321,12 @@ def test_points_exactly_delta_apart_are_joined(delta):
     for pair in ([[0.0, 0.0], [delta, 0.0]], [[0.0, -delta], [0.0, 0.0]]):
         cloud = PointCloud(np.array(pair), np.zeros(2, dtype=int))
         assert check_connected(cloud, delta) == (True, 1)
+
+
+def test_check_connected_rejects_an_empty_cloud():
+    cloud = PointCloud(np.zeros((0, 2)), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match="empty cloud"):
+        check_connected(cloud, 0.1)
 
 
 def test_check_connected_rejects_nonpositive_delta():
