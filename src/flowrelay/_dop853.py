@@ -12,14 +12,12 @@ A state is a tuple of n floats (one trajectory) or of n numpy columns (a
 batch of N points under one joint error norm), each form with its own step
 function under the one step loop of solve. That loop keeps only the
 current state and hands each accepted step to the caller's solout, as the
-SOLOUT of Hairer's DOP853 driver does (Solving ODEs I, sec. II.6). A step
-that would pass the next requested stop time ends there, as the last step
-ends at the final time, so the state at each stop is a step end, the
-stop-time input of ODE codes (Hindmarsh, ODEPACK, 1983).
+SOLOUT of Hairer's DOP853 driver does (Solving ODEs I, sec. II.6); a step
+that would pass the final time ends there.
 
 - Floats: for each state size the step function and the dense-row
-  function, which builds a step's interpolant only for a caller that asks
-  for it, are generated as straight-line Python with the zero tableau
+  function, which builds a step's interpolant only for a caller with a
+  solout, are generated as straight-line Python with the zero tableau
   entries dropped, the way expr._compile builds the field kernels.
 - Columns are stacked into one (n, N) array and have no dense output. The
   state y and the stages K0..K12 are the rows of one preallocated buffer
@@ -271,19 +269,17 @@ def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
     return min(100 * h0, h1, span)
 
 
-def solve(fun, t_end: float, y0: tuple, solout, stops=()):
+def solve(fun, t_end: float, y0: tuple, solout):
     """Integrate y' = fun(*y) from time 0 to the signed time t_end, over
     floats or, if y0 holds numpy columns, over the stacked columns, and
     return the end state: a tuple over floats, an (n, N) array over columns.
 
-    Only the current state is kept. stops are signed times strictly
-    ordered from 0 toward t_end, none before 0 or past t_end: a step that
-    would pass the next of them ends on it exactly. Unless solout is None,
-    each accepted step from t to t_new (signed, from 0 to t_end) calls
-    solout(t, t_new, y_new, dense) with its end state. Over floats dense()
-    builds that step's row, its start state and its 7 interpolant rows as
-    a flat tuple of 8n floats; over columns dense is None. Raises
-    IntegrationError on step underflow.
+    Only the current state is kept; the last step ends at t_end exactly.
+    Unless solout is None, each accepted step from t to t_new (signed, from
+    0 to t_end) calls solout(t, t_new, y_new, row) with its end state. Over
+    floats row is that step's dense row, its start state and its 7
+    interpolant rows as a flat tuple of 8n floats; over columns it is None.
+    Raises IntegrationError on step underflow.
     """
     if isinstance(y0[0], np.ndarray):
         y0 = np.array(y0, float)
@@ -295,14 +291,6 @@ def solve(fun, t_end: float, y0: tuple, solout, stops=()):
     t, y = 0.0, y0
     f = fun(*y)
     h_abs = _initial_step(fun, y, f, abs(t_end), direction, rms)
-    ahead = iter(stops)
-    stop = next(ahead, t_end)
-
-    def dense():
-        return dense_rows(fun, y, ks, y_new, f_new, h)
-
-    if dense_rows is None:    # columns have no dense output
-        dense = None
 
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)
@@ -314,8 +302,8 @@ def solve(fun, t_end: float, y0: tuple, solout, stops=()):
                 raise IntegrationError("integration failed: Required step size "
                                        "is less than spacing between numbers.")
             t_new = t + h_abs * direction
-            if direction * (t_new - stop) > 0:
-                t_new = stop
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
             h = t_new - t
             h_abs = abs(h)
             err, y_new, f_new, ks = step(fun, y, f, h)
@@ -328,9 +316,7 @@ def solve(fun, t_end: float, y0: tuple, solout, stops=()):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
             rejected = True
-        if t_new == stop:
-            stop = next(ahead, t_end)
         if solout is not None:
-            solout(t, t_new, y_new, dense)
+            solout(t, t_new, y_new, dense_rows and dense_rows(fun, y, ks, y_new, f_new, h))
         t, y, f = t_new, y_new, f_new
     return y

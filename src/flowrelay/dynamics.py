@@ -6,14 +6,13 @@ trajectory (flow_map, flow_map_with_jacobian and the dense FlowArc behind
 integrate) is stepped over floats. flow_map_points steps its N points as one
 stacked (n, N) array under one joint norm, taking each stage sum as one
 matrix product of a tableau row with the flattened stages, and keeps only
-the current state: each t_eval time is a stop time of the stepper, so the
-state there is a step end, copied out as that step is accepted, and its
-memory does not grow with the duration. The dense interpolant is built
-only where it is read. A FlowArc is the one reader of its rows: a
-point at a time through the step it read last (_point) and a float kernel
-there (_read), its steps cut into equal pieces (_grid) as one product of
-a table of Horner weights with its rows, or any parameters (sample) as
-one Horner pass in the (n, N) layout. No stiff path. Backward time is a
+the current state, so its memory does not grow with the duration. The
+dense interpolant is built only for a FlowArc, which the stepper hands
+each step's row, and which is the one reader of its rows: a point at a
+time through the step it read last (_point) and a float kernel there
+(_read), its steps cut into equal pieces (_grid) as one product of a
+table of Horner weights with its rows, or any parameters (sample) as one
+Horner pass in the (n, N) layout. No stiff path. Backward time is a
 negative time span: the stepper steps the same field with negative steps,
 so both directions use the same compiled kernels.
 
@@ -123,9 +122,9 @@ class FlowArc:
         self.backward = backward
         knots, rows = [0.0], []
 
-        def keep(t, t_new, y, dense):
+        def keep(t, t_new, y, row):
             knots.append(abs(t_new))
-            rows.extend(dense())
+            rows.extend(row)
 
         self._end = _run(flow.field._kernels["value"].floats, "field evaluation",
                          -duration if backward else duration, x0.tolist(), keep)
@@ -287,14 +286,13 @@ def _start(x, fn: str, n: int, batch: bool = False) -> np.ndarray:
     return x
 
 
-def _run(kernel, what: str, t: float, y0, solout, stops=()):
+def _run(kernel, what: str, t: float, y0, solout):
     """Integrate y' = kernel(*y) from 0 to the signed time t on the owned
-    stepper, over the floats or numpy columns of y0, ending a step at each
-    of the signed stops and handing each accepted step to solout as
-    _dop853.solve does: the end state. A kernel failure raises EvalError; a
-    non-finite end state, IntegrationError."""
+    stepper, over the floats or numpy columns of y0, handing each accepted
+    step to solout as _dop853.solve does. A kernel failure raises
+    EvalError; a non-finite end state, IntegrationError."""
     try:
-        end = _dop853.solve(kernel, t, tuple(y0), solout, stops)
+        end = _dop853.solve(kernel, t, tuple(y0), solout)
     except ex._EVAL_FAILURES as exc:
         raise EvalError(f"{what} failed: {exc}") from exc
     if not np.isfinite(end).all():
@@ -335,43 +333,19 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
     return yf[:n], yf[n:].reshape(n, n)
 
 
-def flow_map_points(flow: Flow, t: float, points: np.ndarray,
-                    t_eval=None) -> np.ndarray:
-    """Flow many points at once, stepped together as one (n, N) array.
+def flow_map_points(flow: Flow, t: float, points: np.ndarray) -> np.ndarray:
+    """Flow many points at once, stepped together as one (n, N) array, and
+    return their states at t as an (N, n) batch.
 
     Error control is applied to the joint norm, which is adequate for the
     margin checks this backs (not for tight per-point tolerances). Memory
-    holds the current state and the output, not the trajectory. Returns
-    the endpoint batch (N, n), or (len(t_eval), N, n) when t_eval is given;
-    t_eval is in elapsed time and must lie in [0, |t|] (else OutOfSpan).
-    Each distinct nonzero t_eval time ends a step, and its rows are the
-    state at that step end; a time 0 reads the start points.
+    holds the current state, not the trajectory.
     """
-    n = flow.field.n
-    pts = _start(points, "flow_map_points", n, batch=True)
-    shape = pts.shape
+    pts = _start(points, "flow_map_points", flow.field.n, batch=True)
     _check_cap(flow, t)
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, float)
-        if t_eval.size and not 0.0 <= t_eval.min() <= t_eval.max() <= abs(t):
-            raise OutOfSpan(f"t_eval outside the integrated span [0, {abs(t)}]")
-        shape = (len(t_eval),) + shape
-    if t == 0.0 or 0 in shape:   # nothing to integrate
-        return np.broadcast_to(pts, shape).copy()
-    # the output rows of each distinct time
-    times = [] if t_eval is None else t_eval.tolist()
-    rows: dict[float, list[int]] = {}
-    for k, tau in enumerate(times):
-        rows.setdefault(tau, []).append(k)
-    out = np.empty((len(times), n, len(pts)))
-    out[rows.pop(0.0, [])] = pts.T
-
-    def keep(t0, t1, y, dense):
-        if abs(t1) in rows:
-            out[rows[abs(t1)]] = y
-
+    if t == 0.0 or len(pts) == 0:   # nothing to integrate
+        return pts.copy()
     with np.errstate(all="ignore"):
         end = _run(flow.field._kernels["value"].columns, "field evaluation", t,
-                   pts.T, keep if rows else None,
-                   [math.copysign(tau, t) for tau in sorted(rows)])
-    return end.T.copy() if t_eval is None else out.transpose(0, 2, 1)
+                   pts.T, None)
+    return end.T.copy()

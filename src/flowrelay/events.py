@@ -86,7 +86,7 @@ def _brentq(f: Callable[[float], float], xa, xb, xtol: float,
     Algorithms for Minimization without Derivatives, 1973, ch. 4).
 
     A line for line port of scipy's brentq.c, so on the same f and bracket
-    it returns scipy.optimize.brentq's root bit for bit: it stops once half
+    it returns scipy.optimize.brentq's root bit for bit: it ends once half
     the bracket is below delta = (xtol + rtol*|x|)/2. Raises ValueError when
     f has one sign at both ends or returns nan, RuntimeError when 100
     iterations do not converge.

@@ -5,7 +5,8 @@ its switching boundary is the level set {f = level}. A relay system bundles
 p flows with p regions (the chain closes on a copy of region 0 that may
 carry its own level offset), a bounding box for all sampling, and an
 optional distinguished flow index whose containment must persist for all
-later times.
+later times: validate reads that as containment at the flow's horizon
+plus a field that points into the region all along its boundary.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ def sample_boundary(region: Region, box: np.ndarray, m: int,
     Each batch draws max(4m, 32) random box points. They are projected onto
     the level set by up to 80 Newton steps along the gradient, in slices of
     m consecutive points in draw order, until m points are accepted; a
-    slice stops once all its points converge. A slice is stepped as its n
+    slice ends once all its points converge. A slice is stepped as its n
     coordinate columns: each step reads f and its n partials in one call of
     one compiled kernel, and the squared gradient norm is summed in
     coordinate order. Every point that converges to within 1e-10 of the
@@ -259,9 +260,6 @@ def _interior_samples(region: Region, box: np.ndarray, m: int,
     raise BoundaryNotFound(f"region {region.index} has no interior in the box")
 
 
-_ABSORB_TIMES = 16  # even times in [horizon, 2 * horizon] the absorb check reads
-
-
 def validate_system(system: RelaySystem, levels=None, m: int = 256,
                     seed: int = 0) -> ValidationReport:
     """Check the switching hypotheses by sampling, reporting worst margins.
@@ -270,16 +268,23 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
     - entry   (k=1..p): flow k carries boundary k-1 into the interior of
       region k at its horizon;
     - absorb (if beta set): flow beta keeps all of region beta-1 inside
-      region beta at _ABSORB_TIMES times spread evenly over [horizon,
-      2 * horizon];
+      region beta for all times past its horizon. Its margin is the smaller
+      of two parts: containment, the worst region-beta margin over region
+      beta-1 at the horizon, and invariance, the least cosine between
+      flow beta's field and grad f_beta over boundary beta's samples (0
+      where either vanishes). A positive cosine everywhere on the boundary
+      makes region beta forward-invariant (Nagumo 1942; Blanchini 1999),
+      so the containment at the horizon persists. This is sufficient, not
+      necessary: a relay whose field points out somewhere on boundary beta
+      fails, even where region beta-1's image never reaches that part;
     - regular (j=0..p): the smallest gradient norm over boundary j's
       samples is at least the regularity floor.
 
-    Each flow k is solved once, on boundary k-1's samples stopped at the
+    Each flow k is solved once, on boundary k-1's samples up to its
     horizon; for beta the interior samples of region beta-1 go in front,
-    with a stop at each absorb time, and entry[beta] reads the boundary
-    rows at the first, the horizon. Both samplers work on the box's
-    coordinate columns, the layout the stacked stepper steps.
+    and entry[beta] reads the boundary rows. Both samplers work on the
+    box's coordinate columns, the layout the stacked stepper steps, and the
+    cosine is read over boundary beta's columns.
 
     Margins are oriented so that positive means the condition holds with
     room; these are open conditions, so sampling + margins is the check. A
@@ -308,33 +313,49 @@ def validate_system(system: RelaySystem, levels=None, m: int = 256,
         region_k, flow_k = system.chain_region(k, lv), system.flows[k - 1]
         src = boundary.get(k - 1)
         batch = [] if src is None else [src.points]
-        times = [flow_k.horizon]
         if k == b:
-            times = np.linspace(flow_k.horizon, 2.0 * flow_k.horizon, _ABSORB_TIMES)
             try:
                 batch.insert(0, _interior_samples(system.chain_region(k - 1, lv), system.box,
                                                   m, seeded_rng(seed, "validate-absorb")))
             except BoundaryNotFound as exc:
                 absorb = ConditionResult("absorb", b, False, float("-inf"), note=str(exc))
         if batch:
-            # margins[g, i]: the region-k margin of batch row i at times[g]
-            states = flow_map_points(flow_k, float(times[-1]), np.vstack(batch),
-                                     t_eval=times)
-            margins = region_k.f.evaluate(states) - lv[k]
+            # the region-k margin of each batch row at the horizon
+            margins = region_k.f.evaluate(
+                flow_map_points(flow_k, flow_k.horizon, np.vstack(batch))) - lv[k]
         if src is None:
             conditions += [ConditionResult(name, k, False, float("-inf"),
                                            note="no source boundary samples")
                            for name in ("disjoint", "entry")]
         else:
             vals = region_k.f.evaluate(src.points) - lv[k]
-            entry = margins[0, -len(src):].min()
+            entry = margins[-len(src):].min()
             conditions += [
                 ConditionResult("disjoint", k, bool(vals.max() < 0.0), float(-vals.max())),
                 ConditionResult("entry", k, bool(entry > 0.0), float(entry))]
         if k == b and absorb is None:
-            absorb = ConditionResult("absorb", b, bool(margins.min() > 0.0),
-                                     float(margins.min()))
+            absorb = _absorb(b, float(margins.min()), boundary.get(b), region_k, flow_k)
 
     if b is not None:
         conditions.append(absorb)
     return ValidationReport(conditions, lv, m)
+
+
+def _absorb(b: int, contained: float, bs: BoundarySamples | None, region: Region,
+            flow: Flow) -> ConditionResult:
+    """absorb[b] from its containment margin and the least cosine between
+    the field and grad f over boundary b's samples, L_V f / (|grad f| |V|)
+    read over their coordinate columns and 0 where the product vanishes."""
+    if bs is None:
+        return ConditionResult("absorb", b, False, float("-inf"),
+                               note="no boundary samples")
+    lie = region.f._kernels.call((flow.field, False), bs.points)[1]
+    speed = np.sqrt(sum(v * v for v in flow.field._kernels.call("value", bs.points)))
+    scale = bs.grad_norms * speed
+    cosine = float(np.divide(lie, scale, out=np.zeros_like(lie), where=scale > 0.0).min())
+    if contained <= cosine:
+        return ConditionResult("absorb", b, contained > 0.0, contained)
+    way = "enters" if cosine > 0.0 else "leaves"
+    return ConditionResult("absorb", b, cosine > 0.0, cosine,
+                           note=f"flow {b} {way} region {b} across boundary {b}: "
+                                "the margin is its least cosine to the inward normal")

@@ -509,12 +509,13 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     current point (a branch jump) halves the step; at 1/1024 of the segment
     ContinuationStalled carries the partial path. The last step lands on
     levels_to exactly, and its corrector's solution is the orbit returned.
-    Raises ValueError when sv has the wrong shape or levels_to unequal first
-    and closing offsets.
+    Raises ValueError when sv has the wrong shape or either end has unequal
+    first and closing offsets.
     """
     _check_shape(system, sv)
     lv_a = system.levels(levels_from)
     lv_b = system.levels(levels_to)
+    _require_closing_level(lv_a)
     _require_closing_level(lv_b)
     n, p = system.n, system.p
     path: list[tuple[np.ndarray, SwitchingVector]] = [(lv_a.copy(), sv)]

@@ -167,7 +167,7 @@ def simulate(system: RelaySystem, x0, k0: int = 0, levels=None,
     switches: list[SwitchEvent] = []
 
     need = policy.n if isinstance(policy, NthHit) else 1
-    # t_abs < t_max holds inside the loop: a run that reaches t_max stops
+    # t_abs < t_max holds inside the loop: a run that reaches t_max ends
     while max_switches is None or len(switches) < max_switches:
         try:
             events, arc = _watched_events(system, lv, x, mode, need)

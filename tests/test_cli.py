@@ -213,8 +213,11 @@ def test_validate_with_an_unsampled_boundary_fails_with_null_margins(tmp_path,
     validation = json.loads((tmp_path / "validation.json").read_text())
     unsampled = {(c["name"], c["index"]): c for c in validation["conditions"]
                  if c["margin"] is None}
-    assert sorted(unsampled) == [("disjoint", 2), ("entry", 2), ("regular", 1)]
+    assert sorted(unsampled) == [("absorb", 1), ("disjoint", 2), ("entry", 2),
+                                 ("regular", 1)]
     assert unsampled["regular", 1]["note"] == note
+    # absorb[1] has no boundary 1 to read its inward cosine on
+    assert unsampled["absorb", 1]["note"] == "no boundary samples"
     assert not any(c["passed"] for c in unsampled.values())
     report = json.loads((tmp_path / "validate_report.json").read_text())
     assert report["outcome"] == "validation_failed"

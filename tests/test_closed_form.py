@@ -17,7 +17,10 @@ import pytest
 
 from flowrelay._util import seeded_rng
 from flowrelay.cli import load_config
-from flowrelay.geometry import _interior_samples, sample_boundary, validate_system
+from flowrelay.dynamics import Flow, VectorField
+from flowrelay.expr import Expression, Neg
+from flowrelay.geometry import (_absorb, _interior_samples, sample_boundary,
+                                validate_system)
 from flowrelay.periodic import SolveOptions, continue_levels, find_periodic
 
 from conftest import REPO_ROOT, make_systemb
@@ -26,7 +29,7 @@ from spiral_relay import SpiralRelay
 SYSTEMB_PERIOD = 6.434876493228312
 TRIANGLE_PERIOD = 11.425467788177968
 TOL = 1e-9
-STEP_END_TOL = 3e-11   # validate's margins read at stop times of the stepper
+STEP_END_TOL = 3e-11   # validate's margins read at the stepper's last step end
 
 
 def _triangle_foci() -> list[tuple[float, float]]:
@@ -122,10 +125,12 @@ def test_continuation_path_follows_the_exact_orbits(offset_from, offset_to):
 def test_validate_margins_match_the_closed_form(name, beta):
     # validate_system's samples redrawn from its own streams, flowed by the
     # closed form: entry[k] is region k's worst margin over boundary k - 1
-    # at horizon k, absorb[beta] the worst over the interior of region
-    # beta - 1 and boundary beta - 1 at each of the 16 grid times. Flow
-    # beta's states there are step ends, not interpolated, so absorb[beta]
-    # and entry[beta] hold the tighter STEP_END_TOL
+    # at horizon k. absorb[beta] is the smaller of the worst over the
+    # interior of region beta - 1 and boundary beta - 1 at horizon beta and
+    # the cosine of the field to the inward normal of boundary beta, which
+    # is a/sqrt(1 + a^2) all along a circle about the focus of a spiral of
+    # rate a. Flow beta's states there are step ends, not interpolated, so
+    # absorb[beta] and entry[beta] hold the tighter STEP_END_TOL
     system, exact, _ = _relay(name)
     system = dataclasses.replace(system, beta=beta)
     lv, m = system.levels(), 256
@@ -147,9 +152,35 @@ def test_validate_margins_match_the_closed_form(name, beta):
         interior = _interior_samples(system.chain_region(beta - 1, lv), system.box,
                                      m, seeded_rng(seed, "validate-absorb"))
         pts = np.vstack([interior, boundary[beta - 1]])
-        horizon = system.flows[beta - 1].horizon
-        want = min(worst(beta, pts, t) for t in np.linspace(horizon, 2 * horizon, 16))
+        want = min(worst(beta, pts, system.flows[beta - 1].horizon),
+                   exact.a / math.sqrt(1.0 + exact.a ** 2))
         assert abs(got["absorb", beta] - want) < STEP_END_TOL
+
+
+# the cosine a/sqrt(1 + a^2) of each spiral of rate a to the inward normal of
+# a circle about its focus
+INWARD_COSINES = {"systemb": 0.4472135955, "triangle": 0.4472135955,
+                  "slow_spirals": 0.2425356250}
+
+
+@pytest.mark.parametrize("name", sorted(INWARD_COSINES))
+def test_inward_cosines_match_the_closed_form(name):
+    # absorb's invariance part alone, from unbounded containment: the least
+    # cosine over boundary beta's samples, and, with the field reversed, the
+    # negated greatest, both a/sqrt(1 + a^2), so every sample's is
+    system, exact, _ = _relay(name)
+    b, region = system.beta, system.chain_region(system.beta)
+    flow = system.flows[b - 1]
+    reverse = Flow(VectorField([Expression(Neg(c.root), c.n)
+                                for c in flow.field.components]), flow.horizon)
+    want = exact.a / math.sqrt(1.0 + exact.a ** 2)
+    assert abs(want - INWARD_COSINES[name]) < 1e-10
+    for seed in range(2):
+        bs = sample_boundary(region, system.box, 256, seeded_rng(seed, "validate", str(b)))
+        least = _absorb(b, math.inf, bs, region, flow)
+        greatest = _absorb(b, math.inf, bs, region, reverse)
+        assert least.passed and abs(least.margin - want) < 1e-12
+        assert not greatest.passed and abs(greatest.margin + want) < 1e-12
 
 
 # dP/dtheta at each fixed point: systemb, the triangle, and slow spirals'

@@ -32,7 +32,7 @@ def _scipy(kernel, t: float, y0, dense: bool = False):
 def _solve(kernel, t: float, y0):
     """The accepted step times and the end state of _dop853.solve."""
     ts = [0.0]
-    end = _dop853.solve(kernel, t, tuple(y0), lambda t0, t1, y, dense: ts.append(t1))
+    end = _dop853.solve(kernel, t, tuple(y0), lambda t0, t1, y, row: ts.append(t1))
     return ts, end
 
 
@@ -80,25 +80,6 @@ def _stacked(field: VectorField, t: float, pts: np.ndarray):
                      (0.0, t), pts.ravel(), method="DOP853", rtol=1e-10, atol=1e-12)
 
 
-def _stacked_stops(field: VectorField, t: float, pts: np.ndarray,
-                   taus: np.ndarray) -> np.ndarray:
-    """scipy's DOP853 solver on the stacked batch, set up for the span to t
-    and stepped to each elapsed time of the ascending taus in turn: after
-    each finish its bound moves to the next time and it runs on. The
-    states there, shape (len(taus), npts, n): the reference for t_eval."""
-    npts, n = pts.shape
-    solver = DOP853(lambda _t, y: field.value_batch(y.reshape(npts, n)).ravel(),
-                    0.0, pts.ravel(), t, rtol=1e-10, atol=1e-12)
-    states = []
-    for tau in taus:
-        solver.t_bound, solver.status = np.copysign(tau, t), "running"
-        while solver.status == "running":
-            solver.step()
-        assert solver.status == "finished"
-        states.append(solver.y.reshape(npts, n))
-    return np.array(states)
-
-
 @pytest.mark.parametrize("npts", [1, 7, 256])
 def test_batch_matches_stacked_solve_ivp(npts):
     # a linear field forgives an error in a stage argument, so the pendulum
@@ -119,10 +100,6 @@ def test_batch_matches_stacked_solve_ivp(npts):
             assert abs(len(ts) - len(ref.t)) <= 1
             want = ref.y[:, -1].reshape(npts, 2)
             assert _close_points(flow_map_points(fl, sign * t, pts), want, 1e-12)
-            taus = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t, 8)), [t]])
-            want = _stacked_stops(fl.field, sign * t, pts, taus)
-            assert _close_points(flow_map_points(fl, sign * t, pts, taus), want,
-                                 1e-12)
 
 
 def test_one_row_batch_matches_the_float_stepper():

@@ -125,9 +125,9 @@ def _point_from_tuple_rows(fl: Flow, x0, duration: float, backward: bool, taus):
     a list: the form the array of rows replaced."""
     knots, rows = [0.0], []
 
-    def keep(t, t_new, y, dense):
+    def keep(t, t_new, y, row):
         knots.append(abs(t_new))
-        rows.append(dense())
+        rows.append(row)
 
     dynamics._run(fl.field._kernels["value"].floats, "field evaluation",
                   -duration if backward else duration, list(x0), keep)
@@ -309,7 +309,6 @@ def test_time_cap_enforced():
     for call in (lambda: flow_map(fl, math.nan, x),
                  lambda: flow_map_with_jacobian(fl, math.nan, x),
                  lambda: flow_map_points(fl, math.nan, pts),
-                 lambda: flow_map_points(fl, math.nan, pts, t_eval=[0.0]),
                  lambda: integrate(fl, math.nan, x)):
         with pytest.raises(ValueError):
             call()
@@ -331,39 +330,21 @@ def test_flow_map_points_three_dimensional_linear_field():
                          ("-0.3*x1 + 2*x2", "-0.5*x2 + 1.5*x3", "0.4*x1 - 0.2*x3")])
     fl = Flow(field, horizon=2.0)
     pts = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 3))
-    taus = np.array([0.0, 0.4, 1.1, 1.5])
-    for t in (1.5, -1.5):
+    for t in (0.4, 1.1, 1.5, -0.4, -1.1, -1.5):
         want = pts @ expm(t * M).T
         got = flow_map_points(fl, t, pts)
         assert got.shape == (5, 3)
         assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
-        dense = flow_map_points(fl, t, pts, t_eval=taus)
-        assert dense.shape == (4, 5, 3)
-        for tau, states in zip(taus, dense):
-            want = pts @ expm(math.copysign(tau, t) * M).T
-            assert np.all(np.abs(states - want) <= 1e-9 * (1.0 + np.abs(want)))
 
 
-def _keep_everything(fl: Flow, t: float, pts: np.ndarray, t_eval):
-    """flow_map_points as one full solve with the same stop times that keeps
-    every accepted state to the end, then reads the states at the requested
-    times, the start points at 0: (the result, the accepted step times in
-    elapsed time)."""
-    ts, states = [0.0], [pts.T]
-    stops = [] if t_eval is None else sorted(set(np.abs(t_eval).tolist()) - {0.0})
-
-    def keep(t0, t1, y, dense):
-        ts.append(t1)
-        states.append(y.copy())
-
+def _keep_everything(fl: Flow, t: float, pts: np.ndarray) -> np.ndarray:
+    """flow_map_points as one full solve that keeps every accepted state to
+    the end and returns the last, as an (N, n) batch."""
+    states = [pts.T]
     with np.errstate(all="ignore"):
-        end = _dop853.solve(fl.field._kernels["value"].columns, t, tuple(pts.T),
-                            keep, [math.copysign(s, t) for s in stops])
-    knots = np.abs(ts)
-    if t_eval is None:
-        return end.T.copy(), knots
-    steps = [knots.tolist().index(tau) for tau in t_eval]
-    return np.array([states[i] for i in steps]).transpose(0, 2, 1), knots
+        _dop853.solve(fl.field._kernels["value"].columns, t, tuple(pts.T),
+                      lambda t0, t1, y, row: states.append(y.copy()))
+    return states[-1].T.copy()
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -372,9 +353,8 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("npts", [1, 1000])
 def test_streamed_flow_map_points_is_bit_identical_to_keeping_every_step(npts):
-    # a regression guard: copying out the state of each step that ends at a
-    # t_eval time, instead of keeping every state, changes no bit of the
-    # result
+    # a regression guard: keeping only the current state, instead of every
+    # accepted one, changes no bit of the result
     fields = {2: make_systemb().flows[0].field,
               3: VectorField([expr.parse(c, 3) for c in
                               ("-x2 - 0.1*x1", "x1 - 0.1*x2",
@@ -383,84 +363,27 @@ def test_streamed_flow_map_points_is_bit_identical_to_keeping_every_step(npts):
     for n, field in fields.items():
         fl = Flow(field, 5.0)
         pts = rng.uniform(-2.0, 2.0, (npts, n))
-        for t in (3.0, -3.0):
-            want, knots = _keep_everything(fl, t, pts, None)
+        for t in (3.0, -3.0, *rng.uniform(0.0, 3.0, 2)):
+            want = _keep_everything(fl, t, pts)
             assert _bits(flow_map_points(fl, t, pts)).tolist() == _bits(want).tolist()
-            inner = knots[1:-1]
-            a, b = rng.uniform(0.0, 3.0, 2)
-            cases = [np.sort(rng.uniform(0.0, 3.0, 7)), rng.uniform(0.0, 3.0, 7),
-                     np.array([a, b, a, a, b]),
-                     np.array([3.0, inner[len(inner) // 2], 0.0, inner[0],
-                               inner[-1], 3.0, 0.0])]
-            for t_eval in cases:
-                want, _ = _keep_everything(fl, t, pts, t_eval)
-                got = flow_map_points(fl, t, pts, t_eval=t_eval)
-                assert got.shape == (len(t_eval), npts, n)
-                assert np.array_equal(_bits(got), _bits(want))
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_flow_map_points_stops_at_crowded_times(sign):
-    # times a few ulps apart, a few ulps below |t|, repeated, and 0: each
-    # distinct one ends a step, however short, and none underflows the
-    # stepper; equal times read equal states, 0 the start points
-    fl = Flow(make_systemb().flows[0].field, 5.0)
-    pts = np.random.default_rng(43).uniform(-2.0, 2.0, (6, 2))
-    t, a = 3.0, 1.7
-
-    def ulps(x: float, k: int) -> float:
-        for _ in range(abs(k)):
-            x = math.nextafter(x, math.copysign(math.inf, k))
-        return x
-
-    cases = [[ulps(a, k) for k in (0, 1, 2, 5, 3)],
-             [ulps(t, -3), t, ulps(t, -1)],
-             [a, 0.0, a, t, a, t, 0.0],
-             [0.0, 0.0],
-             [0.0, ulps(0.0, 1), ulps(a, 1), a, ulps(t, -2), t, 0.0, t]]
-    for t_eval in cases:
-        got = flow_map_points(fl, sign * t, pts, t_eval)
-        assert got.shape == (len(t_eval), 6, 2)
-        for i, tau in enumerate(t_eval):
-            same = [j for j, other in enumerate(t_eval) if other == tau]
-            assert all(np.array_equal(got[j], got[i]) for j in same)
-            if tau == 0.0:
-                assert np.array_equal(got[i], pts)
-            want = np.array([flow_map(fl, math.copysign(tau, sign), x) for x in pts])
-            assert np.abs(got[i] - want).max() < 1e-9
 
 
 def test_flow_map_points_memory_does_not_grow_with_duration():
-    # only the current state and, with t_eval, the output are held: 40
-    # time units peak within 10 % of 4 (keeping every accepted state and
-    # row took 2.9x)
+    # only the current state is held: 40 time units peak within 10 % of 4
+    # (keeping every accepted state and row took 2.9x)
     fl = Flow(make_systemb().flows[0].field, 40.0)
     pts = np.random.default_rng(42).uniform(-2.0, 2.0, (1024, 2))
 
-    def peak(t: float, t_eval) -> int:
-        flow_map_points(fl, t, pts[:4], t_eval)
+    def peak(t: float) -> int:
+        flow_map_points(fl, t, pts[:4])
         tracemalloc.start()
         try:
-            flow_map_points(fl, t, pts, t_eval)
+            flow_map_points(fl, t, pts)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(40.0, None) <= 1.1 * peak(4.0, None)
-    assert (peak(40.0, np.linspace(20.0, 40.0, 16))
-            <= 1.1 * peak(4.0, np.linspace(2.0, 4.0, 16)))
-
-
-def test_flow_map_points_rejects_t_eval_outside_span():
-    fl = sink_flow()
-    pts = np.array([[1.5, 0.0], [0.0, 1.0]])
-    inside = flow_map_points(fl, -2.0, pts, t_eval=[0.0, 1.0, 2.0])
-    assert inside.shape == (3, 2, 2)
-    assert np.abs(inside[-1] - flow_map_points(fl, -2.0, pts)).max() < 1e-8
-    for t, t_eval in ((2.0, [1.0, 2.5]), (-2.0, [-0.5, 1.0]), (1.0, [0.0, 1.0 + 1e-9]),
-                      (2.0, [1.0, math.nan])):
-        with pytest.raises(OutOfSpan):
-            flow_map_points(fl, t, pts, t_eval=t_eval)
+    assert peak(40.0) <= 1.1 * peak(4.0)
 
 
 def _kernel_fields():
@@ -568,8 +491,8 @@ def test_backward_time_equals_negated_field_forward():
             assert np.array_equal(back.ts, fwd.ts)
             assert np.array_equal(back.sample(taus), fwd.sample(taus))
             pts = rng.uniform(-2.0, 2.0, (3, 2))
-            assert np.array_equal(flow_map_points(fl, -t, pts, taus),
-                                  flow_map_points(neg, t, pts, taus))
+            assert np.array_equal(flow_map_points(fl, -t, pts),
+                                  flow_map_points(neg, t, pts))
 
 
 @pytest.mark.parametrize("drift, t", [("-1", 1.0), ("1", -1.0)])
@@ -649,7 +572,6 @@ def test_start_point_of_the_wrong_shape_is_a_value_error():
 def test_flow_map_points_edge_spans():
     fl = sink_flow()
     pts = np.array([[1.5, 0.0], [0.0, 1.0], [0.3, -0.4]])
-    assert flow_map_points(fl, 2.0, pts, t_eval=[]).shape == (0, 3, 2)
-    assert flow_map_points(fl, -2.0, pts, t_eval=np.array([])).shape == (0, 3, 2)
-    assert np.array_equal(flow_map_points(fl, 0.0, pts, t_eval=[0.0]), pts[None])
+    for t in (2.0, -2.0):
+        assert flow_map_points(fl, t, pts[:0]).shape == (0, 2)
     assert np.array_equal(flow_map_points(fl, 0.0, pts), pts)

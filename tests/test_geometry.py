@@ -10,6 +10,7 @@ import pytest
 
 from flowrelay import _dop853, dynamics, events, expr, geometry, periodic, relay
 from flowrelay.dynamics import Flow, VectorField, integrate
+from flowrelay._util import seeded_rng
 from flowrelay.errors import BoundaryNotFound, EvalError
 from flowrelay.geometry import (Region, RelaySystem, sample_boundary,
                                 validate_system)
@@ -277,9 +278,9 @@ def test_validate_point_region_fails_regular(seed):
 
 @pytest.mark.parametrize("make", [make_systemb, make_triangle])
 def test_validate_absorb_margin_is_at_most_entry(make):
-    # absorb[beta] takes its minimum over a superset of entry[beta]'s values:
-    # every grid time, from the first, the horizon, and interior and
-    # boundary points alike
+    # absorb[beta] is at most its containment part, a minimum over a
+    # superset of entry[beta]'s values: interior and boundary points alike
+    # at the horizon
     system = make()
     for seed in range(4):
         got = {(c.name, c.index): c.margin
@@ -293,15 +294,66 @@ def test_validate_flows_each_batch_once(make, monkeypatch):
     # from the absorb solve
     solve, stacked = _dop853.solve, []
 
-    def counted(fun, t_end, y0, solout, stops=()):
+    def counted(fun, t_end, y0, solout):
         if isinstance(y0[0], np.ndarray):
             stacked.append(t_end)
-        return solve(fun, t_end, y0, solout, stops)
+        return solve(fun, t_end, y0, solout)
 
     monkeypatch.setattr(_dop853, "solve", counted)
     system = make()
     validate_system(system, m=64, seed=0)
     assert len(stacked) == system.p
+
+
+def _systemb_with(flow1: tuple[str, str], horizons: tuple[float, float],
+                  region0: str | None = None) -> RelaySystem:
+    """systemb with flow 1's field and both horizons replaced, and region 0's
+    function if given."""
+    system = make_systemb()
+    field = VectorField([expr.parse(c, 2) for c in flow1])
+    flows = (Flow(field, horizons[0]), Flow(system.flows[1].field, horizons[1]))
+    regions = system.regions
+    if region0 is not None:
+        regions = (Region(expr.parse(region0, 2), index=0), regions[1])
+    return dataclasses.replace(system, flows=flows, regions=regions)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_validate_saddle_relay_fails_absorb(seed):
+    # flow 1 is the saddle x1' = -(x1 + 1), x2' = 0.1 x2 about the center of
+    # region 1: region 0, the disk of radius 0.2 about (1, 0), lies inside
+    # region 1 at T = 4, but its image leaves it along x2 at t = 10 ln 2.5,
+    # past the 2T that a grid over [T, 2T] reads. On boundary 1 the field's
+    # cosine to the inward normal falls to -1 at (-1, +-0.5)
+    system = _systemb_with(("-(x1+1)", "0.1*x2"), (4.0, 8.0),
+                           "0.04 - ((x1-1)^2 + x2^2)")
+    report = validate_system(system, seed=seed)
+    assert report.failures == [("absorb", 1)]
+    absorb, = [c for c in report.conditions if c.name == "absorb"]
+    assert -1.0 <= absorb.margin < -0.99
+    assert absorb.note.startswith("flow 1 leaves region 1 across boundary 1")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_validate_outward_relay_fails_absorb_at_the_closed_form_cosine(seed):
+    # flow 1 spirals into (-1.3, 0), inside region 1, so region 1 does trap
+    # region 0; but on the arc of boundary 1 farthest from the focus the
+    # field points out, and forward invariance, a sufficient condition, does
+    # not hold. Its cosine to the inward normal -(x - o)/|x - o| is read in
+    # closed form at validate's own boundary samples; over the whole circle
+    # its minimum is -0.4/sqrt(5)
+    system = _systemb_with(("-0.5*(x1+1.3) - x2", "(x1+1.3) - 0.5*x2"), (8.0, 4.0))
+    report = validate_system(system, seed=seed)
+    assert report.failures == [("absorb", 1)]
+    absorb, = [c for c in report.conditions if c.name == "absorb"]
+    pts = sample_boundary(system.chain_region(1), system.box, 256,
+                          seeded_rng(seed, "validate", "1")).points
+    d, e = pts - [-1.3, 0.0], pts - [-1.0, 0.0]
+    field = np.stack([-0.5 * d[:, 0] - d[:, 1], d[:, 0] - 0.5 * d[:, 1]], axis=1)
+    cosine = -(field * e).sum(axis=1) / (np.linalg.norm(field, axis=1)
+                                        * np.linalg.norm(e, axis=1))
+    assert abs(absorb.margin - cosine.min()) < 1e-12
+    assert absorb.margin >= -0.4 / math.sqrt(5.0) - 1e-12
 
 
 _SV = periodic.SwitchingVector.of([1.5, 0.0], (2.0, 2.0))

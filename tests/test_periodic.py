@@ -395,6 +395,9 @@ def test_unequal_closing_level_rejected_before_solving(rotor_m, monkeypatch,
         find_periodic(rotor_m, levels, seeds=[sv])
     with pytest.raises(ValueError, match="closing level"):
         continue_levels(rotor_m, sv, rotor_m.levels(), levels)
+    # no orbit exists at the start of a path from such offsets either
+    with pytest.raises(ValueError, match="closing level"):
+        continue_levels(rotor_m, sv, levels, rotor_m.levels())
 
 
 def test_find_periodic_systemb_small(systemb_m):
