@@ -152,7 +152,7 @@ class FlowArc:
 
         The step of the last parameter is kept (its bounds in tau and its
         row as floats, the 8 interpolant coefficients of each entry), so a
-        Brent polish inside one step reads the row once: a tau in (ts[i],
+        root polish inside one step reads the row once: a tau in (ts[i],
         ts[i + 1]] is interpolated from the kept step i, any other tau takes
         the step _step picks."""
         t0, t1, coeffs = self._last

@@ -6,10 +6,9 @@ location for ordinary differential equations", 2000): every accepted step is
 cut into ns and 2*ns equal pieces, both scans read g and its time derivative
 from one sampling pass at 2*ns (the ns grid is every other point of it), sign
 changes are bracketed and the confirming scan's brackets are polished over
-floats by Brent's method (_brentq, a port of scipy's brentq), and
-near-tangent structure (grazing extrema, root pairs closer than the
-separation floor) aborts with DegenerateCrossing so callers can perturb the
-level offsets.
+floats by safeguarded Newton steps on (g, ġ) (_polish), and near-tangent
+structure (grazing extrema, root pairs closer than the separation floor)
+aborts with DegenerateCrossing so callers can perturb the level offsets.
 
 FlowArc reads the dense rows (Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.6); this module only evaluates f on what it returns. A sampling
@@ -19,13 +18,13 @@ of the ns/2 scan among them. g and ġ come from one kernel of the level
 function (expr's kernel contract): f and L_V f = sum_j df/dx_j * V_j along
 the arc's field, negated on a backward arc, so ġ is the rate in elapsed
 time either way. The scan calls it over the states' columns (expr._columns),
-FlowArc._read over floats for the polish, start check and margins;
-FlowArc._point keeps the step it read last, so a Brent solve reads its
-step's row once.
+FlowArc._read over floats for the polish, start check and margins; a turn
+of g is polished on (ġ, g̈), the kernel's "rate" body, compiled at the first
+turn polished. FlowArc._point keeps the step it read last, so a polish
+reads its step's row once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,77 +76,46 @@ class CrossingEvent:
     margin: float     # |d/dt [f(F^t(x))]|, the transversality margin
 
 
-_BRENT_ITER = 100
-
-
-def _brentq(f: Callable[[float], float], xa, xb, xtol: float,
+def _polish(read: Callable[[float], tuple[float, float]], a, b, xtol: float,
             rtol: float) -> float:
-    """A root of f in the bracket [xa, xb] by Brent's method (Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4).
-
-    A line for line port of scipy's brentq.c, so on the same f and bracket
-    it returns scipy.optimize.brentq's root bit for bit: it ends once half
-    the bracket is below delta = (xtol + rtol*|x|)/2. Raises ValueError when
-    f has one sign at both ends or returns nan, RuntimeError when 100
-    iterations do not converge.
-    """
-    def call(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_ITER):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                # bisect
-                spre = scur = sbis
+    """A root of h in the bracket [a, b], read(t) = (h(t), h'(t)), by Newton
+    steps from the end with the smaller |h|, safeguarded as rtsafe is (Press
+    et al., Numerical Recipes, 3rd ed., sec. 9.4): the kept bracket is
+    bisected when a step would leave it or would not halve the step before
+    the last. Ends once a step is below (xtol + rtol*|t|)/2; raises
+    DegenerateCrossing when the ends read one sign or 100 steps do not
+    converge."""
+    a, b = float(a), float(b)
+    ha, da = read(a)
+    hb, db = read(b)
+    if ha == 0.0:
+        return a
+    if hb == 0.0:
+        return b
+    if (ha < 0.0) == (hb < 0.0):
+        raise DegenerateCrossing("root polish: h has one sign at both ends")
+    lo, hi = (a, b) if ha < 0.0 else (b, a)   # h(lo) < 0 < h(hi)
+    t, h, d = (a, ha, da) if abs(ha) < abs(hb) else (b, hb, db)
+    old = step = abs(b - a)
+    for _ in range(100):
+        # bisect when the Newton point t - h/d is outside [lo, hi] or slow
+        if (((t - hi) * d - h) * ((t - lo) * d - h) > 0.0
+                or abs(2.0 * h) > abs(old * d)):
+            old, step = step, (hi - lo) / 2
+            t = lo + step
         else:
-            # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+            old, step = step, h / d
+            t -= step
+        if abs(step) < (xtol + rtol * abs(t)) / 2:
+            return t
+        h, d = read(t)
+        if h == 0.0:   # also where d = 0, which no Newton step can take
+            return t
+        if h < 0.0:
+            lo = t
         else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"failed to converge after {_BRENT_ITER} iterations, "
-                       f"value is {xcur}")
+            hi = t
+    raise DegenerateCrossing(f"root polish did not converge in 100 steps, at t={t}")
 
 
 def _samples(arc: FlowArc, f: ex.Expression, level: float, ns: int
@@ -161,11 +129,12 @@ def _samples(arc: FlowArc, f: ex.Expression, level: float, ns: int
 
 
 def _scan_brackets(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
-                   gfun: Callable[[float], float],
-                   gdfun: Callable[[float], float]) -> list[tuple[float, float]]:
+                   read: Callable[[float], tuple[float, float]],
+                   rate: Callable[[float], tuple[float, float]]
+                   ) -> list[tuple[float, float]]:
     """Sorted brackets of the roots of g on the span of the samples (ts, g,
     gdot), including pairs split at near-zero extrema, which are polished on
-    gdfun (the derivative of g) and valued on gfun (g); raises on grazes."""
+    rate(t) = (ġ, g̈) and valued on read(t) = (g, ġ); raises on grazes."""
     # signs are compared, never products, which underflow for tiny values; a
     # zero sample is left to the level-tolerance precondition / root polish.
     # Flips are rare, so the masks only find candidates and the few found
@@ -186,8 +155,8 @@ def _scan_brackets(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
         if (dsig[i] == 0.0 or dsig[i + 1] == 0.0 or sig[i] == 0.0
                 or min(abs(g[i]), abs(g[i + 1])) > band):
             continue
-        t_ext = _brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
-        g_ext = gfun(t_ext)
+        t_ext = _polish(rate, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
+        g_ext = read(t_ext)[0]
         if abs(g_ext) <= DEFAULT_EVENTS.graze_tol:
             raise DegenerateCrossing(
                 f"grazing contact with the boundary (|g|={abs(g_ext):.2e})",
@@ -201,11 +170,11 @@ def _scan_brackets(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
 
 
 def _scan_roots(ts: np.ndarray, g: np.ndarray, gdot: np.ndarray,
-                gfun: Callable[[float], float],
-                gdfun: Callable[[float], float]) -> list[float]:
-    """Root times of g in the brackets of _scan_brackets, polished on gfun."""
-    return sorted(_brentq(gfun, a, b, xtol=1e-14, rtol=1e-15)
-                  for a, b in _scan_brackets(ts, g, gdot, gfun, gdfun))
+                read: Callable[[float], tuple[float, float]],
+                rate: Callable[[float], tuple[float, float]]) -> list[float]:
+    """Root times of g in the brackets of _scan_brackets, polished on read."""
+    return sorted(_polish(read, a, b, xtol=1e-14, rtol=1e-15)
+                  for a, b in _scan_brackets(ts, g, gdot, read, rate))
 
 
 def find_crossings(flow: Flow, region: Region, level: float | None, x,
@@ -227,23 +196,25 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     f = region.f
     if arc is None:
         arc = integrate(flow, t_end, np.asarray(x, float), backward=backward)
-    lie = f._kernels[arc.flow.field, arc.backward].floats
+    key = (arc.flow.field, arc.backward)
+    lie = f._kernels[key].floats
     if abs(arc._read(lie, 0.0)[0] - lv) <= DEFAULT_EVENTS.tol_level:
         raise StartOnBoundary("start point lies on the watched boundary")
 
     t_sep = DEFAULT_EVENTS.t_sep_rel * t_end
 
-    def gfun(tau: float) -> float:
-        return arc._read(lie, tau)[0] - lv
+    def read(tau: float) -> tuple[float, float]:
+        g, gdot = arc._read(lie, tau)
+        return g - lv, gdot
 
-    def gdfun(tau: float) -> float:
-        return arc._read(lie, tau)[1]
+    def rate(tau: float) -> tuple[float, float]:   # compiled at the first turn
+        return arc._read(f._kernels[(*key, "rate")].floats, tau)
 
     ns = DEFAULT_EVENTS.ns
     ts, g, gdot, coarse = _samples(arc, f, lv, 2 * ns)
-    brackets = _scan_brackets(ts[coarse], g[coarse], gdot[coarse], gfun, gdfun)
+    brackets = _scan_brackets(ts[coarse], g[coarse], gdot[coarse], read, rate)
     tol = max(t_sep, 1e-9)
-    roots = _scan_roots(ts, g, gdot, gfun, gdfun)
+    roots = _scan_roots(ts, g, gdot, read, rate)
     # the ns scan is not polished: it agrees when each root of the 2*ns
     # scan lies in its bracket, widened by the separation floor
     agreed = len(roots) == len(brackets) and all(
@@ -252,7 +223,7 @@ def find_crossings(flow: Flow, region: Region, level: float | None, x,
     while not agreed and ns < DEFAULT_EVENTS.ns_max:
         ns *= 2
         ts, g, gdot, _ = _samples(arc, f, lv, ns)
-        confirm = _scan_roots(ts, g, gdot, gfun, gdfun)
+        confirm = _scan_roots(ts, g, gdot, read, rate)
         agreed = len(confirm) == len(roots) and all(
             abs(a - b) <= tol for a, b in zip(roots, confirm))
         roots = confirm

@@ -340,7 +340,9 @@ class _Kernels(dict):
     row-major in x<n+1>..x<n+n²>, each product summed over k in order. For
     an expression, (field, backward) is (f, L_V f) along the roots of
     field._kernels, L_V f = sum_j df/dx_j * V_j in index order, negated
-    (exactly) when backward: the rate in elapsed time."""
+    (exactly) when backward: the rate in elapsed time. (field, backward,
+    "rate") applies the same rule to that rate's tree: (ġ, g̈) in elapsed
+    time, compiled only when a crossing scan polishes a turn of g."""
 
     __slots__ = ("roots", "n")
 
@@ -372,13 +374,17 @@ class _Kernels(dict):
                     body += (acc,)
             names = values + ("variational",) * (n * n)
         else:
-            field, backward = key
-            lie: Node = Num(0.0)
-            jac = partials()
-            for j, v in enumerate(field._kernels.roots):
-                lie = _n_add(lie, _n_mul(jac[j], v))
-            body = (roots[0], Neg(lie) if backward else lie)
-            names = ("value", "gradient along the field")
+            field, backward, *rate = key
+
+            def lie(h: Node) -> Node:
+                acc: Node = Num(0.0)
+                for j, v in enumerate(field._kernels.roots, 1):
+                    acc = _n_add(acc, _n_mul(derive(h, j), v))
+                return Neg(acc) if backward else acc
+            gdot = lie(roots[0])
+            body = (gdot, lie(gdot)) if rate else (roots[0], gdot)
+            names = ("value", "gradient along the field", "its rate along the field")
+            names = names[1:] if rate else names[:2]
         kernel = self[key] = _Kernel(_compile(body, width, _SCALAR_NS),
                                      _compile(body, width, _ARRAY_NS), names)
         return kernel
@@ -483,7 +489,8 @@ def derive(node: Node, index: int) -> Node:
     """Exact partial derivative of the subtree with respect to x<index>.
 
     The result may contain ``log`` (from a variable exponent), which the
-    grammar does not accept: derived trees are compiled, never parsed.
+    grammar does not accept: derived trees are compiled, never parsed, and
+    derived again for a second derivative.
     """
     if isinstance(node, Num):
         return Num(0.0)
@@ -507,6 +514,8 @@ def derive(node: Node, index: int) -> Node:
             outer = _n_div(Num(0.5), Fun("sqrt", a))
         elif node.name == "tanh":
             outer = _n_sub(Num(1.0), Pow(Fun("tanh", a), Num(2.0)))
+        elif node.name == "log":
+            outer = _n_div(Num(1.0), a)
         else:
             raise TypeError(f"unknown function {node.name!r}")
         return _n_mul(outer, d)

@@ -98,7 +98,7 @@ def test_shooting_settings_are_the_seed_budget_and_rng_seed():
 
 # imports the CLI, runs each command line given on systemb and prints their
 # exit codes with the names of the scipy modules then loaded; between them
-# the commands reach the integrator, the Brent polish of find_crossings and
+# the commands reach the integrator, the root polish of find_crossings and
 # the neighbour search of check_connected
 _SCIPY_PROBE = """
 import json, sys

@@ -2,9 +2,7 @@
 crossing trees, parities."""
 from __future__ import annotations
 
-import inspect
 import math
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +12,7 @@ from scipy.optimize import brentq
 from flowrelay import dynamics, events, expr
 from flowrelay.dynamics import Flow, FlowArc, VectorField, _cut_steps, integrate
 from flowrelay.errors import DegenerateCrossing, EvalError, OutOfSpan
-from flowrelay.events import (DEFAULT_EVENTS, _brentq, _samples, _scan_roots,
+from flowrelay.events import (DEFAULT_EVENTS, _polish, _samples, _scan_roots,
                               backward_leaf_parity, backward_tree,
                               degree_check, find_crossings,
                               forward_leaf_parity, forward_tree)
@@ -119,16 +117,21 @@ def test_folded_non_finite_lie_derivative_is_an_eval_error():
 
 
 def test_backward_lie_kernel_is_the_exact_negation(rotor_m, systemb_m):
+    # and the backward rate kernel's (ġ, g̈) is (-ġ, g̈) of the forward one
     rng = np.random.default_rng(4)
     pts = rng.uniform(-2.0, 2.0, (64, 2))
     for system in (rotor_m, systemb_m):
         for region in system.regions:
             for fl in system.flows:
                 fwd, bwd = (region.f._kernels[fl.field, b] for b in (False, True))
+                rate, rate_b = (region.f._kernels[fl.field, b, "rate"]
+                                for b in (False, True))
                 for kernel in (lambda k: k.columns(*pts.T),
                                lambda k: np.array([k.floats(*p) for p in pts.tolist()]).T):
                     (g, gdot), (g_b, gdot_b) = kernel(fwd), kernel(bwd)
                     assert _same_bits(g_b, g) and _same_bits(gdot_b, -gdot)
+                    (gdot, gddot), (gdot_b, gddot_b) = kernel(rate), kernel(rate_b)
+                    assert _same_bits(gdot_b, -gdot) and _same_bits(gddot_b, gddot)
 
 
 def _partly_degenerate_rotor() -> RelaySystem:
@@ -230,24 +233,33 @@ def _kept_cut(ts: np.ndarray, ns: int) -> np.ndarray:
 
 
 def _scalars(arc, f, level: float):
-    """(g, gdot) over floats as find_crossings polishes them, on the arc's
-    single-point read of the forward float Lie kernel, negated for a
-    backward arc."""
+    """The pair reads find_crossings polishes on, read(t) = (g, ġ) and
+    rate(t) = (ġ, g̈), on the arc's single-point reads of the forward float
+    kernels, ġ negated for a backward arc (g̈ is the same in either time)."""
     lie = f._kernels[arc.flow.field, False].floats
+    lie2 = f._kernels[arc.flow.field, False, "rate"].floats
     sign = -1.0 if arc.backward else 1.0
-    return (lambda tau: arc._read(lie, tau)[0] - level,
-            lambda tau: sign * arc._read(lie, tau)[1])
+
+    def read(tau: float) -> tuple[float, float]:
+        g, gdot = arc._read(lie, tau)
+        return g - level, sign * gdot
+
+    def rate(tau: float) -> tuple[float, float]:
+        gdot, gddot = arc._read(lie2, tau)
+        return sign * gdot, gddot
+    return read, rate
 
 
 def _scan_roots_by_loops(arc, f, level: float, ns: int) -> list[float]:
     """The element-by-element scan that _scan_roots replaced: the reference
-    for its numpy masks."""
+    for its numpy masks, polished by _polish on the same reads. Each root
+    also lies within 1e-14 of scipy's brentq on g alone."""
     ts = arc._grid(ns)[0]
     pts = arc.sample(ts)
     g = f.evaluate(pts) - level
     gdot = (-1.0 if arc.backward else 1.0) * np.einsum(
         "ij,ij->i", f.gradient(pts), arc.flow.field.value_batch(pts))
-    gfun, gdfun = _scalars(arc, f, level)
+    read, rate = _scalars(arc, f, level)
     sig = np.sign(g)
     brackets = [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)
                 if sig[i] != 0.0 and sig[i + 1] != 0.0 and sig[i] != sig[i + 1]]
@@ -257,14 +269,18 @@ def _scan_roots_by_loops(arc, f, level: float, ns: int) -> list[float]:
         if gdot[i] == 0.0 or gdot[i + 1] == 0.0 or np.sign(gdot[i]) == np.sign(gdot[i + 1]):
             continue
         if sig[i] != 0.0 and sig[i] == sig[i + 1] and min(abs(g[i]), abs(g[i + 1])) <= band:
-            t_ext = brentq(gdfun, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
-            g_ext = gfun(t_ext)
+            t_ext = _polish(rate, ts[i], ts[i + 1], xtol=1e-13, rtol=1e-14)
+            g_ext = read(t_ext)[0]
             if abs(g_ext) <= DEFAULT_EVENTS.graze_tol:
                 raise DegenerateCrossing("graze", time=float(t_ext))
             if np.sign(g_ext) != sig[i]:
                 brackets += [(ts[i], t_ext), (t_ext, ts[i + 1])]
-    return sorted(float(brentq(gfun, a, b, xtol=1e-14, rtol=1e-15))
-                  for a, b in sorted(brackets))
+    roots = []
+    for a, b in sorted(brackets):
+        roots.append(_polish(read, a, b, xtol=1e-14, rtol=1e-15))
+        assert abs(roots[-1] - brentq(lambda t: read(t)[0], a, b, xtol=1e-14,
+                                      rtol=1e-15)) <= 1e-14
+    return sorted(roots)
 
 
 def test_scan_masks_match_the_loops(rotor_m, systemb_m):
@@ -489,7 +505,7 @@ def test_float_g_matches_evaluate_bit_for_bit(systemb_m):
             for tau in rng.uniform(0.0, arc.duration, 500).tolist():
                 assert arc._point(tau) == arc(tau).tolist()
                 want = float(region.f.evaluate(arc(tau))) - region.level
-                assert _same_bits(g(tau), want)
+                assert _same_bits(g(tau)[0], want)
 
 
 @pytest.mark.parametrize("text", ["sqrt(-x1)", "exp(1000*x1)", "1e300*1e300*x1"],
@@ -528,14 +544,14 @@ def test_agreeing_scan_samples_the_arc_once(rotor_m, sample_calls):
 
 def test_agreeing_scan_polishes_each_crossing_once(rotor_m, monkeypatch):
     # the ns = 8 scan of an agreeing pass keeps its brackets: only the 16
-    # scan's roots are polished, one Brent solve per crossing
-    brentq, polished = events._brentq, []
+    # scan's roots are polished, one _polish call per crossing
+    polish, polished = events._polish, []
 
-    def counted(f, xa, xb, xtol, rtol):
-        polished.append((xa, xb))
-        return brentq(f, xa, xb, xtol, rtol)
+    def counted(read, a, b, xtol, rtol):
+        polished.append((a, b))
+        return polish(read, a, b, xtol, rtol)
 
-    monkeypatch.setattr(events, "_brentq", counted)
+    monkeypatch.setattr(events, "_polish", counted)
     for t_end, count in ((3.0, 1), (2 * math.pi, 2)):
         del polished[:]
         evs = find_crossings(rotor_m.flows[0], rotor_m.regions[1], 0.0,
@@ -592,10 +608,10 @@ def _uncached_point(arc, tau: float) -> list[float]:
 
 
 def test_polish_g_reads_the_point_bit_for_bit(rotor_m, systemb_m):
-    # arc._point keeps the step of its last parameter: in sorted runs (the
-    # Brent polish's case) and in jumps across steps, at knots, 0 and the
-    # end, in any call order, it reads the bits of an uncached Horner read,
-    # and so does the polish's g
+    # arc._point keeps the step of its last parameter: in sorted runs and
+    # runs inside one step (a root polish's case) and in jumps across
+    # steps, at knots, 0 and the end, in any call order, it reads the bits
+    # of an uncached Horner read, and so does the polish's g
     rng = np.random.default_rng(15)
     cases = [(systemb_m, False), (systemb_m, True), (rotor_m, False),
              (make_triangle(), True)]
@@ -613,7 +629,7 @@ def test_polish_g_reads_the_point_bit_for_bit(rotor_m, systemb_m):
             for tau in order:
                 want = _uncached_point(arc, tau)
                 assert _same_bits(arc._point(tau), want)
-                assert _same_bits(g(tau), region.f.evaluate(want) - region.level)
+                assert _same_bits(g(tau)[0], region.f.evaluate(want) - region.level)
         for bad in (arc.duration * (1.0 + 1e-12), -1e-300, math.nan):
             with pytest.raises(OutOfSpan):
                 arc._point(bad)
@@ -641,97 +657,142 @@ def test_non_finite_level_function_on_the_arc_raises_eval_error(rotor_m, text,
         find_crossings(rotor_m.flows[0], Region(f, 0.25), None, [1.0, 0.0], 3.0)
 
 
-def _step(root: float, at: float = math.inf):
-    """-1 below root, 1 from it on, nan at x == at: every step bisects."""
-    def f(x: float) -> float:
-        return math.nan if x == at else (-1.0 if x < root else 1.0)
-    return f
+def _step(root: float):
+    """(-1 below root, 1 from it on, and h' = 0): every step bisects."""
+    return lambda x: (-1.0 if x < root else 1.0, 0.0)
+
+
+def _pair(h, dh):
+    return lambda x: (h(x), dh(x))
 
 
 _EPS4 = 4 * np.finfo(float).eps   # the smallest rtol scipy's brentq takes
 
-# (f, a, b, xtol, rtol): smooth roots (interpolation and extrapolation), a
-# step (bisection), roots at either end, a bracket below the xtol floor,
-# reversed and numpy-scalar ends, and the tolerances _scan_roots uses
-BRENT_CORPUS = [
-    (lambda x: x**3 - 2 * x - 5, 2.0, 3.0, 2e-12, _EPS4),
-    (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-14, 1e-15),
-    (lambda x: math.exp(x) - 2.0, -5.0, 5.0, 1e-13, 1e-14),
-    (lambda x: (x - 1.0 / 3.0) ** 3 * 1e-9 + 1e-30, -2.0, 7.0, 1e-14, 1e-15),
-    (_step(0.3), 0.0, 1.0, 1e-14, 1e-15),
-    (lambda x: x, 0.0, 1.0, 1e-14, 1e-15),
-    (lambda x: -x, 0.0, 1.0, 1e-14, 1e-15),
-    (lambda x: x - 1.0, 0.0, 1.0, 1e-14, 1e-15),
-    (lambda x: x - 0.5 - 3e-15, 0.5, 0.5 + 1e-14, 1e-13, 1e-14),
-    (lambda x: x - 1e6 - 0.123, 1e6 - 1.0, 1e6 + 1.0, 1e-14, 1e-15),
-    (math.sin, np.float64(4.0), np.float64(3.0), 1e-14, 1e-15),
-    (lambda x: math.atan(1e4 * (x - 0.25)), -1.0, 2.0, 1e-13, 1e-14),
-    (_step(1e-250), -1.0, 1.0, 2.0**-98, _EPS4),   # converges in 100 bisections
-]
+# (read, a, b, xtol, rtol): smooth roots, roots at either end, a bracket
+# below the xtol floor, reversed and numpy-scalar ends, h' = 0 (bisection),
+# and the tolerances _scan_roots uses
+POLISH_CORPUS = {
+    "cubic": (_pair(lambda x: x**3 - 2 * x - 5, lambda x: 3 * x * x - 2),
+              2.0, 3.0, 2e-12, _EPS4),
+    "cos": (_pair(lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0),
+            0.0, 1.0, 1e-14, 1e-15),
+    "exp": (_pair(lambda x: math.exp(x) - 2.0, math.exp), -5.0, 5.0, 1e-13, 1e-14),
+    "flat triple root": (_pair(lambda x: (x - 1.0 / 3.0) ** 3 * 1e-9 + 1e-30,
+                               lambda x: 3e-9 * (x - 1.0 / 3.0) ** 2),
+                         -2.0, 7.0, 1e-14, 1e-15),
+    "atan": (_pair(lambda x: math.atan(1e4 * (x - 0.25)),
+                   lambda x: 1e4 / (1.0 + (1e4 * (x - 0.25)) ** 2)),
+             -1.0, 2.0, 1e-13, 1e-14),
+    "root at a": (_pair(lambda x: x, lambda x: 1.0), 0.0, 1.0, 1e-14, 1e-15),
+    "root at a, falling": (_pair(lambda x: -x, lambda x: -1.0), 0.0, 1.0, 1e-14, 1e-15),
+    "root at b": (_pair(lambda x: x - 1.0, lambda x: 1.0), 0.0, 1.0, 1e-14, 1e-15),
+    "below xtol": (_pair(lambda x: x - 0.5 - 3e-15, lambda x: 1.0),
+                   0.5, 0.5 + 1e-14, 1e-13, 1e-14),
+    "large t": (_pair(lambda x: x - 1e6 - 0.123, lambda x: 1.0),
+                1e6 - 1.0, 1e6 + 1.0, 1e-14, 1e-15),
+    "reversed numpy ends": (_pair(math.sin, math.cos), np.float64(4.0),
+                            np.float64(3.0), 1e-14, 1e-15),
+    "step": (_step(0.3), 0.0, 1.0, 1e-14, 1e-15),
+    "smooth, h' = 0": (_pair(lambda x: x - 0.3, lambda x: 0.0), 0.0, 1.0, 1e-14, 1e-15),
+    "h = h' = 0 at a bisection": (_pair(lambda x: x - 0.5, lambda x: 0.0),
+                                  0.0, 1.0, 1e-14, 1e-15),
+    "100 bisections": (_step(1e-250), -1.0, 1.0, 2.0**-98, _EPS4),
+}
 
 
-def _lines_run(fn, *args) -> set[int]:
-    """Line numbers of _brentq's own frame executed by fn(*args)."""
-    code, seen = _brentq.__code__, set()
-
-    def tracer(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-        if event == "line":
-            seen.add(frame.f_lineno)
-        return tracer
-
-    old = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(old)
-    return seen
+@pytest.mark.parametrize("case", POLISH_CORPUS.values(), ids=POLISH_CORPUS.keys())
+def test_polish_matches_scipy_brentq(case):
+    read, a, b, xtol, rtol = case
+    want = brentq(lambda x: read(x)[0], a, b, xtol=xtol, rtol=rtol)
+    got = _polish(read, a, b, xtol, rtol)
+    assert type(got) is float
+    assert abs(got - want) <= max(xtol, 4 * math.ulp(want))
 
 
-def _random_cubics(n: int, seed: int) -> list:
-    """n cubics with random coefficients, each with a bracket [a, b] of
-    random ends over which it changes sign."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        c0, c1, c2, c3 = rng.normal(size=4).tolist()
-        a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
-
-        def f(x, c0=c0, c1=c1, c2=c2, c3=c3):
-            return ((c0 * x + c1) * x + c2) * x + c3
-        if f(a) * f(b) < 0:
-            out.append((f, a, b, 1e-14, 1e-15))
-    return out
+@pytest.mark.parametrize("read, a, b, xtol", [
+    (_pair(lambda x: x * x + 1.0, lambda x: 2.0 * x), -1.0, 1.0, 1e-14),
+    (_step(1e-250), -1.0, 1.0, 2.0**-99),   # needs 101 bisections
+], ids=["one sign", "no convergence"])
+def test_polish_fails_as_a_degenerate_crossing(read, a, b, xtol):
+    with pytest.raises(DegenerateCrossing):
+        _polish(read, a, b, xtol, _EPS4)
 
 
-def test_brentq_port_matches_scipy_bit_for_bit():
-    seen = set()
-    for f, a, b, xtol, rtol in BRENT_CORPUS + _random_cubics(300, 5):
-        want = brentq(f, a, b, xtol=xtol, rtol=rtol)
-        got = _brentq(f, a, b, xtol, rtol)
-        assert type(got) is float
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-        seen |= _lines_run(_brentq, f, a, b, xtol, rtol)
-    # the corpus runs the first line of every branch the comments name
-    lines, first = inspect.getsourcelines(_brentq)
-    for tag in ("# interpolate", "# extrapolate", "# good short step", "# bisect"):
-        at = [first + i + 1 for i, line in enumerate(lines) if line.strip() == tag]
-        assert at and set(at) <= seen, tag
+def test_rate_kernel_is_the_derivative_of_the_lie_rate(rotor_m, systemb_m):
+    # (field, backward, "rate") reads (ġ, g̈) in elapsed time: ġ the bits
+    # of the (g, ġ) kernel's, g̈ a central difference of ġ along the arc;
+    # a variable exponent derives the log of its first partials again
+    variable_exponent = expr.parse("(x1^2 + 2)^x2", 2)
+    rng = np.random.default_rng(16)
+    h = 1e-4
+    for system in (rotor_m, systemb_m):
+        for backward in (False, True):
+            for k in range(system.p):
+                arc = integrate(system.flows[k], 3.0, rng.uniform(-1.5, 1.5, 2),
+                                backward=backward)
+                for f in [r.f for r in system.regions] + [variable_exponent]:
+                    kernels = f._kernels
+                    lie = kernels[arc.flow.field, backward].floats
+                    rate = kernels[arc.flow.field, backward, "rate"].floats
+                    for tau in rng.uniform(h, arc.duration - h, 20).tolist():
+                        gdot, gddot = arc._read(rate, tau)
+                        assert _same_bits(gdot, arc._read(lie, tau)[1])
+                        fd = (arc._read(lie, tau + h)[1]
+                              - arc._read(lie, tau - h)[1]) / (2 * h)
+                        assert abs(gddot - fd) <= 1e-6 * max(1.0, abs(gddot))
 
 
-@pytest.mark.parametrize("f, a, b, xtol, error", [
-    (lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, ValueError),
-    (lambda x: math.nan, 0.0, 1.0, 1e-14, ValueError),
-    (_step(0.7, at=0.5), 0.0, 1.0, 1e-14, ValueError),
-    (_step(1e-250), -1.0, 1.0, 2.0**-99, RuntimeError),   # needs 101 bisections
-], ids=["one sign", "nan at an end", "nan inside", "no convergence"])
-def test_brentq_port_raises_as_scipy_does(f, a, b, xtol, error):
-    with pytest.raises(error):
-        brentq(f, a, b, xtol=xtol, rtol=_EPS4)
-    with pytest.raises(error):
-        _brentq(f, a, b, xtol, _EPS4)
+def _rate_keys(f) -> list:
+    return [key for key in f._kernels if isinstance(key, tuple) and len(key) == 3]
+
+
+def test_rate_kernel_is_compiled_at_the_first_polished_turn():
+    # a systemb scan whose g turns nowhere near the level compiles no rate
+    # kernel; the rotor chord scan of test_root_pair_between_scan_samples_is_found
+    # polishes a turn and compiles one
+    systemb = make_systemb()
+    region = systemb.regions[1]
+    assert find_crossings(systemb.flows[0], region, None, [1.5, 0.0], 4.0)
+    assert _rate_keys(region.f) == []
+    rotor = make_rotor()
+    fl, region = rotor.flows[0], rotor.regions[0]
+    x = 1.2999 * np.array([math.cos(-0.5), math.sin(-0.5)])
+    assert len(find_crossings(fl, region, None, x, 1.0)) == 2
+    assert _rate_keys(region.f) == [(fl.field, False, "rate")]
+
+
+def test_polish_reads_each_root_at_most_five_and_a_half_times(rotor_m, systemb_m,
+                                                              monkeypatch):
+    # Newton on (g, ġ) from the end with the smaller |g| reads 5.08 times
+    # per root on these 105 roots; a port of scipy's brentq, which reads g
+    # alone, read 6.70
+    polish, reads = events._polish, []
+
+    def counted(read, a, b, xtol, rtol):
+        ts = []
+
+        def counting(t):
+            ts.append(t)
+            return read(t)
+        root = polish(counting, a, b, xtol, rtol)
+        if xtol == 1e-14:   # a root; turns are polished to 1e-13
+            reads.append(len(ts))
+        return root
+
+    monkeypatch.setattr(events, "_polish", counted)
+    rng = np.random.default_rng(17)
+    for system in (rotor_m, systemb_m, make_triangle()):
+        for backward in (False, True):
+            for fl in system.flows * 8:
+                x = rng.uniform(-1.5, 1.5, 2)
+                for region in system.regions:
+                    try:
+                        find_crossings(fl, region, None, x, 2 * fl.horizon,
+                                       backward=backward)
+                    except DegenerateCrossing:
+                        pass
+    assert len(reads) >= 80
+    assert sum(reads) / len(reads) <= 5.5
 
 
 def test_root_pair_between_scan_samples_is_found(rotor_m):

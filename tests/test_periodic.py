@@ -543,6 +543,20 @@ def test_verify_rejects_a_leg_without_crossings(rotor_m):
         verify_periodic(rotor_m, orbit)
 
 
+def test_verify_replays_a_rotor_member_near_the_tangent_circle(rotor_m):
+    # a member of rotor's neutral family 1e-6 from the radius-0.7 circle,
+    # which touches boundary 0: g is nearly flat where leg 2 ends, and
+    # Newton steps that stay inside the bracket converge there only with
+    # the polish's bisection of steps that do not halve
+    sv = SwitchingVector.of((0.7000009295772026, 0.0007467708861603353),
+                            (2.822963891515505, 3.4602214157617723))
+    orbit = PeriodicOrbit(sv, rotor_m.levels(), 0.0, np.eye(2))
+    report = verify_periodic(rotor_m, orbit)
+    assert report.matched_indices == (0, 1)
+    assert report.margins == pytest.approx((0.43715, 0.0014936), rel=1e-4)
+    assert report.closure < 1e-7
+
+
 def test_verify_rejects_unequal_closing_level(systemb_m, systemb_orbit):
     shifted = replace(systemb_orbit, levels=np.array([0.0, 0.0, 0.01]))
     with pytest.raises(ValueError, match="closing level"):
