@@ -8,10 +8,13 @@ switching trajectory. That needs equal first and closing level offsets
 (the orbit leaves and re-enters boundary 0 at one level); the solvers
 reject unequal ones with ValueError. Newton is Levenberg-Marquardt on a
 four-rung damping ladder (mu in 0, 1e-2, 1e-1, 1) with one SVD per
-Jacobian, so a seed costs at most max_iter Jacobians and 2*max_iter + 5
-residual chains. Level continuation tracks an orbit
-from a first step over the whole segment, with steps that double while its
-corrector succeeds and halve when it fails.
+Jacobian. It flows the start and every trial once, with the variational
+equations, and reads both the residual and an accepted trial's Jacobian
+from that one linearized chain, so a seed costs at most max_iter Jacobians
+and 2*max_iter + 5 linearized chains; a solved orbit's monodromy comes from
+its last one. Level continuation tracks an orbit from a first step over the
+whole segment, with steps that double while its corrector succeeds, but
+never back to a size already refused, and halve when it fails.
 """
 from __future__ import annotations
 
@@ -97,8 +100,27 @@ def chain_points(system: RelaySystem, sv: SwitchingVector) -> list[np.ndarray]:
     return xs
 
 
-def _linearize(system: RelaySystem, sv: SwitchingVector):
-    """Chain points x_i, leg Jacobians dx_i/dx_{i-1}, end fields dx_i/dt_i."""
+@dataclass(frozen=True)
+class _Linearization:
+    """A switching vector's chain flowed with its variational equations: the
+    chain points x_i, leg Jacobians dx_i/dx_{i-1} and end fields dx_i/dt_i,
+    and the shooting residual read from those points."""
+
+    sv: SwitchingVector
+    r: np.ndarray
+    xs: list[np.ndarray]
+    mats: list[np.ndarray]
+    vels: list[np.ndarray]
+
+
+def _residual(system: RelaySystem, lv: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
+    rows = [float(system.chain_region(i, lv).f.evaluate(xs[i])) - float(lv[i])
+            for i in range(system.p)]
+    return np.concatenate([np.array(rows), xs[-1] - xs[0]])
+
+
+def _linearize(system: RelaySystem, lv: np.ndarray,
+               sv: SwitchingVector) -> _Linearization:
     _check_shape(system, sv)
     _check_windows(system, sv)
     xs, mats, vels = [sv.x], [], []
@@ -107,28 +129,14 @@ def _linearize(system: RelaySystem, sv: SwitchingVector):
         xs.append(x_next)
         mats.append(a)
         vels.append(system.flows[i].field(x_next))
-    return xs, mats, vels
+    return _Linearization(sv, _residual(system, lv, xs), xs, mats, vels)
 
 
-def shooting_residual(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
-    """(f_i(x_i) - level_i for i = 0..p-1) followed by x_p - x_0; length n+p."""
-    lv = system.levels(levels)
-    xs = chain_points(system, sv)
-    rows = [float(system.chain_region(i, lv).f.evaluate(xs[i])) - float(lv[i])
-            for i in range(system.p)]
-    return np.concatenate([np.array(rows), xs[-1] - xs[0]])
-
-
-def residual_jacobian(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
-    """Exact (n+p) x (n+p) derivative of the shooting residual.
-
-    Assembled by the chain rule from the leg Jacobians (variational
-    integration), boundary gradients, and field values at the chain points
-    (the time partials).
-    """
-    lv = system.levels(levels)
+def _jacobian(system: RelaySystem, lv: np.ndarray, lin: _Linearization) -> np.ndarray:
+    """The chain rule over a linearization's legs: boundary gradients at the
+    chain points, leg Jacobians, and the end fields as the time partials."""
     n, p = system.n, system.p
-    xs, mats, vels = _linearize(system, sv)
+    xs, mats, vels = lin.xs, lin.mats, lin.vels
     jac = np.zeros((n + p, n + p))
     for i in range(p):
         w = system.chain_region(i, lv).f.gradient(xs[i])
@@ -142,6 +150,22 @@ def residual_jacobian(system: RelaySystem, levels, sv: SwitchingVector) -> np.nd
         w_mat = w_mat @ mats[j]
     jac[p:, :n] = w_mat - np.eye(n)
     return jac
+
+
+def shooting_residual(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
+    """(f_i(x_i) - level_i for i = 0..p-1) followed by x_p - x_0; length n+p."""
+    return _residual(system, system.levels(levels), chain_points(system, sv))
+
+
+def residual_jacobian(system: RelaySystem, levels, sv: SwitchingVector) -> np.ndarray:
+    """Exact (n+p) x (n+p) derivative of the shooting residual.
+
+    Assembled by the chain rule from the leg Jacobians (variational
+    integration), boundary gradients, and field values at the chain points
+    (the time partials).
+    """
+    lv = system.levels(levels)
+    return _jacobian(system, lv, _linearize(system, lv, sv))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +197,7 @@ _SOLVE_ERRORS = (FlowRelayError, np.linalg.LinAlgError)
 @dataclass
 class _NewtonResult:
     sv: SwitchingVector
-    residual_norm: float
+    lin: _Linearization  # the linearization at sv
     converged: bool
     on_clamp: bool
     degenerate: bool
@@ -196,11 +220,15 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     [J; sqrt(mu*s) I] dz = [-r; 0]. At mu = 0 it is the minimum-norm
     Gauss-Newton step: the sig at or below lstsq's cut-off on that stacked
     matrix, eps*2(n+p)*sig_1, are dropped. mu takes the rungs of _DAMPING =
-    (0, 1e-2, 1e-1, 1). A trial is accepted only if it lowers |r|;
-    acceptance moves mu one rung down, rejection one rung up. The seed is
-    given up once a trial at mu = 1 is rejected, which bounds the work to
-    max_iter (_MAX_ITER, or _CORRECTOR_MAX_ITER in a continuation corrector)
-    Jacobians and 2*max_iter + 5 residuals.
+    (0, 1e-2, 1e-1, 1). Every trial is linearized (_linearize flows its
+    chain with the variational equations) and r is read from its chain
+    points, so an accepted trial's Jacobian needs no second integration. A
+    trial is accepted only if it lowers |r|; acceptance moves mu one rung
+    down, rejection one rung up. The seed is given up once a trial at mu = 1
+    is rejected, which bounds the work to max_iter (_MAX_ITER, or
+    _CORRECTOR_MAX_ITER in a continuation corrector) Jacobians and
+    2*max_iter + 5 linearized chains. The result carries the last accepted
+    linearization.
     """
     n, p = system.n, system.p
     lo, hi = _clamp_bounds(system)
@@ -210,15 +238,15 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     def split(vec: np.ndarray) -> SwitchingVector:
         return SwitchingVector.of(vec[:n], vec[n:])
 
-    r = shooting_residual(system, levels, split(z))
-    rnorm = float(np.linalg.norm(r))
+    lin = _linearize(system, levels, split(z))
+    rnorm = float(np.linalg.norm(lin.r))
     rung = 0
     for _ in range(max_iter):
         if rnorm <= _RESIDUAL_TOL or rung == len(_DAMPING):
             break
-        u, sig, vt = np.linalg.svd(residual_jacobian(system, levels, split(z)))
+        u, sig, vt = np.linalg.svd(_jacobian(system, levels, lin))
         degenerate |= bool(sig[0] > _COND_LIMIT * sig[-1])
-        scale, ur = float(sig @ sig) / (n + p), u.T @ r
+        scale, ur = float(sig @ sig) / (n + p), u.T @ lin.r
         gauss = np.divide(1.0, sig, out=np.zeros(n + p),
                           where=sig > np.finfo(float).eps * 2 * (n + p) * sig[0])
         while rung < len(_DAMPING):
@@ -227,18 +255,18 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
             z_try = z - vt.T @ (w * ur)
             z_try[n:] = np.clip(z_try[n:], lo, hi)
             try:
-                r_try = shooting_residual(system, levels, split(z_try))
-                rnorm_try = float(np.linalg.norm(r_try))
+                trial = _linearize(system, levels, split(z_try))
+                rnorm_try = float(np.linalg.norm(trial.r))
             except _SOLVE_ERRORS:
                 rnorm_try = np.inf
             if rnorm_try < rnorm:
-                z, r, rnorm = z_try, r_try, rnorm_try
+                z, lin, rnorm = z_try, trial, rnorm_try
                 rung = max(rung - 1, 0)
                 break
             rung += 1
     converged = rnorm <= _RESIDUAL_TOL
     on_clamp = bool(np.any(z[n:] <= lo * 1.5) or np.any(z[n:] >= hi - 0.5 * lo))
-    return _NewtonResult(split(z), rnorm, converged, on_clamp, degenerate)
+    return _NewtonResult(lin.sv, lin, converged, on_clamp, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +315,16 @@ class PeriodicOrbit:
         }
 
 
-def _package(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
-             rnorm: float) -> PeriodicOrbit:
-    """The orbit at a solved switching vector, replay-verified."""
-    _, mats, _ = _linearize(system, sv)
+def _package(system: RelaySystem, levels: np.ndarray,
+             lin: _Linearization) -> PeriodicOrbit:
+    """The orbit at a solved switching vector, replay-verified: the monodromy
+    is the product of the linearization's leg Jacobians, the residual norm
+    that of the plain chain, |shooting_residual|."""
     monodromy = np.eye(system.n)
-    for a in mats:
+    for a in lin.mats:
         monodromy = a @ monodromy
-    orbit = PeriodicOrbit(sv, np.asarray(levels, float), rnorm, monodromy)
+    rnorm = float(np.linalg.norm(shooting_residual(system, levels, lin.sv)))
+    orbit = PeriodicOrbit(lin.sv, np.asarray(levels, float), rnorm, monodromy)
     orbit.verification = verify_periodic(system, orbit)
     return orbit
 
@@ -483,7 +513,7 @@ def find_periodic(system: RelaySystem, levels=None, seeds="auto",
     verified: list[PeriodicOrbit] = []
     for res in _dedup(candidates):
         try:
-            verified.append(_package(system, lv, res.sv, res.residual_norm))
+            verified.append(_package(system, lv, res.lin))
         except (ReplayMismatch, DegenerateCrossing):
             continue
     if not verified:
@@ -502,15 +532,18 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     """Track a converged orbit as the level offsets move along a segment.
 
     Linear predictor (tangent solve of the shooting system, one Jacobian
-    per accepted point), then a Levenberg-Marquardt corrector of at most 5
-    Jacobians. The first step tries the whole segment and each accepted step
-    doubles the next. A corrector that fails, ends on the duration clamp or
-    lands farther from the predictor than the predictor lies from the
-    current point (a branch jump) halves the step; at 1/1024 of the segment
+    per accepted point, assembled from the linearization its corrector ended
+    on), then a Levenberg-Marquardt corrector of at most 5 Jacobians. The
+    first step tries the whole segment and each accepted step doubles the
+    next, unless that reaches the smallest size refused so far. A corrector
+    that fails, ends on the duration clamp or lands farther from the
+    predictor than the predictor lies from the current point (a branch
+    jump) halves the step; at 1/1024 of the segment
     ContinuationStalled carries the partial path. The last step lands on
     levels_to exactly, and its corrector's solution is the orbit returned.
     Raises ValueError when sv has the wrong shape or either end has unequal
-    first and closing offsets.
+    first and closing offsets, and the chain's own error (NotInWindow,
+    IntegrationError) when sv cannot be flowed.
     """
     _check_shape(system, sv)
     lv_a = system.levels(levels_from)
@@ -519,12 +552,12 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
     _require_closing_level(lv_b)
     n, p = system.n, system.p
     path: list[tuple[np.ndarray, SwitchingVector]] = [(lv_a.copy(), sv)]
+    lin = _linearize(system, lv_a, sv)
     if np.array_equal(lv_a, lv_b):
-        rnorm = float(np.linalg.norm(shooting_residual(system, lv_a, sv)))
-        return ContinuationPath(path, _package(system, lv_a, sv, rnorm))
+        return ContinuationPath(path, _package(system, lv_a, lin))
 
     lo, hi = _clamp_bounds(system)
-    s, h = 0.0, 1.0
+    s, h, refused = 0.0, 1.0, np.inf
     cur, jac = sv, None
     while s < 1.0 - 1e-15:
         h = min(h, 1.0 - s)
@@ -532,7 +565,7 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
         lv_next = lv_b if h == 1.0 - s else lv_a + (s + h) * (lv_b - lv_a)
         try:
             if jac is None:
-                jac = residual_jacobian(system, lv_cur, cur)
+                jac = _jacobian(system, lv_cur, lin)
             rhs = np.concatenate([(lv_next - lv_cur)[:p], np.zeros(n)])
             tangent = np.linalg.lstsq(jac, rhs, rcond=None)[0]
             z_pred = cur.as_vector() + tangent
@@ -544,13 +577,15 @@ def continue_levels(system: RelaySystem, sv: SwitchingVector, levels_from,
                 and np.linalg.norm(res.sv.as_vector() - z_pred)
                 <= np.linalg.norm(tangent)):
             s += h
-            cur, rnorm, jac = res.sv, res.residual_norm, None
+            cur, lin, jac = res.sv, res.lin, None
             path.append((lv_next.copy(), cur))
-            h = 2.0 * h
+            if 2.0 * h < refused:
+                h = 2.0 * h
         else:
+            refused = min(refused, h)
             h *= 0.5
             if h < 1.0 / 1024.0:
                 raise ContinuationStalled(
                     f"minimum continuation step reached at s={s:.4f}",
                     path=path)
-    return ContinuationPath(path, _package(system, lv_b, cur, rnorm))
+    return ContinuationPath(path, _package(system, lv_b, lin))

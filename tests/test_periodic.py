@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
 from flowrelay import expr, periodic
+from flowrelay.cli import load_config
 from flowrelay.dynamics import Flow, VectorField, flow_map
 from flowrelay._util import seeded_rng
 from flowrelay.errors import (ContinuationStalled, DegenerateCrossing,
@@ -23,7 +24,7 @@ from flowrelay.periodic import (PeriodicOrbit, SolveOptions, SwitchingVector,
                                 verify_periodic)
 from flowrelay.relay import accessible_set, simulate
 
-from conftest import make_rotor, make_systemb, rotor_periodic_start
+from conftest import REPO_ROOT, make_rotor, make_systemb, rotor_periodic_start
 from spiral_relay import SpiralRelay
 from test_events import _partly_degenerate_rotor
 
@@ -179,9 +180,9 @@ def test_find_periodic_lets_programming_errors_through(rotor_m, monkeypatch):
     # only solver failures may retire a seed; a bug must not read as
     # "no convergence"
     def broken(*args):
-        raise TypeError("bug in the residual")
+        raise TypeError("bug in the linearization")
 
-    monkeypatch.setattr(periodic, "shooting_residual", broken)
+    monkeypatch.setattr(periodic, "_linearize", broken)
     with pytest.raises(TypeError):
         find_periodic(rotor_m, seeds=[rotor_closed_form_sv()])
 
@@ -224,7 +225,8 @@ def test_find_periodic_converges_systemb_seed_at_angle_pi(systemb_m):
 
 
 def test_hopeless_seed_work_is_bounded(rotor_m, monkeypatch):
-    calls = {"residual": 0, "jacobian": 0}
+    # linearized chains (the start and each trial) and Jacobian factorizations
+    calls = {"linearize": 0, "jacobian": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -232,29 +234,44 @@ def test_hopeless_seed_work_is_bounded(rotor_m, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(periodic, "shooting_residual",
-                        counted("residual", periodic.shooting_residual))
-    monkeypatch.setattr(periodic, "residual_jacobian",
-                        counted("jacobian", periodic.residual_jacobian))
+    monkeypatch.setattr(periodic, "_linearize",
+                        counted("linearize", periodic._linearize))
+    monkeypatch.setattr(periodic, "_jacobian",
+                        counted("jacobian", periodic._jacobian))
     with pytest.raises(NoConvergence):
         find_periodic(rotor_m, seeds=[SwitchingVector.of([0, 0.05], (0.01, 6.2))])
-    assert calls["jacobian"] <= periodic._MAX_ITER
-    assert calls["residual"] <= 2 * periodic._MAX_ITER + 5
+    assert 0 < calls["jacobian"] <= periodic._MAX_ITER
+    assert 0 < calls["linearize"] <= 2 * periodic._MAX_ITER + 5
+
+
+@pytest.mark.parametrize("make", [
+    make_systemb, make_rotor,
+    lambda: load_config(REPO_ROOT / "configs" / "slow_spirals.json")],
+    ids=["systemb", "rotor", "slow spirals"])
+def test_residual_norm_is_the_public_residual_of_each_orbit(make):
+    # Newton reads its residuals from the linearized chains; the reported
+    # norm is the plain chain's at the solved vector, bit for bit
+    system = make()
+    orbits = find_periodic(system, opts=SolveOptions(max_seeds=32, seed=7))
+    assert orbits
+    for orbit in orbits:
+        r = shooting_residual(system, orbit.levels, orbit.sv)
+        assert orbit.residual_norm == float(np.linalg.norm(r)) <= 1e-9
 
 
 def test_newton_counts_a_failed_trial_as_a_rejection(rotor_m, monkeypatch):
     # the first trial's integration fails: Newton raises the damping and
     # tries again instead of giving the seed up
     calls = []
-    residual = periodic.shooting_residual
+    linearize = periodic._linearize
 
     def failing_once(*args):
         calls.append(1)
         if len(calls) == 2:
             raise IntegrationError("injected trial failure")
-        return residual(*args)
+        return linearize(*args)
 
-    monkeypatch.setattr(periodic, "shooting_residual", failing_once)
+    monkeypatch.setattr(periodic, "_linearize", failing_once)
     sv = rotor_closed_form_sv()
     rough = SwitchingVector.of(sv.x + np.array([0.0, 1e-3]),
                                (sv.durations[0] + 0.05, sv.durations[1] - 0.02))
@@ -277,25 +294,27 @@ def _rejected_trials(monkeypatch, system, seed, jac=None, r0=None):
     return the Jacobians it computed (jac, when given, replaces each), the
     start residual (r0, when given, replaces it), the steps it tried and
     its result."""
-    residual, jacobian = periodic.shooting_residual, periodic.residual_jacobian
+    linearize, jacobian = periodic._linearize, periodic._jacobian
     points, jacs = [], []
 
     def worse(system, levels, sv):
         points.append(sv.as_vector())
         if len(points) == 1:
-            worse.r0 = residual(system, levels, sv) if r0 is None else r0
-            return worse.r0
-        return 2.0 * worse.r0
+            worse.lin0 = linearize(system, levels, sv)
+            if r0 is not None:
+                worse.lin0 = replace(worse.lin0, r=r0)
+            return worse.lin0
+        return replace(worse.lin0, sv=sv, r=2.0 * worse.lin0.r)
 
     def recorded(*args):
         jacs.append(jacobian(*args) if jac is None else jac)
         return jacs[-1]
 
-    monkeypatch.setattr(periodic, "shooting_residual", worse)
-    monkeypatch.setattr(periodic, "residual_jacobian", recorded)
+    monkeypatch.setattr(periodic, "_linearize", worse)
+    monkeypatch.setattr(periodic, "_jacobian", recorded)
     res = periodic._newton(system, system.levels(), seed, periodic._MAX_ITER)
     z0, *tried = points
-    return jacs, worse.r0, [z - z0 for z in tried], res
+    return jacs, worse.lin0.r, [z - z0 for z in tried], res
 
 
 def _rough_systemb_seed(orbit) -> SwitchingVector:
@@ -305,6 +324,36 @@ def _rough_systemb_seed(orbit) -> SwitchingVector:
 
 
 LADDER = (0.0, 1e-2, 1e-1, 1.0)
+
+
+def test_each_newton_iterate_is_integrated_once(systemb_m, systemb_orbit,
+                                                monkeypatch):
+    # one seed: the start and every trial flow their chain once, with the
+    # variational equations, and the plain chain is flowed once per orbit
+    # packaged, for its public residual
+    counts = {"flow_map": 0, "flow_map_with_jacobian": 0}
+    linearized = []
+    linearize = periodic._linearize
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def recorded(system, levels, sv):
+        linearized.append(sv.as_vector().tobytes())
+        return linearize(system, levels, sv)
+
+    for name in counts:
+        monkeypatch.setattr(periodic, name, counted(name, getattr(periodic, name)))
+    monkeypatch.setattr(periodic, "_linearize", recorded)
+    orbits = find_periodic(systemb_m, seeds=[_rough_systemb_seed(systemb_orbit)])
+    trials = len(linearized) - 1
+    assert len(orbits) == 1 and trials > 0
+    assert len(set(linearized)) == len(linearized)
+    assert counts["flow_map_with_jacobian"] == systemb_m.p * (1 + trials)
+    assert counts["flow_map"] == systemb_m.p * len(orbits)
 
 
 def test_newton_gives_a_seed_up_after_four_rejected_rungs(systemb_m, systemb_orbit,
@@ -443,7 +492,7 @@ def test_orbit_hausdorff_matches_kdtree(systemb_m, systemb_orbit, rotor_m):
 
 
 def _result(start, durations) -> periodic._NewtonResult:
-    return periodic._NewtonResult(SwitchingVector.of(start, durations), 0.0,
+    return periodic._NewtonResult(SwitchingVector.of(start, durations), lin=None,
                                   converged=True, on_clamp=False,
                                   degenerate=False)
 
@@ -628,13 +677,13 @@ def test_continuation_stalls_at_the_duration_window(systemb_m, systemb_orbit):
 
 def _count_jacobians(monkeypatch) -> dict:
     calls = {"jacobian": 0}
-    jacobian = periodic.residual_jacobian
+    jacobian = periodic._jacobian
 
     def counted(*args):
         calls["jacobian"] += 1
         return jacobian(*args)
 
-    monkeypatch.setattr(periodic, "residual_jacobian", counted)
+    monkeypatch.setattr(periodic, "_jacobian", counted)
     return calls
 
 
@@ -669,20 +718,21 @@ def test_continuation_refused_steps_reuse_the_predictor_jacobian(
         systemb_m, systemb_orbit, monkeypatch):
     # a refused step retries from the same point, where the tangent is
     # linear in the level step: no Jacobian of the stall is computed twice
-    # at one (levels, switching vector)
-    jacobian = periodic.residual_jacobian
+    # at one (levels, switching vector). After a refusal the step never
+    # grows back to the refused size (105 Jacobians without that cap)
+    jacobian = periodic._jacobian
     keys = []
 
-    def keyed(system, levels, sv):
-        keys.append((np.asarray(levels).tobytes(), sv.as_vector().tobytes()))
-        return jacobian(system, levels, sv)
+    def keyed(system, levels, lin):
+        keys.append((np.asarray(levels).tobytes(), lin.sv.as_vector().tobytes()))
+        return jacobian(system, levels, lin)
 
-    monkeypatch.setattr(periodic, "residual_jacobian", keyed)
+    monkeypatch.setattr(periodic, "_jacobian", keyed)
     with pytest.raises(ContinuationStalled, match=r"s=0\.9561") as exc:
         continue_levels(systemb_m, systemb_orbit.sv, systemb_m.levels(),
                         np.full(3, 0.26))
     assert len(exc.value.path) == 8
-    assert len(keys) == len(set(keys)) == 105
+    assert len(keys) == len(set(keys)) == 90
 
 
 def test_continuation_refuses_a_corrector_far_from_its_predictor(
