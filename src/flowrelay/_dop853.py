@@ -5,8 +5,16 @@ dense output (Hairer, Norsett & Wanner, Solving ODEs I, ch. II.5), at fixed
 rtol 1e-10 and atol 1e-12. The tableau is embedded below as the float
 literals of scipy.integrate.DOP853's arrays (a test checks them bit for
 bit), and the initial-step rule, error norm, step controller and
-step-underflow failure are that class's, so results differ from scipy's
-only by rounding.
+step-underflow failure are that class's, so a state under full error
+control differs from scipy's only by rounding.
+
+A float state may put only its leading entries under error control: the
+error norm and the first step read those alone, and the other entries ride
+along on the same steps. A state extended by its variational equations
+thus takes the steps the state alone would take, and its matrix entries
+are the derivative of that computed flow map with its steps held fixed
+(internal numerical differentiation: Bock 1981; Hairer, Norsett & Wanner
+on the variational equations).
 
 A state is a tuple of n floats (one trajectory) or of n numpy columns (a
 batch of N points under one joint error norm), each form with its own step
@@ -15,10 +23,11 @@ current state and hands each accepted step to the caller's solout, as the
 SOLOUT of Hairer's DOP853 driver does (Solving ODEs I, sec. II.6); a step
 that would pass the final time ends there.
 
-- Floats: for each state size the step function and the dense-row
-  function, which builds a step's interpolant only for a caller with a
-  solout, are generated as straight-line Python with the zero tableau
-  entries dropped, the way expr._compile builds the field kernels.
+- Floats: for each state size and count of controlled entries the step
+  function and the dense-row function, which builds a step's interpolant
+  only for a caller with a solout, are generated as straight-line Python
+  with the zero tableau entries dropped, the way expr._compile builds the
+  field kernels.
 - Columns are stacked into one (n, N) array and have no dense output. The
   state y and the stages K0..K12 are the rows of one preallocated buffer
   S. Once per step h times the tableau rows, behind a column of ones,
@@ -148,9 +157,10 @@ def _args(n: int, entry: Callable[[int], str]) -> str:
     return "".join(f"{entry(i)}, " for i in range(n))
 
 
-def _step_source(n: int) -> str:
+def _step_source(n: int, m: int) -> str:
     """_step(fun, y, k0, h) -> (error norm, y_new, f_new, stages): one trial
-    step of size h from y with derivative k0."""
+    step of size h from y with derivative k0, its error norm over the
+    leading m of the n entries."""
     lines = ["def _step(fun, y, k0, h):", f"    {_names('y', n)}= y",
              f"    {_names('k0', n)}= k0"]
     for s in range(1, _STAGES):
@@ -158,15 +168,15 @@ def _step_source(n: int) -> str:
         lines += [f"    k{s} = fun({arg})", f"    {_names(f'k{s}', n)}= k{s}"]
     lines += [f"    n_{i} = y_{i} + h*({_comb(_B, i)})" for i in range(n)]
     lines.append(f"    k{_STAGES} = fun({_names('n', n)})")
-    for i in range(n):
+    for i in range(m):
         lines += [f"    a = abs(y_{i})", f"    b = abs(n_{i})",
                   f"    s = {ATOL!r} + max(a, b)*{RTOL!r}",
                   f"    r_{i} = ({_comb(_E5, i)})/s",
                   f"    q_{i} = ({_comb(_E3, i)})/s"]
-    lines.append("    e5 = " + " + ".join(f"r_{i}*r_{i}" for i in range(n)))
-    lines.append("    e3 = " + " + ".join(f"q_{i}*q_{i}" for i in range(n)))
+    lines.append("    e5 = " + " + ".join(f"r_{i}*r_{i}" for i in range(m)))
+    lines.append("    e3 = " + " + ".join(f"q_{i}*q_{i}" for i in range(m)))
     # e5 == 0 gives a zero norm whatever e3 is, as in scipy
-    lines.append(f"    err = abs(h)*e5/_sqrt((e5 + 0.01*e3)*{n}) if e5 else 0.0")
+    lines.append(f"    err = abs(h)*e5/_sqrt((e5 + 0.01*e3)*{m}) if e5 else 0.0")
     stages = "".join(f"k{s}, " for s in range(_STAGES))
     lines.append(f"    return err, ({_names('n', n)}), k{_STAGES}, ({stages})")
     return "\n".join(lines) + "\n"
@@ -193,13 +203,13 @@ def _dense_source(n: int) -> str:
 
 
 @functools.cache
-def _generated(n: int) -> tuple[Callable, Callable]:
+def _generated(n: int, m: int) -> tuple[Callable, Callable]:
     """The float form's step and dense-row functions for states of n
-    entries, generated on first use: pure functions, so one cache serves
-    all."""
+    entries, the leading m under error control, generated on first use:
+    pure functions, so one cache serves all."""
     scope = {"_sqrt": math.sqrt}
-    src = _step_source(n) + _dense_source(n)
-    exec(compile(src, f"<flowrelay-dop853-{n}>", "exec"), scope)
+    src = _step_source(n, m) + _dense_source(n)
+    exec(compile(src, f"<flowrelay-dop853-{n}-{m}>", "exec"), scope)
     return scope["_step"], scope["_dense"]
 
 
@@ -251,9 +261,10 @@ def _rms_stacked(v) -> float:
 
 
 def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
-                  rms: Callable) -> float:
-    """|h| of the first trial step (Hairer, Norsett & Wanner, sec. II.4)."""
-    scale = [ATOL + abs(v) * RTOL for v in y]
+                  rms: Callable, m: int) -> float:
+    """|h| of the first trial step (Hairer, Norsett & Wanner, sec. II.4),
+    read from the leading m entries of y, f and the probe's value."""
+    scale = [ATOL + abs(v) * RTOL for v in y[:m]]
     d0 = rms([v / s for v, s in zip(y, scale)])
     d1 = rms([v / s for v, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -269,10 +280,14 @@ def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
     return min(100 * h0, h1, span)
 
 
-def solve(fun, t_end: float, y0: tuple, solout):
+def solve(fun, t_end: float, y0: tuple, solout, *, controlled: int | None = None):
     """Integrate y' = fun(*y) from time 0 to the signed time t_end, over
     floats or, if y0 holds numpy columns, over the stacked columns, and
     return the end state: a tuple over floats, an (n, N) array over columns.
+
+    Over floats, the error norm and the first step read only the leading
+    controlled entries (all by default); the others ride along on the same
+    steps.
 
     Only the current state is kept; the last step ends at t_end exactly.
     Unless solout is None, each accepted step from t to t_new (signed, from
@@ -281,16 +296,17 @@ def solve(fun, t_end: float, y0: tuple, solout):
     interpolant rows as a flat tuple of 8n floats; over columns it is None.
     Raises IntegrationError on step underflow.
     """
+    m = len(y0) if controlled is None else controlled
     if isinstance(y0[0], np.ndarray):
         y0 = np.array(y0, float)
         step, dense_rows, rms = _stacked(*y0.shape), None, _rms_stacked
     else:
-        (step, dense_rows), rms = _generated(len(y0)), _rms_floats
+        (step, dense_rows), rms = _generated(len(y0), m), _rms_floats
     direction = 1.0 if t_end > 0 else -1.0
     toward = direction * math.inf
     t, y = 0.0, y0
     f = fun(*y)
-    h_abs = _initial_step(fun, y, f, abs(t_end), direction, rms)
+    h_abs = _initial_step(fun, y, f, abs(t_end), direction, rms, m)
 
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)

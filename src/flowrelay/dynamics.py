@@ -19,7 +19,9 @@ so both directions use the same compiled kernels.
 This module builds and compiles no tree: the stepper calls the kernels of
 each VectorField's cache in expr directly on the state, the value over
 floats or numpy columns and, for flow_map_with_jacobian alone, the
-variational right-hand side.
+variational right-hand side. That kernel's first n entries are the value
+kernel's trees and only they are under error control, so a variational
+leg takes flow_map's steps and ends on its state bit for bit.
 """
 from __future__ import annotations
 
@@ -286,13 +288,14 @@ def _start(x, fn: str, n: int, batch: bool = False) -> np.ndarray:
     return x
 
 
-def _run(kernel, what: str, t: float, y0, solout):
+def _run(kernel, what: str, t: float, y0, solout, controlled: int | None = None):
     """Integrate y' = kernel(*y) from 0 to the signed time t on the owned
     stepper, over the floats or numpy columns of y0, handing each accepted
-    step to solout as _dop853.solve does. A kernel failure raises
-    EvalError; a non-finite end state, IntegrationError."""
+    step to solout and the error control to the leading controlled entries
+    as _dop853.solve does. A kernel failure raises EvalError; a non-finite
+    end state, IntegrationError."""
     try:
-        end = _dop853.solve(kernel, t, tuple(y0), solout)
+        end = _dop853.solve(kernel, t, tuple(y0), solout, controlled=controlled)
     except ex._EVAL_FAILURES as exc:
         raise EvalError(f"{what} failed: {exc}") from exc
     if not np.isfinite(end).all():
@@ -321,7 +324,9 @@ def flow_map(flow: Flow, t: float, x) -> np.ndarray:
 
 
 def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """(F^t(x), D_x F^t(x)) via the variational equations integrated alongside."""
+    """(F^t(x), D_x F^t(x)) via the variational equations integrated alongside,
+    under error control on the n state entries alone: the state is
+    flow_map's bit for bit, the matrix the derivative of that computed map."""
     n = flow.field.n
     x = _start(x, "flow_map_with_jacobian", n)
     if t == 0.0:
@@ -329,7 +334,7 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
     _check_cap(flow, t)
     y0 = x.tolist() + np.eye(n).ravel().tolist()
     yf = np.array(_run(flow.field._kernels["variational"].floats,
-                       "variational right-hand side", t, y0, None))
+                       "variational right-hand side", t, y0, None, controlled=n))
     return yf[:n], yf[n:].reshape(n, n)
 
 

@@ -12,7 +12,9 @@ Jacobian. It flows the start and every trial once, with the variational
 equations, and reads both the residual and an accepted trial's Jacobian
 from that one linearized chain, so a seed costs at most max_iter Jacobians
 and 2*max_iter + 5 linearized chains; a solved orbit's monodromy comes from
-its last one. Level continuation tracks an orbit from a first step over the
+its last one. A variational leg steps on its state's error alone, so the
+linearized chain is chain_points' and its residual shooting_residual's, bit
+for bit. Level continuation tracks an orbit from a first step over the
 whole segment, with steps that double while its corrector succeeds, but
 never back to a size already refused, and halve when it fails.
 """
@@ -104,7 +106,8 @@ def chain_points(system: RelaySystem, sv: SwitchingVector) -> list[np.ndarray]:
 class _Linearization:
     """A switching vector's chain flowed with its variational equations: the
     chain points x_i, leg Jacobians dx_i/dx_{i-1} and end fields dx_i/dt_i,
-    and the shooting residual read from those points."""
+    and the shooting residual read from those points, both the plain
+    chain's bit for bit."""
 
     sv: SwitchingVector
     r: np.ndarray
@@ -222,7 +225,8 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     matrix, eps*2(n+p)*sig_1, are dropped. mu takes the rungs of _DAMPING =
     (0, 1e-2, 1e-1, 1). Every trial is linearized (_linearize flows its
     chain with the variational equations) and r is read from its chain
-    points, so an accepted trial's Jacobian needs no second integration. A
+    points, which are the plain chain's bit for bit, so r is the public
+    residual and an accepted trial's Jacobian needs no second integration. A
     trial is accepted only if it lowers |r|; acceptance moves mu one rung
     down, rejection one rung up. The seed is given up once a trial at mu = 1
     is rejected, which bounds the work to max_iter (_MAX_ITER, or
@@ -319,13 +323,14 @@ def _package(system: RelaySystem, levels: np.ndarray,
              lin: _Linearization) -> PeriodicOrbit:
     """The orbit at a solved switching vector, replay-verified: the monodromy
     is the product of the linearization's leg Jacobians, the residual norm
-    that of the plain chain, |shooting_residual|."""
+    that of the public residual, |shooting_residual|, flowed only once the
+    replay has passed (it equals |lin.r|, Newton's last)."""
     monodromy = np.eye(system.n)
     for a in lin.mats:
         monodromy = a @ monodromy
-    rnorm = float(np.linalg.norm(shooting_residual(system, levels, lin.sv)))
-    orbit = PeriodicOrbit(lin.sv, np.asarray(levels, float), rnorm, monodromy)
+    orbit = PeriodicOrbit(lin.sv, np.asarray(levels, float), math.nan, monodromy)
     orbit.verification = verify_periodic(system, orbit)
+    orbit.residual_norm = float(np.linalg.norm(shooting_residual(system, levels, lin.sv)))
     return orbit
 
 

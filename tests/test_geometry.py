@@ -294,10 +294,10 @@ def test_validate_flows_each_batch_once(make, monkeypatch):
     # from the absorb solve
     solve, stacked = _dop853.solve, []
 
-    def counted(fun, t_end, y0, solout):
+    def counted(fun, t_end, y0, solout, **kw):
         if isinstance(y0[0], np.ndarray):
             stacked.append(t_end)
-        return solve(fun, t_end, y0, solout)
+        return solve(fun, t_end, y0, solout, **kw)
 
     monkeypatch.setattr(_dop853, "solve", counted)
     system = make()

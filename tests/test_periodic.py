@@ -26,7 +26,7 @@ from flowrelay.relay import accessible_set, simulate
 
 from conftest import REPO_ROOT, make_rotor, make_systemb, rotor_periodic_start
 from spiral_relay import SpiralRelay
-from test_events import _partly_degenerate_rotor
+from test_events import _lifted_systemb, _partly_degenerate_rotor
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +257,48 @@ def test_residual_norm_is_the_public_residual_of_each_orbit(make):
     for orbit in orbits:
         r = shooting_residual(system, orbit.levels, orbit.sv)
         assert orbit.residual_norm == float(np.linalg.norm(r)) <= 1e-9
+
+
+def _bits(arrays) -> list[bytes]:
+    return [np.asarray(a, float).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("make", [
+    make_systemb, make_rotor,
+    lambda: load_config(REPO_ROOT / "perfbench" / "triangle.json"),
+    lambda: load_config(REPO_ROOT / "configs" / "slow_spirals.json"),
+    _lifted_systemb],
+    ids=["systemb", "rotor", "triangle", "slow spirals", "lifted systemb"])
+def test_linearized_chain_is_the_plain_chain_bit_for_bit(make):
+    # a variational leg controls its error on the n state entries alone, so
+    # it takes the plain leg's steps: Newton's chain points and residual are
+    # chain_points and shooting_residual, bit for bit, at random in-window
+    # switching vectors and at the orbits found
+    system = make()
+    lv = system.levels()
+    rng = np.random.default_rng(41)
+    box = np.asarray(system.box, float)
+    window = SolveOptions.window_factor * np.array([f.horizon for f in system.flows])
+    svs = [SwitchingVector.of(rng.uniform(box[0], box[1]),
+                              window * rng.uniform(0.01, 1.0, system.p))
+           for _ in range(40)]
+    svs += [o.sv for o in find_periodic(system, opts=SolveOptions(max_seeds=8, seed=7))]
+    for sv in svs:
+        lin = periodic._linearize(system, lv, sv)
+        assert _bits(lin.xs) == _bits(chain_points(system, sv))
+        assert _bits([lin.r]) == _bits([shooting_residual(system, lv, sv)])
+
+
+def test_lifted_relay_monodromy_is_the_exact_transverse_contraction():
+    # x3' = -x3 under both flows and the orbit lies in x3 = 0: the monodromy
+    # splits off the x3 direction, whose modulus is e^-period exactly, so
+    # the matrix entries riding on the state's steps keep their accuracy
+    system = _lifted_systemb()
+    orbit, = find_periodic(system, opts=SolveOptions(max_seeds=8, seed=7))
+    assert abs(orbit.sv.start[2]) <= 1e-12
+    m = orbit.monodromy
+    assert not m[2, :2].any() and not m[:2, 2].any()
+    assert abs(m[2, 2] / math.exp(-orbit.period) - 1) <= 1e-9
 
 
 def test_newton_counts_a_failed_trial_as_a_rejection(rotor_m, monkeypatch):
