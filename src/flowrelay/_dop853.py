@@ -1,12 +1,14 @@
 """The DOP853 stepper behind every integration in flowrelay.
 
 The explicit Runge-Kutta 8(5,3) pair of Prince & Dormand with its 7th-order
-dense output (Hairer, Norsett & Wanner, Solving ODEs I, ch. II.5), at fixed
-rtol 1e-10 and atol 1e-12. The tableau is embedded below as the float
-literals of scipy.integrate.DOP853's arrays (a test checks them bit for
-bit), and the initial-step rule, error norm, step controller and
-step-underflow failure are that class's, so a state under full error
-control differs from scipy's only by rounding.
+dense output (Hairer, Norsett & Wanner, Solving ODEs I, ch. II.5), at one
+of two fixed (rtol, atol) pairs: (1e-10, 1e-12), which every public
+integration steps at, and COARSE, (1e-5, 1e-7), which only the trials of
+Newton's far iterates step at. Neither is an option. The tableau
+is embedded below as the float literals of scipy.integrate.DOP853's arrays
+(a test checks them bit for bit), and the initial-step rule, error norm,
+step controller and step-underflow failure are that class's, so a state
+under full error control differs from scipy's only by rounding.
 
 A float state may put only its leading entries under error control: the
 error norm and the first step read those alone, and the other entries ride
@@ -23,11 +25,12 @@ current state and hands each accepted step to the caller's solout, as the
 SOLOUT of Hairer's DOP853 driver does (Solving ODEs I, sec. II.6); a step
 that would pass the final time ends there.
 
-- Floats: for each state size and count of controlled entries the step
-  function and the dense-row function, which builds a step's interpolant
-  only for a caller with a solout, are generated as straight-line Python
-  with the zero tableau entries dropped, the way expr._compile builds the
-  field kernels.
+- Floats: for each state size, count of controlled entries and tolerance
+  pair the step function and the dense-row function, which builds a step's
+  interpolant only for a caller with a solout, are generated as
+  straight-line Python with the zero tableau entries dropped, the way
+  expr._compile builds the field kernels. The pair enters the step's source
+  as its two literals and nowhere else.
 - Columns are stacked into one (n, N) array and have no dense output. The
   state y and the stages K0..K12 are the rows of one preallocated buffer
   S. Once per step h times the tableau rows, behind a column of ones,
@@ -52,6 +55,9 @@ from .errors import IntegrationError
 
 RTOL = 1e-10
 ATOL = 1e-12
+# the coarse (rtol, atol) pair: only Newton's trials from far iterates step
+# at it (periodic._newton)
+COARSE = (1e-5, 1e-7)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -157,10 +163,11 @@ def _args(n: int, entry: Callable[[int], str]) -> str:
     return "".join(f"{entry(i)}, " for i in range(n))
 
 
-def _step_source(n: int, m: int) -> str:
+def _step_source(n: int, m: int, tols: tuple[float, float]) -> str:
     """_step(fun, y, k0, h) -> (error norm, y_new, f_new, stages): one trial
     step of size h from y with derivative k0, its error norm over the
-    leading m of the n entries."""
+    leading m of the n entries at the (rtol, atol) pair tols."""
+    rtol, atol = tols
     lines = ["def _step(fun, y, k0, h):", f"    {_names('y', n)}= y",
              f"    {_names('k0', n)}= k0"]
     for s in range(1, _STAGES):
@@ -170,7 +177,7 @@ def _step_source(n: int, m: int) -> str:
     lines.append(f"    k{_STAGES} = fun({_names('n', n)})")
     for i in range(m):
         lines += [f"    a = abs(y_{i})", f"    b = abs(n_{i})",
-                  f"    s = {ATOL!r} + max(a, b)*{RTOL!r}",
+                  f"    s = {atol!r} + max(a, b)*{rtol!r}",
                   f"    r_{i} = ({_comb(_E5, i)})/s",
                   f"    q_{i} = ({_comb(_E3, i)})/s"]
     lines.append("    e5 = " + " + ".join(f"r_{i}*r_{i}" for i in range(m)))
@@ -203,20 +210,22 @@ def _dense_source(n: int) -> str:
 
 
 @functools.cache
-def _generated(n: int, m: int) -> tuple[Callable, Callable]:
+def _generated(n: int, m: int, tols: tuple[float, float]) -> tuple[Callable, Callable]:
     """The float form's step and dense-row functions for states of n
-    entries, the leading m under error control, generated on first use:
-    pure functions, so one cache serves all."""
+    entries, the leading m under error control at the pair tols, generated
+    on first use: pure functions, so one cache serves all."""
     scope = {"_sqrt": math.sqrt}
-    src = _step_source(n, m) + _dense_source(n)
-    exec(compile(src, f"<flowrelay-dop853-{n}-{m}>", "exec"), scope)
+    src = _step_source(n, m, tols) + _dense_source(n)
+    exec(compile(src, f"<flowrelay-dop853-{n}-{m}-{tols[0]!r}>", "exec"), scope)
     return scope["_step"], scope["_dense"]
 
 
-def _stacked(n: int, npts: int) -> Callable:
+def _stacked(n: int, npts: int, tols: tuple[float, float]) -> Callable:
     """The stacked form's step function for a batch of npts points of n
-    entries, the same contract as the generated one over (n, npts) arrays.
-    Its stages are the one buffer that the next trial step overwrites."""
+    entries at the pair tols, the same contract as the generated one over
+    (n, npts) arrays. Its stages are the one buffer that the next trial
+    step overwrites."""
+    rtol, atol = tols
     S = np.empty((_STAGES + 2, n * npts))    # y, then the stages K0..K12
     K = S[1:].reshape(_STAGES + 1, n, npts)
     coefs = np.ones((len(_TABLE), _STAGES + 1))
@@ -240,8 +249,8 @@ def _stacked(n: int, npts: int) -> Callable:
         # entries, as in the float form; e5 == 0 gives a zero norm whatever
         # e3 is, as in scipy
         scale = np.maximum(np.abs(S[0], out=errs[0]), np.abs(z, out=errs[1]), out=z)
-        scale *= RTOL
-        scale += ATOL
+        scale *= rtol
+        scale += atol
         np.matmul(_ERRORS, S[1:], out=errs)
         np.divide(errs, scale, out=errs)
         e5, e3 = np.add.reduce(np.square(errs, out=errs), axis=1) / npts
@@ -261,10 +270,12 @@ def _rms_stacked(v) -> float:
 
 
 def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
-                  rms: Callable, m: int) -> float:
+                  rms: Callable, m: int, tols: tuple[float, float]) -> float:
     """|h| of the first trial step (Hairer, Norsett & Wanner, sec. II.4),
-    read from the leading m entries of y, f and the probe's value."""
-    scale = [ATOL + abs(v) * RTOL for v in y[:m]]
+    read from the leading m entries of y, f and the probe's value, at the
+    (rtol, atol) pair tols."""
+    rtol, atol = tols
+    scale = [atol + abs(v) * rtol for v in y[:m]]
     d0 = rms([v / s for v, s in zip(y, scale)])
     d1 = rms([v / s for v, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -280,14 +291,16 @@ def _initial_step(fun, y: tuple, f: tuple, span: float, direction: float,
     return min(100 * h0, h1, span)
 
 
-def solve(fun, t_end: float, y0: tuple, solout, *, controlled: int | None = None):
+def solve(fun, t_end: float, y0: tuple, solout, *, controlled: int | None = None,
+          tols: tuple[float, float] = (RTOL, ATOL)):
     """Integrate y' = fun(*y) from time 0 to the signed time t_end, over
     floats or, if y0 holds numpy columns, over the stacked columns, and
     return the end state: a tuple over floats, an (n, N) array over columns.
 
     Over floats, the error norm and the first step read only the leading
     controlled entries (all by default); the others ride along on the same
-    steps.
+    steps. tols is the (rtol, atol) pair: the fixed one by default, or
+    COARSE.
 
     Only the current state is kept; the last step ends at t_end exactly.
     Unless solout is None, each accepted step from t to t_new (signed, from
@@ -299,14 +312,14 @@ def solve(fun, t_end: float, y0: tuple, solout, *, controlled: int | None = None
     m = len(y0) if controlled is None else controlled
     if isinstance(y0[0], np.ndarray):
         y0 = np.array(y0, float)
-        step, dense_rows, rms = _stacked(*y0.shape), None, _rms_stacked
+        step, dense_rows, rms = _stacked(*y0.shape, tols), None, _rms_stacked
     else:
-        (step, dense_rows), rms = _generated(len(y0), m), _rms_floats
+        (step, dense_rows), rms = _generated(len(y0), m, tols), _rms_floats
     direction = 1.0 if t_end > 0 else -1.0
     toward = direction * math.inf
     t, y = 0.0, y0
     f = fun(*y)
-    h_abs = _initial_step(fun, y, f, abs(t_end), direction, rms, m)
+    h_abs = _initial_step(fun, y, f, abs(t_end), direction, rms, m, tols)
 
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, toward) - t)

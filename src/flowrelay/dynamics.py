@@ -1,7 +1,10 @@
 """Flow integration: flow maps, dense trajectories, variational Jacobians.
 
 Every integration runs through _run on the owned DOP853 stepper of _dop853
-at rtol 1e-10, atol 1e-12, which calls the fused kernels directly. A single
+at rtol 1e-10, atol 1e-12, which calls the fused kernels directly. The one
+exception is _coarse_variational_map, flow_map_with_jacobian at the
+stepper's coarse pair (rtol 1e-5, atol 1e-7), which only Newton's trials
+from far iterates call; no public function steps at that pair. A single
 trajectory (flow_map, flow_map_with_jacobian and the dense FlowArc behind
 integrate) is stepped over floats. flow_map_points steps its N points as one
 stacked (n, N) array under one joint norm, taking each stage sum as one
@@ -91,7 +94,8 @@ class VectorField:
 @dataclass
 class Flow:
     """A flow descriptor: a field and its horizon. Every flow is integrated
-    with the same fixed method and tolerances (_dop853.RTOL, _dop853.ATOL)."""
+    with the same fixed method and tolerances (_dop853.RTOL, _dop853.ATOL),
+    but for the trials of Newton's far iterates (_dop853.COARSE)."""
 
     field: VectorField
     horizon: float
@@ -288,14 +292,14 @@ def _start(x, fn: str, n: int, batch: bool = False) -> np.ndarray:
     return x
 
 
-def _run(kernel, what: str, t: float, y0, solout, controlled: int | None = None):
+def _run(kernel, what: str, t: float, y0, solout, **stepping):
     """Integrate y' = kernel(*y) from 0 to the signed time t on the owned
     stepper, over the floats or numpy columns of y0, handing each accepted
-    step to solout and the error control to the leading controlled entries
-    as _dop853.solve does. A kernel failure raises EvalError; a non-finite
-    end state, IntegrationError."""
+    step to solout as _dop853.solve does, with its keyword arguments
+    stepping (controlled entries, tolerance pair). A kernel failure raises
+    EvalError; a non-finite end state, IntegrationError."""
     try:
-        end = _dop853.solve(kernel, t, tuple(y0), solout, controlled=controlled)
+        end = _dop853.solve(kernel, t, tuple(y0), solout, **stepping)
     except ex._EVAL_FAILURES as exc:
         raise EvalError(f"{what} failed: {exc}") from exc
     if not np.isfinite(end).all():
@@ -327,6 +331,17 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
     """(F^t(x), D_x F^t(x)) via the variational equations integrated alongside,
     under error control on the n state entries alone: the state is
     flow_map's bit for bit, the matrix the derivative of that computed map."""
+    return _variational_map(flow, t, x, (_dop853.RTOL, _dop853.ATOL))
+
+
+def _coarse_variational_map(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """flow_map_with_jacobian stepped at _dop853.COARSE, read when called.
+    Only periodic._newton's trials from far iterates call it."""
+    return _variational_map(flow, t, x, _dop853.COARSE)
+
+
+def _variational_map(flow: Flow, t: float, x,
+                     tols: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     n = flow.field.n
     x = _start(x, "flow_map_with_jacobian", n)
     if t == 0.0:
@@ -334,7 +349,8 @@ def flow_map_with_jacobian(flow: Flow, t: float, x) -> tuple[np.ndarray, np.ndar
     _check_cap(flow, t)
     y0 = x.tolist() + np.eye(n).ravel().tolist()
     yf = np.array(_run(flow.field._kernels["variational"].floats,
-                       "variational right-hand side", t, y0, None, controlled=n))
+                       "variational right-hand side", t, y0, None, controlled=n,
+                       tols=tols))
     return yf[:n], yf[n:].reshape(n, n)
 
 

@@ -12,11 +12,14 @@ Jacobian. It flows the start and every trial once, with the variational
 equations, and reads both the residual and an accepted trial's Jacobian
 from that one linearized chain, so a seed costs at most max_iter Jacobians
 and 2*max_iter + 5 linearized chains; a solved orbit's monodromy comes from
-its last one. A variational leg steps on its state's error alone, so the
-linearized chain is chain_points' and its residual shooting_residual's, bit
-for bit. Level continuation tracks an orbit from a first step over the
-whole segment, with steps that double while its corrector succeeds, but
-never back to a size already refused, and halve when it fails.
+its last one. The trials of an iterate with |r| above 3e-2 are flowed at
+the stepper's coarse tolerance pair, all others at the fixed one, and a
+seed converges only on a fixed-pair chain. A variational leg steps on its
+state's error alone, so a fixed-pair linearized chain is chain_points' and
+its residual shooting_residual's, bit for bit. Level continuation tracks
+an orbit from a first step over the whole segment, with steps that double
+while its corrector succeeds, but never back to a size already refused,
+and halve when it fails.
 """
 from __future__ import annotations
 
@@ -26,8 +29,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dynamics import (TIME_CAP_FACTOR, flow_map, flow_map_with_jacobian,
-                       integrate)
+from .dynamics import (TIME_CAP_FACTOR, _coarse_variational_map, flow_map,
+                       flow_map_with_jacobian, integrate)
 from .errors import (ContinuationStalled, DegenerateCrossing,
                      DegenerateJacobian, FlowRelayError, NoConvergence,
                      NotInWindow, ReplayMismatch)
@@ -106,14 +109,16 @@ def chain_points(system: RelaySystem, sv: SwitchingVector) -> list[np.ndarray]:
 class _Linearization:
     """A switching vector's chain flowed with its variational equations: the
     chain points x_i, leg Jacobians dx_i/dx_{i-1} and end fields dx_i/dt_i,
-    and the shooting residual read from those points, both the plain
-    chain's bit for bit."""
+    and the shooting residual read from those points. At the fixed pair
+    the points and residual are the plain chain's bit for bit; a coarse
+    one's legs step at _dop853.COARSE."""
 
     sv: SwitchingVector
     r: np.ndarray
     xs: list[np.ndarray]
     mats: list[np.ndarray]
     vels: list[np.ndarray]
+    coarse: bool = False
 
 
 def _residual(system: RelaySystem, lv: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
@@ -122,17 +127,18 @@ def _residual(system: RelaySystem, lv: np.ndarray, xs: list[np.ndarray]) -> np.n
     return np.concatenate([np.array(rows), xs[-1] - xs[0]])
 
 
-def _linearize(system: RelaySystem, lv: np.ndarray,
-               sv: SwitchingVector) -> _Linearization:
+def _linearize(system: RelaySystem, lv: np.ndarray, sv: SwitchingVector,
+               coarse: bool = False) -> _Linearization:
     _check_shape(system, sv)
     _check_windows(system, sv)
+    leg = _coarse_variational_map if coarse else flow_map_with_jacobian
     xs, mats, vels = [sv.x], [], []
     for i, t in enumerate(sv.durations):
-        x_next, a = flow_map_with_jacobian(system.flows[i], t, xs[-1])
+        x_next, a = leg(system.flows[i], t, xs[-1])
         xs.append(x_next)
         mats.append(a)
         vels.append(system.flows[i].field(x_next))
-    return _Linearization(sv, _residual(system, lv, xs), xs, mats, vels)
+    return _Linearization(sv, _residual(system, lv, xs), xs, mats, vels, coarse)
 
 
 def _jacobian(system: RelaySystem, lv: np.ndarray, lin: _Linearization) -> np.ndarray:
@@ -188,6 +194,7 @@ class SolveOptions:
 _MAX_ITER = 40              # Jacobians per Newton solve
 _CORRECTOR_MAX_ITER = 5     # Jacobians per continuation corrector
 _RESIDUAL_TOL = 1e-9        # |r| at which a Newton seed has converged
+_COARSE_ABOVE = 3e-2        # |r| above which an iterate's trials step coarse
 _CLAMP_MARGIN_REL = 1e-6    # duration clamp margin, as a share of the horizon
 _COND_LIMIT = 1e12          # cond(J) above which a Jacobian counts as degenerate
 _DAMPING = (0.0, 1e-2, 1e-1, 1.0)  # the Levenberg-Marquardt ladder of mu
@@ -225,14 +232,22 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     matrix, eps*2(n+p)*sig_1, are dropped. mu takes the rungs of _DAMPING =
     (0, 1e-2, 1e-1, 1). Every trial is linearized (_linearize flows its
     chain with the variational equations) and r is read from its chain
-    points, which are the plain chain's bit for bit, so r is the public
-    residual and an accepted trial's Jacobian needs no second integration. A
+    points, so an accepted trial's Jacobian needs no second integration. A
     trial is accepted only if it lowers |r|; acceptance moves mu one rung
     down, rejection one rung up. The seed is given up once a trial at mu = 1
     is rejected, which bounds the work to max_iter (_MAX_ITER, or
     _CORRECTOR_MAX_ITER in a continuation corrector) Jacobians and
-    2*max_iter + 5 linearized chains. The result carries the last accepted
-    linearization.
+    2*max_iter + 5 linearized chains, of either pair.
+
+    Two accuracies (inexact Newton: Dembo, Eisenstat & Steihaug 1982): the
+    start is linearized at the fixed pair, and so is every trial from an
+    iterate with |r| <= _COARSE_ABOVE (3e-2); the trials from an iterate
+    above it step at the coarse pair, _dop853.COARSE. A seed converges
+    only on a fixed-pair linearization with |r| <= _RESIDUAL_TOL, whose
+    chain points are the plain chain's bit for bit, so the r it stops on is
+    the public residual. No switching vector is linearized twice. The
+    result carries the last accepted linearization, at the fixed pair on a
+    converged seed.
     """
     n, p = system.n, system.p
     lo, hi = _clamp_bounds(system)
@@ -246,8 +261,9 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
     rnorm = float(np.linalg.norm(lin.r))
     rung = 0
     for _ in range(max_iter):
-        if rnorm <= _RESIDUAL_TOL or rung == len(_DAMPING):
+        if (rnorm <= _RESIDUAL_TOL and not lin.coarse) or rung == len(_DAMPING):
             break
+        coarse = rnorm > _COARSE_ABOVE
         u, sig, vt = np.linalg.svd(_jacobian(system, levels, lin))
         degenerate |= bool(sig[0] > _COND_LIMIT * sig[-1])
         scale, ur = float(sig @ sig) / (n + p), u.T @ lin.r
@@ -259,7 +275,8 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
             z_try = z - vt.T @ (w * ur)
             z_try[n:] = np.clip(z_try[n:], lo, hi)
             try:
-                trial = _linearize(system, levels, split(z_try))
+                trial = (_linearize(system, levels, split(z_try), True) if coarse
+                         else _linearize(system, levels, split(z_try)))
                 rnorm_try = float(np.linalg.norm(trial.r))
             except _SOLVE_ERRORS:
                 rnorm_try = np.inf
@@ -268,7 +285,7 @@ def _newton(system: RelaySystem, levels: np.ndarray, sv: SwitchingVector,
                 rung = max(rung - 1, 0)
                 break
             rung += 1
-    converged = rnorm <= _RESIDUAL_TOL
+    converged = rnorm <= _RESIDUAL_TOL and not lin.coarse
     on_clamp = bool(np.any(z[n:] <= lo * 1.5) or np.any(z[n:] >= hi - 0.5 * lo))
     return _NewtonResult(lin.sv, lin, converged, on_clamp, degenerate)
 

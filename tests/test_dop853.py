@@ -63,6 +63,37 @@ def test_core_matches_solve_ivp(name):
             assert _close(arc.sample(taus), ref.sol(sign * taus).T, 1e-11)
 
 
+@pytest.mark.parametrize("name", ["pendulum", "systemb"])
+def test_coarse_pair_matches_solve_ivp_at_its_tolerances(name):
+    # the coarse pair reaches the first step and the error norm alike
+    field = {"pendulum": _field(PENDULUM), "systemb": make_systemb().flows[0].field}[name]
+    kernel = field._kernels["value"].floats
+    rtol, atol = _dop853.COARSE
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        x = rng.uniform(-1.0, 1.0, 2)
+        t = float(rng.uniform(0.5, 3.0)) * rng.choice([-1.0, 1.0])
+        ref = solve_ivp(lambda _t, y: kernel(*y.tolist()), (0.0, t), x,
+                        method="DOP853", rtol=rtol, atol=atol)
+        ts = [0.0]
+        end = _dop853.solve(kernel, t, tuple(x.tolist()),
+                            lambda t0, t1, y, row: ts.append(t1), tols=_dop853.COARSE)
+        assert len(ts) == len(ref.t) < len(_solve(kernel, t, x.tolist())[0])
+        assert _close(np.array(end), ref.y[:, -1], 1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (6, 2), (12, 3)])
+def test_pairs_differ_only_in_the_step_tolerance_literals(n, m):
+    # each controlled entry's error scale holds the pair's two literals;
+    # swapping them for the fixed pair's gives the fixed step bit for bit
+    fixed = (_dop853.RTOL, _dop853.ATOL)
+    src = _dop853._step_source(n, m, _dop853.COARSE)
+    for coarse, want in zip(_dop853.COARSE, fixed):
+        assert src.count(repr(coarse)) == m
+        src = src.replace(repr(coarse), repr(want))
+    assert src == _dop853._step_source(n, m, fixed)
+
+
 def _close_points(got, want, rel: float) -> bool:
     """Each point within rel * (1 + its norm): where rounding noise in a
     tiny error estimate moves a step, the interpolants differ in the

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.spatial import cKDTree
 
-from flowrelay import expr, periodic
+from flowrelay import _dop853, expr, periodic
 from flowrelay.cli import load_config
 from flowrelay.dynamics import Flow, VectorField, flow_map
 from flowrelay._util import seeded_rng
@@ -224,6 +225,39 @@ def test_find_periodic_converges_systemb_seed_at_angle_pi(systemb_m):
     assert orbits[0].residual_norm < 1e-8
 
 
+def test_far_iterates_take_a_fraction_of_the_fixed_pair_steps(systemb_m,
+                                                              monkeypatch):
+    # the angle-pi seed starts far from the orbit: against one run with the
+    # coarse pair set to the fixed one, it takes at most 70 % of the
+    # variational steps and the same Jacobians, and lands on the same orbit;
+    # each switching vector is linearized once, at one pair
+    pt = np.array([0.5, 0.0])
+    seed = SwitchingVector.of(pt, forward_tree(systemb_m, None, pt).leaves[0].times)
+    steps = _variational_steps(monkeypatch)
+    calls = _count_jacobians(monkeypatch)
+    linearize, linearized = periodic._linearize, []
+
+    def recorded(system, levels, sv, *coarse):
+        linearized.append(sv.as_vector().tobytes())
+        return linearize(system, levels, sv, *coarse)
+
+    monkeypatch.setattr(periodic, "_linearize", recorded)
+    runs = []
+    for coarse in (_dop853.COARSE, (_dop853.RTOL, _dop853.ATOL)):
+        monkeypatch.setattr(_dop853, "COARSE", coarse)
+        steps.clear()
+        calls["jacobian"] = 0
+        linearized.clear()
+        orbit, = find_periodic(systemb_m, seeds=[seed])
+        assert len(set(linearized)) == len(linearized) <= 2 * periodic._MAX_ITER + 5
+        runs.append((orbit.sv.as_vector(), dict(steps), calls["jacobian"]))
+    (z, two, jacobians), (z_base, base, jacobians_base) = runs
+    assert len(two) == 2 and len(base) == 1
+    assert sum(two.values()) <= 0.7 * sum(base.values())
+    assert jacobians == jacobians_base
+    assert np.abs(z - z_base).max() <= 1e-10
+
+
 def test_hopeless_seed_work_is_bounded(rotor_m, monkeypatch):
     # linearized chains (the start and each trial) and Jacobian factorizations
     calls = {"linearize": 0, "jacobian": 0}
@@ -287,6 +321,46 @@ def test_linearized_chain_is_the_plain_chain_bit_for_bit(make):
         lin = periodic._linearize(system, lv, sv)
         assert _bits(lin.xs) == _bits(chain_points(system, sv))
         assert _bits([lin.r]) == _bits([shooting_residual(system, lv, sv)])
+
+
+def _variational_steps(monkeypatch) -> Counter:
+    """Accepted variational steps (the legs with controlled entries) per
+    tolerance pair, counted by wrapping _dop853.solve."""
+    steps, solve = Counter(), _dop853.solve
+
+    def counted(fun, t_end, y0, solout, *, controlled=None,
+                tols=(_dop853.RTOL, _dop853.ATOL)):
+        if controlled is not None:
+            def solout(t, t_new, y, row):
+                steps[tols] += 1
+        return solve(fun, t_end, y0, solout, controlled=controlled, tols=tols)
+
+    monkeypatch.setattr(_dop853, "solve", counted)
+    return steps
+
+
+@pytest.mark.parametrize("make", [
+    make_systemb, make_rotor,
+    lambda: load_config(REPO_ROOT / "perfbench" / "triangle.json"),
+    lambda: load_config(REPO_ROOT / "configs" / "slow_spirals.json")],
+    ids=["systemb", "rotor", "triangle", "slow spirals"])
+def test_no_coarse_number_reaches_a_report(make, monkeypatch):
+    # far iterates steer on coarse chains, but an orbit is packaged from a
+    # fixed-pair linearization at its switching vector: its monodromy is
+    # that linearization's leg product and its residual_norm the public
+    # residual, bit for bit
+    system = make()
+    lv = system.levels()
+    steps = _variational_steps(monkeypatch)
+    orbits = find_periodic(system, opts=SolveOptions(max_seeds=8, seed=7))
+    assert orbits and steps[_dop853.COARSE] > 0
+    for orbit in orbits:
+        monodromy = np.eye(system.n)
+        for a in periodic._linearize(system, lv, orbit.sv).mats:
+            monodromy = a @ monodromy
+        assert _bits([orbit.monodromy]) == _bits([monodromy])
+        r = shooting_residual(system, lv, orbit.sv)
+        assert orbit.residual_norm == float(np.linalg.norm(r)) <= 1e-9
 
 
 def test_lifted_relay_monodromy_is_the_exact_transverse_contraction():
