@@ -407,18 +407,24 @@ def _require_closing_level(lv: np.ndarray) -> None:
 
 
 _REPLAY_TOL_REL = 1e-6  # replay time mismatch allowed, as a share of the horizon
+_REPLAY_PAD_REL = 1e-3  # replay span past a recorded duration, as a share of the horizon
 
 
 def verify_periodic(system: RelaySystem,
                     orbit: PeriodicOrbit) -> VerificationReport:
     """Independently replay the orbit and measure closure and margins.
 
-    Each leg's crossing list is recomputed from scratch; the recorded
-    duration must match one crossing (the matched index realizes an NthHit
-    replay). A failed match, or a matched time off by more than the replay
-    tolerance, raises ReplayMismatch; a switching vector of the wrong shape
-    or unequal first and closing level offsets raise ValueError. closure is
-    |replayed end - start|."""
+    Each leg's crossing list is recomputed from scratch on one integration
+    that ends a pad (_REPLAY_PAD_REL, 1e-3 horizons) past the recorded
+    duration, or at the window of 2 horizons if that comes first; the
+    separation floor and the window-edge filter are the window's. The
+    recorded duration must match one crossing (the matched index, which
+    counts only crossings before it, realizes an NthHit replay). Structure
+    after a leg's switch is read only within the pad: a graze or root pair
+    farther on does not reject the orbit. A failed match, or a matched time
+    off by more than the replay tolerance, raises ReplayMismatch; a
+    switching vector of the wrong shape or unequal first and closing level
+    offsets raise ValueError. closure is |replayed end - start|."""
     lv = orbit.levels
     _check_shape(system, orbit.sv)
     _require_closing_level(lv)
@@ -430,7 +436,9 @@ def verify_periodic(system: RelaySystem,
         flow = system.flows[i]
         region = system.chain_region(i + 1, lv)
         window = SolveOptions.window_factor * flow.horizon
-        evs = find_crossings(flow, region, None, x, window)
+        span = min(window, max(dur, 0.0) + _REPLAY_PAD_REL * flow.horizon)
+        evs = find_crossings(flow, region, None, x, window,
+                             arc=integrate(flow, span, x))
         if not evs:
             raise ReplayMismatch(f"no crossings on leg {i + 1} during replay")
         diffs = [abs(e.t - dur) for e in evs]

@@ -722,6 +722,79 @@ def test_verify_replays_a_rotor_member_near_the_tangent_circle(rotor_m):
     assert report.closure < 1e-7
 
 
+@pytest.mark.parametrize("make", [
+    make_systemb, make_rotor,
+    lambda: load_config(REPO_ROOT / "configs" / "slow_spirals.json")],
+    ids=["systemb", "rotor", "slow spirals"])
+def test_replay_flows_each_leg_only_a_pad_past_its_switch(make, monkeypatch):
+    # one integration per leg, to its recorded duration plus 1e-3 horizons
+    # (never past the 2-horizon window), in fewer steps than the windows
+    system = make()
+    orbits = find_periodic(system, opts=SolveOptions(max_seeds=8, seed=7))
+    arcs, integrate = [], periodic.integrate
+
+    def recorded(*args, **kwargs):
+        arcs.append(integrate(*args, **kwargs))
+        return arcs[-1]
+
+    monkeypatch.setattr(periodic, "integrate", recorded)
+    assert orbits
+    for orbit in orbits:
+        arcs.clear()
+        assert verify_periodic(system, orbit) == orbit.verification
+        assert len(arcs) == system.p
+        window_steps = 0
+        for arc, flow, dur in zip(arcs, system.flows, orbit.sv.durations):
+            window = SolveOptions.window_factor * flow.horizon
+            span = min(window, dur + periodic._REPLAY_PAD_REL * flow.horizon)
+            assert arc.flow is flow and not arc.backward
+            assert arc.duration == arc.ts[-1] == span
+            window_steps += len(integrate(flow, window, arc.x0).ts) - 1
+        assert sum(len(arc.ts) - 1 for arc in arcs) < window_steps
+
+
+def test_replay_rejects_rotor_tangent_circle_as_a_graze(rotor_m):
+    # Newton converges on the radius-0.7 circle, which touches boundary 0 at
+    # (0.7, 0) 4.6e-7 after leg 2's recorded switch: inside the replay's pad,
+    # so the replay sees the graze rather than a crossing off the switch
+    sv = SwitchingVector.of((0.7000000000491631, -3.204474083391134e-07),
+                            (2.824032681866704, 3.459152625391069))
+    orbit = PeriodicOrbit(sv, rotor_m.levels(), 0.0, np.eye(2))
+    with pytest.raises(DegenerateCrossing, match="grazing") as exc:
+        verify_periodic(rotor_m, orbit)
+    tol_t = periodic._REPLAY_TOL_REL * rotor_m.flows[1].horizon
+    assert sv.durations[1] < exc.value.time < sv.durations[1] + tol_t
+
+
+def _rotor_with_boundary_1(f: str) -> RelaySystem:
+    base = make_rotor()
+    return RelaySystem(n=2, p=2, flows=base.flows,
+                       regions=(base.regions[0], Region(expr.parse(f, 2), index=1)),
+                       box=base.box)
+
+
+def test_replay_ignores_a_graze_past_the_switch():
+    # the rotation's unit circle, with boundary 1 the lines x1 = -1/2 and
+    # x1 = 1: leg 1 switches on x1 = -1/2 at angle 2pi/3, and would touch
+    # x1 = 1 at angle 2pi, inside its 2-horizon window. The whole window's
+    # scan calls that a graze; the replay stops 1e-3 horizons past the
+    # switch and matches the crossings it matches on the line alone
+    lines = _rotor_with_boundary_1("(2*x1 + 1)*(1 - x1)")
+    line = _rotor_with_boundary_1("2*x1 + 1")
+    x0 = rotor_periodic_start(1.0)
+    angle = math.atan2(x0[1], x0[0])
+    t1 = 2 * math.pi / 3 - angle
+    sv = SwitchingVector.of(x0, (t1, 2 * math.pi - t1))
+    window = SolveOptions.window_factor * lines.flows[0].horizon
+    with pytest.raises(DegenerateCrossing, match="grazing") as exc:
+        find_crossings(lines.flows[0], lines.regions[1], None, x0, window)
+    assert exc.value.time == pytest.approx(2 * math.pi - angle, abs=1e-6)
+    reports = [verify_periodic(s, PeriodicOrbit(sv, s.levels(), 0.0, np.eye(2)))
+               for s in (lines, line)]
+    assert reports[0].matched_indices == reports[1].matched_indices == (0, 1)
+    assert max(r.closure for r in reports) < 1e-9
+
+
 def test_verify_rejects_unequal_closing_level(systemb_m, systemb_orbit):
     shifted = replace(systemb_orbit, levels=np.array([0.0, 0.0, 0.01]))
     with pytest.raises(ValueError, match="closing level"):
